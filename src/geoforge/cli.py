@@ -59,7 +59,9 @@ def _cmd_bootstrap(args: argparse.Namespace) -> int:
     }
     config = _load_config(args.config, overrides)
     report = bootstrap(config, args.in_dir, args.out)
-    print(f"wrote {report.count} generation-{1 if report.records else '?'} records to {args.out}")
+    generations = sorted({r.metadata.bootstrap_generation for r in report.records})
+    label = ",".join(map(str, generations)) or "?"
+    print(f"wrote {report.count} generation-{label} records to {args.out}")
     for failure in report.failures:
         print(f"skipped: {failure}", file=sys.stderr)
     return 0

@@ -19,7 +19,6 @@ from typing import Callable, Iterable
 
 from .geometry import Coord, SceneGeometry
 from .statements import (
-    PointId,
     Seg,
     Statement,
     StatementSet,
@@ -78,9 +77,6 @@ class Scene:
     initial_statements: StatementSet
     drawn_segments: tuple[Seg, ...]
     exhausted: bool = False
-
-    def point_ids(self) -> list[PointId]:
-        return [PointId(label, i) for i, label in enumerate(self.geometry.points)]
 
     def to_json(self) -> str:
         doc = {

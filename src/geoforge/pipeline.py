@@ -11,6 +11,7 @@ ids. Per-scene failures are logged and skipped, never fatal.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 import re
@@ -20,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from . import dataset
 from .constructions import (
     BASE_GENERATORS,
     ConstructionError,
@@ -53,6 +55,7 @@ from .sampler import (
     ProblemDraft,
     ReasoningPath,
     SamplerError,
+    TracebackRecord,
     formulate_problem,
     geo_explore,
     geo_explore_m,
@@ -104,8 +107,6 @@ class PipelineConfig:
     translator: str = "template"
     llm_endpoint: str | None = None
     llm_model: str | None = None
-    multi_solution: bool = True
-    traceback: bool = True
     max_problems_per_scene: int = 4
     max_paths: int = 8
     min_extension_steps: int = 2
@@ -232,98 +233,68 @@ def _draft_to_record(
 def _process_scene(
     scene: Scene, config: PipelineConfig, generation: int, backend
 ) -> tuple[list[ProblemRecord], dict[str, str], list[str]]:
-    """Saturate, sample all requested templates, formulate, render, translate."""
+    """Saturate once, sample every template, formulate, render, translate."""
     failures: list[str] = []
-    need_multi = config.multi_solution or config.traceback
-    graph_multi = saturate(scene, mode="multi", budget=config.budget()) if need_multi else None
-    graph = graph_multi.to_single_mode() if graph_multi is not None else saturate(
-        scene, mode="single", budget=config.budget()
-    )
+    graph = saturate(scene, budget=config.budget())
     scene_id = scene_id_of(scene)
     drafts: list[ProblemDraft] = []
 
-    taken = 0
-    proofs = 0
-    for sid in _candidate_targets(graph):
-        if taken >= config.max_problems_per_scene:
-            break
-        stmt = graph.stmt(sid)
-        if _numeric_target(stmt):
-            kind = "numeric"
-        elif stmt.predicate in _PROOF_TARGETS and proofs < 1:
-            kind = "proof"
-        else:
-            continue
+    def deductive(sid: int) -> ReasoningPath | None:
         path = geo_explore(graph, sid, config.tau_l, config.tau_r)
-        if not isinstance(path, ReasoningPath):
-            continue
+        return path if isinstance(path, ReasoningPath) else None
+
+    def multi_solution(sid: int) -> list[ReasoningPath] | None:
+        paths = geo_explore_m(graph, sid, config.tau_l, config.tau_r, config.max_paths)
+        return paths if len(paths) >= 2 else None
+
+    def traceback(sid: int) -> TracebackRecord | None:
         try:
-            drafts.append(
-                formulate_problem(scene, graph, path, kind, config.distractor_policy)
+            return geo_explore_t(
+                graph,
+                sid,
+                config.tau_l,
+                config.tau_r,
+                config.tau_p,
+                rng_seed=scene.seed * 8191 + sid,
+                max_paths=config.max_paths,
             )
-        except OracleMismatchError as exc:
-            failures.append(f"scene {scene_id} target {sid}: {exc}")
-            continue
-        taken += 1
-        if kind == "proof":
-            proofs += 1
+        except SamplerError:
+            return None
 
-    if config.multi_solution and graph_multi is not None:
-        tried = 0
-        for sid in _candidate_targets(graph_multi):
-            if tried >= 25:
+    # One row per thinking template: sampler, targets tried, records kept.
+    # The samplers resolve geo_explore* through module globals on every call,
+    # so the functions stay replaceable from outside (tracing, tests).
+    templates = (
+        (deductive, math.inf, config.max_problems_per_scene),
+        (multi_solution, 25, 1),
+        (traceback, 8, 1),
+    )
+    targets = _candidate_targets(graph)
+    for sample, max_tried, max_kept in templates:
+        tried = kept = proofs = 0
+        for sid in targets:
+            if kept >= max_kept or tried >= max_tried:
                 break
-            stmt = graph_multi.stmt(sid)
-            if not (_numeric_target(stmt) or stmt.predicate in _PROOF_TARGETS):
+            stmt = graph.stmt(sid)
+            if _numeric_target(stmt):
+                kind = "numeric"
+            elif stmt.predicate in _PROOF_TARGETS and proofs < 1:
+                kind = "proof"
+            else:
                 continue
             tried += 1
-            paths = geo_explore_m(
-                graph_multi, sid, config.tau_l, config.tau_r, config.max_paths
-            )
-            if len(paths) < 2:
+            material = sample(sid)
+            if material is None:
                 continue
-            kind = "numeric" if _numeric_target(stmt) else "proof"
             try:
                 drafts.append(
-                    formulate_problem(scene, graph_multi, paths, kind, config.distractor_policy)
+                    formulate_problem(scene, graph, material, kind, config.distractor_policy)
                 )
             except OracleMismatchError as exc:
                 failures.append(f"scene {scene_id} target {sid}: {exc}")
                 continue
-            break
-
-    if config.traceback and graph_multi is not None:
-        tried = 0
-        for sid in _candidate_targets(graph_multi):
-            if tried >= 8:
-                break
-            stmt = graph_multi.stmt(sid)
-            if not (_numeric_target(stmt) or stmt.predicate in _PROOF_TARGETS):
-                continue
-            tried += 1
-            try:
-                tb = geo_explore_t(
-                    graph_multi,
-                    sid,
-                    config.tau_l,
-                    config.tau_r,
-                    config.tau_p,
-                    rng_seed=scene.seed * 8191 + sid,
-                    max_paths=config.max_paths,
-                )
-            except SamplerError:
-                continue
-            if tb is None:
-                continue
-            kind = "numeric" if _numeric_target(stmt) else "proof"
-            try:
-                drafts.append(
-                    formulate_problem(scene, graph_multi, tb, kind, config.distractor_policy)
-                )
-            except OracleMismatchError as exc:
-                failures.append(f"scene {scene_id} target {sid}: {exc}")
-                continue
-            break
+            kept += 1
+            proofs += kind == "proof"
 
     records: list[ProblemRecord] = []
     diagrams: dict[str, str] = {}
@@ -478,8 +449,6 @@ def curate_testset(in_dir: str | Path, per_tier: int, out_dir: str | Path) -> li
 
     out = Path(out_dir)
     (out / "svg").mkdir(parents=True, exist_ok=True)
-    import json
-
     with (out / "test.jsonl").open("w", encoding="utf-8") as f:
         for r in chosen:
             doc = {"id": r.id, "question": r.question, "diagram": r.diagram, "tier": r.metadata.tier}
@@ -739,8 +708,6 @@ def verify(in_dir: str | Path) -> VerifyReport:
         scenes = load_scenes(in_dir)
     except (OSError, KeyError, ValueError) as exc:
         return VerifyReport(0, [("<dataset>", f"cannot load scenes: {exc}")])
-    import json
-
     path = Path(in_dir) / "records.jsonl"
     total = 0
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -748,10 +715,8 @@ def verify(in_dir: str | Path) -> VerifyReport:
             continue
         total += 1
         try:
-            doc = json.loads(line)
-            from .dataset import record_from_doc
-
-            record = record_from_doc(doc)
+            # looked up at call time, as load_records does, so a patched parser applies
+            record = dataset.record_from_doc(json.loads(line))
         except (CorruptRecordError, ParseError, json.JSONDecodeError) as exc:
             failures.append((f"line {line_no}", f"corrupt record: {exc}"))
             continue

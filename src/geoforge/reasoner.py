@@ -1,11 +1,10 @@
 """Forward-chaining closure over a scene: the reasoning hypergraph.
 
 Statements are indexed by insertion order; transitions record which premise
-set and rule produced each conclusion. In single mode the first derivation
-of a statement wins and nothing more is recorded for it; in multi mode every
-distinct derivation whose premises all predate the conclusion is retained,
-keeping the hypergraph acyclic by construction (premise index < conclusion
-index for every transition).
+set and rule produced each conclusion. The first derivation of a statement is
+the one that introduced it; every further distinct derivation whose premises
+all predate the conclusion is retained too, keeping the hypergraph acyclic by
+construction (premise index < conclusion index for every transition).
 """
 
 from __future__ import annotations
@@ -62,10 +61,7 @@ class SolutionStep:
 class ReasoningGraph:
     """G = (S, S0, R, transitions); statements are ids into ``statements``."""
 
-    def __init__(self, mode: str = "single"):
-        if mode not in ("single", "multi"):
-            raise ValueError(f"bad mode {mode!r}")
-        self.mode = mode
+    def __init__(self):
         self.statements: list[Statement] = []
         self.index: dict[Statement, int] = {}
         self.n_initial = 0
@@ -106,8 +102,6 @@ class ReasoningGraph:
             raise ReasonerError("premises must predate the conclusion")
         if key in self._transition_keys:
             return False
-        if self.mode == "single" and self.incoming.get(conclusion):
-            raise ReasonerError("single mode allows one derivation per statement")
         self._transition_keys.add(key)
         self.incoming.setdefault(conclusion, []).append(len(self.transitions))
         self.transitions.append(Transition(*key))
@@ -148,27 +142,10 @@ class ReasoningGraph:
                         stack.append(p)
         return seen
 
-    def to_single_mode(self) -> "ReasoningGraph":
-        """Project onto the first derivation of each statement."""
-        g = ReasoningGraph(mode="single")
-        for sid in self.initial_ids():
-            g.add_initial(self.statements[sid])
-        for sid in range(self.n_initial, len(self.statements)):
-            g.add_statement(self.statements[sid])
-        for sid in range(self.n_initial, len(self.statements)):
-            t_idxs = self.incoming.get(sid)
-            if not t_idxs:
-                continue
-            first = self.transitions[min(t_idxs)]
-            g.add_transition(first.premises, first.rule, first.conclusion)
-        g.truncated = self.truncated
-        return g
-
     # serialization ------------------------------------------------------
 
     def to_json(self) -> str:
         doc = {
-            "mode": self.mode,
             "truncated": self.truncated,
             "statements": [
                 {"id": i, "text": s.text(), "initial": self.is_initial(i)}
@@ -184,7 +161,7 @@ class ReasoningGraph:
     @classmethod
     def from_json(cls, text: str) -> "ReasoningGraph":
         doc = json.loads(text)
-        g = cls(mode=doc["mode"])
+        g = cls()
         for entry in doc["statements"]:
             stmt = parse_statement(entry["text"])
             if entry["initial"]:
@@ -222,12 +199,11 @@ def saturate_statements(
     geometry: SceneGeometry,
     initial: Iterable[Statement],
     rules: Sequence[Rule] = DEFAULT_RULES,
-    mode: str = "single",
     budget: Budget = Budget(),
 ) -> ReasoningGraph:
     """Smallest closure of the initial statements under the rule library,
     bounded by the budget (the flag ``truncated`` is set when a cap bites)."""
-    graph = ReasoningGraph(mode=mode)
+    graph = ReasoningGraph()
     view = _MatchView(geometry, graph)
     for stmt in initial:
         graph.add_initial(stmt)
@@ -265,7 +241,7 @@ def saturate_statements(
                         graph.add_transition(premises, rule.id, new_id)
                         view.note(new_id)
                         next_batch.append(new_id)
-                    elif graph.mode == "multi" and existing not in premises:
+                    elif existing not in premises:
                         if max(premises) >= existing:
                             continue  # would break insertion-order soundness
                         if len(graph.transitions) >= budget.max_transitions:
@@ -279,7 +255,6 @@ def saturate_statements(
 def saturate(
     scene: Scene,
     rules: Sequence[Rule] = DEFAULT_RULES,
-    mode: str = "single",
     budget: Budget = Budget(),
 ) -> ReasoningGraph:
-    return saturate_statements(scene.geometry, scene.initial_statements, rules, mode, budget)
+    return saturate_statements(scene.geometry, scene.initial_statements, rules, budget)

@@ -51,7 +51,6 @@ class Rule:
     """A theorem: premise matcher, conclusion builder, numeric re-verifier."""
 
     id: str
-    cost_tag: str  # "geometric" | "algebraic"
     match: Callable[[MatchContext, int], Iterator[Match]]
     value_relation: Callable[[Sequence[Statement], Statement], bool] | None = None
 
@@ -1027,46 +1026,44 @@ def _vr_similar_ratio(premises, conclusion) -> bool:
 
 
 DEFAULT_RULES: tuple[Rule, ...] = (
-    Rule("isosceles_base_angles", "geometric", _m_isosceles_base_angles),
-    Rule("isosceles_converse", "geometric", _m_isosceles_converse),
-    Rule("triangle_angle_sum", "algebraic", _m_triangle_angle_sum, _vr_angle_sum),
-    Rule("triangle_angle_sum_equal_pair", "algebraic", _m_angle_sum_equal_pair, _vr_sum_equal_pair),
-    Rule("vertical_angles", "geometric", _m_vertical_angles),
-    Rule("alternate_interior_angles", "geometric", _m_alternate_interior),
-    Rule("corresponding_angles", "geometric", _m_corresponding_angles),
-    Rule("perpendicular_right_angle", "geometric", _m_perpendicular_right_angle),
-    Rule("right_angle_measure", "algebraic", _m_right_angle_measure, _vr_right_angle),
-    Rule("midpoint_equal_halves", "geometric", _m_midpoint_equal_halves),
-    Rule("midpoint_half_ratio", "geometric", _m_midpoint_half_ratio, _vr_half),
-    Rule("midsegment_parallel", "geometric", _m_midsegment_parallel),
-    Rule("midsegment_half_length", "geometric", _m_midsegment_half_length, _vr_half),
-    Rule("pythagoras", "algebraic", _m_pythagoras, _vr_pythagoras),
-    Rule("pythagoras_leg", "algebraic", _m_pythagoras_leg, _vr_pythagoras_leg),
-    Rule("sss_congruence", "geometric", _m_sss_congruence),
-    Rule("sas_congruence", "geometric", _m_sas_congruence),
-    Rule("asa_congruence", "geometric", _m_asa_congruence),
-    Rule("congruent_sides", "geometric", _m_congruent_sides),
-    Rule("congruent_angles", "geometric", _m_congruent_angles),
-    Rule("aa_similarity", "geometric", _m_aa_similarity),
-    Rule("similar_side_ratio", "algebraic", _m_similar_side_ratio, _vr_similar_ratio),
-    Rule("inscribed_angle", "geometric", _m_inscribed_angle, _vr_inscribed),
-    Rule("thales_right_angle", "geometric", _m_thales),
-    Rule("angle_addition", "algebraic", _m_angle_addition, _vr_angle_addition),
-    Rule("equal_segments_transitive", "algebraic", _transitive(Predicate.EQUAL_SEGMENTS, equal_segments)),
-    Rule("equal_angles_transitive", "algebraic", _transitive(Predicate.EQUAL_ANGLES, equal_angles)),
+    Rule("isosceles_base_angles", _m_isosceles_base_angles),
+    Rule("isosceles_converse", _m_isosceles_converse),
+    Rule("triangle_angle_sum", _m_triangle_angle_sum, _vr_angle_sum),
+    Rule("triangle_angle_sum_equal_pair", _m_angle_sum_equal_pair, _vr_sum_equal_pair),
+    Rule("vertical_angles", _m_vertical_angles),
+    Rule("alternate_interior_angles", _m_alternate_interior),
+    Rule("corresponding_angles", _m_corresponding_angles),
+    Rule("perpendicular_right_angle", _m_perpendicular_right_angle),
+    Rule("right_angle_measure", _m_right_angle_measure, _vr_right_angle),
+    Rule("midpoint_equal_halves", _m_midpoint_equal_halves),
+    Rule("midpoint_half_ratio", _m_midpoint_half_ratio, _vr_half),
+    Rule("midsegment_parallel", _m_midsegment_parallel),
+    Rule("midsegment_half_length", _m_midsegment_half_length, _vr_half),
+    Rule("pythagoras", _m_pythagoras, _vr_pythagoras),
+    Rule("pythagoras_leg", _m_pythagoras_leg, _vr_pythagoras_leg),
+    Rule("sss_congruence", _m_sss_congruence),
+    Rule("sas_congruence", _m_sas_congruence),
+    Rule("asa_congruence", _m_asa_congruence),
+    Rule("congruent_sides", _m_congruent_sides),
+    Rule("congruent_angles", _m_congruent_angles),
+    Rule("aa_similarity", _m_aa_similarity),
+    Rule("similar_side_ratio", _m_similar_side_ratio, _vr_similar_ratio),
+    Rule("inscribed_angle", _m_inscribed_angle, _vr_inscribed),
+    Rule("thales_right_angle", _m_thales),
+    Rule("angle_addition", _m_angle_addition, _vr_angle_addition),
+    Rule("equal_segments_transitive", _transitive(Predicate.EQUAL_SEGMENTS, equal_segments)),
+    Rule("equal_angles_transitive", _transitive(Predicate.EQUAL_ANGLES, equal_angles)),
     Rule(
         "segment_length_substitution",
-        "algebraic",
         _substitution(Predicate.EQUAL_SEGMENTS, Predicate.SEGMENT_LENGTH, segment_length),
         _vr_substitution(Predicate.SEGMENT_LENGTH),
     ),
     Rule(
         "angle_measure_substitution",
-        "algebraic",
         _substitution(Predicate.EQUAL_ANGLES, Predicate.ANGLE_MEASURE, angle_measure),
         _vr_substitution(Predicate.ANGLE_MEASURE),
     ),
-    Rule("ratio_length_substitution", "algebraic", _m_ratio_length_substitution, _vr_ratio_subst),
+    Rule("ratio_length_substitution", _m_ratio_length_substitution, _vr_ratio_subst),
 )
 
 RULES_BY_ID = {r.id: r for r in DEFAULT_RULES}

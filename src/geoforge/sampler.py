@@ -1,10 +1,12 @@
 """Path extraction over the reasoning graph.
 
-Three samplers: the single backward trace with length/premise-ratio filters,
-exhaustive multi-derivation enumeration (branching over alternative incoming
-transitions), and self-reflective traceback composition (a wrong branch that
-shares enough of its prefix with a correct derivation). Problem formulation
-and difficulty tiering also live here.
+Three samplers over the same reasoning graph, one per thinking template: the
+backward trace along each statement's first derivation with
+length/premise-ratio filters, exhaustive multi-derivation enumeration
+(branching over alternative incoming transitions), and self-reflective
+traceback composition (a wrong branch that shares enough of its prefix with
+a correct derivation). Problem formulation and difficulty tiering also live
+here.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ class SamplerError(ValueError):
 
 
 class TargetIsInitialError(SamplerError):
-    pass
-
-
-class GraphModeError(SamplerError):
     pass
 
 
@@ -131,13 +129,12 @@ def _filter(path: ReasoningPath, tau_l: int, tau_r: float) -> Rejected | None:
 def geo_explore(
     graph: ReasoningGraph, target: int, tau_l: int, tau_r: float
 ) -> ReasoningPath | Rejected:
-    """Trace the unique derivation of ``target`` backward to the premises.
+    """Trace ``target`` backward to the premises, following each statement's
+    first derivation (the one that introduced it into the graph).
 
-    Only defined on single-mode graphs; the result either passes both
-    filters or is returned as a Rejected verdict naming the failed metric.
+    The result either passes both filters or is returned as a Rejected
+    verdict naming the failed metric.
     """
-    if graph.mode != "single":
-        raise GraphModeError("multi-mode graph: use geo_explore_m")
     if graph.is_initial(target):
         raise TargetIsInitialError(f"statement {target} is an initial premise")
     transitions: list[Transition] = []
@@ -148,10 +145,10 @@ def geo_explore(
         if sid in resolved:
             continue
         resolved.add(sid)
-        incoming = graph.incoming_transitions(sid)
-        if len(incoming) != 1:
-            raise SamplerError(f"statement {sid} has {len(incoming)} derivations in single mode")
-        t = incoming[0]
+        t_idxs = graph.incoming.get(sid)
+        if not t_idxs:
+            raise SamplerError(f"derived statement {sid} has no derivation")
+        t = graph.transitions[t_idxs[0]]
         transitions.append(t)
         for p in t.premises:
             if not graph.is_initial(p) and p not in resolved:

@@ -93,20 +93,6 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 @dataclass(frozen=True)
-class PointId:
-    """A named point within one scene; the index is dense and stable."""
-
-    label: str
-    index: int
-
-    def __post_init__(self) -> None:
-        if not _POINT_RE.fullmatch(self.label):
-            raise MalformedStatementError(f"bad point label {self.label!r}")
-        if self.index < 0:
-            raise MalformedStatementError("point index must be non-negative")
-
-
-@dataclass(frozen=True)
 class Statement:
     """One atomic geometric fact over named points.
 

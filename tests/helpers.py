@@ -17,10 +17,10 @@ def dummy_statement(i: int) -> Statement:
     return segment_length((a, b), Fraction(i + 1))
 
 
-def build_graph(n_initial: int, edges: list[tuple[list[int], str, int]], mode="multi") -> ReasoningGraph:
+def build_graph(n_initial: int, edges: list[tuple[list[int], str, int]]) -> ReasoningGraph:
     """Graph over dummy statements 0..max referenced; edges are
     (premise ids, rule, conclusion id)."""
-    graph = ReasoningGraph(mode=mode)
+    graph = ReasoningGraph()
     top = max([n_initial - 1] + [e[2] for e in edges])
     for i in range(n_initial):
         graph.add_initial(dummy_statement(i))

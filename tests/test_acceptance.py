@@ -69,18 +69,16 @@ def test_criterion_2_closure_correctness():
     for seed in range(100):
         scene = generate_base_scene(generators[seed % len(generators)], seed)
         scene = extend_scene(scene, 3, seed + 1)
-        single = saturate(scene, mode="single")
-        multi = saturate(scene, mode="multi")
-        assert not single.truncated and not multi.truncated
-        resaturated = saturate_statements(scene.geometry, single.statements)
-        assert len(resaturated.statements) == len(single.statements), (
+        graph = saturate(scene)
+        assert not graph.truncated
+        resaturated = saturate_statements(scene.geometry, graph.statements)
+        assert len(resaturated.statements) == len(graph.statements), (
             scene.generator,
             seed,
         )
-        assert {s.text() for s in single.statements} == {s.text() for s in multi.statements}
         checked += 1
     assert checked == 100
-    print("\nACCEPTANCE 2 PASS - fixpoint idempotence and single/multi set equality on 100 scenes")
+    print("\nACCEPTANCE 2 PASS - fixpoint idempotence on 100 scenes")
 
 
 def test_criterion_3_geo_explore_m_oracle():
@@ -116,7 +114,7 @@ def test_criterion_4_traceback_validity():
     while runs < 200:
         scene = generate_base_scene(generators[seed % len(generators)], seed)
         scene = extend_scene(scene, 3, seed + 5)
-        graph = saturate(scene, mode="multi")
+        graph = saturate(scene)
         seed += 1
         derived = [sid for sid in range(graph.n_initial, len(graph.statements))]
         if not derived:

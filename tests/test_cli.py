@@ -27,8 +27,14 @@ class TestCli:
 
     def test_bootstrap(self, run_dir, tmp_path, capsys):
         out = tmp_path / "boot"
-        assert main(["bootstrap", "--in", str(run_dir), "--out", str(out)]) == 0
+        assert main(["bootstrap", "--in", str(run_dir), "--out", str(out), "--quantile", "1.0"]) == 0
         assert (out / "records.jsonl").exists()
+        assert "generation-1 records" in capsys.readouterr().out
+        # a bootstrap of a bootstrap output reports the later generation
+        again = tmp_path / "boot2"
+        args = ["--quantile", "1.0", "--extra-steps", "1"]
+        assert main(["bootstrap", "--in", str(out), "--out", str(again), *args]) == 0
+        assert "generation-2 records" in capsys.readouterr().out
 
     def test_check(self, run_dir, tmp_path, capsys):
         # grade a synthetic prediction file against a synthetic key

@@ -85,13 +85,6 @@ class TestExtension:
         assert drained.exhausted
         assert len(drained.geometry) <= POINT_CAP
 
-    def test_point_ids_dense_and_stable(self):
-        scene = extend_scene(generate_base_scene("rectangle", 5), 3, 1)
-        ids = scene.point_ids()
-        assert [p.index for p in ids] == list(range(len(scene.geometry)))
-        assert len({p.label for p in ids}) == len(ids)
-        assert [p.label for p in ids][:4] == ["A", "B", "C", "D"]
-
     def test_negative_steps_rejected(self):
         scene = generate_base_scene("rectangle", 5)
         with pytest.raises(Exception):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,7 @@ from geoforge.pipeline import (
 )
 
 SMALL = PipelineConfig(seed_start=0, count=40)
+PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +60,26 @@ class TestGenerate:
         assert "multi_solution" in templates
         multi = [r for r in report.records if r.template == "multi_solution"]
         assert all(len(r.solutions) >= 2 for r in multi)
+
+    def test_per_scene_caps(self, dataset):
+        _, report = dataset
+        by_scene: dict[str, list] = {}
+        for r in report.records:
+            by_scene.setdefault(r.scene_id, []).append(r)
+        for records in by_scene.values():
+            deductive = [r for r in records if r.template == "deductive"]
+            assert len(deductive) <= SMALL.max_problems_per_scene
+            assert sum(r.kind == "proof" for r in deductive) <= 1
+            assert sum(r.template == "multi_solution" for r in records) <= 1
+            assert sum(r.template == "traceback" for r in records) <= 1
+
+    def test_matches_pinned_digests(self, tmp_path):
+        # the benchmark's pinned digests of this run; byte drift shows here first
+        pinned = json.loads(PINNED_DIGESTS.read_text(encoding="utf-8"))["generate 0:200"]
+        out = tmp_path / "pinned"
+        generate(PipelineConfig(seed_start=0, count=200), out)
+        for name, digest in pinned.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
     def test_determinism(self, dataset, tmp_path):
         out, _ = dataset

@@ -61,35 +61,19 @@ class TestSaturate:
 
     def test_determinism(self):
         scene = _scene(5)
-        a = saturate(scene, mode="multi")
-        b = saturate(scene, mode="multi")
+        a = saturate(scene)
+        b = saturate(scene)
         assert a.to_json() == b.to_json()
 
-    def test_single_is_projection_of_multi(self):
-        for seed in range(12):
-            scene = _scene(seed)
-            single = saturate(scene, mode="single")
-            multi = saturate(scene, mode="multi")
-            assert not single.truncated and not multi.truncated
-            assert [s.text() for s in single.statements] == [
-                s.text() for s in multi.statements
-            ]
-            projected = multi.to_single_mode()
-            assert projected.to_json() == single.to_json()
-
     def test_modes_incoming_counts(self):
-        scene = _scene(8)
-        single = saturate(scene, mode="single")
-        for sid in range(single.n_initial, len(single.statements)):
-            assert len(single.incoming_transitions(sid)) == 1
-        multi = saturate(scene, mode="multi")
-        for sid in range(multi.n_initial, len(multi.statements)):
-            assert len(multi.incoming_transitions(sid)) >= 1
+        graph = saturate(_scene(8))
+        for sid in range(graph.n_initial, len(graph.statements)):
+            assert len(graph.incoming_transitions(sid)) >= 1
 
     def test_trust_invariant(self):
         for seed in range(25):
             scene = _scene(seed)
-            graph = saturate(scene, mode="multi")
+            graph = saturate(scene)
             for stmt in graph.statements:
                 assert scene.geometry.check_statement(stmt).holds
 
@@ -100,7 +84,7 @@ class TestSaturate:
 
     def test_transitions_respect_insertion_order(self):
         for seed in range(10):
-            graph = saturate(_scene(seed), mode="multi")
+            graph = saturate(_scene(seed))
             for t in graph.transitions:
                 assert max(t.premises) < t.conclusion
                 assert t.conclusion not in t.premises
@@ -109,7 +93,7 @@ class TestSaturate:
 class TestReasoningGraph:
     def make_diamond(self):
         """a,b initial; c derived two ways; d from c."""
-        graph = ReasoningGraph(mode="multi")
+        graph = ReasoningGraph()
         a = graph.add_initial(segment_length(("A", "B"), 1))
         b = graph.add_initial(segment_length(("C", "D"), 2))
         c = graph.add_statement(segment_length(("E", "F"), 3))
@@ -146,15 +130,6 @@ class TestReasoningGraph:
 
         assert graph.upstream_dependencies(d) == brute(d, set()) == {a, b, c, d}
 
-    def test_single_mode_rejects_second_derivation(self):
-        graph = ReasoningGraph(mode="single")
-        a = graph.add_initial(segment_length(("A", "B"), 1))
-        b = graph.add_initial(segment_length(("C", "D"), 2))
-        c = graph.add_statement(segment_length(("E", "F"), 3))
-        graph.add_transition([a], "r1", c)
-        with pytest.raises(ReasonerError):
-            graph.add_transition([b], "r2", c)
-
     def test_infrastructure_invariants(self):
         graph, _ = self.make_diamond()
         with pytest.raises(ReasonerError):
@@ -166,7 +141,7 @@ class TestReasoningGraph:
 
     def test_serialization_round_trip(self):
         scene = _scene(4)
-        graph = saturate(scene, mode="multi")
+        graph = saturate(scene)
         clone = ReasoningGraph.from_json(graph.to_json())
         assert clone.to_json() == graph.to_json()
         assert clone.n_initial == graph.n_initial

@@ -24,7 +24,7 @@ from geoforge.statements import (
 
 def fired(geometry, initial, rule_id, conclusion=None):
     """Saturate and assert the rule produced (optionally) the conclusion."""
-    graph = saturate_statements(SceneGeometry(geometry), initial, mode="multi")
+    graph = saturate_statements(SceneGeometry(geometry), initial)
     rules_used = {t.rule for t in graph.transitions}
     assert rule_id in rules_used, f"{rule_id} never fired (used: {sorted(rules_used)})"
     if conclusion is not None:
@@ -456,7 +456,7 @@ class TestCatalog:
         for seed in range(150):
             scene = generate_base_scene(generators[seed % len(generators)], seed)
             scene = extend_scene(scene, 3, seed + 1)
-            graph = saturate(scene, mode="multi")
+            graph = saturate(scene)
             for i, stmt in enumerate(graph.statements):
                 assert scene.geometry.check_statement(stmt).holds, (scene.generator, seed, stmt)
 
@@ -467,6 +467,6 @@ class TestCatalog:
         for seed in range(120):
             scene = generate_base_scene(generators[seed % len(generators)], seed)
             scene = extend_scene(scene, 4, seed + 2)
-            graph = saturate(scene, mode="multi")
+            graph = saturate(scene)
             used.update(t.rule for t in graph.transitions)
         assert len(used) >= 18, sorted(used)

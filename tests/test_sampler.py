@@ -8,7 +8,6 @@ from geoforge.geometry import SceneGeometry
 from geoforge.reasoner import ReasoningGraph, saturate
 from geoforge.sampler import (
     BelowTierRangeError,
-    GraphModeError,
     NoEligibleErroneousStatementError,
     OracleMismatchError,
     ReasoningPath,
@@ -28,7 +27,7 @@ def _chain(n_transitions: int, n_initial: int = 4) -> ReasoningGraph:
     edges = [(list(range(n_initial)), "r0", n_initial)]
     for i in range(1, n_transitions):
         edges.append(([n_initial + i - 1], f"r{i}", n_initial + i))
-    return build_graph(n_initial, edges, mode="single")
+    return build_graph(n_initial, edges)
 
 
 class TestGeoExplore:
@@ -46,7 +45,7 @@ class TestGeoExplore:
         assert rejected.reason == "length"
 
     def test_ratio_filter(self):
-        graph = build_graph(4, [([0], "r", 4), ([4], "r", 5)], mode="single")
+        graph = build_graph(4, [([0], "r", 4), ([4], "r", 5)])
         rejected = geo_explore(graph, 5, tau_l=0, tau_r=0.5)
         assert isinstance(rejected, Rejected)
         assert rejected.reason == "premise_ratio"
@@ -57,10 +56,16 @@ class TestGeoExplore:
         with pytest.raises(TargetIsInitialError):
             geo_explore(graph, 0, 0, 0.0)
 
-    def test_multi_mode_rejected(self):
-        graph = build_graph(2, [([0], "r", 2)], mode="multi")
-        with pytest.raises(GraphModeError):
-            geo_explore(graph, 2, 0, 0.0)
+    def test_follows_first_derivation(self):
+        # statement 3 has two derivations; "joint" (via 2) was inserted first
+        graph = diamond_graph()
+        path = geo_explore(graph, 4, tau_l=0, tau_r=0.0)
+        assert [(t.premises, t.rule, t.conclusion) for t in path.transitions] == [
+            ((0,), "left", 2),
+            ((2,), "joint", 3),
+            ((3,), "last", 4),
+        ]
+        assert path.used_premises == {0}
 
     def test_forward_order(self):
         graph = _chain(5)
@@ -79,14 +84,6 @@ class TestGeoExploreM:
         oracle = brute_force_paths(graph, target)
         assert got == oracle
         assert len(got) == expected
-
-    def test_single_derivation_agrees_with_geo_explore(self):
-        multi = build_graph(3, [([0, 1], "r0", 3), ([3, 2], "r1", 4)], mode="multi")
-        single = build_graph(3, [([0, 1], "r0", 3), ([3, 2], "r1", 4)], mode="single")
-        m_paths = geo_explore_m(multi, 4, 0, 0.0)
-        s_path = geo_explore(single, 4, 0, 0.0)
-        assert len(m_paths) == 1
-        assert m_paths[0].transitions == s_path.transitions
 
     def test_filters_apply(self):
         graph = diamond_graph()
@@ -151,7 +148,7 @@ class TestGeoExploreT:
         assert geo_explore_t(graph, 3, 0, 0.0, tau_p=1.0, rng_seed=1) is None
 
     def test_no_eligible_statement(self):
-        graph = build_graph(1, [([0], "r", 1)], mode="multi")
+        graph = build_graph(1, [([0], "r", 1)])
         with pytest.raises(NoEligibleErroneousStatementError):
             geo_explore_t(graph, 1, 0, 0.0, 0.0, rng_seed=0)
 
@@ -253,7 +250,7 @@ class TestFormulate:
         )
         scene = generate_base_scene("isosceles_triangle", 7)
         # hand-build a graph whose derived value is wrong by 2%
-        graph = ReasoningGraph(mode="single")
+        graph = ReasoningGraph()
         base = graph.add_initial(angle_measure(("A", "B", "C"), 65))
         bogus = graph.add_statement(angle_measure(("B", "A", "C"), 49))
         graph.add_transition([base], "triangle_angle_sum", bogus)
