@@ -14,11 +14,13 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable
 
 from .geometry import Coord, SceneGeometry
 from .statements import (
+    Predicate,
     Seg,
     Statement,
     StatementSet,
@@ -77,6 +79,13 @@ class Scene:
     initial_statements: StatementSet
     drawn_segments: tuple[Seg, ...]
     exhausted: bool = False
+
+    @cached_property
+    def midpoint_segments(self) -> frozenset[Seg]:
+        """Segments whose midpoint an initial statement already names."""
+        return frozenset(
+            s.groups[1] for s in self.initial_statements if s.predicate is Predicate.MIDPOINT
+        )
 
     def to_json(self) -> str:
         doc = {
@@ -473,23 +482,12 @@ def _pt(scene: Scene, label: str) -> Coord:
 
 
 def _has_midpoint_statement(scene: Scene, seg: Seg) -> bool:
-    target = _canon_seg(*seg)
-    for s in scene.initial_statements:
-        if s.predicate.value == "midpoint" and s.groups[1] == target:
-            return True
-    return False
+    return _canon_seg(*seg) in scene.midpoint_segments
 
 
 def _non_collinear(scene: Scene, a: str, b: str, c: str, margin_deg: float = 8.0) -> bool:
-    try:
-        angles = (
-            scene.geometry.angle_deg(b, a, c),
-            scene.geometry.angle_deg(a, b, c),
-            scene.geometry.angle_deg(a, c, b),
-        )
-    except Exception:
-        return False
-    return min(angles) >= margin_deg
+    smallest = scene.geometry.min_angle_deg(a, b, c)
+    return smallest is not None and smallest >= margin_deg
 
 
 def _inside_box(p: Coord) -> bool:
@@ -867,9 +865,7 @@ def _apply(
                 ok = False
         if not ok:
             continue
-        new_points = dict(scene.geometry.points)
-        new_points.update(coords)
-        geometry = SceneGeometry(new_points, scene.geometry.tol)
+        geometry = scene.geometry.extended(coords)
         statements = scene.initial_statements.copy()
         try:
             effects = construction.effects(binding, tuple(labels))

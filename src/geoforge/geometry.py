@@ -72,8 +72,20 @@ def _norm(u: Coord) -> float:
     return math.hypot(u[0], u[1])
 
 
+def _collinear_residual(pa: Coord, pb: Coord, pc: Coord) -> float:
+    u = _sub(pb, pa)
+    v = _sub(pc, pa)
+    denom = _norm(u) * _norm(v)
+    return math.inf if denom == 0.0 else abs(_cross(u, v)) / denom
+
+
 class SceneGeometry:
-    """Immutable map of point labels to coordinates plus the thresholds."""
+    """Immutable map of point labels to coordinates plus the thresholds.
+
+    Triangle measures asked for by label are memoised per unordered triple:
+    coordinates never move once placed, so an entry stays valid for this
+    geometry and for every geometry ``extended`` from it.
+    """
 
     def __init__(self, points: Mapping[str, Coord], tol: Tolerances = Tolerances()):
         clean: dict[str, Coord] = {}
@@ -83,6 +95,22 @@ class SceneGeometry:
             clean[label] = (float(x), float(y))
         self.points = clean
         self.tol = tol
+        self._min_angles: dict[frozenset[str], float | None] = {}
+        self._collinear_residuals: dict[frozenset[str], float] = {}
+
+    def extended(self, new_points: Mapping[str, Coord]) -> "SceneGeometry":
+        """This geometry plus ``new_points``, starting from a copy of the memo.
+
+        The copy keeps sibling extensions (the same new label placed at
+        different coordinates) from seeing each other's entries.
+        """
+        moved = self.points.keys() & new_points.keys()
+        if moved:
+            raise GeometryError(f"points already placed: {sorted(moved)}")
+        child = SceneGeometry({**self.points, **new_points}, self.tol)
+        child._min_angles = dict(self._min_angles)
+        child._collinear_residuals = dict(self._collinear_residuals)
+        return child
 
     def __contains__(self, label: str) -> bool:
         return label in self.points
@@ -121,6 +149,33 @@ class SceneGeometry:
         cos = max(-1.0, min(1.0, _dot(u, w) / (nu * nw)))
         return math.degrees(math.acos(cos))
 
+    def min_angle_deg(self, a: str, b: str, c: str) -> float | None:
+        """Smallest interior angle of triangle abc, or None when a side has
+        zero length. Every argument order gives the same value: the angle at
+        a vertex does not depend on the order of its two rays."""
+        key = frozenset((a, b, c))
+        if key in self._min_angles:
+            return self._min_angles[key]
+        try:
+            smallest: float | None = min(
+                self.angle_deg(b, a, c), self.angle_deg(a, b, c), self.angle_deg(a, c, b)
+            )
+        except DegenerateMeasurementError:
+            smallest = None
+        self._min_angles[key] = smallest
+        return smallest
+
+    def collinear_residual(self, a: str, b: str, c: str) -> float:
+        """Residual of ``collinear(a, b, c)``, whose points are sorted, so
+        every argument order gives the same value."""
+        key = frozenset((a, b, c))
+        residual = self._collinear_residuals.get(key)
+        if residual is None:
+            p, q, r = sorted(key)
+            residual = _collinear_residual(self.point(p), self.point(q), self.point(r))
+            self._collinear_residuals[key] = residual
+        return residual
+
     def side_of(self, p: str, a: str, b: str) -> float:
         """Signed side of point ``p`` relative to the directed line a->b."""
         return _cross(_sub(self.point(b), self.point(a)), _sub(self.point(p), self.point(a)))
@@ -154,10 +209,7 @@ class SceneGeometry:
         pred = s.predicate
         if pred is Predicate.COLLINEAR:
             a, b, c = s.groups[0]
-            u = _sub(self.point(b), self.point(a))
-            v = _sub(self.point(c), self.point(a))
-            denom = _norm(u) * _norm(v)
-            return math.inf if denom == 0.0 else abs(_cross(u, v)) / denom
+            return _collinear_residual(self.point(a), self.point(b), self.point(c))
         if pred is Predicate.PARALLEL:
             return self._dir_residual(s.groups[0], s.groups[1], perpendicular=False)
         if pred is Predicate.PERPENDICULAR:
@@ -252,12 +304,10 @@ class SceneGeometry:
                     problems.append(f"points {a},{b} closer than d_min")
         for tri in sorted(self.referenced_triangles(statements)):
             a, b, c = tri
-            try:
-                angles = (self.angle_deg(b, a, c), self.angle_deg(a, b, c), self.angle_deg(a, c, b))
-            except DegenerateMeasurementError:
+            smallest = self.min_angle_deg(a, b, c)
+            if smallest is None:
                 problems.append(f"triangle {a}{b}{c} has a zero-length side")
-                continue
-            if min(angles) < self.tol.theta_min_deg:
+            elif smallest < self.tol.theta_min_deg:
                 problems.append(f"triangle {a}{b}{c} has an angle below theta_min")
         return problems
 

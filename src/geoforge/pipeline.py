@@ -243,8 +243,18 @@ def _process_scene(
         path = geo_explore(graph, sid, config.tau_l, config.tau_r)
         return path if isinstance(path, ReasoningPath) else None
 
+    enumerated: dict[int, list[ReasoningPath]] = {}
+
+    def correct_paths(sid: int) -> list[ReasoningPath]:
+        # the multi_solution and traceback rows share one enumeration per target
+        if sid not in enumerated:
+            enumerated[sid] = geo_explore_m(
+                graph, sid, config.tau_l, config.tau_r, config.max_paths
+            )
+        return enumerated[sid]
+
     def multi_solution(sid: int) -> list[ReasoningPath] | None:
-        paths = geo_explore_m(graph, sid, config.tau_l, config.tau_r, config.max_paths)
+        paths = correct_paths(sid)
         return paths if len(paths) >= 2 else None
 
     def traceback(sid: int) -> TracebackRecord | None:
@@ -252,8 +262,7 @@ def _process_scene(
             return geo_explore_t(
                 graph,
                 sid,
-                config.tau_l,
-                config.tau_r,
+                correct_paths(sid),
                 config.tau_p,
                 rng_seed=scene.seed * 8191 + sid,
                 max_paths=config.max_paths,
@@ -369,7 +378,8 @@ def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -
     Scenes whose best sampled reasoning length ranks in the top quantile are
     extended by extra constructions (retrying until the premise set strictly
     grows), then re-saturated and re-sampled; emitted records carry the next
-    bootstrap generation number.
+    bootstrap generation number. Raises ``PipelineError``, and writes
+    nothing, when no iteration yields a record.
     """
     backend = _make_backend(config)
     prior_records = load_records(in_dir)
@@ -431,6 +441,9 @@ def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -
         current_records = new_records or current_records
         current_scenes = {**current_scenes, **new_scenes}
 
+    if not report.records:
+        # an empty dataset would verify as "0 records, 0 failures"
+        raise PipelineError(f"bootstrap of {in_dir} yielded no records; nothing written")
     write_dataset(out_dir, report.records, all_scenes, all_diagrams, config.to_doc())
     return report
 

@@ -22,7 +22,7 @@ from .statements import (
     Predicate,
     Statement,
     angle_measure,
-    collinear,
+    canonical_equal_segments,
     congruent_triangles,
     equal_angles,
     equal_segments,
@@ -90,10 +90,7 @@ def _other_end(seg: Sequence[str], p: str) -> str:
 
 
 def _not_collinear(g: SceneGeometry, a: str, b: str, c: str, margin: float = 1e-7) -> bool:
-    try:
-        return g.statement_residual(collinear(a, b, c)) > margin
-    except MalformedStatementError:
-        return False
+    return len({a, b, c}) == 3 and g.collinear_residual(a, b, c) > margin
 
 
 def _norm180(deg: float) -> float:
@@ -559,11 +556,22 @@ def _eq_or_identical(
     s1, s2 = _seg(*seg1), _seg(*seg2)
     if s1 == s2:
         return True, None
-    stmt = _safe(equal_segments, s1, s2)
-    if stmt is None:
-        return False, None
-    sid = _lookup_before(ctx, stmt, before)
+    sid = _lookup_before(ctx, canonical_equal_segments(s1, s2), before)
     return (sid is not None), sid
+
+
+def _triangle_pair_key(eq_ang: Statement) -> frozenset[frozenset[str]]:
+    """The two angles' vertex sets. Two equal-angle facts can describe the
+    same pair of triangles only when their keys are equal."""
+    g1, g2 = eq_ang.groups
+    return frozenset((frozenset(g1), frozenset(g2)))
+
+
+def _vertices_on(eq_ang: Statement, eq_seg: Statement) -> bool:
+    """Both angle vertices lie on the segments of ``eq_seg``: necessary for
+    ``eq_seg`` to be a side equality of SAS or ASA built on ``eq_ang``."""
+    ends = {*eq_seg.groups[0], *eq_seg.groups[1]}
+    return eq_ang.groups[0][1] in ends and eq_ang.groups[1][1] in ends
 
 
 def _angle_pairings(
@@ -607,7 +615,8 @@ def _m_sas_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
         yield from fire(sid, new, sid)
     elif new.predicate is Predicate.EQUAL_SEGMENTS:
         for oid, other in _others(ctx, Predicate.EQUAL_ANGLES, sid):
-            yield from fire(oid, other, sid)
+            if _vertices_on(other, new):
+                yield from fire(oid, other, sid)
 
 
 def _triangle_maps(
@@ -654,10 +663,14 @@ def _m_asa_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
                 yield premises, conclusion
 
     if new.predicate is Predicate.EQUAL_ANGLES:
+        key = _triangle_pair_key(new)
         for oid, other in _others(ctx, Predicate.EQUAL_ANGLES, sid):
-            yield from fire(sid, new, oid, other, sid)
+            if _triangle_pair_key(other) == key:
+                yield from fire(sid, new, oid, other, sid)
     elif new.predicate is Predicate.EQUAL_SEGMENTS:
-        angs = list(_others(ctx, Predicate.EQUAL_ANGLES, sid))
+        angs = [
+            (i, a) for i, a in _others(ctx, Predicate.EQUAL_ANGLES, sid) if _vertices_on(a, new)
+        ]
         for (ia, sa), (ib, sb) in combinations(angs, 2):
             yield from fire(ia, sa, ib, sb, sid)
 
@@ -696,7 +709,10 @@ def _m_aa_similarity(ctx: MatchContext, sid: int) -> Iterator[Match]:
         return
     g = ctx.geometry
     seen: set[tuple[tuple[int, ...], Statement]] = set()
+    key = _triangle_pair_key(new)
     for oid, other in _others(ctx, Predicate.EQUAL_ANGLES, sid):
+        if _triangle_pair_key(other) != key:
+            continue
         for a1, a2 in _angle_pairings(new):
             for b1, b2 in _angle_pairings(other):
                 if set(a1) != set(b1) or set(a2) != set(b2):

@@ -15,6 +15,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .constructions import Scene
 from .reasoner import ReasoningGraph, SolutionStep, Transition
@@ -242,8 +243,7 @@ def geo_explore_m(
 def geo_explore_t(
     graph: ReasoningGraph,
     target: int,
-    tau_l: int,
-    tau_r: float,
+    correct: Sequence[ReasoningPath],
     tau_p: float,
     rng_seed: int,
     max_paths: int = 16,
@@ -251,12 +251,13 @@ def geo_explore_t(
 ) -> TracebackRecord | None:
     """Compose a wrong branch with a correct derivation sharing its prefix.
 
-    Samples erroneous statements outside the target's upstream dependency
-    cone; returns None when no sampled statement yields enough overlap.
+    ``correct`` holds the target's filtered derivations, as ``geo_explore_m``
+    enumerates them. Samples erroneous statements outside the target's
+    upstream dependency cone; returns None when no sampled statement yields
+    enough overlap.
     """
     if graph.is_initial(target):
         raise TargetIsInitialError(f"statement {target} is an initial premise")
-    correct = geo_explore_m(graph, target, tau_l, tau_r, max_paths)
     if not correct:
         return None
     upstream = graph.upstream_dependencies(target)

@@ -163,6 +163,10 @@ def _canon_triangle_pair(
     return min(variants)
 
 
+def _segment_pair(s1: tuple[str, str], s2: tuple[str, str]) -> tuple[tuple[str, str], ...]:
+    return (min(s1, s2), max(s1, s2))
+
+
 def _check_value(pred: Predicate, value: Fraction | None) -> Fraction | None:
     if pred not in VALUE_PREDICATES:
         if value is not None:
@@ -206,7 +210,7 @@ def canonicalize(s: Statement) -> Statement:
             raise MalformedStatementError(f"{pred.value} of a segment with itself")
         if pred is Predicate.PARALLEL and set(s1) & set(s2):
             raise MalformedStatementError("parallel segments may not share a point")
-        groups = (min(s1, s2), max(s1, s2))
+        groups = _segment_pair(s1, s2)
     elif pred is Predicate.EQUAL_ANGLES:
         a1 = _canon_angle(s.groups[0])
         a2 = _canon_angle(s.groups[1])
@@ -384,6 +388,12 @@ def perpendicular(s1: Seg, s2: Seg) -> Statement:
 
 def equal_segments(s1: Seg, s2: Seg) -> Statement:
     return canonicalize(Statement(Predicate.EQUAL_SEGMENTS, (tuple(s1), tuple(s2))))
+
+
+def canonical_equal_segments(s1: Seg, s2: Seg) -> Statement:
+    """``equal_segments(s1, s2)`` of two distinct, already canonical segments,
+    built without re-checking their labels."""
+    return Statement(Predicate.EQUAL_SEGMENTS, _segment_pair(s1, s2))
 
 
 def equal_angles(a1: Ang, a2: Ang) -> Statement:

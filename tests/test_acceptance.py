@@ -121,7 +121,8 @@ def test_criterion_4_traceback_validity():
             continue
         target = derived[-1]
         runs += 1
-        record = geo_explore_t(graph, target, 0, 0.0, tau_p, rng_seed=seed)
+        correct = geo_explore_m(graph, target, 0, 0.0)
+        record = geo_explore_t(graph, target, correct, tau_p, rng_seed=seed)
         if record is None:
             continue
         emitted += 1

@@ -36,6 +36,16 @@ class TestCli:
         assert main(["bootstrap", "--in", str(out), "--out", str(again), *args]) == 0
         assert "generation-2 records" in capsys.readouterr().out
 
+    def test_bootstrap_with_no_records_fails(self, run_dir, tmp_path, capsys):
+        # at the default 3 extra steps the second bootstrap of this run yields nothing
+        first = tmp_path / "boot"
+        assert main(["bootstrap", "--in", str(run_dir), "--out", str(first), "--quantile", "1.0"]) == 0
+        capsys.readouterr()
+        again = tmp_path / "boot2"
+        assert main(["bootstrap", "--in", str(first), "--out", str(again), "--quantile", "1.0"]) == 1
+        assert "no records" in capsys.readouterr().err
+        assert not (again / "records.jsonl").exists()
+
     def test_check(self, run_dir, tmp_path, capsys):
         # grade a synthetic prediction file against a synthetic key
         key = tmp_path / "key.jsonl"

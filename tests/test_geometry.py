@@ -1,12 +1,19 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geoforge.geometry import GeometryError, SceneGeometry, UnknownScenePointError
+from geoforge.geometry import (
+    DegenerateMeasurementError,
+    GeometryError,
+    SceneGeometry,
+    UnknownScenePointError,
+)
+from geoforge.pipeline import PipelineConfig, _build_scene
 from geoforge.statements import (
     angle_measure,
     collinear,
@@ -106,6 +113,56 @@ class TestCheckScene:
         g = SceneGeometry({"A": (0.0, 0.0), "B": (10.0, 0.0), "C": (5.0, 0.05)})
         verdict = g.check_scene([angle_measure(("A", "B", "C"), Fraction(57, 100))])
         assert any("theta_min" in d for d in verdict.degeneracies)
+
+
+def _direct_min_angle(g: SceneGeometry, a: str, b: str, c: str) -> float | None:
+    try:
+        return min(g.angle_deg(b, a, c), g.angle_deg(a, b, c), g.angle_deg(a, c, b))
+    except DegenerateMeasurementError:
+        return None
+
+
+class TestTriangleMemo:
+    @pytest.mark.parametrize("seed", [0, 2, 5, 9, 14, 23])
+    def test_memo_equals_direct_measures_in_every_order(self, seed):
+        # the built scene's memo was filled while its points were being placed
+        built = _build_scene(PipelineConfig(), seed).geometry
+        for tri in combinations(sorted(built.points), 3):
+            angle = _direct_min_angle(built, *tri)
+            residual = built.statement_residual(collinear(*tri))
+            for order in permutations(tri):
+                fresh = SceneGeometry(built.points)
+                assert fresh.min_angle_deg(*order) == angle
+                assert fresh.collinear_residual(*order) == residual
+                assert built.min_angle_deg(*order) == angle
+                assert built.collinear_residual(*order) == residual
+
+    def test_zero_length_side(self):
+        g = SceneGeometry({"A": (0.0, 0.0), "B": (0.0, 0.0), "C": (1.0, 0.0)})
+        for order in permutations("ABC"):
+            assert g.min_angle_deg(*order) is None
+        assert g.collinear_residual("C", "B", "A") == math.inf
+
+    def test_extended_children_keep_their_own_measures(self):
+        parent = SceneGeometry({"A": (0.0, 0.0), "B": (4.0, 0.0), "C": (0.0, 3.0)})
+        base_angle = parent.min_angle_deg("A", "B", "C")
+        on_line = parent.extended({"D": (2.0, 0.0)})
+        off_line = parent.extended({"D": (2.0, 2.0)})
+        assert on_line.min_angle_deg("A", "B", "D") == 0.0
+        assert on_line.collinear_residual("A", "B", "D") == 0.0
+        assert off_line.min_angle_deg("D", "A", "B") == pytest.approx(45.0)
+        assert off_line.collinear_residual("D", "A", "B") > 0.5
+        # asking the second child did not change the first, nor the parent
+        assert on_line.min_angle_deg("B", "D", "A") == 0.0
+        with pytest.raises(UnknownScenePointError):
+            parent.min_angle_deg("A", "B", "D")
+        for child in (on_line, off_line):
+            assert child.min_angle_deg("C", "B", "A") == base_angle
+
+    def test_extended_rejects_moving_a_point(self):
+        g = SceneGeometry({"A": (0.0, 0.0), "B": (4.0, 0.0)})
+        with pytest.raises(GeometryError):
+            g.extended({"B": (5.0, 0.0)})
 
 
 class TestNumericAnswer:

@@ -81,6 +81,22 @@ class TestGenerate:
         for name, digest in pinned.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
+    def test_bootstrap_matches_pinned_digests(self, tmp_path):
+        # larger re-seeded scenes, where the triangle matchers do most work
+        pinned = json.loads(PINNED_DIGESTS.read_text(encoding="utf-8"))["bootstrap 0:300"]
+        prior, out = tmp_path / "prior", tmp_path / "boot"
+        generate(PipelineConfig(seed_start=0, count=300), prior)
+        config = PipelineConfig(
+            seed_start=0,
+            count=300,
+            bootstrap_quantile=1.0,
+            bootstrap_extra_steps=3,
+            bootstrap_iterations=3,
+        )
+        bootstrap(config, prior, out)
+        for name, digest in pinned.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     def test_determinism(self, dataset, tmp_path):
         out, _ = dataset
         again = tmp_path / "again"

@@ -1,6 +1,8 @@
 import math
 from fractions import Fraction
 
+from helpers import GraphContext, build_graph
+
 from geoforge.constructions import BASE_GENERATORS, extend_scene, generate_base_scene
 from geoforge.geometry import SceneGeometry
 from geoforge.reasoner import saturate, saturate_statements
@@ -444,6 +446,104 @@ class TestAlgebraicRules:
             "ratio_length_substitution",
             segment_length(("B", "D"), 2),
         )
+
+
+def matched(points, statements, rule_id):
+    """What the rule's matcher yields when the last statement is the newest."""
+    graph = build_graph(len(statements), [], statements)
+    ctx = GraphContext(SceneGeometry(points), graph)
+    return list(RULES_BY_ID[rule_id].match(ctx, len(statements) - 1))
+
+
+_EQUILATERAL = {"A": (0.0, 0.0), "B": (4.0, 0.0), "C": (2.0, 2.0 * math.sqrt(3.0))}
+
+
+class TestTrianglePrefilters:
+    """The congruence and similarity matchers skip facts that cannot take
+    part in a match; every path that can fire still fires, and a near miss
+    next to it does not."""
+
+    ABC_DEF = congruent_triangles(("A", "B", "C"), ("D", "E", "F"))
+
+    def test_sas_on_new_side_equality(self):
+        angle_b = equal_angles(("A", "B", "C"), ("D", "E", "F"))
+        for first, last in (
+            (equal_segments(("B", "A"), ("E", "D")), equal_segments(("B", "C"), ("E", "F"))),
+            (equal_segments(("B", "C"), ("E", "F")), equal_segments(("B", "A"), ("E", "D"))),
+        ):
+            assert matched(_CONG, [first, angle_b, last], "sas_congruence") == [
+                ((0, 1, 2), self.ABC_DEF)
+            ]
+        # AC = DF does not touch the angle's vertices B and E: side-side-angle
+        near_miss = [
+            equal_segments(("B", "A"), ("E", "D")),
+            angle_b,
+            equal_segments(("A", "C"), ("D", "F")),
+        ]
+        assert matched(_CONG, near_miss, "sas_congruence") == []
+
+    def test_asa_completed_by_new_side(self):
+        angles = [
+            equal_angles(("B", "A", "C"), ("E", "D", "F")),
+            equal_angles(("A", "C", "B"), ("D", "F", "E")),  # vertices C, F: skipped
+            equal_angles(("A", "B", "C"), ("D", "E", "F")),
+        ]
+        found = matched(_CONG, [*angles, equal_segments(("A", "B"), ("D", "E"))], "asa_congruence")
+        assert found == [((0, 2, 3), self.ABC_DEF)]
+        # AC = DF is not the side between the angles at A and B
+        near_miss = [angles[0], angles[2], equal_segments(("A", "C"), ("D", "F"))]
+        assert matched(_CONG, near_miss, "asa_congruence") == []
+
+    def test_asa_and_aa_from_second_angle(self):
+        angle_a = equal_angles(("B", "A", "C"), ("E", "D", "F"))
+        side = equal_segments(("A", "B"), ("D", "E"))
+        angle_b = equal_angles(("A", "B", "C"), ("D", "E", "F"))
+        assert matched(_CONG, [angle_a, side, angle_b], "asa_congruence") == [
+            ((0, 1, 2), self.ABC_DEF)
+        ]
+        assert matched(_SIM, [angle_a, angle_b], "aa_similarity") == [
+            ((0, 1), similar_triangles(("A", "B", "C"), ("D", "E", "F")))
+        ]
+        # the second angle pairs triangle ABC with DEG, not with DEF
+        points = {**_CONG, "G": (6.0, 7.0)}
+        other_pair = equal_angles(("A", "B", "C"), ("D", "E", "G"))
+        assert matched(points, [angle_a, side, other_pair], "asa_congruence") == []
+        assert matched(points, [angle_a, other_pair], "aa_similarity") == []
+
+    def test_asa_and_aa_with_triangles_listed_in_either_order(self):
+        # canonical order lists BCD first in the angle-A fact and AEF first in
+        # the angle-E fact
+        points = {
+            "A": (0.0, 0.0), "E": (3.0, 0.0), "F": (1.0, 2.0),
+            "B": (5.0, 5.0), "C": (8.0, 5.0), "D": (6.0, 7.0),
+        }
+        angle_a = equal_angles(("E", "A", "F"), ("C", "B", "D"))
+        angle_e = equal_angles(("A", "E", "F"), ("B", "C", "D"))
+        assert angle_a.groups[0] == ("C", "B", "D") and angle_e.groups[0] == ("A", "E", "F")
+        side = equal_segments(("A", "E"), ("B", "C"))
+        pair = (("A", "E", "F"), ("B", "C", "D"))
+        assert matched(points, [angle_a, side, angle_e], "asa_congruence") == [
+            ((0, 1, 2), congruent_triangles(*pair))
+        ]
+        assert matched(points, [angle_a, angle_e], "aa_similarity") == [
+            ((0, 1), similar_triangles(*pair))
+        ]
+
+    def test_asa_and_aa_from_base_angles_of_one_triangle(self):
+        # both facts relate two angles of the same triangle ABC
+        b_c = equal_angles(("A", "B", "C"), ("A", "C", "B"))
+        a_b = equal_angles(("B", "A", "C"), ("A", "B", "C"))
+        side = equal_segments(("B", "C"), ("A", "B"))
+        relabelled = (("B", "C", "A"), ("A", "B", "C"))  # B->A, C->B, A->C
+        asa = matched(_EQUILATERAL, [b_c, side, a_b], "asa_congruence")
+        assert ((0, 1, 2), congruent_triangles(*relabelled)) in asa
+        aa = matched(_EQUILATERAL, [b_c, a_b], "aa_similarity")
+        assert ((0, 1), similar_triangles(*relabelled)) in aa
+        # a second fact on triangle ABC and some other triangle cannot match
+        points = {**_EQUILATERAL, "D": (2.0, -3.0)}
+        mixed = equal_angles(("B", "A", "C"), ("A", "D", "B"))
+        assert matched(points, [b_c, side, mixed], "asa_congruence") == []
+        assert matched(points, [b_c, mixed], "aa_similarity") == []
 
 
 class TestCatalog:

@@ -130,7 +130,7 @@ def _traceback_graph() -> ReasoningGraph:
 class TestGeoExploreT:
     def test_record_shape_and_overlap(self):
         graph = _traceback_graph()
-        record = geo_explore_t(graph, 3, tau_l=0, tau_r=0.0, tau_p=0.5, rng_seed=1)
+        record = geo_explore_t(graph, 3, geo_explore_m(graph, 3, 0, 0.0), tau_p=0.5, rng_seed=1)
         assert record is not None
         assert record.wrong_branch.target == 4
         assert record.overlap == pytest.approx(2.0 / 3.0)
@@ -145,22 +145,24 @@ class TestGeoExploreT:
 
     def test_full_overlap_impossible(self):
         graph = _traceback_graph()
-        assert geo_explore_t(graph, 3, 0, 0.0, tau_p=1.0, rng_seed=1) is None
+        correct = geo_explore_m(graph, 3, 0, 0.0)
+        assert geo_explore_t(graph, 3, correct, tau_p=1.0, rng_seed=1) is None
 
     def test_no_eligible_statement(self):
         graph = build_graph(1, [([0], "r", 1)])
         with pytest.raises(NoEligibleErroneousStatementError):
-            geo_explore_t(graph, 1, 0, 0.0, 0.0, rng_seed=0)
+            geo_explore_t(graph, 1, geo_explore_m(graph, 1, 0, 0.0), 0.0, rng_seed=0)
 
     def test_target_initial_rejected(self):
         graph = _traceback_graph()
         with pytest.raises(TargetIsInitialError):
-            geo_explore_t(graph, 0, 0, 0.0, 0.0, rng_seed=0)
+            geo_explore_t(graph, 0, [], 0.0, rng_seed=0)
 
     def test_seeded_validity_sweep(self):
         graph = _traceback_graph()
+        correct = geo_explore_m(graph, 3, 0, 0.0)
         for seed in range(50):
-            record = geo_explore_t(graph, 3, 0, 0.0, 0.4, rng_seed=seed)
+            record = geo_explore_t(graph, 3, correct, 0.4, rng_seed=seed)
             if record is None:
                 continue
             assert record.overlap >= 0.4
