@@ -74,13 +74,13 @@ def _steps_doc(steps: Iterable[SolutionStep]) -> list[dict]:
     ]
 
 
-def _steps_from_doc(doc) -> tuple[SolutionStep, ...]:
+def _steps_from_doc(doc, parse) -> tuple[SolutionStep, ...]:
     try:
         return tuple(
             SolutionStep(
-                premises=tuple(parse_statement(t) for t in entry["premises"]),
+                premises=tuple(parse(t) for t in entry["premises"]),
                 rule=entry["rule"],
-                conclusion=parse_statement(entry["conclusion"]),
+                conclusion=parse(entry["conclusion"]),
             )
             for entry in doc
         )
@@ -139,6 +139,15 @@ def record_content_hash(doc: dict) -> str:
 
 
 def record_from_doc(doc: dict) -> ProblemRecord:
+    # solutions cite the same statements over and over: parse each text once
+    parsed: dict[str, Statement] = {}
+
+    def parse(text: str) -> Statement:
+        stmt = parsed.get(text)
+        if stmt is None:
+            stmt = parsed[text] = parse_statement(text)
+        return stmt
+
     try:
         answer = doc["answer"]
         if doc["kind"] == "numeric":
@@ -156,11 +165,11 @@ def record_from_doc(doc: dict) -> ProblemRecord:
             template=doc["template"],
             kind=doc["kind"],
             question=doc["question"],
-            premises=tuple(parse_statement(t) for t in doc["premises"]),
-            target=parse_statement(doc["target"]),
+            premises=tuple(parse(t) for t in doc["premises"]),
+            target=parse(doc["target"]),
             answer_value=value,
-            solutions=tuple(_steps_from_doc(sol) for sol in doc["formal_solutions"]),
-            wrong_branch=_steps_from_doc(doc["wrong_branch"]) if doc["wrong_branch"] else None,
+            solutions=tuple(_steps_from_doc(sol, parse) for sol in doc["formal_solutions"]),
+            wrong_branch=_steps_from_doc(doc["wrong_branch"], parse) if doc["wrong_branch"] else None,
             overlap=doc["overlap"],
             nl_solution=doc["nl_solution"],
             connection_thinking=doc["connection_thinking"],

@@ -610,9 +610,16 @@ class VerifyReport:
 def _replay_steps(
     scene: Scene, steps: Sequence[SolutionStep], label: str
 ) -> tuple[str | None, frozenset[Statement]]:
-    """Re-verify a transition list; returns (error or None, used premises)."""
-    available = set(scene.initial_statements)
+    """Re-verify a transition list; returns (error or None, used premises).
+
+    Each step must be derived by its cited rule's matcher from exactly its
+    cited premises, all established earlier. Every statement is checked
+    numerically once: an initial premise on first use, a conclusion when
+    it is added."""
+    geometry = scene.geometry
     initial = set(scene.initial_statements)
+    available = set(initial)
+    checked: set[Statement] = set()
     used: set[Statement] = set()
     for i, step in enumerate(steps):
         rule = RULES_BY_ID.get(step.rule)
@@ -621,12 +628,20 @@ def _replay_steps(
         for p in step.premises:
             if p not in available:
                 return f"{label} step {i}: premise {p} not established", frozenset()
+            if p not in checked:
+                if not geometry.check_statement(p).holds:
+                    return f"{label} step {i}: premise {p} fails numerically", frozenset()
+                checked.add(p)
             if p in initial:
                 used.add(p)
         if step.conclusion in step.premises:
             return f"{label} step {i}: conclusion among premises", frozenset()
-        if not rule.recheck(scene.geometry, step.premises, step.conclusion):
-            return f"{label} step {i}: numeric re-verification failed", frozenset()
+        if not rule.recheck(geometry, step.premises, step.conclusion):
+            return f"{label} step {i}: rule {step.rule} does not license this step", frozenset()
+        if step.conclusion not in checked:
+            if not geometry.check_statement(step.conclusion).holds:
+                return f"{label} step {i}: conclusion fails numerically", frozenset()
+            checked.add(step.conclusion)
         available.add(step.conclusion)
     return None, frozenset(used)
 
@@ -711,10 +726,13 @@ def _full_target(record: ProblemRecord) -> Statement:
 def verify(in_dir: str | Path) -> VerifyReport:
     """Independently replay every record of a dataset.
 
-    Each transition's rule re-verifies numerically on the scene geometry,
-    filters and tier are re-derived, and numeric answers re-checked against
-    the coordinate oracle. Schema problems surface as corrupt-record
-    failures rather than crashes.
+    Each solution step is re-derived by its cited rule's matcher from exactly
+    its cited premises, and each statement is checked numerically once on the
+    scene geometry; filters and tier are re-derived, and numeric answers
+    re-checked against the coordinate oracle. The record ids, in order, must
+    match manifest.jsonl, so a truncated records.jsonl fails as a
+    ``<dataset>`` failure. Schema problems surface as corrupt-record failures
+    rather than crashes.
     """
     failures: list[tuple[str, str]] = []
     try:
@@ -722,14 +740,17 @@ def verify(in_dir: str | Path) -> VerifyReport:
     except (OSError, KeyError, ValueError) as exc:
         return VerifyReport(0, [("<dataset>", f"cannot load scenes: {exc}")])
     path = Path(in_dir) / "records.jsonl"
-    total = 0
+    ids: list[str | None] = []
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        total += 1
+        ids.append(None)
         try:
+            doc = json.loads(line)
+            if isinstance(doc, dict):
+                ids[-1] = doc.get("id")
             # looked up at call time, as load_records does, so a patched parser applies
-            record = dataset.record_from_doc(json.loads(line))
+            record = dataset.record_from_doc(doc)
         except (CorruptRecordError, ParseError, json.JSONDecodeError) as exc:
             failures.append((f"line {line_no}", f"corrupt record: {exc}"))
             continue
@@ -739,4 +760,25 @@ def verify(in_dir: str | Path) -> VerifyReport:
             problem = f"verification error: {exc}"
         if problem:
             failures.append((record.id, problem))
-    return VerifyReport(total, failures)
+    problem = _manifest_mismatch(Path(in_dir) / "manifest.jsonl", ids)
+    if problem:
+        failures.append(("<dataset>", problem))
+    return VerifyReport(len(ids), failures)
+
+
+def _manifest_mismatch(path: Path, ids: list[str | None]) -> str | None:
+    """Why the records' ids, in order, disagree with the manifest, if they do."""
+    try:
+        listed = [
+            json.loads(line)["id"]
+            for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip()
+        ]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return f"cannot read manifest: {exc}"
+    if len(listed) != len(ids):
+        return f"manifest lists {len(listed)} records, records.jsonl holds {len(ids)}"
+    for i, (want, have) in enumerate(zip(listed, ids)):
+        if want != have:
+            return f"record {i} is {have}, the manifest lists {want}"
+    return None

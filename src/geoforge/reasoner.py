@@ -10,13 +10,13 @@ construction (premise index < conclusion index for every transition).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .constructions import Scene
 from .geometry import SceneGeometry
-from .rules import DEFAULT_RULES, Rule
-from .statements import Predicate, Statement, parse_statement
+from .rules import DEFAULT_RULES, MatchContext, Rule
+from .statements import Statement, parse_statement
 
 
 class ReasonerError(RuntimeError):
@@ -174,27 +174,6 @@ class ReasoningGraph:
         return g
 
 
-@dataclass
-class _MatchView:
-    """The read surface rules match against."""
-
-    geometry: SceneGeometry
-    graph: ReasoningGraph
-    by_pred: dict[Predicate, list[int]] = field(default_factory=dict)
-
-    def note(self, sid: int) -> None:
-        self.by_pred.setdefault(self.graph.stmt(sid).predicate, []).append(sid)
-
-    def stmt(self, sid: int) -> Statement:
-        return self.graph.stmt(sid)
-
-    def ids_of(self, pred: Predicate) -> Sequence[int]:
-        return self.by_pred.get(pred, ())
-
-    def lookup(self, stmt: Statement) -> int | None:
-        return self.graph.index.get(stmt)
-
-
 def saturate_statements(
     geometry: SceneGeometry,
     initial: Iterable[Statement],
@@ -204,12 +183,12 @@ def saturate_statements(
     """Smallest closure of the initial statements under the rule library,
     bounded by the budget (the flag ``truncated`` is set when a cap bites)."""
     graph = ReasoningGraph()
-    view = _MatchView(geometry, graph)
+    ctx = MatchContext(geometry, graph.statements, graph.index)
     for stmt in initial:
         graph.add_initial(stmt)
     batch = list(graph.initial_ids())
     for sid in batch:
-        view.note(sid)
+        ctx.note(sid)
 
     rounds = 0
     while batch:
@@ -220,7 +199,7 @@ def saturate_statements(
         next_batch: list[int] = []
         for sid in batch:
             for rule in rules:
-                for premises, conclusion in rule.match(view, sid):
+                for premises, conclusion in rule.match(ctx, sid):
                     premises = tuple(sorted(premises))
                     if max(premises) != sid:
                         raise ReasonerError(
@@ -239,7 +218,7 @@ def saturate_statements(
                             continue
                         new_id = graph.add_statement(conclusion)
                         graph.add_transition(premises, rule.id, new_id)
-                        view.note(new_id)
+                        ctx.note(new_id)
                         next_batch.append(new_id)
                     elif existing not in premises:
                         if max(premises) >= existing:

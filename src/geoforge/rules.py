@@ -1,20 +1,24 @@
 """Geometric theorem catalog for the forward-chaining reasoner.
 
-Each rule knows how to match itself against a newly derived statement
-(semi-naive evaluation: every premise combination fires exactly once, when
-its newest premise is processed) and how to re-verify a recorded transition.
-Rules carry numeric side-condition guards so that a fired rule's conclusion
-always holds on the instantiated scene; a conclusion failing the kernel
-check therefore signals a bug, not a filterable event.
+Each rule is one matcher: given a match context and the id of its newest
+statement, it yields every (premise ids, conclusion) the rule licenses with
+that statement as the newest premise (semi-naive evaluation: every premise
+combination fires exactly once, when its newest premise is processed).
+Saturation runs the matchers over the growing graph; replay runs the same
+matcher over a context holding only a recorded step's cited premises, so the
+matchers are the single definition of what each rule derives. Rules carry
+numeric side-condition guards so that a fired rule's conclusion always holds
+on the instantiated scene; a conclusion failing the kernel check therefore
+signals a bug, not a filterable event.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .geometry import SceneGeometry
 from .statements import (
@@ -36,32 +40,59 @@ from .statements import (
 Match = tuple[tuple[int, ...], Statement]
 
 
-class MatchContext(Protocol):
+@dataclass
+class MatchContext:
+    """What a matcher reads: statements by id (ids are insertion order), the
+    id of a statement, and the ids of each predicate in insertion order.
+
+    Saturation shares the graph's statement list and index and ``note``s each
+    id it adds; ``of`` builds a standalone context over a statement list."""
+
     geometry: SceneGeometry
+    statements: list[Statement] = field(default_factory=list)
+    index: dict[Statement, int] = field(default_factory=dict)
+    by_pred: dict[Predicate, list[int]] = field(default_factory=dict, init=False)
 
-    def stmt(self, sid: int) -> Statement: ...
+    @classmethod
+    def of(cls, geometry: SceneGeometry, statements: Iterable[Statement]) -> "MatchContext":
+        ctx = cls(geometry, list(statements))
+        for sid, stmt in enumerate(ctx.statements):
+            ctx.index.setdefault(stmt, sid)
+            ctx.note(sid)
+        return ctx
 
-    def ids_of(self, pred: Predicate) -> Sequence[int]: ...
+    def note(self, sid: int) -> None:
+        self.by_pred.setdefault(self.statements[sid].predicate, []).append(sid)
 
-    def lookup(self, stmt: Statement) -> int | None: ...
+    def stmt(self, sid: int) -> Statement:
+        return self.statements[sid]
+
+    def ids_of(self, pred: Predicate) -> Sequence[int]:
+        return self.by_pred.get(pred, ())
+
+    def lookup(self, stmt: Statement) -> int | None:
+        return self.index.get(stmt)
 
 
 @dataclass(frozen=True)
 class Rule:
-    """A theorem: premise matcher, conclusion builder, numeric re-verifier."""
+    """A theorem: its id and its premise matcher."""
 
     id: str
     match: Callable[[MatchContext, int], Iterator[Match]]
-    value_relation: Callable[[Sequence[Statement], Statement], bool] | None = None
 
     def recheck(self, geometry: SceneGeometry, premises: Sequence[Statement], conclusion: Statement) -> bool:
-        """Numeric verifier used when replaying stored transitions."""
-        for s in (*premises, conclusion):
-            if not geometry.check_statement(s).holds:
-                return False
-        if self.value_relation is not None and not self.value_relation(premises, conclusion):
+        """Replay one recorded step: run the matcher on a context holding only
+        the cited premises, the last one newest, and accept the step only if
+        it derives exactly ``conclusion`` from exactly these premises."""
+        if not premises:
             return False
-        return True
+        ctx = MatchContext.of(geometry, premises)
+        cited = tuple(range(len(premises)))
+        return any(
+            derived == conclusion and tuple(sorted(ids)) == cited
+            for ids, derived in self.match(ctx, len(premises) - 1)
+        )
 
 
 def _others(ctx: MatchContext, pred: Predicate, before: int) -> Iterator[tuple[int, Statement]]:
@@ -964,122 +995,43 @@ def _m_ratio_length_substitution(ctx: MatchContext, sid: int) -> Iterator[Match]
             yield from fire(oid, other, sid, new)
 
 
-# --- value relations for replay verification --------------------------------
-
-
-def _vals(premises: Sequence[Statement], pred: Predicate) -> list[Fraction]:
-    return [p.value for p in premises if p.predicate is pred and p.value is not None]
-
-
-def _vr_right_angle(premises, conclusion) -> bool:
-    return conclusion.value == 90
-
-
-def _vr_angle_sum(premises, conclusion) -> bool:
-    vals = _vals(premises, Predicate.ANGLE_MEASURE)
-    return len(vals) == 2 and sum(vals) + conclusion.value == 180
-
-
-def _vr_sum_equal_pair(premises, conclusion) -> bool:
-    vals = _vals(premises, Predicate.ANGLE_MEASURE)
-    return len(vals) == 1 and conclusion.value == (180 - vals[0]) / 2
-
-
-def _vr_half(premises, conclusion) -> bool:
-    # canonical segment ordering may invert the stored ratio
-    return conclusion.value in (Fraction(1, 2), Fraction(2))
-
-
-def _vr_pythagoras(premises, conclusion) -> bool:
-    vals = _vals(premises, Predicate.SEGMENT_LENGTH)
-    return len(vals) == 2 and conclusion.value**2 == vals[0] ** 2 + vals[1] ** 2
-
-
-def _vr_pythagoras_leg(premises, conclusion) -> bool:
-    vals = sorted(_vals(premises, Predicate.SEGMENT_LENGTH))
-    if len(vals) != 2:
-        return False
-    return vals[1] ** 2 == vals[0] ** 2 + conclusion.value**2
-
-
-def _vr_substitution(val_pred: Predicate):
-    def check(premises, conclusion) -> bool:
-        vals = _vals(premises, val_pred)
-        return len(vals) == 1 and conclusion.value == vals[0]
-
-    return check
-
-
-def _vr_ratio_subst(premises, conclusion) -> bool:
-    ratio = next((p for p in premises if p.predicate is Predicate.SEGMENT_RATIO), None)
-    length = next((p for p in premises if p.predicate is Predicate.SEGMENT_LENGTH), None)
-    if ratio is None or length is None or ratio.value is None or length.value is None:
-        return False
-    if conclusion.groups[0] == ratio.groups[0]:
-        return conclusion.value == ratio.value * length.value
-    return conclusion.value == length.value / ratio.value
-
-
-def _vr_inscribed(premises, conclusion) -> bool:
-    vals = _vals(premises, Predicate.ANGLE_MEASURE)
-    return len(vals) == 1 and conclusion.value == vals[0] / 2
-
-
-def _vr_angle_addition(premises, conclusion) -> bool:
-    vals = _vals(premises, Predicate.ANGLE_MEASURE)
-    return len(vals) == 2 and conclusion.value == sum(vals)
-
-
-def _vr_similar_ratio(premises, conclusion) -> bool:
-    vals = _vals(premises, Predicate.SEGMENT_LENGTH)
-    if conclusion.value is None:
-        return False
-    if len(vals) == 1:  # a corresponding side pair is one shared segment
-        return conclusion.value == 1
-    if len(vals) != 2:
-        return False
-    return conclusion.value in (vals[0] / vals[1], vals[1] / vals[0])
-
-
 DEFAULT_RULES: tuple[Rule, ...] = (
     Rule("isosceles_base_angles", _m_isosceles_base_angles),
     Rule("isosceles_converse", _m_isosceles_converse),
-    Rule("triangle_angle_sum", _m_triangle_angle_sum, _vr_angle_sum),
-    Rule("triangle_angle_sum_equal_pair", _m_angle_sum_equal_pair, _vr_sum_equal_pair),
+    Rule("triangle_angle_sum", _m_triangle_angle_sum),
+    Rule("triangle_angle_sum_equal_pair", _m_angle_sum_equal_pair),
     Rule("vertical_angles", _m_vertical_angles),
     Rule("alternate_interior_angles", _m_alternate_interior),
     Rule("corresponding_angles", _m_corresponding_angles),
     Rule("perpendicular_right_angle", _m_perpendicular_right_angle),
-    Rule("right_angle_measure", _m_right_angle_measure, _vr_right_angle),
+    Rule("right_angle_measure", _m_right_angle_measure),
     Rule("midpoint_equal_halves", _m_midpoint_equal_halves),
-    Rule("midpoint_half_ratio", _m_midpoint_half_ratio, _vr_half),
+    Rule("midpoint_half_ratio", _m_midpoint_half_ratio),
     Rule("midsegment_parallel", _m_midsegment_parallel),
-    Rule("midsegment_half_length", _m_midsegment_half_length, _vr_half),
-    Rule("pythagoras", _m_pythagoras, _vr_pythagoras),
-    Rule("pythagoras_leg", _m_pythagoras_leg, _vr_pythagoras_leg),
+    Rule("midsegment_half_length", _m_midsegment_half_length),
+    Rule("pythagoras", _m_pythagoras),
+    Rule("pythagoras_leg", _m_pythagoras_leg),
     Rule("sss_congruence", _m_sss_congruence),
     Rule("sas_congruence", _m_sas_congruence),
     Rule("asa_congruence", _m_asa_congruence),
     Rule("congruent_sides", _m_congruent_sides),
     Rule("congruent_angles", _m_congruent_angles),
     Rule("aa_similarity", _m_aa_similarity),
-    Rule("similar_side_ratio", _m_similar_side_ratio, _vr_similar_ratio),
-    Rule("inscribed_angle", _m_inscribed_angle, _vr_inscribed),
+    Rule("similar_side_ratio", _m_similar_side_ratio),
+    Rule("inscribed_angle", _m_inscribed_angle),
     Rule("thales_right_angle", _m_thales),
-    Rule("angle_addition", _m_angle_addition, _vr_angle_addition),
+    Rule("angle_addition", _m_angle_addition),
     Rule("equal_segments_transitive", _transitive(Predicate.EQUAL_SEGMENTS, equal_segments)),
     Rule("equal_angles_transitive", _transitive(Predicate.EQUAL_ANGLES, equal_angles)),
     Rule(
         "segment_length_substitution",
         _substitution(Predicate.EQUAL_SEGMENTS, Predicate.SEGMENT_LENGTH, segment_length),
-        _vr_substitution(Predicate.SEGMENT_LENGTH),
     ),
     Rule(
         "angle_measure_substitution",
         _substitution(Predicate.EQUAL_ANGLES, Predicate.ANGLE_MEASURE, angle_measure),
-        _vr_substitution(Predicate.ANGLE_MEASURE),
     ),
-    Rule("ratio_length_substitution", _m_ratio_length_substitution, _vr_ratio_subst),
+    Rule("ratio_length_substitution", _m_ratio_length_substitution),
 )
 
 RULES_BY_ID = {r.id: r for r in DEFAULT_RULES}

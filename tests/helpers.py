@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from geoforge.geometry import SceneGeometry
 from geoforge.reasoner import ReasoningGraph, Transition
-from geoforge.statements import Predicate, Statement, segment_length
+from geoforge.statements import Statement, segment_length
 
 _LABELS = [a + b for a in "ABCDEFGHIJKLM" for b in "ABCDEFGHIJKLM" if a != b]
 
@@ -20,41 +17,18 @@ def dummy_statement(i: int) -> Statement:
     return segment_length((a, b), Fraction(i + 1))
 
 
-def build_graph(
-    n_initial: int,
-    edges: list[tuple[list[int], str, int]],
-    statements: Sequence[Statement] | None = None,
-) -> ReasoningGraph:
-    """Graph over statements 0..max referenced, ``statements[i]`` or a dummy
-    one for id i; edges are (premise ids, rule, conclusion id)."""
+def build_graph(n_initial: int, edges: list[tuple[list[int], str, int]]) -> ReasoningGraph:
+    """Graph over dummy statements 0..max referenced; edges are
+    (premise ids, rule, conclusion id)."""
     graph = ReasoningGraph()
     top = max([n_initial - 1] + [e[2] for e in edges])
-    if statements is None:
-        statements = [dummy_statement(i) for i in range(top + 1)]
     for i in range(n_initial):
-        graph.add_initial(statements[i])
+        graph.add_initial(dummy_statement(i))
     for i in range(n_initial, top + 1):
-        graph.add_statement(statements[i])
+        graph.add_statement(dummy_statement(i))
     for premises, rule, conclusion in edges:
         graph.add_transition(premises, rule, conclusion)
     return graph
-
-
-@dataclass
-class GraphContext:
-    """A rule's ``MatchContext`` over a built graph: ids are graph ids."""
-
-    geometry: SceneGeometry
-    graph: ReasoningGraph
-
-    def stmt(self, sid: int) -> Statement:
-        return self.graph.stmt(sid)
-
-    def ids_of(self, pred: Predicate) -> list[int]:
-        return [i for i, s in enumerate(self.graph.statements) if s.predicate is pred]
-
-    def lookup(self, stmt: Statement) -> int | None:
-        return self.graph.index.get(stmt)
 
 
 def diamond_graph() -> ReasoningGraph:

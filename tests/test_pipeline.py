@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from geoforge.pipeline import (
     stats,
     verify,
 )
+from geoforge.statements import parse_statement
 
 SMALL = PipelineConfig(seed_start=0, count=40)
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
@@ -139,7 +141,7 @@ class TestVerifyTamperDetection:
         out, _ = dataset
         target = tmp_path / "tampered"
         target.mkdir()
-        for name in ("manifest.jsonl", "scenes.jsonl", "config.json"):
+        for name in ("scenes.jsonl", "config.json"):
             (target / name).write_bytes((out / name).read_bytes())
         (target / "svg").mkdir()
         lines = (out / "records.jsonl").read_text().splitlines()
@@ -148,6 +150,11 @@ class TestVerifyTamperDetection:
         with (target / "records.jsonl").open("w") as f:
             for doc in docs:
                 f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        # a recomputed id goes into the manifest too, so only the record's own
+        # checks can fail, not the manifest cross-check
+        manifest = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+        manifest[0]["id"] = docs[0]["id"]
+        (target / "manifest.jsonl").write_text("".join(json.dumps(m) + "\n" for m in manifest))
         return verify(target)
 
     def test_tampered_premise_fails(self, dataset, tmp_path):
@@ -160,18 +167,22 @@ class TestVerifyTamperDetection:
         assert any("step 0" in reason for _, reason in report.failures)
 
     def test_perturbed_answer_fails(self, dataset, tmp_path):
+        ids = []
+
         def mutate(doc):
             if doc["kind"] != "numeric":
                 return
             doc["answer"]["exact"] = None
             doc["answer"]["approx"] = doc["answer"]["approx"] * 1.05
             doc["id"] = record_content_hash(doc)
+            ids.append(doc["id"])
 
         out, report0 = dataset
         if report0.records[0].kind != "numeric":
             pytest.skip("first record is not numeric")
         report = self._tampered(dataset, tmp_path, mutate)
-        assert not report.ok
+        # the solution still ends at the old exact value, not at the new answer
+        assert report.failures == [(ids[0], "solution 0 does not end at the target")]
 
     def test_hash_mismatch_detected(self, dataset, tmp_path):
         def mutate(doc):
@@ -186,6 +197,89 @@ class TestVerifyTamperDetection:
 
         report = self._tampered(dataset, tmp_path, mutate)
         assert any("corrupt" in reason for _, reason in report.failures)
+
+    def _unlicensed(self, dataset, tmp_path, rule, mutate_step):
+        """Rewrite the first ``rule`` step of the first record's first
+        solution, recompute the id, and return the failures of that record."""
+        ids = []
+
+        def mutate(doc):
+            step = next(s for s in doc["formal_solutions"][0] if s["rule"] == rule)
+            mutate_step(doc, step)
+            doc["id"] = record_content_hash(doc)
+            ids.append(doc["id"])
+
+        report = self._tampered(dataset, tmp_path, mutate)
+        return [reason for rid, reason in report.failures if rid == ids[0]]
+
+    def test_relabelled_rule_fails(self, dataset, tmp_path):
+        def relabel(doc, step):
+            step["rule"] = "thales_right_angle"
+
+        reasons = self._unlicensed(dataset, tmp_path, "alternate_interior_angles", relabel)
+        assert any("rule thales_right_angle does not license" in r for r in reasons), reasons
+
+    def test_dropped_premise_fails(self, dataset, tmp_path):
+        def drop(doc, step):
+            del step["premises"][0]
+
+        reasons = self._unlicensed(dataset, tmp_path, "asa_congruence", drop)
+        assert any("rule asa_congruence does not license" in r for r in reasons), reasons
+
+    def test_unrelated_premise_fails(self, dataset, tmp_path):
+        def add(doc, step):
+            assert len(step["premises"]) == 1
+            extra = next(p for p in doc["premises"] if p not in step["premises"])
+            step["premises"].append(extra)  # true and established, but not cited by the rule
+
+        reasons = self._unlicensed(dataset, tmp_path, "alternate_interior_angles", add)
+        assert any("rule alternate_interior_angles does not license" in r for r in reasons), reasons
+
+    def test_swapped_conclusion_fails(self, dataset, tmp_path):
+        def swap(doc, step):
+            # true and established, but not what the rule derives here
+            step["conclusion"] = next(p for p in doc["premises"] if p not in step["premises"])
+
+        reasons = self._unlicensed(dataset, tmp_path, "alternate_interior_angles", swap)
+        assert any("rule alternate_interior_angles does not license" in r for r in reasons), reasons
+
+    def test_moved_point_fails_numerically(self, dataset, tmp_path):
+        # the numeric check is a second witness next to the rule replay
+        out, _ = dataset
+        target = tmp_path / "moved"
+        shutil.copytree(out, target)
+        record = json.loads((out / "records.jsonl").read_text().splitlines()[0])
+        label = parse_statement(record["formal_solutions"][0][0]["premises"][0]).groups[0][0]
+        docs = [json.loads(line) for line in (out / "scenes.jsonl").read_text().splitlines()]
+        for doc in docs:
+            if doc["scene_id"] == record["scene_id"]:  # the id is kept, the point moves
+                x, y = doc["scene"]["points"][label]
+                doc["scene"]["points"][label] = [x + 0.5, y + 0.3]
+        (target / "scenes.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+        report = verify(target)
+        reasons = [reason for rid, reason in report.failures if rid == record["id"]]
+        assert any("fails numerically" in r for r in reasons), reasons
+
+    def test_records_out_of_step_with_manifest_fail(self, dataset, tmp_path):
+        out, report0 = dataset
+        lines = (out / "records.jsonl").read_text().splitlines(keepends=True)
+        cases = {
+            "truncated": lines[:-1],  # cut at a line boundary
+            "reordered": [lines[1], lines[0], *lines[2:]],
+        }
+        for name, kept in cases.items():
+            target = tmp_path / name
+            shutil.copytree(out, target)
+            (target / "records.jsonl").write_text("".join(kept))
+            report = verify(target)
+            assert report.total == len(kept)
+            assert [rid for rid, _ in report.failures] == ["<dataset>"], name
+        (target / "records.jsonl").write_text("".join(lines))
+        (target / "manifest.jsonl").unlink()
+        report = verify(target)
+        assert report.total == report0.count
+        assert [rid for rid, _ in report.failures] == ["<dataset>"]
+        assert "manifest" in report.failures[0][1]
 
 
 class TestBootstrap:

@@ -1,12 +1,16 @@
 import math
 from fractions import Fraction
 
-from helpers import GraphContext, build_graph
-
-from geoforge.constructions import BASE_GENERATORS, extend_scene, generate_base_scene
+from geoforge.constructions import (
+    BASE_GENERATORS,
+    ConstructionError,
+    extend_scene,
+    generate_base_scene,
+)
 from geoforge.geometry import SceneGeometry
+from geoforge.pipeline import PipelineConfig, _build_scene
 from geoforge.reasoner import saturate, saturate_statements
-from geoforge.rules import DEFAULT_RULES, RULES_BY_ID
+from geoforge.rules import DEFAULT_RULES, RULES_BY_ID, MatchContext
 from geoforge.statements import (
     angle_measure,
     collinear,
@@ -24,9 +28,23 @@ from geoforge.statements import (
 )
 
 
+def assert_replays(geometry, graph):
+    """Every transition is re-derived by its own rule from exactly its
+    premises, whichever end of the premise list is cited last."""
+    for t in graph.transitions:
+        rule = RULES_BY_ID[t.rule]
+        premises = [graph.stmt(p) for p in t.premises]
+        conclusion = graph.stmt(t.conclusion)
+        for cited in (premises, premises[::-1]):
+            assert rule.recheck(geometry, cited, conclusion), (t.rule, cited, conclusion)
+
+
 def fired(geometry, initial, rule_id, conclusion=None):
-    """Saturate and assert the rule produced (optionally) the conclusion."""
-    graph = saturate_statements(SceneGeometry(geometry), initial)
+    """Saturate and assert the rule produced (optionally) the conclusion;
+    every transition of the closure must also replay."""
+    scene_geometry = SceneGeometry(geometry)
+    graph = saturate_statements(scene_geometry, initial)
+    assert_replays(scene_geometry, graph)
     rules_used = {t.rule for t in graph.transitions}
     assert rule_id in rules_used, f"{rule_id} never fired (used: {sorted(rules_used)})"
     if conclusion is not None:
@@ -450,8 +468,7 @@ class TestAlgebraicRules:
 
 def matched(points, statements, rule_id):
     """What the rule's matcher yields when the last statement is the newest."""
-    graph = build_graph(len(statements), [], statements)
-    ctx = GraphContext(SceneGeometry(points), graph)
+    ctx = MatchContext.of(SceneGeometry(points), statements)
     return list(RULES_BY_ID[rule_id].match(ctx, len(statements) - 1))
 
 
@@ -544,6 +561,54 @@ class TestTrianglePrefilters:
         mixed = equal_angles(("B", "A", "C"), ("A", "D", "B"))
         assert matched(points, [b_c, side, mixed], "asa_congruence") == []
         assert matched(points, [b_c, mixed], "aa_similarity") == []
+
+
+class TestReplay:
+    """``Rule.recheck`` accepts exactly what the rule's matcher derives."""
+
+    def test_saturated_transitions_replay(self):
+        config = PipelineConfig()
+        replayed: set[str] = set()
+        for seed in range(0, 300, 10):
+            try:
+                scene = _build_scene(config, seed)
+            except ConstructionError:
+                continue
+            graph = saturate(scene)
+            assert_replays(scene.geometry, graph)
+            replayed.update(t.rule for t in graph.transitions)
+        assert len(replayed) >= 18, sorted(replayed)
+
+    # isosceles_converse and pythagoras_leg never fire on seeds 0-299; their
+    # hand-built scenes above replay through ``fired``
+
+    def test_wrong_rule_rejected(self):
+        geometry = SceneGeometry(ISO)
+        premise = equal_angles(("A", "B", "C"), ("A", "C", "B"))
+        conclusion = equal_segments(("A", "B"), ("A", "C"))
+        assert RULES_BY_ID["isosceles_converse"].recheck(geometry, [premise], conclusion)
+        for rule in DEFAULT_RULES:
+            if rule.id != "isosceles_converse":
+                assert not rule.recheck(geometry, [premise], conclusion), rule.id
+
+    def test_premises_must_be_exact(self):
+        geometry = SceneGeometry(_CONG)
+        angle_a = equal_angles(("B", "A", "C"), ("E", "D", "F"))
+        side = equal_segments(("A", "B"), ("D", "E"))
+        angle_b = equal_angles(("A", "B", "C"), ("D", "E", "F"))
+        asa = RULES_BY_ID["asa_congruence"]
+        conclusion = congruent_triangles(("A", "B", "C"), ("D", "E", "F"))
+        assert asa.recheck(geometry, [angle_a, side, angle_b], conclusion)
+        assert not asa.recheck(geometry, [angle_a, angle_b], conclusion)  # side dropped
+        assert not asa.recheck(geometry, [angle_a, side], conclusion)  # angle dropped
+        extra = equal_segments(("B", "C"), ("E", "F"))  # true, but not cited by ASA
+        assert not asa.recheck(geometry, [angle_a, side, angle_b, extra], conclusion)
+        assert not asa.recheck(geometry, [extra, angle_a, side, angle_b], conclusion)
+        assert not asa.recheck(geometry, [angle_a, side, angle_b, angle_b], conclusion)
+        assert not asa.recheck(geometry, [], conclusion)
+        # the conclusion must be the one derived, not another true statement
+        similar = similar_triangles(("A", "B", "C"), ("D", "E", "F"))
+        assert not asa.recheck(geometry, [angle_a, side, angle_b], similar)
 
 
 class TestCatalog:
