@@ -871,9 +871,11 @@ def _apply(
             effects = construction.effects(binding, tuple(labels))
         except ValueError:
             continue
-        for s in effects:
-            statements.add(s)
-        if not geometry.check_scene(statements).valid:
+        # the scene's own statements hold already, on points that did not move
+        added = [s for s in effects if statements.add(s)]
+        if not all(geometry.check_statement(s).holds for s in added):
+            continue
+        if geometry.degeneracies(statements):
             continue
         drawn = list(scene.drawn_segments)
         for seg in construction.drawn(binding, tuple(labels)):

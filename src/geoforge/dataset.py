@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, TextIO
 
 from .constructions import Scene, scene_from_json
 from .reasoner import SolutionStep
@@ -216,6 +218,16 @@ def _dump(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """Write beside ``path``, then rename into place: ``path`` is either its
+    old self or complete, never half written."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    with tmp.open("w", encoding="utf-8") as f:
+        yield f
+    os.replace(tmp, path)
+
+
 def write_dataset(
     out_dir: str | Path,
     records: Iterable[ProblemRecord],
@@ -223,21 +235,29 @@ def write_dataset(
     diagrams: dict[str, str],
     config_doc: dict,
 ) -> None:
+    """Write a dataset directory, ``manifest.jsonl`` last.
+
+    An old manifest is removed first and every file is renamed into place
+    once complete, so a crash leaves no manifest or one that disagrees with
+    ``records.jsonl``, and ``verify`` fails either way."""
     out = Path(out_dir)
     (out / "svg").mkdir(parents=True, exist_ok=True)
+    (out / "manifest.jsonl").unlink(missing_ok=True)
     records = list(records)
-    with (out / "records.jsonl").open("w", encoding="utf-8") as f:
+    with _replacing(out / "records.jsonl") as f:
         for r in records:
             f.write(_dump(record_to_doc(r)) + "\n")
-    with (out / "manifest.jsonl").open("w", encoding="utf-8") as f:
-        for r in records:
-            f.write(_dump(manifest_line(r)) + "\n")
-    with (out / "scenes.jsonl").open("w", encoding="utf-8") as f:
+    with _replacing(out / "scenes.jsonl") as f:
         for scene_id in sorted(scenes):
             f.write(_dump({"scene_id": scene_id, "scene": json.loads(scenes[scene_id].to_json())}) + "\n")
     for record_id, svg in sorted(diagrams.items()):
-        (out / "svg" / f"{record_id}.svg").write_text(svg, encoding="utf-8")
-    (out / "config.json").write_text(_dump(config_doc) + "\n", encoding="utf-8")
+        with _replacing(out / "svg" / f"{record_id}.svg") as f:
+            f.write(svg)
+    with _replacing(out / "config.json") as f:
+        f.write(_dump(config_doc) + "\n")
+    with _replacing(out / "manifest.jsonl") as f:
+        for r in records:
+            f.write(_dump(manifest_line(r)) + "\n")
 
 
 def load_records(in_dir: str | Path) -> list[ProblemRecord]:

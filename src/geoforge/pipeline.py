@@ -646,10 +646,16 @@ def _replay_steps(
     return None, frozenset(used)
 
 
-def _verify_record(record: ProblemRecord, scenes: dict[str, Scene]) -> str | None:
+def _verify_record(
+    record: ProblemRecord, scenes: dict[str, Scene], diagrams: set[str]
+) -> str | None:
     doc = record_to_doc(record)
     if record_content_hash(doc) != record.id:
         return "content hash mismatch"
+    if record.diagram != f"svg/{record.id}.svg":
+        return f"diagram {record.diagram} is not svg/{record.id}.svg"
+    if record.diagram not in diagrams:
+        return f"diagram {record.diagram} is missing"
     scene = scenes.get(record.scene_id)
     if scene is None:
         return f"unknown scene {record.scene_id}"
@@ -729,7 +735,8 @@ def verify(in_dir: str | Path) -> VerifyReport:
     Each solution step is re-derived by its cited rule's matcher from exactly
     its cited premises, and each statement is checked numerically once on the
     scene geometry; filters and tier are re-derived, and numeric answers
-    re-checked against the coordinate oracle. The record ids, in order, must
+    re-checked against the coordinate oracle. Each record's diagram must be
+    ``svg/<id>.svg`` and present. The record ids, in order, must
     match manifest.jsonl, so a truncated records.jsonl fails as a
     ``<dataset>`` failure. Schema problems surface as corrupt-record failures
     rather than crashes.
@@ -739,6 +746,10 @@ def verify(in_dir: str | Path) -> VerifyReport:
         scenes = load_scenes(in_dir)
     except (OSError, KeyError, ValueError) as exc:
         return VerifyReport(0, [("<dataset>", f"cannot load scenes: {exc}")])
+    try:
+        diagrams = {f"svg/{p.name}" for p in (Path(in_dir) / "svg").iterdir()}
+    except OSError:
+        diagrams = set()
     path = Path(in_dir) / "records.jsonl"
     ids: list[str | None] = []
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
@@ -755,7 +766,7 @@ def verify(in_dir: str | Path) -> VerifyReport:
             failures.append((f"line {line_no}", f"corrupt record: {exc}"))
             continue
         try:
-            problem = _verify_record(record, scenes)
+            problem = _verify_record(record, scenes, diagrams)
         except (GeometryError, ParseError) as exc:
             problem = f"verification error: {exc}"
         if problem:

@@ -181,12 +181,20 @@ def saturate_statements(
     budget: Budget = Budget(),
 ) -> ReasoningGraph:
     """Smallest closure of the initial statements under the rule library,
-    bounded by the budget (the flag ``truncated`` is set when a cap bites)."""
+    bounded by the budget (the flag ``truncated`` is set when a cap bites).
+
+    Every conclusion must hold numerically, or the scene is aborted with
+    ``VerifierContradictionError``. Coordinates do not change during
+    saturation, so each distinct statement is checked once: a derived one
+    when it is first concluded, an initial one when a rule first re-derives
+    it. Only a conclusion that a budget cap keeps out of the graph is
+    checked again each time it recurs."""
     graph = ReasoningGraph()
     ctx = MatchContext(geometry, graph.statements, graph.index)
     for stmt in initial:
         graph.add_initial(stmt)
     batch = list(graph.initial_ids())
+    unchecked_initial = set(batch)
     for sid in batch:
         ctx.note(sid)
 
@@ -205,10 +213,12 @@ def saturate_statements(
                         raise ReasonerError(
                             f"rule {rule.id} fired on a stale premise combination"
                         )
-                    verdict = geometry.check_statement(conclusion)
-                    if not verdict.holds:
-                        raise VerifierContradictionError(rule.id, conclusion, verdict.residual)
                     existing = graph.index.get(conclusion)
+                    if existing is None or existing in unchecked_initial:
+                        verdict = geometry.check_statement(conclusion)
+                        if not verdict.holds:
+                            raise VerifierContradictionError(rule.id, conclusion, verdict.residual)
+                        unchecked_initial.discard(existing)
                     if existing is None:
                         if len(graph.statements) >= budget.max_statements:
                             graph.truncated = True

@@ -173,9 +173,18 @@ def geo_explore_m(
     statement (options ordered by rule id then premise tuple), keeps paths
     passing both filters, and stops when all option assignments are
     exhausted, ``max_paths`` filtered paths were found, or the work cap hits.
+
+    Every path lies inside the target's upstream cone over all derivations,
+    so when the cone holds fewer than ``tau_l`` derived statements, or too
+    few initial ones to reach ``tau_r``, no path can pass and none is built.
     """
     if graph.is_initial(target):
         raise TargetIsInitialError(f"statement {target} is an initial premise")
+    cone = graph.upstream_dependencies(target)
+    cone_initial = sum(graph.is_initial(sid) for sid in cone)
+    best_ratio = cone_initial / graph.n_initial if graph.n_initial else 0.0
+    if len(cone) - cone_initial < tau_l or best_ratio < tau_r:
+        return []
 
     option_cache: dict[int, list[Transition]] = {}
 

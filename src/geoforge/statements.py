@@ -15,7 +15,6 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations
 from typing import Iterable, Iterator
 
 
@@ -65,6 +64,10 @@ class Predicate(Enum):
     CONGRUENT_TRIANGLES = "congruent"
     SIMILAR_TRIANGLES = "similar"
     SEGMENT_RATIO = "seg_ratio"
+
+    # identity hashing in C: Enum's own __hash__ is a Python-level call, and
+    # every Statement hash includes its predicate
+    __hash__ = object.__hash__
 
 
 # group sizes, and the unit of the trailing rational (None = no value slot)
@@ -151,16 +154,17 @@ def _canon_triangle_pair(
     t1: tuple[str, ...], t2: tuple[str, ...]
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     # Any identical index permutation of both triangles preserves the vertex
-    # correspondence, as does swapping the two triangles.
+    # correspondence, as does swapping the two triangles. Of the 12 variants
+    # this allows, the least one leads with a sorted triangle, and with
+    # distinct vertices one permutation sorts each: 2 candidates suffice.
     _canon_triangle(t1)
     _canon_triangle(t2)
-    variants = []
-    for perm in permutations(range(3)):
-        u1 = tuple(t1[i] for i in perm)
-        u2 = tuple(t2[i] for i in perm)
-        variants.append((u1, u2))
-        variants.append((u2, u1))
-    return min(variants)
+    by_t1 = sorted(range(3), key=t1.__getitem__)
+    by_t2 = sorted(range(3), key=t2.__getitem__)
+    return min(
+        (tuple(t1[i] for i in by_t1), tuple(t2[i] for i in by_t1)),
+        (tuple(t2[i] for i in by_t2), tuple(t1[i] for i in by_t2)),
+    )
 
 
 def _segment_pair(s1: tuple[str, str], s2: tuple[str, str]) -> tuple[tuple[str, str], ...]:

@@ -1,16 +1,27 @@
+import dataclasses
+import random
+
 import pytest
 
 from geoforge.constructions import (
     BASE_GENERATORS,
+    CONSTRUCTION_BY_ID,
     CONSTRUCTIONS,
     POINT_CAP,
     UnknownGeneratorError,
+    _apply,
     applicable_constructions,
     extend_scene,
     generate_base_scene,
     scene_from_json,
 )
-from geoforge.statements import Predicate, equal_angles, equal_segments, parse_statement
+from geoforge.statements import (
+    Predicate,
+    equal_angles,
+    equal_segments,
+    midpoint,
+    parse_statement,
+)
 
 
 class TestBaseGenerators:
@@ -84,6 +95,23 @@ class TestExtension:
         drained = extend_scene(scene, 300, 7)
         assert drained.exhausted
         assert len(drained.geometry) <= POINT_CAP
+
+    def test_new_effect_must_hold(self):
+        # only the effects a placement adds are checked numerically
+        scene = generate_base_scene("scalene_triangle", 2)
+        a, b = scene.drawn_segments[0]
+        (ax, ay), (bx, by) = scene.geometry.point(a), scene.geometry.point(b)
+
+        def placed_at(t):
+            point = (ax + t * (bx - ax), ay + t * (by - ay))
+            return dataclasses.replace(
+                CONSTRUCTION_BY_ID["midpoint"], place=lambda scene, binding, rng: {"new0": point}
+            )
+
+        assert _apply(scene, placed_at(0.4), (a, b), random.Random(0)) is None
+        applied = _apply(scene, placed_at(0.5), (a, b), random.Random(0))
+        (new,) = applied.constructions[-1].new_points
+        assert midpoint(new, (a, b)) in applied.initial_statements
 
     def test_negative_steps_rejected(self):
         scene = generate_base_scene("rectangle", 5)

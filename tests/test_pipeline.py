@@ -1,13 +1,20 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from geoforge.dataset import load_config, load_records, load_scenes, record_content_hash
+from geoforge.dataset import (
+    load_config,
+    load_records,
+    load_scenes,
+    record_content_hash,
+    write_dataset,
+)
 from geoforge.pipeline import (
     AnswerCheck,
     InsufficientRecordsError,
@@ -129,6 +136,41 @@ class TestGenerate:
         generate(dataclasses.replace(cfg, workers=2), parallel)
         assert (serial / "records.jsonl").read_bytes() == (parallel / "records.jsonl").read_bytes()
 
+    def test_crash_before_manifest_fails_verify(self, dataset, tmp_path, monkeypatch):
+        out, report0 = dataset
+        files = ["records.jsonl", "scenes.jsonl", "config.json"]
+        files += [r.diagram for r in report0.records]
+        args = (
+            report0.records,
+            load_scenes(out),
+            {r.id: (out / r.diagram).read_text(encoding="utf-8") for r in report0.records},
+            load_config(out),
+        )
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == "manifest.jsonl":
+                raise OSError("crash")
+            real_replace(src, dst)
+
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        shutil.copytree(out, stale)  # a complete dataset from an earlier run
+        monkeypatch.setattr(os, "replace", replace)
+        for target in (fresh, stale):
+            with pytest.raises(OSError, match="crash"):
+                write_dataset(target, *args)
+            # everything else is complete and in place; the manifest is not
+            for name in files:
+                assert (target / name).read_bytes() == (out / name).read_bytes(), name
+            assert not (target / "manifest.jsonl").exists()
+            report = verify(target)
+            assert [rid for rid, _ in report.failures] == ["<dataset>"]
+        monkeypatch.undo()
+        write_dataset(stale, *args)
+        for name in [*files, "manifest.jsonl"]:
+            assert (stale / name).read_bytes() == (out / name).read_bytes(), name
+        assert verify(stale).ok
+
     def test_invalid_config_rejected(self):
         with pytest.raises(PipelineError):
             PipelineConfig(tau_r=1.5)
@@ -143,10 +185,16 @@ class TestVerifyTamperDetection:
         target.mkdir()
         for name in ("scenes.jsonl", "config.json"):
             (target / name).write_bytes((out / name).read_bytes())
-        (target / "svg").mkdir()
+        shutil.copytree(out / "svg", target / "svg")
         lines = (out / "records.jsonl").read_text().splitlines()
         docs = [json.loads(line) for line in lines]
         mutate(docs[0])
+        # a recomputed id renames the diagram too, so only the record's own
+        # checks can fail, not the diagram check
+        diagram = f"svg/{docs[0]['id']}.svg"
+        if docs[0]["diagram"] != diagram:
+            shutil.copy(target / docs[0]["diagram"], target / diagram)
+            docs[0]["diagram"] = diagram
         with (target / "records.jsonl").open("w") as f:
             for doc in docs:
                 f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
@@ -259,6 +307,26 @@ class TestVerifyTamperDetection:
         report = verify(target)
         reasons = [reason for rid, reason in report.failures if rid == record["id"]]
         assert any("fails numerically" in r for r in reasons), reasons
+
+    def test_missing_or_misnamed_diagram_fails(self, dataset, tmp_path):
+        out, report0 = dataset
+        first, second = report0.records[0], report0.records[1]
+        target = tmp_path / "diagrams"
+        shutil.copytree(out, target)
+        (target / second.diagram).unlink()
+        report = verify(target)
+        assert report.failures == [(second.id, f"diagram {second.diagram} is missing")]
+        # the diagram field is outside the content hash: point it elsewhere
+        docs = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        docs[0]["diagram"] = f"svg/{docs[2]['id']}.svg"
+        (target / "records.jsonl").write_text(
+            "".join(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n" for d in docs)
+        )
+        report = verify(target)
+        assert report.failures == [
+            (first.id, f"diagram svg/{docs[2]['id']}.svg is not {first.diagram}"),
+            (second.id, f"diagram {second.diagram} is missing"),
+        ]
 
     def test_records_out_of_step_with_manifest_fail(self, dataset, tmp_path):
         out, report0 = dataset

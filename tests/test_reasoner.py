@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from geoforge.constructions import BASE_GENERATORS, extend_scene, generate_base_scene
@@ -6,9 +8,11 @@ from geoforge.reasoner import (
     Budget,
     ReasonerError,
     ReasoningGraph,
+    VerifierContradictionError,
     saturate,
     saturate_statements,
 )
+from geoforge.rules import DEFAULT_RULES, Rule
 from geoforge.statements import (
     angle_measure,
     equal_angles,
@@ -76,6 +80,38 @@ class TestSaturate:
             graph = saturate(scene)
             for stmt in graph.statements:
                 assert scene.geometry.check_statement(stmt).holds
+
+    def test_each_statement_checked_once(self):
+        for seed in range(10):
+            scene = _scene(seed)
+            geometry = SceneGeometry(scene.geometry.points)
+            calls: Counter = Counter()
+            check = geometry.check_statement
+
+            def counting(stmt):
+                calls[stmt] += 1
+                return check(stmt)
+
+            geometry.check_statement = counting
+            graph = saturate_statements(geometry, scene.initial_statements)
+            assert max(calls.values()) == 1, (seed, calls.most_common(1))
+            assert set(graph.statements[graph.n_initial :]) <= set(calls)
+
+    def test_rederived_false_initial_statement_aborts(self):
+        # initial statements are trusted until a rule re-derives one
+        g = SceneGeometry({"A": (0.0, 0.0), "B": (3.0, 0.0), "C": (0.0, 4.0)})
+        false = segment_length(("A", "B"), 7)
+        true = segment_length(("A", "C"), 4)
+
+        def echo(ctx, sid):
+            if ctx.stmt(sid) == true:
+                yield (sid,), false
+
+        saturate_statements(g, [false, true])  # no rule re-derives it
+        with pytest.raises(VerifierContradictionError) as exc_info:
+            saturate_statements(g, [false, true], rules=(Rule("echo", echo), *DEFAULT_RULES))
+        assert exc_info.value.rule_id == "echo"
+        assert exc_info.value.conclusion == false
 
     def test_budget_truncation_flag(self):
         scene = _scene(2)

@@ -3,8 +3,9 @@ import math
 import pytest
 from helpers import HAND_GRAPHS, brute_force_paths, build_graph, diamond_graph
 
-from geoforge.constructions import generate_base_scene
+from geoforge.constructions import ConstructionError, generate_base_scene
 from geoforge.geometry import SceneGeometry
+from geoforge.pipeline import PipelineConfig, _build_scene
 from geoforge.reasoner import ReasoningGraph, saturate
 from geoforge.sampler import (
     BelowTierRangeError,
@@ -106,6 +107,37 @@ class TestGeoExploreM:
                 assert all(p in established for p in t.premises)
                 established.add(t.conclusion)
             assert path.transitions[-1].conclusion == target
+
+    def test_cone_bound_is_tight(self):
+        # the only path uses the whole cone: 6 derived statements, 4 of 4 premises
+        graph = _chain(6)
+        assert [p.length for p in geo_explore_m(graph, 9, tau_l=6, tau_r=1.0)] == [6]
+        assert geo_explore_m(graph, 9, tau_l=7, tau_r=0.0) == []
+        shallow = build_graph(4, [([0, 1], "r", 4), ([4], "r", 5)])
+        assert [p.premise_ratio for p in geo_explore_m(shallow, 5, 0, tau_r=0.5)] == [0.5]
+        assert geo_explore_m(shallow, 5, 0, tau_r=0.51) == []
+
+    def test_cone_bound_is_exact_on_pipeline_scenes(self):
+        # filtering prunes nothing that enumeration would have kept, and
+        # every target the cone rules out has no passing path
+        config = PipelineConfig()
+        ruled_out = 0
+        for seed in range(0, 300, 10):
+            try:
+                scene = _build_scene(config, seed)
+            except ConstructionError:
+                continue
+            graph = saturate(scene)
+            for target in range(graph.n_initial, len(graph.statements)):
+                every = geo_explore_m(graph, target, 0, 0.0, max_paths=10**6)
+                passing = [p for p in every if p.length >= 5 and p.premise_ratio >= 0.5]
+                assert geo_explore_m(graph, target, 5, 0.5, max_paths=10**6) == passing
+                cone = graph.upstream_dependencies(target)
+                initial = sum(graph.is_initial(sid) for sid in cone)
+                if len(cone) - initial < 5 or initial / graph.n_initial < 0.5:
+                    ruled_out += 1
+                    assert not passing, (seed, target)
+        assert ruled_out > 0
 
     def test_deterministic(self):
         make, target, _ = HAND_GRAPHS["wide"]

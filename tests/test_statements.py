@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from geoforge.statements import (
     StatementSet,
     UnknownPointError,
     UnknownPredicateError,
+    _canon_triangle_pair,
     angle_measure,
     canonicalize,
     collinear,
@@ -170,7 +172,26 @@ def statements(draw) -> Statement:
     return builders[pred]()
 
 
+@st.composite
+def triangle_pairs(draw) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    t1 = tuple(draw(st.lists(_LABELS, min_size=3, max_size=3, unique=True)))
+    # the same point set relabelled, or any triangle (often sharing points)
+    t2 = draw(st.permutations(t1) | st.lists(_LABELS, min_size=3, max_size=3, unique=True))
+    return t1, tuple(t2)
+
+
 class TestProperties:
+    @given(triangle_pairs())
+    @settings(max_examples=300)
+    def test_triangle_pair_is_least_of_all_variants(self, pair):
+        t1, t2 = pair
+        variants = []
+        for perm in permutations(range(3)):
+            u1 = tuple(t1[i] for i in perm)
+            u2 = tuple(t2[i] for i in perm)
+            variants += [(u1, u2), (u2, u1)]
+        assert _canon_triangle_pair(t1, t2) == min(variants)
+
     @given(statements())
     @settings(max_examples=300)
     def test_round_trip(self, s: Statement):
