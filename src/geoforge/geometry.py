@@ -176,10 +176,6 @@ class SceneGeometry:
             self._collinear_residuals[key] = residual
         return residual
 
-    def side_of(self, p: str, a: str, b: str) -> float:
-        """Signed side of point ``p`` relative to the directed line a->b."""
-        return _cross(_sub(self.point(b), self.point(a)), _sub(self.point(p), self.point(a)))
-
     def strictly_between(self, a: str, x: str, b: str) -> bool:
         """True when ``x`` lies strictly inside segment ab (assumes collinear)."""
         u = _sub(self.point(a), self.point(x))

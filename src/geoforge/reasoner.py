@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from .constructions import Scene
 from .geometry import SceneGeometry
 from .rules import DEFAULT_RULES, MatchContext, Rule
-from .statements import Statement, parse_statement
+from .statements import Predicate, Statement, parse_statement
 
 
 class ReasonerError(RuntimeError):
@@ -115,12 +115,6 @@ class ReasoningGraph:
     def initial_ids(self) -> range:
         return range(self.n_initial)
 
-    def id_of(self, stmt: Statement) -> int:
-        try:
-            return self.index[stmt]
-        except KeyError:
-            raise ReasonerError(f"unknown statement {stmt}") from None
-
     def stmt(self, sid: int) -> Statement:
         return self.statements[sid]
 
@@ -182,6 +176,7 @@ def saturate_statements(
 ) -> ReasoningGraph:
     """Smallest closure of the initial statements under the rule library,
     bounded by the budget (the flag ``truncated`` is set when a cap bites).
+    Each new statement runs, in catalog order, only the rules it triggers.
 
     Every conclusion must hold numerically, or the scene is aborted with
     ``VerifierContradictionError``. Coordinates do not change during
@@ -189,6 +184,10 @@ def saturate_statements(
     when it is first concluded, an initial one when a rule first re-derives
     it. Only a conclusion that a budget cap keeps out of the graph is
     checked again each time it recurs."""
+    triggered: dict[Predicate, list[Rule]] = {}
+    for rule in rules:
+        for pred in rule.triggers:
+            triggered.setdefault(pred, []).append(rule)
     graph = ReasoningGraph()
     ctx = MatchContext(geometry, graph.statements, graph.index)
     for stmt in initial:
@@ -206,7 +205,7 @@ def saturate_statements(
         rounds += 1
         next_batch: list[int] = []
         for sid in batch:
-            for rule in rules:
+            for rule in triggered.get(graph.statements[sid].predicate, ()):
                 for premises, conclusion in rule.match(ctx, sid):
                     premises = tuple(sorted(premises))
                     if max(premises) != sid:

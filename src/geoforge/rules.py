@@ -1,15 +1,18 @@
 """Geometric theorem catalog for the forward-chaining reasoner.
 
-Each rule is one matcher: given a match context and the id of its newest
-statement, it yields every (premise ids, conclusion) the rule licenses with
-that statement as the newest premise (semi-naive evaluation: every premise
-combination fires exactly once, when its newest premise is processed).
-Saturation runs the matchers over the growing graph; replay runs the same
-matcher over a context holding only a recorded step's cited premises, so the
-matchers are the single definition of what each rule derives. Rules carry
-numeric side-condition guards so that a fired rule's conclusion always holds
-on the instantiated scene; a conclusion failing the kernel check therefore
-signals a bug, not a filterable event.
+Each rule is a matcher plus its triggers, the predicates its newest premise
+may have. Given a match context and the id of its newest statement, whose
+predicate the matcher may assume is a trigger, it yields every (premise ids,
+conclusion) the rule licenses with that statement as the newest premise
+(semi-naive evaluation: every premise combination fires exactly once, when
+its newest premise is processed). Saturation runs only the rules a new
+statement's predicate triggers; replay refuses a step whose newest cited
+premise is not a trigger and otherwise runs the same matcher over a context
+holding only the cited premises, so the matchers are the single definition
+of what each rule derives. Rules carry numeric side-condition guards so that
+a fired rule's conclusion always holds on the instantiated scene; a
+conclusion failing the kernel check therefore signals a bug, not a
+filterable event.
 """
 
 from __future__ import annotations
@@ -76,16 +79,20 @@ class MatchContext:
 
 @dataclass(frozen=True)
 class Rule:
-    """A theorem: its id and its premise matcher."""
+    """A theorem: its id, its premise matcher and the predicates its newest
+    premise may have."""
 
     id: str
     match: Callable[[MatchContext, int], Iterator[Match]]
+    triggers: frozenset[Predicate]
 
     def recheck(self, geometry: SceneGeometry, premises: Sequence[Statement], conclusion: Statement) -> bool:
         """Replay one recorded step: run the matcher on a context holding only
         the cited premises, the last one newest, and accept the step only if
-        it derives exactly ``conclusion`` from exactly these premises."""
-        if not premises:
+        it derives exactly ``conclusion`` from exactly these premises. A last
+        premise whose predicate is not a trigger is refused before the
+        matcher, which assumes a trigger predicate, sees it."""
+        if not premises or premises[-1].predicate not in self.triggers:
             return False
         ctx = MatchContext.of(geometry, premises)
         cited = tuple(range(len(premises)))
@@ -124,10 +131,6 @@ def _not_collinear(g: SceneGeometry, a: str, b: str, c: str, margin: float = 1e-
     return len({a, b, c}) == 3 and g.collinear_residual(a, b, c) > margin
 
 
-def _norm180(deg: float) -> float:
-    return (deg + 180.0) % 360.0 - 180.0
-
-
 def _position_deg(g: SceneGeometry, center: str, p: str) -> float:
     pc, pp = g.point(center), g.point(p)
     return math.degrees(math.atan2(pp[1] - pc[1], pp[0] - pc[0]))
@@ -147,11 +150,6 @@ def _on_major_arc(g: SceneGeometry, center: str, a: str, b: str, c: str) -> bool
     if dc < eps or abs(dc - ds) < eps or abs(dc - 360.0) < eps:
         return False  # coincides with an endpoint
     return dc > ds
-
-
-def _strictly_between(g: SceneGeometry, a: str, x: str, b: str) -> bool:
-    pa, px, pb = g.point(a), g.point(x), g.point(b)
-    return (pa[0] - px[0]) * (pb[0] - px[0]) + (pa[1] - px[1]) * (pb[1] - px[1]) < 0.0
 
 
 def _side_sign(g: SceneGeometry, p: str, a: str, b: str, margin: float = 1e-7) -> int:
@@ -185,10 +183,7 @@ def _sqrt_fraction(f: Fraction) -> Fraction | None:
 
 
 def _m_isosceles_base_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    new = ctx.stmt(sid)
-    if new.predicate is not Predicate.EQUAL_SEGMENTS:
-        return
-    s1, s2 = new.groups
+    s1, s2 = ctx.stmt(sid).groups
     apex = _shared_point(s1, s2)
     if apex is None:
         return
@@ -215,8 +210,6 @@ def _base_angle_pattern(a1: Sequence[str], a2: Sequence[str]) -> tuple[str, str,
 
 def _m_isosceles_converse(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
-    if new.predicate is not Predicate.EQUAL_ANGLES:
-        return
     pat = _base_angle_pattern(new.groups[0], new.groups[1])
     if pat is None:
         return
@@ -230,7 +223,7 @@ def _m_isosceles_converse(ctx: MatchContext, sid: int) -> Iterator[Match]:
 
 def _m_triangle_angle_sum(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
-    if new.predicate is not Predicate.ANGLE_MEASURE or new.value is None:
+    if new.value is None:
         return
     tri = set(new.groups[0])
     for oid, other in _others(ctx, Predicate.ANGLE_MEASURE, sid):
@@ -272,15 +265,13 @@ def _m_angle_sum_equal_pair(ctx: MatchContext, sid: int) -> Iterator[Match]:
     if new.predicate is Predicate.EQUAL_ANGLES:
         for oid, other in _others(ctx, Predicate.ANGLE_MEASURE, sid):
             yield from fire(sid, new, oid, other)
-    elif new.predicate is Predicate.ANGLE_MEASURE:
+    else:
         for oid, other in _others(ctx, Predicate.EQUAL_ANGLES, sid):
             yield from fire(oid, other, sid, new)
 
 
 def _m_vertical_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
-    if new.predicate is not Predicate.COLLINEAR:
-        return
     g = ctx.geometry
     for oid, other in _others(ctx, Predicate.COLLINEAR, sid):
         common = set(new.groups[0]) & set(other.groups[0])
@@ -289,7 +280,7 @@ def _m_vertical_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
         x = common.pop()
         a, b = (p for p in new.groups[0] if p != x)
         c, d = (p for p in other.groups[0] if p != x)
-        if not (_strictly_between(g, a, x, b) and _strictly_between(g, c, x, d)):
+        if not (g.strictly_between(a, x, b) and g.strictly_between(c, x, d)):
             continue
         if _side_sign(g, c, a, b) == 0:  # same line, no crossing
             continue
@@ -302,8 +293,6 @@ def _m_vertical_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
 
 def _m_alternate_interior(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
-    if new.predicate is not Predicate.PARALLEL:
-        return
     g = ctx.geometry
     s1, s2 = new.groups
     for b in s1:
@@ -327,7 +316,7 @@ def _m_corresponding_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
                 if {b, c} - pts:
                     continue
                 e = (pts - {b, c}).pop() if len(pts - {b, c}) == 1 else None
-                if e is None or not _strictly_between(g, b, c, e):
+                if e is None or not g.strictly_between(b, c, e):
                     continue
                 a, d = _other_end(s1, b), _other_end(s2, c)
                 sa, sd = _side_sign(g, a, b, c), _side_sign(g, d, b, c)
@@ -341,7 +330,7 @@ def _m_corresponding_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
     if new.predicate is Predicate.PARALLEL:
         for oid, other in _others(ctx, Predicate.COLLINEAR, sid):
             yield from fire(sid, new, oid, other)
-    elif new.predicate is Predicate.COLLINEAR:
+    else:
         for oid, other in _others(ctx, Predicate.PARALLEL, sid):
             yield from fire(oid, other, sid, new)
 
@@ -379,35 +368,26 @@ def _m_perpendicular_right_angle(ctx: MatchContext, sid: int) -> Iterator[Match]
         yield from shared_endpoint(sid, new)
         for oid, other in _others(ctx, Predicate.COLLINEAR, sid):
             yield from on_line(sid, new, oid, other)
-    elif new.predicate is Predicate.COLLINEAR:
+    else:
         for oid, other in _others(ctx, Predicate.PERPENDICULAR, sid):
             yield from on_line(oid, other, sid, new)
 
 
 def _m_right_angle_measure(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    new = ctx.stmt(sid)
-    if new.predicate is not Predicate.RIGHT_ANGLE:
-        return
-    conclusion = _safe(angle_measure, new.groups[0], 90)
+    conclusion = _safe(angle_measure, ctx.stmt(sid).groups[0], 90)
     if conclusion is not None:
         yield (sid,), conclusion
 
 
 def _m_midpoint_equal_halves(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    new = ctx.stmt(sid)
-    if new.predicate is not Predicate.MIDPOINT:
-        return
-    (m,), (a, b) = new.groups
+    (m,), (a, b) = ctx.stmt(sid).groups
     conclusion = _safe(equal_segments, (a, m), (m, b))
     if conclusion is not None:
         yield (sid,), conclusion
 
 
 def _m_midpoint_half_ratio(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    new = ctx.stmt(sid)
-    if new.predicate is not Predicate.MIDPOINT:
-        return
-    (m,), (a, b) = new.groups
+    (m,), (a, b) = ctx.stmt(sid).groups
     for end in (a, b):
         conclusion = _safe(segment_ratio, (end, m), (a, b), Fraction(1, 2))
         if conclusion is not None:
@@ -417,10 +397,7 @@ def _m_midpoint_half_ratio(ctx: MatchContext, sid: int) -> Iterator[Match]:
 def _midsegment_pattern(
     ctx: MatchContext, sid: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[str, str], tuple[str, str]]]:
-    new = ctx.stmt(sid)
-    if new.predicate is not Predicate.MIDPOINT:
-        return
-    (m,), seg1 = new.groups
+    (m,), seg1 = ctx.stmt(sid).groups
     for oid, other in _others(ctx, Predicate.MIDPOINT, sid):
         (n,), seg2 = other.groups
         apex = _shared_point(seg1, seg2)
@@ -455,7 +432,7 @@ def _right_angle_with_lengths(
         lens = list(_others(ctx, Predicate.SEGMENT_LENGTH, sid))
         for (i1, l1), (i2, l2) in combinations(lens, 2):
             yield sid, new, i1, l1, i2, l2
-    elif new.predicate is Predicate.SEGMENT_LENGTH:
+    else:
         for rid, ra in _others(ctx, Predicate.RIGHT_ANGLE, sid):
             for oid, other in _others(ctx, Predicate.SEGMENT_LENGTH, sid):
                 yield rid, ra, oid, other, sid, new
@@ -531,8 +508,6 @@ def _triangle_correspondence(
 
 def _m_sss_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
-    if new.predicate is not Predicate.EQUAL_SEGMENTS:
-        return
     g = ctx.geometry
     eqs = list(_others(ctx, Predicate.EQUAL_SEGMENTS, sid))
     seen: set[tuple[tuple[int, ...], Statement]] = set()
@@ -644,7 +619,7 @@ def _m_sas_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
 
     if new.predicate is Predicate.EQUAL_ANGLES:
         yield from fire(sid, new, sid)
-    elif new.predicate is Predicate.EQUAL_SEGMENTS:
+    else:
         for oid, other in _others(ctx, Predicate.EQUAL_ANGLES, sid):
             if _vertices_on(other, new):
                 yield from fire(oid, other, sid)
@@ -662,43 +637,47 @@ def _triangle_maps(
     return (v1, w1, r1.pop()), (v2, w2, r2.pop())
 
 
+def _two_angle_triangles(
+    g: SceneGeometry, st_a: Statement, st_b: Statement
+) -> Iterator[tuple[tuple[str, str, str], tuple[str, str, str]]]:
+    """Non-degenerate triangle pairs (v, w, u) in which ``st_a`` equates the
+    angles at v and ``st_b`` those at w."""
+    for a1, a2 in _angle_pairings(st_a):
+        for b1, b2 in _angle_pairings(st_b):
+            if set(a1) != set(b1) or set(a2) != set(b2):
+                continue
+            tri = _triangle_maps(set(a1), set(a2), a1[1], a2[1], b1[1], b2[1])
+            if tri is not None and _not_collinear(g, *tri[0]) and _not_collinear(g, *tri[1]):
+                yield tri
+
+
 def _m_asa_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
-    g = ctx.geometry
 
     def fire(id_a: int, st_a: Statement, id_b: int, st_b: Statement, newest: int) -> Iterator[Match]:
         seen: set[tuple[tuple[int, ...], Statement]] = set()
-        for a1, a2 in _angle_pairings(st_a):
-            for b1, b2 in _angle_pairings(st_b):
-                if set(a1) != set(b1) or set(a2) != set(b2):
-                    continue
-                tri = _triangle_maps(set(a1), set(a2), a1[1], a2[1], b1[1], b2[1])
-                if tri is None:
-                    continue
-                (v1, w1, u1), (v2, w2, u2) = tri
-                ok, eq_id = _eq_or_identical(ctx, (v1, w1), (v2, w2), newest + 1)
-                if not ok:
-                    continue
-                ids = {id_a, id_b} | ({eq_id} if eq_id is not None else set())
-                if newest not in ids or max(ids) != newest:
-                    continue
-                if not (_not_collinear(g, v1, w1, u1) and _not_collinear(g, v2, w2, u2)):
-                    continue
-                conclusion = _safe(congruent_triangles, (v1, w1, u1), (v2, w2, u2))
-                if conclusion is None:
-                    continue
-                premises = tuple(sorted(ids))
-                if (premises, conclusion) in seen:
-                    continue
-                seen.add((premises, conclusion))
-                yield premises, conclusion
+        for (v1, w1, u1), (v2, w2, u2) in _two_angle_triangles(ctx.geometry, st_a, st_b):
+            ok, eq_id = _eq_or_identical(ctx, (v1, w1), (v2, w2), newest + 1)
+            if not ok:
+                continue
+            ids = {id_a, id_b} | ({eq_id} if eq_id is not None else set())
+            if newest not in ids or max(ids) != newest:
+                continue
+            conclusion = _safe(congruent_triangles, (v1, w1, u1), (v2, w2, u2))
+            if conclusion is None:
+                continue
+            premises = tuple(sorted(ids))
+            if (premises, conclusion) in seen:
+                continue
+            seen.add((premises, conclusion))
+            yield premises, conclusion
 
     if new.predicate is Predicate.EQUAL_ANGLES:
         key = _triangle_pair_key(new)
         for oid, other in _others(ctx, Predicate.EQUAL_ANGLES, sid):
             if _triangle_pair_key(other) == key:
                 yield from fire(sid, new, oid, other, sid)
-    elif new.predicate is Predicate.EQUAL_SEGMENTS:
+    else:
         angs = [
             (i, a) for i, a in _others(ctx, Predicate.EQUAL_ANGLES, sid) if _vertices_on(a, new)
         ]
@@ -712,20 +691,14 @@ def _corresponding_side_pairs(t1, t2):
 
 
 def _m_congruent_sides(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    new = ctx.stmt(sid)
-    if new.predicate is not Predicate.CONGRUENT_TRIANGLES:
-        return
-    for s1, s2 in _corresponding_side_pairs(*new.groups):
+    for s1, s2 in _corresponding_side_pairs(*ctx.stmt(sid).groups):
         conclusion = _safe(equal_segments, s1, s2)
         if conclusion is not None:
             yield (sid,), conclusion
 
 
 def _m_congruent_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    new = ctx.stmt(sid)
-    if new.predicate is not Predicate.CONGRUENT_TRIANGLES:
-        return
-    t1, t2 = new.groups
+    t1, t2 = ctx.stmt(sid).groups
     for i in range(3):
         a1 = (t1[(i + 1) % 3], t1[i], t1[(i + 2) % 3])
         a2 = (t2[(i + 1) % 3], t2[i], t2[(i + 2) % 3])
@@ -736,32 +709,20 @@ def _m_congruent_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
 
 def _m_aa_similarity(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
-    if new.predicate is not Predicate.EQUAL_ANGLES:
-        return
-    g = ctx.geometry
     seen: set[tuple[tuple[int, ...], Statement]] = set()
     key = _triangle_pair_key(new)
     for oid, other in _others(ctx, Predicate.EQUAL_ANGLES, sid):
         if _triangle_pair_key(other) != key:
             continue
-        for a1, a2 in _angle_pairings(new):
-            for b1, b2 in _angle_pairings(other):
-                if set(a1) != set(b1) or set(a2) != set(b2):
-                    continue
-                tri = _triangle_maps(set(a1), set(a2), a1[1], a2[1], b1[1], b2[1])
-                if tri is None:
-                    continue
-                (v1, w1, u1), (v2, w2, u2) = tri
-                if not (_not_collinear(g, v1, w1, u1) and _not_collinear(g, v2, w2, u2)):
-                    continue
-                conclusion = _safe(similar_triangles, (v1, w1, u1), (v2, w2, u2))
-                if conclusion is None:
-                    continue
-                premises = tuple(sorted((oid, sid)))
-                if (premises, conclusion) in seen:
-                    continue
-                seen.add((premises, conclusion))
-                yield premises, conclusion
+        for t1, t2 in _two_angle_triangles(ctx.geometry, new, other):
+            conclusion = _safe(similar_triangles, t1, t2)
+            if conclusion is None:
+                continue
+            premises = tuple(sorted((oid, sid)))
+            if (premises, conclusion) in seen:
+                continue
+            seen.add((premises, conclusion))
+            yield premises, conclusion
 
 
 def _m_similar_side_ratio(ctx: MatchContext, sid: int) -> Iterator[Match]:
@@ -789,16 +750,13 @@ def _m_similar_side_ratio(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
     if new.predicate is Predicate.SIMILAR_TRIANGLES:
         yield from fire(sid, new, sid)
-    elif new.predicate is Predicate.SEGMENT_LENGTH:
+    else:
         for oid, other in _others(ctx, Predicate.SIMILAR_TRIANGLES, sid):
             yield from fire(oid, other, sid)
 
 
 def _lookup_len(ctx: MatchContext, seg: tuple[str, str], before: int) -> tuple[int, Fraction] | None:
-    for i in ctx.ids_of(Predicate.SEGMENT_LENGTH):
-        if i >= before:
-            break
-        s = ctx.stmt(i)
+    for i, s in _others(ctx, Predicate.SEGMENT_LENGTH, before):
         if s.groups[0] == seg and s.value is not None:
             return i, s.value
     return None
@@ -807,10 +765,7 @@ def _lookup_len(ctx: MatchContext, seg: tuple[str, str], before: int) -> tuple[i
 def _circle_groups(ctx: MatchContext, before: int) -> dict[tuple[str, tuple[str, str]], list[tuple[int, str]]]:
     """Group on-circle statements by (center, radius segment)."""
     circles: dict[tuple[str, tuple[str, str]], list[tuple[int, str]]] = {}
-    for i in ctx.ids_of(Predicate.ON_CIRCLE):
-        if i >= before:
-            break
-        s = ctx.stmt(i)
+    for i, s in _others(ctx, Predicate.ON_CIRCLE, before):
         (p,), (o,), sr = s.groups
         circles.setdefault((o, sr), []).append((i, p))
     return circles
@@ -849,7 +804,7 @@ def _m_inscribed_angle(ctx: MatchContext, sid: int) -> Iterator[Match]:
         circles = _circle_groups(ctx, sid)
         for key, members in circles.items():
             yield from fire(key, members, sid, new, sid)
-    elif new.predicate is Predicate.ON_CIRCLE:
+    else:
         circles = _circle_groups(ctx, sid + 1)
         for oid, other in _others(ctx, Predicate.ANGLE_MEASURE, sid):
             for key, members in circles.items():
@@ -886,7 +841,7 @@ def _m_thales(ctx: MatchContext, sid: int) -> Iterator[Match]:
         circles = _circle_groups(ctx, sid)
         for key, members in circles.items():
             yield from fire(key, members, sid, new, sid)
-    elif new.predicate is Predicate.ON_CIRCLE:
+    else:
         circles = _circle_groups(ctx, sid + 1)
         for oid, other in _others(ctx, Predicate.MIDPOINT, sid):
             for key, members in circles.items():
@@ -895,7 +850,7 @@ def _m_thales(ctx: MatchContext, sid: int) -> Iterator[Match]:
 
 def _m_angle_addition(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
-    if new.predicate is not Predicate.ANGLE_MEASURE or new.value is None:
+    if new.value is None:
         return
     g = ctx.geometry
     p1, v, q1 = new.groups[0]
@@ -927,8 +882,6 @@ def _m_angle_addition(ctx: MatchContext, sid: int) -> Iterator[Match]:
 def _transitive(pred: Predicate, factory) -> Callable[[MatchContext, int], Iterator[Match]]:
     def matcher(ctx: MatchContext, sid: int) -> Iterator[Match]:
         new = ctx.stmt(sid)
-        if new.predicate is not pred:
-            return
         for oid, other in _others(ctx, pred, sid):
             common = [x for x in new.groups if x in other.groups]
             if len(common) != 1:
@@ -965,7 +918,7 @@ def _substitution(
         if new.predicate is eq_pred:
             for oid, other in _others(ctx, val_pred, sid):
                 yield from fire(ctx, sid, new, oid, other)
-        elif new.predicate is val_pred:
+        else:
             for oid, other in _others(ctx, eq_pred, sid):
                 yield from fire(ctx, oid, other, sid, new)
 
@@ -990,48 +943,78 @@ def _m_ratio_length_substitution(ctx: MatchContext, sid: int) -> Iterator[Match]
     if new.predicate is Predicate.SEGMENT_RATIO:
         for oid, other in _others(ctx, Predicate.SEGMENT_LENGTH, sid):
             yield from fire(sid, new, oid, other)
-    elif new.predicate is Predicate.SEGMENT_LENGTH:
+    else:
         for oid, other in _others(ctx, Predicate.SEGMENT_RATIO, sid):
             yield from fire(oid, other, sid, new)
 
 
+_P = Predicate
+
 DEFAULT_RULES: tuple[Rule, ...] = (
-    Rule("isosceles_base_angles", _m_isosceles_base_angles),
-    Rule("isosceles_converse", _m_isosceles_converse),
-    Rule("triangle_angle_sum", _m_triangle_angle_sum),
-    Rule("triangle_angle_sum_equal_pair", _m_angle_sum_equal_pair),
-    Rule("vertical_angles", _m_vertical_angles),
-    Rule("alternate_interior_angles", _m_alternate_interior),
-    Rule("corresponding_angles", _m_corresponding_angles),
-    Rule("perpendicular_right_angle", _m_perpendicular_right_angle),
-    Rule("right_angle_measure", _m_right_angle_measure),
-    Rule("midpoint_equal_halves", _m_midpoint_equal_halves),
-    Rule("midpoint_half_ratio", _m_midpoint_half_ratio),
-    Rule("midsegment_parallel", _m_midsegment_parallel),
-    Rule("midsegment_half_length", _m_midsegment_half_length),
-    Rule("pythagoras", _m_pythagoras),
-    Rule("pythagoras_leg", _m_pythagoras_leg),
-    Rule("sss_congruence", _m_sss_congruence),
-    Rule("sas_congruence", _m_sas_congruence),
-    Rule("asa_congruence", _m_asa_congruence),
-    Rule("congruent_sides", _m_congruent_sides),
-    Rule("congruent_angles", _m_congruent_angles),
-    Rule("aa_similarity", _m_aa_similarity),
-    Rule("similar_side_ratio", _m_similar_side_ratio),
-    Rule("inscribed_angle", _m_inscribed_angle),
-    Rule("thales_right_angle", _m_thales),
-    Rule("angle_addition", _m_angle_addition),
-    Rule("equal_segments_transitive", _transitive(Predicate.EQUAL_SEGMENTS, equal_segments)),
-    Rule("equal_angles_transitive", _transitive(Predicate.EQUAL_ANGLES, equal_angles)),
+    Rule("isosceles_base_angles", _m_isosceles_base_angles, frozenset({_P.EQUAL_SEGMENTS})),
+    Rule("isosceles_converse", _m_isosceles_converse, frozenset({_P.EQUAL_ANGLES})),
+    Rule("triangle_angle_sum", _m_triangle_angle_sum, frozenset({_P.ANGLE_MEASURE})),
+    Rule(
+        "triangle_angle_sum_equal_pair",
+        _m_angle_sum_equal_pair,
+        frozenset({_P.EQUAL_ANGLES, _P.ANGLE_MEASURE}),
+    ),
+    Rule("vertical_angles", _m_vertical_angles, frozenset({_P.COLLINEAR})),
+    Rule("alternate_interior_angles", _m_alternate_interior, frozenset({_P.PARALLEL})),
+    Rule(
+        "corresponding_angles", _m_corresponding_angles, frozenset({_P.PARALLEL, _P.COLLINEAR})
+    ),
+    Rule(
+        "perpendicular_right_angle",
+        _m_perpendicular_right_angle,
+        frozenset({_P.PERPENDICULAR, _P.COLLINEAR}),
+    ),
+    Rule("right_angle_measure", _m_right_angle_measure, frozenset({_P.RIGHT_ANGLE})),
+    Rule("midpoint_equal_halves", _m_midpoint_equal_halves, frozenset({_P.MIDPOINT})),
+    Rule("midpoint_half_ratio", _m_midpoint_half_ratio, frozenset({_P.MIDPOINT})),
+    Rule("midsegment_parallel", _m_midsegment_parallel, frozenset({_P.MIDPOINT})),
+    Rule("midsegment_half_length", _m_midsegment_half_length, frozenset({_P.MIDPOINT})),
+    Rule("pythagoras", _m_pythagoras, frozenset({_P.RIGHT_ANGLE, _P.SEGMENT_LENGTH})),
+    Rule("pythagoras_leg", _m_pythagoras_leg, frozenset({_P.RIGHT_ANGLE, _P.SEGMENT_LENGTH})),
+    Rule("sss_congruence", _m_sss_congruence, frozenset({_P.EQUAL_SEGMENTS})),
+    Rule("sas_congruence", _m_sas_congruence, frozenset({_P.EQUAL_ANGLES, _P.EQUAL_SEGMENTS})),
+    Rule("asa_congruence", _m_asa_congruence, frozenset({_P.EQUAL_ANGLES, _P.EQUAL_SEGMENTS})),
+    Rule("congruent_sides", _m_congruent_sides, frozenset({_P.CONGRUENT_TRIANGLES})),
+    Rule("congruent_angles", _m_congruent_angles, frozenset({_P.CONGRUENT_TRIANGLES})),
+    Rule("aa_similarity", _m_aa_similarity, frozenset({_P.EQUAL_ANGLES})),
+    Rule(
+        "similar_side_ratio",
+        _m_similar_side_ratio,
+        frozenset({_P.SIMILAR_TRIANGLES, _P.SEGMENT_LENGTH}),
+    ),
+    Rule("inscribed_angle", _m_inscribed_angle, frozenset({_P.ANGLE_MEASURE, _P.ON_CIRCLE})),
+    Rule("thales_right_angle", _m_thales, frozenset({_P.MIDPOINT, _P.ON_CIRCLE})),
+    Rule("angle_addition", _m_angle_addition, frozenset({_P.ANGLE_MEASURE})),
+    Rule(
+        "equal_segments_transitive",
+        _transitive(_P.EQUAL_SEGMENTS, equal_segments),
+        frozenset({_P.EQUAL_SEGMENTS}),
+    ),
+    Rule(
+        "equal_angles_transitive",
+        _transitive(_P.EQUAL_ANGLES, equal_angles),
+        frozenset({_P.EQUAL_ANGLES}),
+    ),
     Rule(
         "segment_length_substitution",
-        _substitution(Predicate.EQUAL_SEGMENTS, Predicate.SEGMENT_LENGTH, segment_length),
+        _substitution(_P.EQUAL_SEGMENTS, _P.SEGMENT_LENGTH, segment_length),
+        frozenset({_P.EQUAL_SEGMENTS, _P.SEGMENT_LENGTH}),
     ),
     Rule(
         "angle_measure_substitution",
-        _substitution(Predicate.EQUAL_ANGLES, Predicate.ANGLE_MEASURE, angle_measure),
+        _substitution(_P.EQUAL_ANGLES, _P.ANGLE_MEASURE, angle_measure),
+        frozenset({_P.EQUAL_ANGLES, _P.ANGLE_MEASURE}),
     ),
-    Rule("ratio_length_substitution", _m_ratio_length_substitution),
+    Rule(
+        "ratio_length_substitution",
+        _m_ratio_length_substitution,
+        frozenset({_P.SEGMENT_RATIO, _P.SEGMENT_LENGTH}),
+    ),
 )
 
 RULES_BY_ID = {r.id: r for r in DEFAULT_RULES}

@@ -14,6 +14,7 @@ from geoforge.reasoner import (
 )
 from geoforge.rules import DEFAULT_RULES, Rule
 from geoforge.statements import (
+    Predicate,
     angle_measure,
     equal_angles,
     equal_segments,
@@ -109,7 +110,8 @@ class TestSaturate:
 
         saturate_statements(g, [false, true])  # no rule re-derives it
         with pytest.raises(VerifierContradictionError) as exc_info:
-            saturate_statements(g, [false, true], rules=(Rule("echo", echo), *DEFAULT_RULES))
+            echo_rule = Rule("echo", echo, frozenset({Predicate.SEGMENT_LENGTH}))
+            saturate_statements(g, [false, true], rules=(echo_rule, *DEFAULT_RULES))
         assert exc_info.value.rule_id == "echo"
         assert exc_info.value.conclusion == false
 

@@ -12,6 +12,7 @@ from geoforge.pipeline import PipelineConfig, _build_scene
 from geoforge.reasoner import saturate, saturate_statements
 from geoforge.rules import DEFAULT_RULES, RULES_BY_ID, MatchContext
 from geoforge.statements import (
+    Predicate,
     angle_measure,
     collinear,
     congruent_triangles,
@@ -30,12 +31,14 @@ from geoforge.statements import (
 
 def assert_replays(geometry, graph):
     """Every transition is re-derived by its own rule from exactly its
-    premises, whichever end of the premise list is cited last."""
+    premises, whichever premise is cited last: so each premise's predicate
+    must be one of the rule's triggers."""
     for t in graph.transitions:
         rule = RULES_BY_ID[t.rule]
         premises = [graph.stmt(p) for p in t.premises]
         conclusion = graph.stmt(t.conclusion)
-        for cited in (premises, premises[::-1]):
+        for i, last in enumerate(premises):
+            cited = premises[:i] + premises[i + 1 :] + [last]
             assert rule.recheck(geometry, cited, conclusion), (t.rule, cited, conclusion)
 
 
@@ -590,6 +593,33 @@ class TestReplay:
         for rule in DEFAULT_RULES:
             if rule.id != "isosceles_converse":
                 assert not rule.recheck(geometry, [premise], conclusion), rule.id
+
+    def test_off_trigger_last_premise_refused(self):
+        # guardless matchers assume a trigger predicate; replay must not hand
+        # them anything else, since verify replays parsed outside input
+        geometry = SceneGeometry(_CONG)
+        congruent = congruent_triangles(("A", "B", "C"), ("D", "E", "F"))
+        one_of_each = {
+            Predicate.COLLINEAR: collinear("A", "B", "C"),
+            Predicate.PARALLEL: parallel(("A", "B"), ("D", "E")),
+            Predicate.PERPENDICULAR: perpendicular(("A", "B"), ("B", "C")),
+            Predicate.EQUAL_SEGMENTS: equal_segments(("A", "B"), ("D", "E")),
+            Predicate.EQUAL_ANGLES: equal_angles(("A", "B", "C"), ("D", "E", "F")),
+            Predicate.SEGMENT_LENGTH: segment_length(("A", "B"), 3),
+            Predicate.ANGLE_MEASURE: angle_measure(("A", "B", "C"), 60),
+            Predicate.RIGHT_ANGLE: right_angle(("A", "B", "C")),
+            Predicate.MIDPOINT: midpoint("C", ("A", "B")),
+            Predicate.ON_CIRCLE: on_circle("B", "A", ("A", "C")),
+            Predicate.CONGRUENT_TRIANGLES: congruent,
+            Predicate.SIMILAR_TRIANGLES: similar_triangles(("A", "B", "C"), ("D", "E", "F")),
+            Predicate.SEGMENT_RATIO: segment_ratio(("A", "B"), ("D", "E"), Fraction(1, 2)),
+        }
+        assert set(one_of_each) == set(Predicate)
+        for rule in DEFAULT_RULES:
+            assert rule.triggers, rule.id
+            for pred in set(Predicate) - rule.triggers:
+                for cited in ([one_of_each[pred]], [*one_of_each.values(), one_of_each[pred]]):
+                    assert not rule.recheck(geometry, cited, congruent), (rule.id, pred)
 
     def test_premises_must_be_exact(self):
         geometry = SceneGeometry(_CONG)
