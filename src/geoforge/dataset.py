@@ -49,7 +49,7 @@ class ProblemRecord:
     question: str
     premises: tuple[Statement, ...]
     target: Statement  # query form for numeric problems
-    answer_value: Fraction | float | None
+    answer_value: Fraction | None
     solutions: tuple[tuple[SolutionStep, ...], ...]
     wrong_branch: tuple[SolutionStep, ...] | None
     overlap: float | None
@@ -96,7 +96,7 @@ def _answer_doc(record: ProblemRecord) -> dict | None:
     value = record.answer_value
     return {
         "kind": "numeric",
-        "exact": str(value) if isinstance(value, Fraction) else None,
+        "exact": str(value),
         "approx": float(value),
         "unit": record.answer_unit,
     }
@@ -152,13 +152,7 @@ def record_from_doc(doc: dict) -> ProblemRecord:
 
     try:
         answer = doc["answer"]
-        if doc["kind"] == "numeric":
-            if answer["exact"] is not None:
-                value: Fraction | float | None = Fraction(answer["exact"])
-            else:
-                value = float(answer["approx"])
-        else:
-            value = None
+        value = Fraction(answer["exact"]) if doc["kind"] == "numeric" else None
         meta = doc["metadata"]
         return ProblemRecord(
             id=doc["id"],

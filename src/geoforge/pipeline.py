@@ -68,7 +68,6 @@ from .translate import (
     ExternalBackend,
     TemplateBackend,
     connect_thinking,
-    narrate_traceback,
     translate_steps,
 )
 
@@ -187,13 +186,13 @@ def _draft_to_record(
         primary = draft.solutions[0]
         nl_steps = translate_steps(primary, backend)
         nl_solution = " ".join(s.rule_text for s in nl_steps)
+        connection = connect_thinking(primary, nl_steps, draft.target, backend).render()
         if draft.template == "traceback" and draft.wrong_branch:
-            wrong_nl = translate_steps(draft.wrong_branch, backend)
+            # the wrong branch, a pivot, then the correct continuation
+            wrong = " ".join(s.rule_text for s in translate_steps(draft.wrong_branch, backend))
             pivot = backend.pivot_sentence(draft.wrong_branch[-1].conclusion, draft.target)
-            nl_solution = f"{' '.join(s.rule_text for s in wrong_nl)} {pivot} {nl_solution}"
-            connection = narrate_traceback(draft.wrong_branch, primary, draft.target, backend)
-        else:
-            connection = connect_thinking(primary, nl_steps, draft.target, backend).render()
+            nl_solution = f"{wrong} {pivot} {nl_solution}"
+            connection = f"{wrong} {pivot} {connection}"
     except BackendUnavailableError:
         nl_solution = None
         connection = None
@@ -471,7 +470,7 @@ def curate_testset(in_dir: str | Path, per_tier: int, out_dir: str | Path) -> li
             doc = {
                 "id": r.id,
                 "tier": r.metadata.tier,
-                "exact": str(r.answer_value) if isinstance(r.answer_value, Fraction) else None,
+                "exact": str(r.answer_value),
                 "approx": float(r.answer_value),
             }
             f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
@@ -710,7 +709,7 @@ def _verify_record(
         except GeometryError as exc:
             return f"oracle failure: {exc}"
         claimed = record.answer_value
-        if isinstance(oracle, Fraction) and isinstance(claimed, Fraction):
+        if isinstance(oracle, Fraction):
             if abs(claimed - oracle) > Fraction(1, 10**9) * max(1, abs(oracle)):
                 return f"answer {claimed} disagrees with oracle {oracle}"
         else:
@@ -722,11 +721,9 @@ def _verify_record(
 
 def _full_target(record: ProblemRecord) -> Statement:
     """The statement a solution must end at (value restored for numeric)."""
-    if record.kind == "proof" or record.answer_value is None:
+    if record.answer_value is None:
         return record.target
-    if isinstance(record.answer_value, Fraction):
-        return Statement(record.target.predicate, record.target.groups, record.answer_value)
-    return record.target
+    return Statement(record.target.predicate, record.target.groups, record.answer_value)
 
 
 def verify(in_dir: str | Path) -> VerifyReport:

@@ -5,14 +5,20 @@ may have. Given a match context and the id of its newest statement, whose
 predicate the matcher may assume is a trigger, it yields every (premise ids,
 conclusion) the rule licenses with that statement as the newest premise
 (semi-naive evaluation: every premise combination fires exactly once, when
-its newest premise is processed). Saturation runs only the rules a new
-statement's predicate triggers; replay refuses a step whose newest cited
-premise is not a trigger and otherwise runs the same matcher over a context
-holding only the cited premises, so the matchers are the single definition
-of what each rule derives. Rules carry numeric side-condition guards so that
-a fired rule's conclusion always holds on the instantiated scene; a
-conclusion failing the kernel check therefore signals a bug, not a
-filterable event.
+its newest premise is processed). A matcher reads only statements with ids
+<= the newest, so a combination is new exactly when it cites the newest id.
+Three helpers state the join's policies once: ``_role`` picks the
+statements that may fill a premise of one predicate (the newest alone if it
+has that predicate, else the earlier ones), ``_fire`` drops a conclusion
+that is not a well-formed statement, and ``_distinct`` reports a fire once
+per call for the triangle matchers, which reach it once per labelling.
+Saturation runs only the rules a new statement's predicate triggers; replay
+refuses a step whose newest cited premise is not a trigger and otherwise
+runs the same matcher over a context holding only the cited premises, so the
+matchers are the single definition of what each rule derives. Rules carry
+numeric side-condition guards so that a fired rule's conclusion always holds
+on the instantiated scene; a conclusion failing the kernel check therefore
+signals a bug, not a filterable event.
 """
 
 from __future__ import annotations
@@ -77,13 +83,16 @@ class MatchContext:
         return self.index.get(stmt)
 
 
+Matcher = Callable[[MatchContext, int], Iterator[Match]]
+
+
 @dataclass(frozen=True)
 class Rule:
     """A theorem: its id, its premise matcher and the predicates its newest
     premise may have."""
 
     id: str
-    match: Callable[[MatchContext, int], Iterator[Match]]
+    match: Matcher
     triggers: frozenset[Predicate]
 
     def recheck(self, geometry: SceneGeometry, premises: Sequence[Statement], conclusion: Statement) -> bool:
@@ -107,6 +116,38 @@ def _others(ctx: MatchContext, pred: Predicate, before: int) -> Iterator[tuple[i
         if i >= before:
             break
         yield i, ctx.stmt(i)
+
+
+def _role(ctx: MatchContext, sid: int, pred: Predicate) -> Iterable[tuple[int, Statement]]:
+    """The statements that may fill a premise of predicate ``pred`` when
+    ``sid`` is the newest premise: the newest statement alone if it has
+    ``pred``, otherwise the earlier statements of ``pred``."""
+    new = ctx.stmt(sid)
+    return ((sid, new),) if new.predicate is pred else _others(ctx, pred, sid)
+
+
+def _fire(premises: tuple[int, ...], factory: Callable[..., Statement], *args) -> Iterator[Match]:
+    """Yield ``(premises, factory(*args))``, or nothing when the arguments
+    make no well-formed statement."""
+    try:
+        conclusion = factory(*args)
+    except MalformedStatementError:
+        return
+    yield premises, conclusion
+
+
+def _distinct(matcher: Matcher) -> Matcher:
+    """Report each fire of one matcher call once, in first-seen order: the
+    triangle matchers reach a fire once per labelling of its triangles."""
+
+    def distinct(ctx: MatchContext, sid: int) -> Iterator[Match]:
+        seen: set[Match] = set()
+        for fire in matcher(ctx, sid):
+            if fire not in seen:
+                seen.add(fire)
+                yield fire
+
+    return distinct
 
 
 def _lookup_before(ctx: MatchContext, stmt: Statement, before: int) -> int | None:
@@ -163,13 +204,6 @@ def _side_sign(g: SceneGeometry, p: str, a: str, b: str, margin: float = 1e-7) -
     return 1 if cross > 0 else -1
 
 
-def _safe(factory, *args) -> Statement | None:
-    try:
-        return factory(*args)
-    except MalformedStatementError:
-        return None
-
-
 def _sqrt_fraction(f: Fraction) -> Fraction | None:
     if f < 0:
         return None
@@ -188,11 +222,8 @@ def _m_isosceles_base_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
     if apex is None:
         return
     b, c = _other_end(s1, apex), _other_end(s2, apex)
-    if not _not_collinear(ctx.geometry, apex, b, c):
-        return
-    conclusion = _safe(equal_angles, (apex, b, c), (apex, c, b))
-    if conclusion is not None:
-        yield (sid,), conclusion
+    if _not_collinear(ctx.geometry, apex, b, c):
+        yield from _fire((sid,), equal_angles, (apex, b, c), (apex, c, b))
 
 
 def _base_angle_pattern(a1: Sequence[str], a2: Sequence[str]) -> tuple[str, str, str] | None:
@@ -209,16 +240,12 @@ def _base_angle_pattern(a1: Sequence[str], a2: Sequence[str]) -> tuple[str, str,
 
 
 def _m_isosceles_converse(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    new = ctx.stmt(sid)
-    pat = _base_angle_pattern(new.groups[0], new.groups[1])
+    pat = _base_angle_pattern(*ctx.stmt(sid).groups)
     if pat is None:
         return
     apex, b, c = pat
-    if not _not_collinear(ctx.geometry, apex, b, c):
-        return
-    conclusion = _safe(equal_segments, (apex, b), (apex, c))
-    if conclusion is not None:
-        yield (sid,), conclusion
+    if _not_collinear(ctx.geometry, apex, b, c):
+        yield from _fire((sid,), equal_segments, (apex, b), (apex, c))
 
 
 def _m_triangle_angle_sum(ctx: MatchContext, sid: int) -> Iterator[Match]:
@@ -236,38 +263,26 @@ def _m_triangle_angle_sum(ctx: MatchContext, sid: int) -> Iterator[Match]:
         if not 0 < rest < 180:
             continue
         third = (tri - {v1, v2}).pop()
-        conclusion = _safe(angle_measure, (v1, third, v2), rest)
-        if conclusion is not None:
-            yield tuple(sorted((oid, sid))), conclusion
+        yield from _fire((oid, sid), angle_measure, (v1, third, v2), rest)
 
 
 def _m_angle_sum_equal_pair(ctx: MatchContext, sid: int) -> Iterator[Match]:
     """Base angles equal plus a known apex angle fixes both base angles."""
-
-    def fire(eq_id: int, eq: Statement, val_id: int, val: Statement) -> Iterator[Match]:
-        pat = _base_angle_pattern(eq.groups[0], eq.groups[1])
-        if pat is None or val.value is None:
-            return
+    for eq_id, eq in _role(ctx, sid, Predicate.EQUAL_ANGLES):
+        pat = _base_angle_pattern(*eq.groups)
+        if pat is None:
+            continue
         apex, b, c = pat
-        ang = val.groups[0]
-        if ang[1] != apex or {ang[0], ang[2]} != {b, c}:
-            return
-        each = (180 - val.value) / 2
-        if not 0 < each < 180:
-            return
-        premises = tuple(sorted((eq_id, val_id)))
-        for base, other in ((b, c), (c, b)):
-            conclusion = _safe(angle_measure, (apex, base, other), each)
-            if conclusion is not None:
-                yield premises, conclusion
-
-    new = ctx.stmt(sid)
-    if new.predicate is Predicate.EQUAL_ANGLES:
-        for oid, other in _others(ctx, Predicate.ANGLE_MEASURE, sid):
-            yield from fire(sid, new, oid, other)
-    else:
-        for oid, other in _others(ctx, Predicate.EQUAL_ANGLES, sid):
-            yield from fire(oid, other, sid, new)
+        for val_id, val in _role(ctx, sid, Predicate.ANGLE_MEASURE):
+            ang = val.groups[0]
+            if val.value is None or ang[1] != apex or {ang[0], ang[2]} != {b, c}:
+                continue
+            each = (180 - val.value) / 2
+            if not 0 < each < 180:
+                continue
+            premises = tuple(sorted((eq_id, val_id)))
+            for base, other in ((b, c), (c, b)):
+                yield from _fire(premises, angle_measure, (apex, base, other), each)
 
 
 def _m_vertical_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
@@ -284,114 +299,82 @@ def _m_vertical_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
             continue
         if _side_sign(g, c, a, b) == 0:  # same line, no crossing
             continue
-        premises = tuple(sorted((oid, sid)))
         for c1, c2 in (((a, x, c), (b, x, d)), ((a, x, d), (b, x, c))):
-            conclusion = _safe(equal_angles, c1, c2)
-            if conclusion is not None:
-                yield premises, conclusion
+            yield from _fire((oid, sid), equal_angles, c1, c2)
 
 
 def _m_alternate_interior(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    new = ctx.stmt(sid)
     g = ctx.geometry
-    s1, s2 = new.groups
+    s1, s2 = ctx.stmt(sid).groups
     for b in s1:
         for c in s2:
             a, d = _other_end(s1, b), _other_end(s2, c)
             sa, sd = _side_sign(g, a, b, c), _side_sign(g, d, b, c)
             if sa == 0 or sd == 0 or sa == sd:
                 continue
-            conclusion = _safe(equal_angles, (a, b, c), (b, c, d))
-            if conclusion is not None:
-                yield (sid,), conclusion
+            yield from _fire((sid,), equal_angles, (a, b, c), (b, c, d))
 
 
 def _m_corresponding_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    def fire(par_id: int, par: Statement, col_id: int, col: Statement) -> Iterator[Match]:
-        g = ctx.geometry
+    g = ctx.geometry
+    for par_id, par in _role(ctx, sid, Predicate.PARALLEL):
         s1, s2 = par.groups
-        pts = set(col.groups[0])
-        for b in s1:
-            for c in s2:
-                if {b, c} - pts:
-                    continue
-                e = (pts - {b, c}).pop() if len(pts - {b, c}) == 1 else None
-                if e is None or not g.strictly_between(b, c, e):
-                    continue
-                a, d = _other_end(s1, b), _other_end(s2, c)
-                sa, sd = _side_sign(g, a, b, c), _side_sign(g, d, b, c)
-                if sa == 0 or sd == 0 or sa != sd:
-                    continue
-                conclusion = _safe(equal_angles, (a, b, c), (d, c, e))
-                if conclusion is not None:
-                    yield tuple(sorted((par_id, col_id))), conclusion
-
-    new = ctx.stmt(sid)
-    if new.predicate is Predicate.PARALLEL:
-        for oid, other in _others(ctx, Predicate.COLLINEAR, sid):
-            yield from fire(sid, new, oid, other)
-    else:
-        for oid, other in _others(ctx, Predicate.PARALLEL, sid):
-            yield from fire(oid, other, sid, new)
+        for col_id, col in _role(ctx, sid, Predicate.COLLINEAR):
+            pts = set(col.groups[0])
+            for b in s1:
+                for c in s2:
+                    if {b, c} - pts:
+                        continue
+                    e = (pts - {b, c}).pop() if len(pts - {b, c}) == 1 else None
+                    if e is None or not g.strictly_between(b, c, e):
+                        continue
+                    a, d = _other_end(s1, b), _other_end(s2, c)
+                    sa, sd = _side_sign(g, a, b, c), _side_sign(g, d, b, c)
+                    if sa == 0 or sd == 0 or sa != sd:
+                        continue
+                    premises = tuple(sorted((par_id, col_id)))
+                    yield from _fire(premises, equal_angles, (a, b, c), (d, c, e))
 
 
 def _m_perpendicular_right_angle(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    def shared_endpoint(perp_id: int, perp: Statement) -> Iterator[Match]:
-        s1, s2 = perp.groups
-        v = _shared_point(s1, s2)
-        if v is None:
-            return
-        conclusion = _safe(right_angle, (_other_end(s1, v), v, _other_end(s2, v)))
-        if conclusion is not None:
-            yield (perp_id,), conclusion
-
-    def on_line(perp_id: int, perp: Statement, col_id: int, col: Statement) -> Iterator[Match]:
-        pts = set(col.groups[0])
-        for sa, sb in ((perp.groups[0], perp.groups[1]), (perp.groups[1], perp.groups[0])):
-            if not set(sb) <= pts:
-                continue
-            feet = (set(sa) & pts) - set(sb)
-            if len(feet) != 1:
-                continue
-            foot = feet.pop()
-            apex = _other_end(sa, foot)
-            if apex in pts:
-                continue
-            premises = tuple(sorted((perp_id, col_id)))
-            for end in sb:
-                conclusion = _safe(right_angle, (apex, foot, end))
-                if conclusion is not None:
-                    yield premises, conclusion
-
     new = ctx.stmt(sid)
-    if new.predicate is Predicate.PERPENDICULAR:
-        yield from shared_endpoint(sid, new)
-        for oid, other in _others(ctx, Predicate.COLLINEAR, sid):
-            yield from on_line(sid, new, oid, other)
-    else:
-        for oid, other in _others(ctx, Predicate.PERPENDICULAR, sid):
-            yield from on_line(oid, other, sid, new)
+    if new.predicate is Predicate.PERPENDICULAR:  # the two segments share an endpoint
+        s1, s2 = new.groups
+        v = _shared_point(s1, s2)
+        if v is not None:
+            yield from _fire((sid,), right_angle, (_other_end(s1, v), v, _other_end(s2, v)))
+    # one segment lies on a line through the other's foot
+    for perp_id, perp in _role(ctx, sid, Predicate.PERPENDICULAR):
+        for col_id, col in _role(ctx, sid, Predicate.COLLINEAR):
+            pts = set(col.groups[0])
+            for sa, sb in ((perp.groups[0], perp.groups[1]), (perp.groups[1], perp.groups[0])):
+                if not set(sb) <= pts:
+                    continue
+                feet = (set(sa) & pts) - set(sb)
+                if len(feet) != 1:
+                    continue
+                foot = feet.pop()
+                apex = _other_end(sa, foot)
+                if apex in pts:
+                    continue
+                premises = tuple(sorted((perp_id, col_id)))
+                for end in sb:
+                    yield from _fire(premises, right_angle, (apex, foot, end))
 
 
 def _m_right_angle_measure(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    conclusion = _safe(angle_measure, ctx.stmt(sid).groups[0], 90)
-    if conclusion is not None:
-        yield (sid,), conclusion
+    yield from _fire((sid,), angle_measure, ctx.stmt(sid).groups[0], 90)
 
 
 def _m_midpoint_equal_halves(ctx: MatchContext, sid: int) -> Iterator[Match]:
     (m,), (a, b) = ctx.stmt(sid).groups
-    conclusion = _safe(equal_segments, (a, m), (m, b))
-    if conclusion is not None:
-        yield (sid,), conclusion
+    yield from _fire((sid,), equal_segments, (a, m), (m, b))
 
 
 def _m_midpoint_half_ratio(ctx: MatchContext, sid: int) -> Iterator[Match]:
     (m,), (a, b) = ctx.stmt(sid).groups
     for end in (a, b):
-        conclusion = _safe(segment_ratio, (end, m), (a, b), Fraction(1, 2))
-        if conclusion is not None:
-            yield (sid,), conclusion
+        yield from _fire((sid,), segment_ratio, (end, m), (a, b), Fraction(1, 2))
 
 
 def _midsegment_pattern(
@@ -406,21 +389,17 @@ def _midsegment_pattern(
         b, c = _other_end(seg1, apex), _other_end(seg2, apex)
         if not _not_collinear(ctx.geometry, apex, b, c):
             continue
-        yield tuple(sorted((oid, sid))), (m, n), (b, c)
+        yield (oid, sid), (m, n), (b, c)
 
 
 def _m_midsegment_parallel(ctx: MatchContext, sid: int) -> Iterator[Match]:
     for premises, mid_seg, base in _midsegment_pattern(ctx, sid):
-        conclusion = _safe(parallel, mid_seg, base)
-        if conclusion is not None:
-            yield premises, conclusion
+        yield from _fire(premises, parallel, mid_seg, base)
 
 
 def _m_midsegment_half_length(ctx: MatchContext, sid: int) -> Iterator[Match]:
     for premises, mid_seg, base in _midsegment_pattern(ctx, sid):
-        conclusion = _safe(segment_ratio, mid_seg, base, Fraction(1, 2))
-        if conclusion is not None:
-            yield premises, conclusion
+        yield from _fire(premises, segment_ratio, mid_seg, base, Fraction(1, 2))
 
 
 def _right_angle_with_lengths(
@@ -448,11 +427,8 @@ def _m_pythagoras(ctx: MatchContext, sid: int) -> Iterator[Match]:
         if set(segs) != set(legs):
             continue
         hyp = _sqrt_fraction(sum(val * val for val in segs.values()))
-        if hyp is None:
-            continue
-        conclusion = _safe(segment_length, (x, y), hyp)
-        if conclusion is not None:
-            yield tuple(sorted((rid, i1, i2))), conclusion
+        if hyp is not None:
+            yield from _fire(tuple(sorted((rid, i1, i2))), segment_length, (x, y), hyp)
 
 
 def _m_pythagoras_leg(ctx: MatchContext, sid: int) -> Iterator[Match]:
@@ -474,11 +450,8 @@ def _m_pythagoras_leg(ctx: MatchContext, sid: int) -> Iterator[Match]:
             if sq <= 0:
                 continue
             other_leg = _sqrt_fraction(sq)
-            if other_leg is None:
-                continue
-            conclusion = _safe(segment_length, target, other_leg)
-            if conclusion is not None:
-                yield tuple(sorted((rid, i1, i2))), conclusion
+            if other_leg is not None:
+                yield from _fire(tuple(sorted((rid, i1, i2))), segment_length, target, other_leg)
 
 
 def _triangle_correspondence(
@@ -506,39 +479,28 @@ def _triangle_correspondence(
     return t1, tuple(mapping[p] for p in t1)
 
 
+@_distinct
 def _m_sss_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
     g = ctx.geometry
     eqs = list(_others(ctx, Predicate.EQUAL_SEGMENTS, sid))
-    seen: set[tuple[tuple[int, ...], Statement]] = set()
 
-    def emit(premises: tuple[int, ...], sides1, sides2) -> Iterator[Match]:
+    def congruent(premises: tuple[int, ...], sides1, sides2) -> Iterator[Match]:
         pair = _triangle_correspondence(sides1, sides2)
-        if pair is None:
-            return
-        t1, t2 = pair
-        if not (_not_collinear(g, *t1) and _not_collinear(g, *t2)):
-            return
-        conclusion = _safe(congruent_triangles, t1, t2)
-        if conclusion is None:
-            return
-        key = (premises, conclusion)
-        if key not in seen:
-            seen.add(key)
-            yield premises, conclusion
+        if pair is not None and _not_collinear(g, *pair[0]) and _not_collinear(g, *pair[1]):
+            yield from _fire(premises, congruent_triangles, *pair)
 
     # three explicit equalities
     for (i2, e2), (i3, e3) in combinations(eqs, 2):
-        premises = tuple(sorted((sid, i2, i3)))
+        premises = (i2, i3, sid)
         for o1 in (0, 1):
             for o2 in (0, 1):
                 for o3 in (0, 1):
                     sides1 = [new.groups[o1], e2.groups[o2], e3.groups[o3]]
                     sides2 = [new.groups[1 - o1], e2.groups[1 - o2], e3.groups[1 - o3]]
-                    yield from emit(premises, sides1, sides2)
+                    yield from congruent(premises, sides1, sides2)
     # two equalities plus a literally shared third side
     for i2, e2 in eqs:
-        premises = tuple(sorted((sid, i2)))
         for o1 in (0, 1):
             for o2 in (0, 1):
                 s1a, s1b = new.groups[o1], e2.groups[o2]
@@ -552,7 +514,7 @@ def _m_sss_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
                 if len(loose1) != 2 or len(loose2) != 2 or loose1 != loose2:
                     continue
                 third = _seg(*sorted(loose1))
-                yield from emit(premises, [s1a, s1b, third], [s2a, s2b, third])
+                yield from congruent((i2, sid), [s1a, s1b, third], [s2a, s2b, third])
 
 
 def _eq_or_identical(
@@ -573,10 +535,11 @@ def _triangle_pair_key(eq_ang: Statement) -> frozenset[frozenset[str]]:
     return frozenset((frozenset(g1), frozenset(g2)))
 
 
-def _vertices_on(eq_ang: Statement, eq_seg: Statement) -> bool:
-    """Both angle vertices lie on the segments of ``eq_seg``: necessary for
-    ``eq_seg`` to be a side equality of SAS or ASA built on ``eq_ang``."""
-    ends = {*eq_seg.groups[0], *eq_seg.groups[1]}
+def _vertices_on(eq_ang: Statement, stmt: Statement) -> bool:
+    """Both angle vertices of ``eq_ang`` are points of ``stmt``'s two
+    groups: true when ``stmt`` is ``eq_ang`` itself, and necessary for
+    ``stmt`` to be a side equality of SAS or ASA built on ``eq_ang``."""
+    ends = {*stmt.groups[0], *stmt.groups[1]}
     return eq_ang.groups[0][1] in ends and eq_ang.groups[1][1] in ends
 
 
@@ -590,39 +553,24 @@ def _angle_pairings(
         yield (a1[2], a1[1], a1[0]), a2
 
 
+@_distinct
 def _m_sas_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
     g = ctx.geometry
-
-    def fire(ang_id: int, ang_stmt: Statement, newest: int) -> Iterator[Match]:
-        seen: set[tuple[tuple[int, ...], Statement]] = set()
-        for a1, a2 in _angle_pairings(ang_stmt):
-            x1, v1, y1 = a1
-            x2, v2, y2 = a2
-            ok1, eq1 = _eq_or_identical(ctx, (v1, x1), (v2, x2), newest + 1)
-            ok2, eq2 = _eq_or_identical(ctx, (v1, y1), (v2, y2), newest + 1)
+    for ang_id, ang in _role(ctx, sid, Predicate.EQUAL_ANGLES):
+        if not _vertices_on(ang, new):
+            continue
+        for (x1, v1, y1), (x2, v2, y2) in _angle_pairings(ang):
+            ok1, eq1 = _eq_or_identical(ctx, (v1, x1), (v2, x2), sid + 1)
+            ok2, eq2 = _eq_or_identical(ctx, (v1, y1), (v2, y2), sid + 1)
             if not (ok1 and ok2):
                 continue
             ids = {ang_id} | {e for e in (eq1, eq2) if e is not None}
-            if newest not in ids or max(ids) != newest:
+            if sid not in ids:
                 continue
             if not (_not_collinear(g, x1, v1, y1) and _not_collinear(g, x2, v2, y2)):
                 continue
-            conclusion = _safe(congruent_triangles, (x1, v1, y1), (x2, v2, y2))
-            if conclusion is None:
-                continue
-            premises = tuple(sorted(ids))
-            if (premises, conclusion) in seen:
-                continue
-            seen.add((premises, conclusion))
-            yield premises, conclusion
-
-    if new.predicate is Predicate.EQUAL_ANGLES:
-        yield from fire(sid, new, sid)
-    else:
-        for oid, other in _others(ctx, Predicate.EQUAL_ANGLES, sid):
-            if _vertices_on(other, new):
-                yield from fire(oid, other, sid)
+            yield from _fire(tuple(sorted(ids)), congruent_triangles, (x1, v1, y1), (x2, v2, y2))
 
 
 def _triangle_maps(
@@ -651,38 +599,23 @@ def _two_angle_triangles(
                 yield tri
 
 
+@_distinct
 def _m_asa_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
-
-    def fire(id_a: int, st_a: Statement, id_b: int, st_b: Statement, newest: int) -> Iterator[Match]:
-        seen: set[tuple[tuple[int, ...], Statement]] = set()
+    angles = _others(ctx, Predicate.EQUAL_ANGLES, sid)
+    if new.predicate is Predicate.EQUAL_ANGLES:
+        key = _triangle_pair_key(new)
+        pairs = (((sid, new), (i, a)) for i, a in angles if _triangle_pair_key(a) == key)
+    else:
+        pairs = combinations([(i, a) for i, a in angles if _vertices_on(a, new)], 2)
+    for (id_a, st_a), (id_b, st_b) in pairs:
         for (v1, w1, u1), (v2, w2, u2) in _two_angle_triangles(ctx.geometry, st_a, st_b):
-            ok, eq_id = _eq_or_identical(ctx, (v1, w1), (v2, w2), newest + 1)
+            ok, eq_id = _eq_or_identical(ctx, (v1, w1), (v2, w2), sid + 1)
             if not ok:
                 continue
             ids = {id_a, id_b} | ({eq_id} if eq_id is not None else set())
-            if newest not in ids or max(ids) != newest:
-                continue
-            conclusion = _safe(congruent_triangles, (v1, w1, u1), (v2, w2, u2))
-            if conclusion is None:
-                continue
-            premises = tuple(sorted(ids))
-            if (premises, conclusion) in seen:
-                continue
-            seen.add((premises, conclusion))
-            yield premises, conclusion
-
-    if new.predicate is Predicate.EQUAL_ANGLES:
-        key = _triangle_pair_key(new)
-        for oid, other in _others(ctx, Predicate.EQUAL_ANGLES, sid):
-            if _triangle_pair_key(other) == key:
-                yield from fire(sid, new, oid, other, sid)
-    else:
-        angs = [
-            (i, a) for i, a in _others(ctx, Predicate.EQUAL_ANGLES, sid) if _vertices_on(a, new)
-        ]
-        for (ia, sa), (ib, sb) in combinations(angs, 2):
-            yield from fire(ia, sa, ib, sb, sid)
+            if sid in ids:
+                yield from _fire(tuple(sorted(ids)), congruent_triangles, (v1, w1, u1), (v2, w2, u2))
 
 
 def _corresponding_side_pairs(t1, t2):
@@ -692,9 +625,7 @@ def _corresponding_side_pairs(t1, t2):
 
 def _m_congruent_sides(ctx: MatchContext, sid: int) -> Iterator[Match]:
     for s1, s2 in _corresponding_side_pairs(*ctx.stmt(sid).groups):
-        conclusion = _safe(equal_segments, s1, s2)
-        if conclusion is not None:
-            yield (sid,), conclusion
+        yield from _fire((sid,), equal_segments, s1, s2)
 
 
 def _m_congruent_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
@@ -702,57 +633,36 @@ def _m_congruent_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
     for i in range(3):
         a1 = (t1[(i + 1) % 3], t1[i], t1[(i + 2) % 3])
         a2 = (t2[(i + 1) % 3], t2[i], t2[(i + 2) % 3])
-        conclusion = _safe(equal_angles, a1, a2)
-        if conclusion is not None:
-            yield (sid,), conclusion
+        yield from _fire((sid,), equal_angles, a1, a2)
 
 
+@_distinct
 def _m_aa_similarity(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
-    seen: set[tuple[tuple[int, ...], Statement]] = set()
     key = _triangle_pair_key(new)
     for oid, other in _others(ctx, Predicate.EQUAL_ANGLES, sid):
-        if _triangle_pair_key(other) != key:
-            continue
-        for t1, t2 in _two_angle_triangles(ctx.geometry, new, other):
-            conclusion = _safe(similar_triangles, t1, t2)
-            if conclusion is None:
-                continue
-            premises = tuple(sorted((oid, sid)))
-            if (premises, conclusion) in seen:
-                continue
-            seen.add((premises, conclusion))
-            yield premises, conclusion
+        if _triangle_pair_key(other) == key:
+            for t1, t2 in _two_angle_triangles(ctx.geometry, new, other):
+                yield from _fire((oid, sid), similar_triangles, t1, t2)
 
 
 def _m_similar_side_ratio(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    def fire(sim_id: int, sim: Statement, newest: int) -> Iterator[Match]:
-        t1, t2 = sim.groups
-        pairs = [( _seg(*p1), _seg(*p2)) for p1, p2 in _corresponding_side_pairs(t1, t2)]
+    for sim_id, sim in _role(ctx, sid, Predicate.SIMILAR_TRIANGLES):
+        pairs = [(_seg(*p1), _seg(*p2)) for p1, p2 in _corresponding_side_pairs(*sim.groups)]
         for i, (seg1, seg2) in enumerate(pairs):
-            st1 = _lookup_len(ctx, seg1, newest + 1)
-            st2 = _lookup_len(ctx, seg2, newest + 1)
+            st1 = _lookup_len(ctx, seg1, sid + 1)
+            st2 = _lookup_len(ctx, seg2, sid + 1)
             if st1 is None or st2 is None:
                 continue
             (id1, v1), (id2, v2) = st1, st2
             ids = {sim_id, id1, id2}
-            if newest not in ids or max(ids) != newest:
+            if sid not in ids:
                 continue
             ratio = v1 / v2
             premises = tuple(sorted(ids))
             for j, (o1, o2) in enumerate(pairs):
-                if j == i or o1 == o2:
-                    continue
-                conclusion = _safe(segment_ratio, o1, o2, ratio)
-                if conclusion is not None:
-                    yield premises, conclusion
-
-    new = ctx.stmt(sid)
-    if new.predicate is Predicate.SIMILAR_TRIANGLES:
-        yield from fire(sid, new, sid)
-    else:
-        for oid, other in _others(ctx, Predicate.SIMILAR_TRIANGLES, sid):
-            yield from fire(oid, other, sid)
+                if j != i and o1 != o2:
+                    yield from _fire(premises, segment_ratio, o1, o2, ratio)
 
 
 def _lookup_len(ctx: MatchContext, seg: tuple[str, str], before: int) -> tuple[int, Fraction] | None:
@@ -762,90 +672,57 @@ def _lookup_len(ctx: MatchContext, seg: tuple[str, str], before: int) -> tuple[i
     return None
 
 
-def _circle_groups(ctx: MatchContext, before: int) -> dict[tuple[str, tuple[str, str]], list[tuple[int, str]]]:
-    """Group on-circle statements by (center, radius segment)."""
-    circles: dict[tuple[str, tuple[str, str]], list[tuple[int, str]]] = {}
-    for i, s in _others(ctx, Predicate.ON_CIRCLE, before):
+Circles = dict[str, dict[tuple[str, str], dict[str, int]]]
+
+
+def _circles(ctx: MatchContext, sid: int) -> Circles:
+    """The on-circle facts with ids <= ``sid``: center -> radius segment ->
+    point -> id of the point's first fact, each in order of first appearance."""
+    circles: Circles = {}
+    for i, s in _others(ctx, Predicate.ON_CIRCLE, sid + 1):
         (p,), (o,), sr = s.groups
-        circles.setdefault((o, sr), []).append((i, p))
+        circles.setdefault(o, {}).setdefault(sr, {}).setdefault(p, i)
     return circles
+
+
+def _third_points(
+    circles: Circles, center: str, a: str, b: str
+) -> Iterator[tuple[str, tuple[int, int, int]]]:
+    """Each point c other than a and b on a circle about ``center`` through
+    a and b, with the ids of the three on-circle facts."""
+    for on in circles.get(center, {}).values():
+        if a in on and b in on:
+            for c, cid in sorted(on.items()):
+                if c not in (a, b):
+                    yield c, (on[a], on[b], cid)
 
 
 def _m_inscribed_angle(ctx: MatchContext, sid: int) -> Iterator[Match]:
     g = ctx.geometry
-
-    def fire(circle_key, members, val_id: int, val: Statement, newest: int) -> Iterator[Match]:
-        center = circle_key[0]
-        a, v, b = val.groups[0]
-        if v != center or val.value is None:
-            return
-        by_point = {}
-        for i, p in members:
-            by_point.setdefault(p, i)
-        if a not in by_point or b not in by_point:
-            return
-        half = val.value / 2
-        if not 0 < half < 180:
-            return
-        for c, cid in sorted(by_point.items()):
-            if c in (a, b):
-                continue
-            if not _on_major_arc(g, center, a, b, c):
-                continue
-            ids = {by_point[a], by_point[b], cid, val_id}
-            if newest not in ids or max(ids) != newest:
-                continue
-            conclusion = _safe(angle_measure, (a, c, b), half)
-            if conclusion is not None:
-                yield tuple(sorted(ids)), conclusion
-
-    new = ctx.stmt(sid)
-    if new.predicate is Predicate.ANGLE_MEASURE:
-        circles = _circle_groups(ctx, sid)
-        for key, members in circles.items():
-            yield from fire(key, members, sid, new, sid)
-    else:
-        circles = _circle_groups(ctx, sid + 1)
-        for oid, other in _others(ctx, Predicate.ANGLE_MEASURE, sid):
-            for key, members in circles.items():
-                yield from fire(key, members, oid, other, sid)
+    circles = _circles(ctx, sid)
+    if not circles:
+        return
+    for val_id, val in _role(ctx, sid, Predicate.ANGLE_MEASURE):
+        a, center, b = val.groups[0]
+        if val.value is None:
+            continue
+        for c, on_ids in _third_points(circles, center, a, b):
+            ids = {*on_ids, val_id}
+            if sid in ids and _on_major_arc(g, center, a, b, c):
+                yield from _fire(tuple(sorted(ids)), angle_measure, (a, c, b), val.value / 2)
 
 
 def _m_thales(ctx: MatchContext, sid: int) -> Iterator[Match]:
     g = ctx.geometry
-
-    def fire(circle_key, members, mid_id: int, mid: Statement, newest: int) -> Iterator[Match]:
-        center = circle_key[0]
-        (m,), (a, b) = mid.groups
-        if m != center:
-            return
-        by_point = {}
-        for i, p in members:
-            by_point.setdefault(p, i)
-        if a not in by_point or b not in by_point:
-            return
-        for c, cid in sorted(by_point.items()):
-            if c in (a, b):
-                continue
-            ids = {by_point[a], by_point[b], cid, mid_id}
-            if newest not in ids or max(ids) != newest:
-                continue
-            if not _not_collinear(g, a, c, b):
-                continue
-            conclusion = _safe(right_angle, (a, c, b))
-            if conclusion is not None:
-                yield tuple(sorted(ids)), conclusion
-
-    new = ctx.stmt(sid)
-    if new.predicate is Predicate.MIDPOINT:
-        circles = _circle_groups(ctx, sid)
-        for key, members in circles.items():
-            yield from fire(key, members, sid, new, sid)
-    else:
-        circles = _circle_groups(ctx, sid + 1)
-        for oid, other in _others(ctx, Predicate.MIDPOINT, sid):
-            for key, members in circles.items():
-                yield from fire(key, members, oid, other, sid)
+    circles = _circles(ctx, sid)
+    if not circles:
+        return
+    for mid_id, mid in _role(ctx, sid, Predicate.MIDPOINT):
+        (center,), (a, b) = mid.groups
+        for c, on_ids in _third_points(circles, center, a, b):
+            ids = {*on_ids, mid_id}
+            if sid in ids and _not_collinear(g, a, c, b):
+                yield from _fire(tuple(sorted(ids)), right_angle, (a, c, b))
 
 
 def _m_angle_addition(ctx: MatchContext, sid: int) -> Iterator[Match]:
@@ -874,12 +751,10 @@ def _m_angle_addition(ctx: MatchContext, sid: int) -> Iterator[Match]:
         cross2 = (pd[0] - pv[0]) * (py[1] - pv[1]) - (pd[1] - pv[1]) * (py[0] - pv[0])
         if cross1 * cross2 <= 0:
             continue  # d must lie strictly inside the combined angle
-        conclusion = _safe(angle_measure, (x, v, y), total)
-        if conclusion is not None:
-            yield tuple(sorted((oid, sid))), conclusion
+        yield from _fire((oid, sid), angle_measure, (x, v, y), total)
 
 
-def _transitive(pred: Predicate, factory) -> Callable[[MatchContext, int], Iterator[Match]]:
+def _transitive(pred: Predicate, factory) -> Matcher:
     def matcher(ctx: MatchContext, sid: int) -> Iterator[Match]:
         new = ctx.stmt(sid)
         for oid, other in _others(ctx, pred, sid):
@@ -889,63 +764,42 @@ def _transitive(pred: Predicate, factory) -> Callable[[MatchContext, int], Itera
             mid = common[0]
             a = new.groups[0] if new.groups[1] == mid else new.groups[1]
             b = other.groups[0] if other.groups[1] == mid else other.groups[1]
-            conclusion = _safe(factory, a, b)
-            if conclusion is not None:
-                yield tuple(sorted((oid, sid))), conclusion
+            yield from _fire((oid, sid), factory, a, b)
 
     return matcher
 
 
-def _substitution(
-    eq_pred: Predicate, val_pred: Predicate, factory
-) -> Callable[[MatchContext, int], Iterator[Match]]:
-    def fire(ctx, eq_id, eq, val_id, val) -> Iterator[Match]:
-        if val.value is None:
-            return
-        target = val.groups[0]
-        if target == eq.groups[0]:
-            other = eq.groups[1]
-        elif target == eq.groups[1]:
-            other = eq.groups[0]
-        else:
-            return
-        conclusion = _safe(factory, other, val.value)
-        if conclusion is not None:
-            yield tuple(sorted((eq_id, val_id))), conclusion
-
+def _substitution(eq_pred: Predicate, val_pred: Predicate, factory) -> Matcher:
     def matcher(ctx: MatchContext, sid: int) -> Iterator[Match]:
-        new = ctx.stmt(sid)
-        if new.predicate is eq_pred:
-            for oid, other in _others(ctx, val_pred, sid):
-                yield from fire(ctx, sid, new, oid, other)
-        else:
-            for oid, other in _others(ctx, eq_pred, sid):
-                yield from fire(ctx, oid, other, sid, new)
+        for eq_id, eq in _role(ctx, sid, eq_pred):
+            for val_id, val in _role(ctx, sid, val_pred):
+                if val.value is None:
+                    continue
+                target = val.groups[0]
+                if target == eq.groups[0]:
+                    other = eq.groups[1]
+                elif target == eq.groups[1]:
+                    other = eq.groups[0]
+                else:
+                    continue
+                yield from _fire(tuple(sorted((eq_id, val_id))), factory, other, val.value)
 
     return matcher
 
 
 def _m_ratio_length_substitution(ctx: MatchContext, sid: int) -> Iterator[Match]:
-    def fire(ratio_id: int, ratio: Statement, len_id: int, lstmt: Statement) -> Iterator[Match]:
-        if ratio.value is None or lstmt.value is None:
-            return
+    for ratio_id, ratio in _role(ctx, sid, Predicate.SEGMENT_RATIO):
+        if ratio.value is None:
+            continue
         s1, s2 = ratio.groups
-        if lstmt.groups[0] == s2:
-            conclusion = _safe(segment_length, s1, ratio.value * lstmt.value)
-        elif lstmt.groups[0] == s1:
-            conclusion = _safe(segment_length, s2, lstmt.value / ratio.value)
-        else:
-            return
-        if conclusion is not None:
-            yield tuple(sorted((ratio_id, len_id))), conclusion
-
-    new = ctx.stmt(sid)
-    if new.predicate is Predicate.SEGMENT_RATIO:
-        for oid, other in _others(ctx, Predicate.SEGMENT_LENGTH, sid):
-            yield from fire(sid, new, oid, other)
-    else:
-        for oid, other in _others(ctx, Predicate.SEGMENT_RATIO, sid):
-            yield from fire(oid, other, sid, new)
+        for len_id, length in _role(ctx, sid, Predicate.SEGMENT_LENGTH):
+            if length.value is None:
+                continue
+            premises = tuple(sorted((ratio_id, len_id)))
+            if length.groups[0] == s2:
+                yield from _fire(premises, segment_length, s1, ratio.value * length.value)
+            elif length.groups[0] == s1:
+                yield from _fire(premises, segment_length, s2, length.value / ratio.value)
 
 
 _P = Predicate

@@ -313,7 +313,7 @@ class ProblemDraft:
     target: Statement
     question: str
     premises: tuple[Statement, ...]
-    answer_value: Fraction | float | None
+    answer_value: Fraction | None
     solutions: tuple[tuple[SolutionStep, ...], ...]
     wrong_branch: tuple[SolutionStep, ...] | None
     overlap: float | None
@@ -379,7 +379,7 @@ def formulate_problem(
             ok = abs(float(claimed) - oracle) <= 0.01 * abs(oracle)
         if not ok:
             raise OracleMismatchError(f"path says {claimed}, oracle says {oracle}")
-        answer_value: Fraction | float | None = claimed
+        answer_value: Fraction | None = claimed
     elif kind == "proof":
         answer_value = None
     else:

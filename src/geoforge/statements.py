@@ -327,40 +327,34 @@ def parse_statement(text: str, known_points: Iterable[str] | None = None) -> Sta
 class StatementSet:
     """Deduplicated canonical statements with stable insertion order.
 
-    Membership and index lookup are O(1); iteration follows insertion order.
-    Treated as immutable once a scene or graph hands it out.
+    Membership is O(1); iteration follows insertion order. Treated as
+    immutable once a scene or graph hands it out.
     """
 
-    __slots__ = ("_index", "_items")
+    __slots__ = ("_members", "_items")
 
     def __init__(self, items: Iterable[Statement] = ()):
-        self._index: dict[Statement, int] = {}
+        self._members: set[Statement] = set()
         self._items: list[Statement] = []
         for s in items:
             self.add(s)
 
     def add(self, s: Statement) -> bool:
         """Insert ``s``; returns True when it was not already present."""
-        if s in self._index:
+        if s in self._members:
             return False
-        self._index[s] = len(self._items)
+        self._members.add(s)
         self._items.append(s)
         return True
 
-    def index_of(self, s: Statement) -> int:
-        return self._index[s]
-
     def __contains__(self, s: object) -> bool:
-        return s in self._index
+        return s in self._members
 
     def __iter__(self) -> Iterator[Statement]:
         return iter(self._items)
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __getitem__(self, i: int) -> Statement:
-        return self._items[i]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StatementSet):

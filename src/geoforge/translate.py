@@ -320,17 +320,3 @@ def connect_thinking(
         pairs.append((bridge, nl_step))
     return ConnectedSolution(tuple(pairs), backend.closing_sentence(target))
 
-
-def narrate_traceback(
-    wrong_steps: Sequence[SolutionStep],
-    correct_steps: Sequence[SolutionStep],
-    target: Statement,
-    backend: Backend,
-) -> str:
-    """Wrong branch first, a fixed pivot, then the correct continuation."""
-    wrong_nl = translate_steps(wrong_steps, backend)
-    correct_nl = translate_steps(correct_steps, backend)
-    connected = connect_thinking(correct_steps, correct_nl, target, backend)
-    wrong_text = " ".join(s.rule_text for s in wrong_nl)
-    pivot = backend.pivot_sentence(wrong_steps[-1].conclusion, target)
-    return f"{wrong_text} {pivot} {connected.render()}"

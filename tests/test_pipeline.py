@@ -220,8 +220,9 @@ class TestVerifyTamperDetection:
         def mutate(doc):
             if doc["kind"] != "numeric":
                 return
-            doc["answer"]["exact"] = None
-            doc["answer"]["approx"] = doc["answer"]["approx"] * 1.05
+            perturbed = Fraction(doc["answer"]["exact"]) * Fraction(21, 20)
+            doc["answer"]["exact"] = str(perturbed)
+            doc["answer"]["approx"] = float(perturbed)
             doc["id"] = record_content_hash(doc)
             ids.append(doc["id"])
 
@@ -231,6 +232,20 @@ class TestVerifyTamperDetection:
         report = self._tampered(dataset, tmp_path, mutate)
         # the solution still ends at the old exact value, not at the new answer
         assert report.failures == [(ids[0], "solution 0 does not end at the target")]
+
+    def test_answer_without_exact_value_is_corrupt(self, dataset, tmp_path):
+        # a numeric answer is always an exact fraction; the float alone is not enough
+        def mutate(doc):
+            doc["answer"]["exact"] = None
+            doc["id"] = record_content_hash(doc)
+
+        out, report0 = dataset
+        if report0.records[0].kind != "numeric":
+            pytest.skip("first record is not numeric")
+        report = self._tampered(dataset, tmp_path, mutate)
+        assert [(where, reason.split(":")[0]) for where, reason in report.failures] == [
+            ("line 1", "corrupt record")
+        ]
 
     def test_hash_mismatch_detected(self, dataset, tmp_path):
         def mutate(doc):

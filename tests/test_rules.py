@@ -566,6 +566,20 @@ class TestTrianglePrefilters:
         assert matched(points, [b_c, mixed], "aa_similarity") == []
 
 
+class TestFiresOnce:
+    def test_sss_reports_each_fire_once(self):
+        # each side equality can be read in either direction, so the matcher
+        # reaches the congruence once per orientation of the three of them
+        sides = [
+            equal_segments(("A", "B"), ("D", "E")),
+            equal_segments(("B", "C"), ("E", "F")),
+            equal_segments(("A", "C"), ("D", "F")),
+        ]
+        assert matched(_CONG, sides, "sss_congruence") == [
+            ((0, 1, 2), congruent_triangles(("A", "B", "C"), ("D", "E", "F")))
+        ]
+
+
 class TestReplay:
     """``Rule.recheck`` accepts exactly what the rule's matcher derives."""
 

@@ -215,7 +215,6 @@ class TestStatementSet:
         ss = StatementSet([s1, collinear("A", "B", "C"), s2])
         assert len(ss) == 2
         assert list(ss)[0] == s1
-        assert ss.index_of(s1) == 0
 
     def test_membership(self):
         s = right_angle(("A", "B", "C"))

@@ -4,8 +4,10 @@ import re
 import pytest
 
 from geoforge.constructions import extend_scene, generate_base_scene
+from geoforge.pipeline import PipelineConfig, _draft_to_record
 from geoforge.reasoner import SolutionStep, saturate
-from geoforge.sampler import ReasoningPath, geo_explore
+from geoforge.rules import DEFAULT_RULES
+from geoforge.sampler import ProblemDraft, ReasoningPath, geo_explore
 from geoforge.statements import (
     angle_measure,
     equal_angles,
@@ -14,12 +16,12 @@ from geoforge.statements import (
     right_angle,
 )
 from geoforge.translate import (
+    _RULE_PHRASES,
     BackendUnavailableError,
     ExternalBackend,
     TemplateBackend,
     TranslationError,
     connect_thinking,
-    narrate_traceback,
     statement_nl,
     translate_steps,
 )
@@ -48,6 +50,10 @@ class TestStatementNl:
 
 
 class TestTranslateSteps:
+    def test_every_rule_has_a_phrase(self):
+        # a new or renamed rule would otherwise read "applying a known theorem"
+        assert set(_RULE_PHRASES) == {rule.id for rule in DEFAULT_RULES}
+
     def test_isosceles_template_sentence(self):
         steps = translate_steps([_iso_step()], BACKEND)
         assert steps[0].rule_text == (
@@ -143,20 +149,51 @@ class TestConnectThinking:
                 assert parts & formal_numbers, f"foreign number {token!r} in output"
 
 
+def _right_angle_step(c: str) -> SolutionStep:
+    return SolutionStep(
+        premises=(right_angle(("A", "B", c)),),
+        rule="right_angle_measure",
+        conclusion=angle_measure(("A", "B", c), 90),
+    )
+
+
+def _traceback_record(wrong, correct, backend):
+    draft = ProblemDraft(
+        kind="proof",
+        template="traceback",
+        target=correct[-1].conclusion,
+        question="Prove it.",
+        premises=(),
+        answer_value=None,
+        solutions=(tuple(correct),),
+        wrong_branch=tuple(wrong),
+        overlap=0.5,
+        reasoning_length=len(correct),
+        premise_ratio=1.0,
+        tier=None,
+    )
+    scene = generate_base_scene("isosceles_triangle", 0)
+    return _draft_to_record(draft, scene, "scene", PipelineConfig(), 0, backend)
+
+
 class TestTraceback:
     def test_narrative_frame(self):
-        wrong = [_iso_step()]
-        correct = [
-            SolutionStep(
-                premises=(right_angle(("A", "B", "D")),),
-                rule="right_angle_measure",
-                conclusion=angle_measure(("A", "B", "D"), 90),
-            )
-        ]
-        text = narrate_traceback(wrong, correct, correct[-1].conclusion, BACKEND)
-        assert "Re-examining the goal" in text
-        pivot_at = text.index("Re-examining")
-        assert text.index("isosceles") < pivot_at < text.index("90")
+        record = _traceback_record([_iso_step()], [_right_angle_step("D")], BACKEND)
+        for text in (record.nl_solution, record.connection_thinking):
+            assert "Re-examining the goal" in text
+            pivot_at = text.index("Re-examining")
+            assert text.index("isosceles") < pivot_at < text.index("90")
+
+    def test_each_step_translated_once(self):
+        # an external backend is asked once per wrong-branch step and twice
+        # per primary step (its sentence and its bridge)
+        wrong = [_iso_step(), _right_angle_step("E")]
+        correct = [_right_angle_step(c) for c in "DFG"]
+        transport = _FakeTransport()
+        backend = ExternalBackend(endpoint="https://llm.invalid", model="m", transport=transport)
+        record = _traceback_record(wrong, correct, backend)
+        assert record.connection_thinking.startswith("Translated sentence.")
+        assert len(transport.calls) == len(wrong) + 2 * len(correct)
 
 
 class _FakeTransport:
