@@ -140,9 +140,11 @@ def record_content_hash(doc: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def record_from_doc(doc: dict) -> ProblemRecord:
-    # solutions cite the same statements over and over: parse each text once
-    parsed: dict[str, Statement] = {}
+def record_from_doc(doc: dict, parsed: dict[str, Statement] | None = None) -> ProblemRecord:
+    """``parsed`` memoises statement text -> ``Statement``; records of one
+    scene share most of their statements, so pass one dict per file."""
+    if parsed is None:
+        parsed = {}
 
     def parse(text: str) -> Statement:
         stmt = parsed.get(text)
@@ -257,6 +259,7 @@ def write_dataset(
 def load_records(in_dir: str | Path) -> list[ProblemRecord]:
     path = Path(in_dir) / "records.jsonl"
     records = []
+    parsed: dict[str, Statement] = {}
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
@@ -264,18 +267,21 @@ def load_records(in_dir: str | Path) -> list[ProblemRecord]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorruptRecordError(f"line {line_no}: {exc}") from exc
-        records.append(record_from_doc(doc))
+        records.append(record_from_doc(doc, parsed))
     return records
 
 
 def load_scenes(in_dir: str | Path) -> dict[str, Scene]:
     path = Path(in_dir) / "scenes.jsonl"
     scenes: dict[str, Scene] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
+    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         doc = json.loads(line)
-        scenes[doc["scene_id"]] = scene_from_json(json.dumps(doc["scene"]))
+        try:
+            scenes[doc["scene_id"]] = scene_from_json(json.dumps(doc["scene"]))
+        except (AttributeError, TypeError) as exc:
+            raise ValueError(f"scenes.jsonl line {line_no} is not a scene object: {exc}") from exc
     return scenes
 
 

@@ -49,7 +49,7 @@ from .reasoner import (
     saturate,
 )
 from .render import DiagramStyle, RenderError, render_svg
-from .rules import RULES_BY_ID
+from .rules import RULES_BY_ID, Rule
 from .sampler import (
     OracleMismatchError,
     ProblemDraft,
@@ -606,47 +606,68 @@ class VerifyReport:
         return not self.failures
 
 
+class _SceneChecks:
+    """One scene's initial set and its pure checks, each run once per
+    ``verify`` call: statement -> numeric verdict, and (rule id, premises in
+    cited order, conclusion) -> licensed. Never shared across scenes or
+    calls, where a verdict would meet another geometry."""
+
+    def __init__(self, scene: Scene):
+        self.geometry = scene.geometry
+        self.initial = set(scene.initial_statements)
+        self._holds: dict[Statement, bool] = {}
+        self._licensed: dict[tuple, bool] = {}
+
+    def holds(self, stmt: Statement) -> bool:
+        verdict = self._holds.get(stmt)
+        if verdict is None:
+            verdict = self._holds[stmt] = self.geometry.check_statement(stmt).holds
+        return verdict
+
+    def licensed(self, rule: Rule, step: SolutionStep) -> bool:
+        key = (rule.id, step.premises, step.conclusion)
+        verdict = self._licensed.get(key)
+        if verdict is None:
+            verdict = self._licensed[key] = rule.recheck(self.geometry, step.premises, step.conclusion)
+        return verdict
+
+
 def _replay_steps(
-    scene: Scene, steps: Sequence[SolutionStep], label: str
+    checks: _SceneChecks, steps: Sequence[SolutionStep], label: str
 ) -> tuple[str | None, frozenset[Statement]]:
     """Re-verify a transition list; returns (error or None, used premises).
 
     Each step must be derived by its cited rule's matcher from exactly its
-    cited premises, all established earlier. Every statement is checked
-    numerically once: an initial premise on first use, a conclusion when
-    it is added."""
-    geometry = scene.geometry
-    initial = set(scene.initial_statements)
-    available = set(initial)
-    checked: set[Statement] = set()
+    cited premises, all established earlier, and every premise and
+    conclusion must hold numerically."""
+    derived: set[Statement] = set()
     used: set[Statement] = set()
     for i, step in enumerate(steps):
         rule = RULES_BY_ID.get(step.rule)
         if rule is None:
             return f"{label} step {i}: unknown rule {step.rule}", frozenset()
         for p in step.premises:
-            if p not in available:
-                return f"{label} step {i}: premise {p} not established", frozenset()
-            if p not in checked:
-                if not geometry.check_statement(p).holds:
-                    return f"{label} step {i}: premise {p} fails numerically", frozenset()
-                checked.add(p)
-            if p in initial:
+            if p in checks.initial:
                 used.add(p)
+            elif p not in derived:
+                return f"{label} step {i}: premise {p} not established", frozenset()
+            if not checks.holds(p):
+                return f"{label} step {i}: premise {p} fails numerically", frozenset()
         if step.conclusion in step.premises:
             return f"{label} step {i}: conclusion among premises", frozenset()
-        if not rule.recheck(geometry, step.premises, step.conclusion):
+        if not checks.licensed(rule, step):
             return f"{label} step {i}: rule {step.rule} does not license this step", frozenset()
-        if step.conclusion not in checked:
-            if not geometry.check_statement(step.conclusion).holds:
-                return f"{label} step {i}: conclusion fails numerically", frozenset()
-            checked.add(step.conclusion)
-        available.add(step.conclusion)
+        if not checks.holds(step.conclusion):
+            return f"{label} step {i}: conclusion fails numerically", frozenset()
+        derived.add(step.conclusion)
     return None, frozenset(used)
 
 
 def _verify_record(
-    record: ProblemRecord, scenes: dict[str, Scene], diagrams: set[str]
+    record: ProblemRecord,
+    scenes: dict[str, Scene],
+    diagrams: set[str],
+    checks: dict[str, _SceneChecks],
 ) -> str | None:
     doc = record_to_doc(record)
     if record_content_hash(doc) != record.id:
@@ -658,8 +679,11 @@ def _verify_record(
     scene = scenes.get(record.scene_id)
     if scene is None:
         return f"unknown scene {record.scene_id}"
+    scene_checks = checks.get(record.scene_id)
+    if scene_checks is None:
+        scene_checks = checks[record.scene_id] = _SceneChecks(scene)
     for p in record.premises:
-        if p not in scene.initial_statements:
+        if p not in scene_checks.initial:
             return f"question premise {p} is not an initial statement"
     if not record.solutions:
         return "no formal solution"
@@ -667,7 +691,7 @@ def _verify_record(
     for j, steps in enumerate(record.solutions):
         if not steps:
             return f"solution {j} is empty"
-        error, used = _replay_steps(scene, steps, f"solution {j}")
+        error, used = _replay_steps(scene_checks, steps, f"solution {j}")
         if error:
             return error
         if steps[-1].conclusion != _full_target(record):
@@ -692,7 +716,7 @@ def _verify_record(
                 return "stored tier disagrees with the reasoning length"
         last_step_sets.append({(s.premises, s.rule, s.conclusion) for s in steps})
     if record.wrong_branch is not None:
-        error, _ = _replay_steps(scene, record.wrong_branch, "wrong branch")
+        error, _ = _replay_steps(scene_checks, record.wrong_branch, "wrong branch")
         if error:
             return error
         shared = last_step_sets[0] & {
@@ -730,9 +754,11 @@ def verify(in_dir: str | Path) -> VerifyReport:
     """Independently replay every record of a dataset.
 
     Each solution step is re-derived by its cited rule's matcher from exactly
-    its cited premises, and each statement is checked numerically once on the
+    its cited premises, and each statement is checked numerically on the
     scene geometry; filters and tier are re-derived, and numeric answers
-    re-checked against the coordinate oracle. Each record's diagram must be
+    re-checked against the coordinate oracle. These checks are pure, so each
+    distinct replay, numeric check and statement parse runs once per scene
+    per call, however many records share it. Each record's diagram must be
     ``svg/<id>.svg`` and present. The record ids, in order, must
     match manifest.jsonl, so a truncated records.jsonl fails as a
     ``<dataset>`` failure. Schema problems surface as corrupt-record failures
@@ -748,6 +774,8 @@ def verify(in_dir: str | Path) -> VerifyReport:
     except OSError:
         diagrams = set()
     path = Path(in_dir) / "records.jsonl"
+    parsed: dict[str, Statement] = {}
+    checks: dict[str, _SceneChecks] = {}
     ids: list[str | None] = []
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -758,12 +786,12 @@ def verify(in_dir: str | Path) -> VerifyReport:
             if isinstance(doc, dict):
                 ids[-1] = doc.get("id")
             # looked up at call time, as load_records does, so a patched parser applies
-            record = dataset.record_from_doc(doc)
+            record = dataset.record_from_doc(doc, parsed)
         except (CorruptRecordError, ParseError, json.JSONDecodeError) as exc:
             failures.append((f"line {line_no}", f"corrupt record: {exc}"))
             continue
         try:
-            problem = _verify_record(record, scenes, diagrams)
+            problem = _verify_record(record, scenes, diagrams, checks)
         except (GeometryError, ParseError) as exc:
             problem = f"verification error: {exc}"
         if problem:

@@ -3,11 +3,13 @@ import hashlib
 import json
 import os
 import shutil
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import geoforge.dataset
 from geoforge.dataset import (
     load_config,
     load_records,
@@ -15,6 +17,7 @@ from geoforge.dataset import (
     record_content_hash,
     write_dataset,
 )
+from geoforge.geometry import SceneGeometry
 from geoforge.pipeline import (
     AnswerCheck,
     InsufficientRecordsError,
@@ -27,6 +30,7 @@ from geoforge.pipeline import (
     stats,
     verify,
 )
+from geoforge.rules import Rule
 from geoforge.statements import parse_statement
 
 SMALL = PipelineConfig(seed_start=0, count=40)
@@ -179,7 +183,7 @@ class TestGenerate:
 
 
 class TestVerifyTamperDetection:
-    def _tampered(self, dataset, tmp_path, mutate):
+    def _tampered(self, dataset, tmp_path, mutate, index=0):
         out, _ = dataset
         target = tmp_path / "tampered"
         target.mkdir()
@@ -188,20 +192,20 @@ class TestVerifyTamperDetection:
         shutil.copytree(out / "svg", target / "svg")
         lines = (out / "records.jsonl").read_text().splitlines()
         docs = [json.loads(line) for line in lines]
-        mutate(docs[0])
+        mutate(docs[index])
         # a recomputed id renames the diagram too, so only the record's own
         # checks can fail, not the diagram check
-        diagram = f"svg/{docs[0]['id']}.svg"
-        if docs[0]["diagram"] != diagram:
-            shutil.copy(target / docs[0]["diagram"], target / diagram)
-            docs[0]["diagram"] = diagram
+        diagram = f"svg/{docs[index]['id']}.svg"
+        if docs[index]["diagram"] != diagram:
+            shutil.copy(target / docs[index]["diagram"], target / diagram)
+            docs[index]["diagram"] = diagram
         with (target / "records.jsonl").open("w") as f:
             for doc in docs:
                 f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         # a recomputed id goes into the manifest too, so only the record's own
         # checks can fail, not the manifest cross-check
         manifest = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
-        manifest[0]["id"] = docs[0]["id"]
+        manifest[index]["id"] = docs[index]["id"]
         (target / "manifest.jsonl").write_text("".join(json.dumps(m) + "\n" for m in manifest))
         return verify(target)
 
@@ -364,6 +368,165 @@ class TestVerifyTamperDetection:
         assert [rid for rid, _ in report.failures] == ["<dataset>"]
         assert "manifest" in report.failures[0][1]
 
+    # verify runs each distinct check once per scene; the tests below tamper
+    # a record that shares a scene or a cited step with an earlier record, so
+    # a memo keyed too coarsely hands the tampered record a stale verdict
+
+    def _shared_step(self, dataset):
+        """(record index, step index): the first solution-0 step that an
+        earlier record of the same scene also cites."""
+        _, report0 = dataset
+        seen = set()
+        for i, record in enumerate(report0.records):
+            for k, step in enumerate(record.solutions[0]):
+                if (record.scene_id, step) in seen:
+                    return i, k
+            seen.update((record.scene_id, step) for sol in record.solutions for step in sol)
+        pytest.fail("no record shares a step with an earlier record")
+
+    def test_relabelled_shared_step_fails(self, dataset, tmp_path):
+        index, k = self._shared_step(dataset)
+        ids = []
+
+        def relabel(doc):
+            step = doc["formal_solutions"][0][k]
+            step["rule"] = "thales_right_angle" if step["rule"] != "thales_right_angle" else "pythagoras"
+            doc["id"] = record_content_hash(doc)
+            ids.append((doc["id"], step["rule"]))
+
+        report = self._tampered(dataset, tmp_path, relabel, index)
+        (rid, rule), = ids
+        assert report.failures == [(rid, f"solution 0 step {k}: rule {rule} does not license this step")]
+
+    def test_shared_step_citing_a_premise_twice_fails(self, dataset, tmp_path):
+        index, k = self._shared_step(dataset)
+        ids = []
+
+        def cite_twice(doc):
+            step = doc["formal_solutions"][0][k]
+            step["premises"].append(step["premises"][-1])
+            doc["id"] = record_content_hash(doc)
+            ids.append((doc["id"], step["rule"]))
+
+        report = self._tampered(dataset, tmp_path, cite_twice, index)
+        (rid, rule), = ids
+        assert report.failures == [(rid, f"solution 0 step {k}: rule {rule} does not license this step")]
+
+    def _moved(self, dataset, tmp_path, name):
+        """A copy with the first cited point of record 0 moved, its scene id
+        kept, and the (docs, scene docs) of the original."""
+        out, _ = dataset
+        target = tmp_path / name
+        shutil.copytree(out, target)
+        docs = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        scene_docs = [json.loads(line) for line in (out / "scenes.jsonl").read_text().splitlines()]
+        label = parse_statement(docs[0]["formal_solutions"][0][0]["premises"][0]).groups[0][0]
+        moved = json.loads(json.dumps(scene_docs))
+        for doc in moved:
+            if doc["scene_id"] == docs[0]["scene_id"]:
+                x, y = doc["scene"]["points"][label]
+                doc["scene"]["points"][label] = [x + 0.5, y + 0.3]
+        _write_lines(target / "scenes.jsonl", moved)
+        return target, docs, scene_docs
+
+    def test_moved_point_verdicts_do_not_depend_on_record_order(self, dataset, tmp_path):
+        # every record of the scene is judged on its own steps, whichever of
+        # them met a failing statement first
+        target, docs, _ = self._moved(dataset, tmp_path, "moved")
+        forward = dict(verify(target).failures)
+        _write_lines(target / "records.jsonl", docs[::-1])
+        _write_lines(target / "manifest.jsonl", [{"id": d["id"]} for d in docs[::-1]])
+        backward = dict(verify(target).failures)
+        assert forward == backward
+        assert len(forward) >= 2
+        assert {d["scene_id"] for d in docs if d["id"] in forward} == {docs[0]["scene_id"]}
+
+    def test_moved_point_fails_after_clean_verify(self, dataset, tmp_path):
+        # nothing verify learnt about a scene outlives the call
+        out, _ = dataset
+        assert verify(out).ok
+        target, docs, _ = self._moved(dataset, tmp_path, "moved")
+        assert "fails numerically" in dict(verify(target).failures)[docs[0]["id"]]
+
+    def test_record_on_a_moved_copy_of_its_scene_fails(self, dataset, tmp_path):
+        # the same steps and statements, replayed on another scene, are
+        # judged on that scene's geometry
+        out, _ = dataset
+        target, docs, scene_docs = self._moved(dataset, tmp_path, "copied")
+        moved = [json.loads(line) for line in (target / "scenes.jsonl").read_text().splitlines()]
+        copy = next(d for d in moved if d["scene_id"] == docs[0]["scene_id"])
+        copy["scene_id"] = "f" * 16
+        _write_lines(target / "scenes.jsonl", [*scene_docs, copy])
+        clone = json.loads(json.dumps(docs[0]))
+        clone["scene_id"] = copy["scene_id"]
+        clone["id"] = record_content_hash(clone)
+        clone["diagram"] = f"svg/{clone['id']}.svg"
+        shutil.copy(out / docs[0]["diagram"], target / clone["diagram"])
+        _write_lines(target / "records.jsonl", [*docs, clone])
+        _write_lines(target / "manifest.jsonl", [{"id": d["id"]} for d in [*docs, clone]])
+        report = verify(target)
+        assert [rid for rid, _ in report.failures] == [clone["id"]]
+        assert "fails numerically" in report.failures[0][1]
+
+    def test_scenes_line_that_is_not_an_object_fails(self, dataset, tmp_path):
+        out, _ = dataset
+        n = len((out / "scenes.jsonl").read_text().splitlines())
+        bad_lines = ("[]", '{"scene_id": "x", "scene": 5}', '{"scene_id": "x", "scene": {"points": 5}}')
+        for i, bad in enumerate(bad_lines):
+            target = tmp_path / f"bad{i}"
+            shutil.copytree(out, target)
+            with (target / "scenes.jsonl").open("a") as f:
+                f.write(bad + "\n")
+            with pytest.raises(ValueError):
+                load_scenes(target)
+            (where, reason), = verify(target).failures
+            assert where == "<dataset>"
+            assert reason.startswith(f"cannot load scenes: scenes.jsonl line {n + 1} is not a scene object: ")
+
+
+class TestVerifyWork:
+    def test_each_check_runs_once_per_scene(self, dataset, monkeypatch):
+        out, _ = dataset
+        records = load_records(out)
+        docs = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        steps = [
+            (r.scene_id, step)
+            for r in records
+            for sol in (*r.solutions, r.wrong_branch or ())
+            for step in sol
+        ]
+        replays = {(sid, s.rule, s.premises, s.conclusion) for sid, s in steps}
+        checked = {(sid, stmt) for sid, s in steps for stmt in (*s.premises, s.conclusion)}
+        texts = set()
+        for doc in docs:
+            texts.update(doc["premises"])
+            texts.add(doc["target"])
+            for sol in [*doc["formal_solutions"], doc["wrong_branch"] or []]:
+                for step in sol:
+                    texts.update(step["premises"])
+                    texts.add(step["conclusion"])
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Rule, "recheck", counted("recheck", Rule.recheck))
+        monkeypatch.setattr(
+            SceneGeometry, "check_statement", counted("check", SceneGeometry.check_statement)
+        )
+        monkeypatch.setattr(
+            geoforge.dataset, "parse_statement", counted("parse", geoforge.dataset.parse_statement)
+        )
+        assert verify(out).ok
+        assert calls["recheck"] == len(replays) < len(steps)
+        assert calls["check"] == len(checked)
+        assert calls["parse"] == len(texts)
+
 
 class TestBootstrap:
     def test_generation_shift(self, dataset, tmp_path):
@@ -408,6 +571,10 @@ class TestBootstrap:
         (empty / "scenes.jsonl").write_text("")
         with pytest.raises(PipelineError):
             bootstrap(SMALL, empty, tmp_path / "b")
+
+
+def _write_lines(path: Path, docs) -> None:
+    path.write_text("".join(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n" for d in docs))
 
 
 def _synthetic_dataset(tmp_path, tiers=(1, 2, 3, 4), per_tier=3) -> Path:
