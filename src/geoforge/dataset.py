@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -76,18 +76,30 @@ def _steps_doc(steps: Iterable[SolutionStep]) -> list[dict]:
     ]
 
 
+def _step_from_doc(entry, parse) -> SolutionStep:
+    if not isinstance(entry["rule"], str):
+        raise TypeError(f"rule {entry['rule']!r} is not a string")
+    return SolutionStep(
+        premises=tuple(parse(t) for t in entry["premises"]),
+        rule=entry["rule"],
+        conclusion=parse(entry["conclusion"]),
+    )
+
+
 def _steps_from_doc(doc, parse) -> tuple[SolutionStep, ...]:
     try:
-        return tuple(
-            SolutionStep(
-                premises=tuple(parse(t) for t in entry["premises"]),
-                rule=entry["rule"],
-                conclusion=parse(entry["conclusion"]),
-            )
-            for entry in doc
-        )
+        return tuple(_step_from_doc(entry, parse) for entry in doc)
     except (KeyError, TypeError) as exc:
         raise CorruptRecordError(f"bad solution step: {exc}") from exc
+
+
+def _number(doc: dict, key: str, optional: bool = False) -> int | float | None:
+    """``doc[key]``, which must be a JSON number (a bool is not one), or null
+    when ``optional``."""
+    value = doc[key]
+    if type(value) in (int, float) or (optional and value is None):
+        return value
+    raise CorruptRecordError(f"{key} is not a number: {value!r}")
 
 
 def _answer_doc(record: ProblemRecord) -> dict | None:
@@ -153,34 +165,32 @@ def record_from_doc(doc: dict, parsed: dict[str, Statement] | None = None) -> Pr
         return stmt
 
     try:
-        answer = doc["answer"]
-        value = Fraction(answer["exact"]) if doc["kind"] == "numeric" else None
+        kind, scene_id = doc["kind"], doc["scene_id"]
+        if kind not in ("numeric", "proof"):
+            raise CorruptRecordError(f"kind {kind!r} is neither numeric nor proof")
+        if not isinstance(scene_id, str):
+            raise CorruptRecordError(f"scene_id {scene_id!r} is not a string")
+        value = Fraction(doc["answer"]["exact"]) if kind == "numeric" else None
         meta = doc["metadata"]
         return ProblemRecord(
             id=doc["id"],
             seed=doc["seed"],
-            scene_id=doc["scene_id"],
+            scene_id=scene_id,
             template=doc["template"],
-            kind=doc["kind"],
+            kind=kind,
             question=doc["question"],
             premises=tuple(parse(t) for t in doc["premises"]),
             target=parse(doc["target"]),
             answer_value=value,
             solutions=tuple(_steps_from_doc(sol, parse) for sol in doc["formal_solutions"]),
             wrong_branch=_steps_from_doc(doc["wrong_branch"], parse) if doc["wrong_branch"] else None,
-            overlap=doc["overlap"],
+            overlap=_number(doc, "overlap", optional=True),
             nl_solution=doc["nl_solution"],
             connection_thinking=doc["connection_thinking"],
             untranslated=doc["untranslated"],
             diagram=doc["diagram"],
             metadata=RecordMetadata(
-                reasoning_length=meta["reasoning_length"],
-                premise_ratio=meta["premise_ratio"],
-                tier=meta["tier"],
-                tau_l=meta["tau_l"],
-                tau_r=meta["tau_r"],
-                tau_p=meta["tau_p"],
-                bootstrap_generation=meta["bootstrap_generation"],
+                **{f.name: _number(meta, f.name, f.name == "tier") for f in fields(RecordMetadata)}
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:

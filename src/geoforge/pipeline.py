@@ -655,10 +655,10 @@ def _replay_steps(
                 return f"{label} step {i}: premise {p} fails numerically", frozenset()
         if step.conclusion in step.premises:
             return f"{label} step {i}: conclusion among premises", frozenset()
-        if not checks.licensed(rule, step):
-            return f"{label} step {i}: rule {step.rule} does not license this step", frozenset()
         if not checks.holds(step.conclusion):
             return f"{label} step {i}: conclusion fails numerically", frozenset()
+        if not checks.licensed(rule, step):
+            return f"{label} step {i}: rule {step.rule} does not license this step", frozenset()
         derived.add(step.conclusion)
     return None, frozenset(used)
 
@@ -761,8 +761,8 @@ def verify(in_dir: str | Path) -> VerifyReport:
     per call, however many records share it. Each record's diagram must be
     ``svg/<id>.svg`` and present. The record ids, in order, must
     match manifest.jsonl, so a truncated records.jsonl fails as a
-    ``<dataset>`` failure. Schema problems surface as corrupt-record failures
-    rather than crashes.
+    ``<dataset>`` failure, as does a missing or non-UTF-8 one. Schema and
+    field-type problems surface as corrupt-record failures, not crashes.
     """
     failures: list[tuple[str, str]] = []
     try:
@@ -773,11 +773,14 @@ def verify(in_dir: str | Path) -> VerifyReport:
         diagrams = {f"svg/{p.name}" for p in (Path(in_dir) / "svg").iterdir()}
     except OSError:
         diagrams = set()
-    path = Path(in_dir) / "records.jsonl"
+    try:
+        lines = (Path(in_dir) / "records.jsonl").read_text(encoding="utf-8").splitlines()
+    except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
+        return VerifyReport(0, [("<dataset>", f"cannot read records: {exc}")])
     parsed: dict[str, Statement] = {}
     checks: dict[str, _SceneChecks] = {}
     ids: list[str | None] = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
         ids.append(None)

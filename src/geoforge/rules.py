@@ -11,7 +11,14 @@ Three helpers state the join's policies once: ``_role`` picks the
 statements that may fill a premise of one predicate (the newest alone if it
 has that predicate, else the earlier ones), ``_fire`` drops a conclusion
 that is not a well-formed statement, and ``_distinct`` reports a fire once
-per call for the triangle matchers, which reach it once per labelling.
+per call for the triangle matchers, which reach it once per labelling: they
+yield the premises, the factory and the two triangles, and ``_distinct``
+keys them on the premises and the vertex correspondence before it builds
+the conclusion. The triangle joins read hash indexes that
+``MatchContext.note`` keeps (equal-segments facts by segment pair,
+equal-angles facts by triangle pair and by angle vertices); a lookup returns
+ascending ids below a bound, so a matcher fires in the order a scan of all
+earlier facts would.
 Saturation runs only the rules a new statement's predicate triggers; replay
 refuses a step whose newest cited premise is not a trigger and otherwise
 runs the same matcher over a context holding only the cited premises, so the
@@ -24,6 +31,7 @@ signals a bug, not a filterable event.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -35,7 +43,6 @@ from .statements import (
     Predicate,
     Statement,
     angle_measure,
-    canonical_equal_segments,
     congruent_triangles,
     equal_angles,
     equal_segments,
@@ -55,12 +62,18 @@ class MatchContext:
     id of a statement, and the ids of each predicate in insertion order.
 
     Saturation shares the graph's statement list and index and ``note``s each
-    id it adds; ``of`` builds a standalone context over a statement list."""
+    id it adds; ``of`` builds a standalone context over a statement list.
+    ``note`` also keeps the join indexes: the first equal-segments id of each
+    segment pair, and the equal-angles ids, ascending, by triangle-pair key
+    and by their two angle vertices (sorted)."""
 
     geometry: SceneGeometry
     statements: list[Statement] = field(default_factory=list)
     index: dict[Statement, int] = field(default_factory=dict)
     by_pred: dict[Predicate, list[int]] = field(default_factory=dict, init=False)
+    eq_segments: dict[tuple[tuple[str, ...], ...], int] = field(default_factory=dict, init=False)
+    angles_by_pair: dict[frozenset, list[int]] = field(default_factory=dict, init=False)
+    angles_by_vertices: dict[tuple[str, str], list[int]] = field(default_factory=dict, init=False)
 
     @classmethod
     def of(cls, geometry: SceneGeometry, statements: Iterable[Statement]) -> "MatchContext":
@@ -71,7 +84,14 @@ class MatchContext:
         return ctx
 
     def note(self, sid: int) -> None:
-        self.by_pred.setdefault(self.statements[sid].predicate, []).append(sid)
+        stmt = self.statements[sid]
+        self.by_pred.setdefault(stmt.predicate, []).append(sid)
+        if stmt.predicate is Predicate.EQUAL_SEGMENTS:
+            self.eq_segments.setdefault(stmt.groups, sid)
+        elif stmt.predicate is Predicate.EQUAL_ANGLES:
+            g1, g2 = stmt.groups
+            self.angles_by_pair.setdefault(_triangle_pair_key(stmt), []).append(sid)
+            self.angles_by_vertices.setdefault(_seg(g1[1], g2[1]), []).append(sid)
 
     def stmt(self, sid: int) -> Statement:
         return self.statements[sid]
@@ -136,23 +156,30 @@ def _fire(premises: tuple[int, ...], factory: Callable[..., Statement], *args) -
     yield premises, conclusion
 
 
-def _distinct(matcher: Matcher) -> Matcher:
-    """Report each fire of one matcher call once, in first-seen order: the
-    triangle matchers reach a fire once per labelling of its triangles."""
+TriangleFire = tuple[tuple[int, ...], Callable[..., Statement], tuple[str, ...], tuple[str, ...]]
+
+
+def _distinct(matcher: Callable[[MatchContext, int], Iterator[TriangleFire]]) -> Matcher:
+    """Build and report each fire of one triangle matcher call once, in
+    first-seen order. The matcher yields ``(premises, factory, t1, t2)`` once
+    per labelling of a triangle pair; labellings with the same premises and
+    the same vertex correspondence, either way round, canonicalise to the
+    same conclusion, so they are merged before it is built."""
 
     def distinct(ctx: MatchContext, sid: int) -> Iterator[Match]:
-        seen: set[Match] = set()
-        for fire in matcher(ctx, sid):
-            if fire not in seen:
-                seen.add(fire)
-                yield fire
+        seen: set[tuple[tuple[int, ...], frozenset]] = set()
+        for premises, factory, t1, t2 in matcher(ctx, sid):
+            key = (premises, frozenset(zip(t1, t2)))
+            if key not in seen:
+                seen.update((key, (premises, frozenset(zip(t2, t1)))))
+                yield from _fire(premises, factory, t1, t2)
 
     return distinct
 
 
-def _lookup_before(ctx: MatchContext, stmt: Statement, before: int) -> int | None:
-    sid = ctx.lookup(stmt)
-    return sid if sid is not None and sid < before else None
+def _below(ids: Sequence[int], before: int) -> Sequence[int]:
+    """The ids < ``before`` of an ascending id list."""
+    return ids[: bisect_left(ids, before)]
 
 
 def _seg(a: str, b: str) -> tuple[str, str]:
@@ -480,15 +507,15 @@ def _triangle_correspondence(
 
 
 @_distinct
-def _m_sss_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
+def _m_sss_congruence(ctx: MatchContext, sid: int) -> Iterator[TriangleFire]:
     new = ctx.stmt(sid)
     g = ctx.geometry
     eqs = list(_others(ctx, Predicate.EQUAL_SEGMENTS, sid))
 
-    def congruent(premises: tuple[int, ...], sides1, sides2) -> Iterator[Match]:
+    def congruent(premises: tuple[int, ...], sides1, sides2) -> Iterator[TriangleFire]:
         pair = _triangle_correspondence(sides1, sides2)
         if pair is not None and _not_collinear(g, *pair[0]) and _not_collinear(g, *pair[1]):
-            yield from _fire(premises, congruent_triangles, *pair)
+            yield premises, congruent_triangles, *pair
 
     # three explicit equalities
     for (i2, e2), (i3, e3) in combinations(eqs, 2):
@@ -524,8 +551,8 @@ def _eq_or_identical(
     s1, s2 = _seg(*seg1), _seg(*seg2)
     if s1 == s2:
         return True, None
-    sid = _lookup_before(ctx, canonical_equal_segments(s1, s2), before)
-    return (sid is not None), sid
+    sid = ctx.eq_segments.get((s1, s2) if s1 < s2 else (s2, s1))
+    return (True, sid) if sid is not None and sid < before else (False, None)
 
 
 def _triangle_pair_key(eq_ang: Statement) -> frozenset[frozenset[str]]:
@@ -535,12 +562,20 @@ def _triangle_pair_key(eq_ang: Statement) -> frozenset[frozenset[str]]:
     return frozenset((frozenset(g1), frozenset(g2)))
 
 
-def _vertices_on(eq_ang: Statement, stmt: Statement) -> bool:
-    """Both angle vertices of ``eq_ang`` are points of ``stmt``'s two
-    groups: true when ``stmt`` is ``eq_ang`` itself, and necessary for
-    ``stmt`` to be a side equality of SAS or ASA built on ``eq_ang``."""
-    ends = {*stmt.groups[0], *stmt.groups[1]}
-    return eq_ang.groups[0][1] in ends and eq_ang.groups[1][1] in ends
+def _same_pair(ctx: MatchContext, eq_ang: Statement, before: int) -> list[tuple[int, Statement]]:
+    """The equal-angles facts with ids < ``before`` and the key of ``eq_ang``."""
+    ids = _below(ctx.angles_by_pair.get(_triangle_pair_key(eq_ang), ()), before)
+    return [(i, ctx.stmt(i)) for i in ids]
+
+
+def _angles_on(ctx: MatchContext, eq_seg: Statement, before: int) -> list[tuple[int, Statement]]:
+    """The equal-angles facts with ids < ``before`` whose two angle vertices
+    are points of ``eq_seg``'s segments, ascending: a side equality of SAS or
+    ASA built on an angle fact needs both its vertices."""
+    ends = sorted({*eq_seg.groups[0], *eq_seg.groups[1]})
+    keys = [(p, q) for k, p in enumerate(ends) for q in ends[k:]]
+    ids = sorted(i for key in keys for i in _below(ctx.angles_by_vertices.get(key, ()), before))
+    return [(i, ctx.stmt(i)) for i in ids]
 
 
 def _angle_pairings(
@@ -554,12 +589,11 @@ def _angle_pairings(
 
 
 @_distinct
-def _m_sas_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
+def _m_sas_congruence(ctx: MatchContext, sid: int) -> Iterator[TriangleFire]:
     new = ctx.stmt(sid)
     g = ctx.geometry
-    for ang_id, ang in _role(ctx, sid, Predicate.EQUAL_ANGLES):
-        if not _vertices_on(ang, new):
-            continue
+    angles = ((sid, new),) if new.predicate is Predicate.EQUAL_ANGLES else _angles_on(ctx, new, sid)
+    for ang_id, ang in angles:
         for (x1, v1, y1), (x2, v2, y2) in _angle_pairings(ang):
             ok1, eq1 = _eq_or_identical(ctx, (v1, x1), (v2, x2), sid + 1)
             ok2, eq2 = _eq_or_identical(ctx, (v1, y1), (v2, y2), sid + 1)
@@ -570,7 +604,7 @@ def _m_sas_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
                 continue
             if not (_not_collinear(g, x1, v1, y1) and _not_collinear(g, x2, v2, y2)):
                 continue
-            yield from _fire(tuple(sorted(ids)), congruent_triangles, (x1, v1, y1), (x2, v2, y2))
+            yield tuple(sorted(ids)), congruent_triangles, (x1, v1, y1), (x2, v2, y2)
 
 
 def _triangle_maps(
@@ -600,14 +634,12 @@ def _two_angle_triangles(
 
 
 @_distinct
-def _m_asa_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
+def _m_asa_congruence(ctx: MatchContext, sid: int) -> Iterator[TriangleFire]:
     new = ctx.stmt(sid)
-    angles = _others(ctx, Predicate.EQUAL_ANGLES, sid)
     if new.predicate is Predicate.EQUAL_ANGLES:
-        key = _triangle_pair_key(new)
-        pairs = (((sid, new), (i, a)) for i, a in angles if _triangle_pair_key(a) == key)
+        pairs = (((sid, new), other) for other in _same_pair(ctx, new, sid))
     else:
-        pairs = combinations([(i, a) for i, a in angles if _vertices_on(a, new)], 2)
+        pairs = combinations(_angles_on(ctx, new, sid), 2)
     for (id_a, st_a), (id_b, st_b) in pairs:
         for (v1, w1, u1), (v2, w2, u2) in _two_angle_triangles(ctx.geometry, st_a, st_b):
             ok, eq_id = _eq_or_identical(ctx, (v1, w1), (v2, w2), sid + 1)
@@ -615,7 +647,7 @@ def _m_asa_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
                 continue
             ids = {id_a, id_b} | ({eq_id} if eq_id is not None else set())
             if sid in ids:
-                yield from _fire(tuple(sorted(ids)), congruent_triangles, (v1, w1, u1), (v2, w2, u2))
+                yield tuple(sorted(ids)), congruent_triangles, (v1, w1, u1), (v2, w2, u2)
 
 
 def _corresponding_side_pairs(t1, t2):
@@ -637,13 +669,11 @@ def _m_congruent_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
 
 
 @_distinct
-def _m_aa_similarity(ctx: MatchContext, sid: int) -> Iterator[Match]:
+def _m_aa_similarity(ctx: MatchContext, sid: int) -> Iterator[TriangleFire]:
     new = ctx.stmt(sid)
-    key = _triangle_pair_key(new)
-    for oid, other in _others(ctx, Predicate.EQUAL_ANGLES, sid):
-        if _triangle_pair_key(other) == key:
-            for t1, t2 in _two_angle_triangles(ctx.geometry, new, other):
-                yield from _fire((oid, sid), similar_triangles, t1, t2)
+    for oid, other in _same_pair(ctx, new, sid):
+        for t1, t2 in _two_angle_triangles(ctx.geometry, new, other):
+            yield (oid, sid), similar_triangles, t1, t2
 
 
 def _m_similar_side_ratio(ctx: MatchContext, sid: int) -> Iterator[Match]:

@@ -92,6 +92,8 @@ _BY_TOKEN = {p.value: p for p in Predicate}
 VALUE_PREDICATES = frozenset(p for p, (_, u) in _SHAPES.items() if u is not None)
 
 _POINT_RE = re.compile(r"[A-Z][0-9]?")
+# the labels _POINT_RE accepts, for membership tests on built statements
+_LABELS = frozenset(f"{c}{d}" for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" for d in ("", *"0123456789"))
 _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
@@ -112,10 +114,6 @@ class Statement:
     @property
     def unit(self) -> Unit | None:
         return _SHAPES[self.predicate][1]
-
-    def points(self) -> Iterator[str]:
-        for group in self.groups:
-            yield from group
 
     def text(self) -> str:
         return serialize_statement(self)
@@ -159,16 +157,7 @@ def _canon_triangle_pair(
     # distinct vertices one permutation sorts each: 2 candidates suffice.
     _canon_triangle(t1)
     _canon_triangle(t2)
-    by_t1 = sorted(range(3), key=t1.__getitem__)
-    by_t2 = sorted(range(3), key=t2.__getitem__)
-    return min(
-        (tuple(t1[i] for i in by_t1), tuple(t2[i] for i in by_t1)),
-        (tuple(t2[i] for i in by_t2), tuple(t1[i] for i in by_t2)),
-    )
-
-
-def _segment_pair(s1: tuple[str, str], s2: tuple[str, str]) -> tuple[tuple[str, str], ...]:
-    return (min(s1, s2), max(s1, s2))
+    return min(tuple(zip(*sorted(zip(t1, t2)))), tuple(zip(*sorted(zip(t2, t1)))))
 
 
 def _check_value(pred: Predicate, value: Fraction | None) -> Fraction | None:
@@ -178,9 +167,9 @@ def _check_value(pred: Predicate, value: Fraction | None) -> Fraction | None:
         return None
     if value is None:
         return None  # query form
-    if value <= 0:
+    if value.numerator <= 0:  # a Fraction's denominator is positive
         raise MalformedStatementError(f"{pred.value} value must be positive, got {value}")
-    if pred is Predicate.ANGLE_MEASURE and not (0 < value < 180):
+    if pred is Predicate.ANGLE_MEASURE and value.numerator >= 180 * value.denominator:
         raise MalformedStatementError(f"angle value must lie in (0, 180), got {value}")
     return value
 
@@ -192,13 +181,13 @@ def canonicalize(s: Statement) -> Statement:
     required-distinct points that coincide, or out-of-range values.
     """
     shape, _ = _SHAPES[s.predicate]
-    if len(s.groups) != len(shape) or any(len(g) != n for g, n in zip(s.groups, shape)):
-        raise MalformedStatementError(
-            f"{s.predicate.value} expects groups {shape}, got {tuple(len(g) for g in s.groups)}"
-        )
-    for label in s.points():
-        if not _POINT_RE.fullmatch(label):
-            raise MalformedStatementError(f"bad point label {label!r}")
+    sizes = tuple(map(len, s.groups))
+    if sizes != shape:
+        raise MalformedStatementError(f"{s.predicate.value} expects groups {shape}, got {sizes}")
+    for group in s.groups:
+        for label in group:
+            if label not in _LABELS:
+                raise MalformedStatementError(f"bad point label {label!r}")
     value = _check_value(s.predicate, s.value)
     pred = s.predicate
 
@@ -214,7 +203,7 @@ def canonicalize(s: Statement) -> Statement:
             raise MalformedStatementError(f"{pred.value} of a segment with itself")
         if pred is Predicate.PARALLEL and set(s1) & set(s2):
             raise MalformedStatementError("parallel segments may not share a point")
-        groups = _segment_pair(s1, s2)
+        groups = (s1, s2) if s1 < s2 else (s2, s1)
     elif pred is Predicate.EQUAL_ANGLES:
         a1 = _canon_angle(s.groups[0])
         a2 = _canon_angle(s.groups[1])
@@ -388,24 +377,20 @@ def equal_segments(s1: Seg, s2: Seg) -> Statement:
     return canonicalize(Statement(Predicate.EQUAL_SEGMENTS, (tuple(s1), tuple(s2))))
 
 
-def canonical_equal_segments(s1: Seg, s2: Seg) -> Statement:
-    """``equal_segments(s1, s2)`` of two distinct, already canonical segments,
-    built without re-checking their labels."""
-    return Statement(Predicate.EQUAL_SEGMENTS, _segment_pair(s1, s2))
-
-
 def equal_angles(a1: Ang, a2: Ang) -> Statement:
     return canonicalize(Statement(Predicate.EQUAL_ANGLES, (tuple(a1), tuple(a2))))
 
 
+def _fraction(value) -> Fraction | None:
+    return value if value is None or type(value) is Fraction else Fraction(value)
+
+
 def segment_length(s: Seg, value) -> Statement:
-    v = None if value is None else Fraction(value)
-    return canonicalize(Statement(Predicate.SEGMENT_LENGTH, (tuple(s),), v))
+    return canonicalize(Statement(Predicate.SEGMENT_LENGTH, (tuple(s),), _fraction(value)))
 
 
 def angle_measure(a: Ang, value) -> Statement:
-    v = None if value is None else Fraction(value)
-    return canonicalize(Statement(Predicate.ANGLE_MEASURE, (tuple(a),), v))
+    return canonicalize(Statement(Predicate.ANGLE_MEASURE, (tuple(a),), _fraction(value)))
 
 
 def right_angle(a: Ang) -> Statement:
@@ -429,5 +414,5 @@ def similar_triangles(t1: Ang, t2: Ang) -> Statement:
 
 
 def segment_ratio(s1: Seg, s2: Seg, value) -> Statement:
-    v = None if value is None else Fraction(value)
-    return canonicalize(Statement(Predicate.SEGMENT_RATIO, (tuple(s1), tuple(s2)), v))
+    value = _fraction(value)
+    return canonicalize(Statement(Predicate.SEGMENT_RATIO, (tuple(s1), tuple(s2)), value))

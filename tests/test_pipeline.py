@@ -483,6 +483,97 @@ class TestVerifyTamperDetection:
             assert where == "<dataset>"
             assert reason.startswith(f"cannot load scenes: scenes.jsonl line {n + 1} is not a scene object: ")
 
+    def test_missing_or_undecodable_records_file_fails(self, dataset, tmp_path):
+        out, _ = dataset
+        target = tmp_path / "records"
+        shutil.copytree(out, target)
+        (target / "records.jsonl").unlink()
+        (where, reason), = verify(target).failures
+        assert (where, reason.split(":")[0]) == ("<dataset>", "cannot read records")
+        (target / "records.jsonl").write_bytes(b'{"id": "\xff"}\n')  # not UTF-8
+        (where, reason), = verify(target).failures
+        assert (where, reason.split(":")[0]) == ("<dataset>", "cannot read records")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            (("formal_solutions", 0, 0, "rule"), ["x"]),
+            (("metadata", "tau_l"), "5"),
+            (("metadata", "tier"), True),
+            (("overlap",), "5"),
+            (("scene_id",), ["x"]),
+            (("kind",), "x"),
+        ],
+        ids=["step_rule_list", "tau_l_string", "tier_bool", "overlap_string", "scene_id_list", "kind_unknown"],
+    )
+    def test_wrong_field_type_is_corrupt(self, dataset, tmp_path, field, value):
+        # re-hashed, so only the type check can reject the record
+        def mutate(doc):
+            *path, key = field
+            parent = doc
+            for k in path:
+                parent = parent[k]
+            parent[key] = value
+            doc["id"] = record_content_hash(doc)
+
+        report = self._tampered(dataset, tmp_path, mutate)
+        assert [(where, reason.split(":")[0]) for where, reason in report.failures] == [
+            ("line 1", "corrupt record")
+        ]
+
+    # mutations that keep every statement parseable and the id re-hashed
+
+    def test_changed_answer_and_last_conclusion_fail_numerically(self, dataset, tmp_path):
+        _, report0 = dataset
+        index = next(i for i, r in enumerate(report0.records) if r.kind == "numeric")
+        ids = []
+
+        def mutate(doc):
+            # the answer and every solution's end move together, so the
+            # solutions still end at the target
+            changed = Fraction(doc["answer"]["exact"]) * Fraction(21, 20)
+            doc["answer"]["exact"] = str(changed)
+            doc["answer"]["approx"] = float(changed)
+            for sol in doc["formal_solutions"]:
+                last = parse_statement(sol[-1]["conclusion"])
+                sol[-1]["conclusion"] = dataclasses.replace(last, value=changed).text()
+            doc["id"] = record_content_hash(doc)
+            ids.append((doc["id"], len(doc["formal_solutions"][0]) - 1))
+
+        report = self._tampered(dataset, tmp_path, mutate, index)
+        (rid, last), = ids
+        assert report.failures == [(rid, f"solution 0 step {last}: conclusion fails numerically")]
+
+    def test_swapped_steps_fail(self, dataset, tmp_path):
+        # a step moved before the step that concludes one of its premises
+        ids = []
+
+        def swap(doc):
+            sol = doc["formal_solutions"][0]
+            k = next(
+                k for k in range(len(sol) - 1) if sol[k]["conclusion"] in sol[k + 1]["premises"]
+            )
+            sol[k], sol[k + 1] = sol[k + 1], sol[k]
+            doc["id"] = record_content_hash(doc)
+            ids.append((doc["id"], k, sol[k + 1]["conclusion"]))
+
+        report = self._tampered(dataset, tmp_path, swap)
+        (rid, k, premise), = ids
+        assert report.failures == [(rid, f"solution 0 step {k}: premise {premise} not established")]
+
+    def test_wrong_overlap_fails(self, dataset, tmp_path):
+        _, report0 = dataset
+        index = next(i for i, r in enumerate(report0.records) if r.template == "traceback")
+        ids = []
+
+        def mutate(doc):
+            doc["overlap"] = doc["overlap"] + 0.25
+            doc["id"] = record_content_hash(doc)
+            ids.append(doc["id"])
+
+        report = self._tampered(dataset, tmp_path, mutate, index)
+        assert report.failures == [(ids[0], "stored overlap disagrees with the branches")]
+
 
 class TestVerifyWork:
     def test_each_check_runs_once_per_scene(self, dataset, monkeypatch):

@@ -1,5 +1,8 @@
+import dataclasses
 import math
 from fractions import Fraction
+
+import geoforge.rules as rules_module
 
 from geoforge.constructions import (
     BASE_GENERATORS,
@@ -578,6 +581,43 @@ class TestFiresOnce:
         assert matched(_CONG, sides, "sss_congruence") == [
             ((0, 1, 2), congruent_triangles(("A", "B", "C"), ("D", "E", "F")))
         ]
+
+
+    def test_each_triangle_conclusion_is_built_once(self, monkeypatch):
+        # the triangle matchers reach a conclusion once per labelling of its
+        # triangles; the statement is built only for its first labelling
+        built, fired = [], []
+
+        def counting(factory):
+            def build(*args):
+                stmt = factory(*args)
+                built.append(stmt)
+                return stmt
+
+            return build
+
+        for name in ("congruent_triangles", "similar_triangles"):
+            monkeypatch.setattr(rules_module, name, counting(getattr(rules_module, name)))
+
+        def recording(rule):
+            def match(ctx, sid):
+                for fire in rule.match(ctx, sid):
+                    fired.append(fire[1])
+                    yield fire
+
+            return dataclasses.replace(rule, match=match)
+
+        triangle_rules = {"sss_congruence", "sas_congruence", "asa_congruence", "aa_similarity"}
+        traced = tuple(recording(r) if r.id in triangle_rules else r for r in DEFAULT_RULES)
+        config = PipelineConfig()
+        for seed in range(40):
+            try:
+                scene = _build_scene(config, seed)
+            except ConstructionError:
+                continue
+            saturate(scene, rules=traced)
+        assert len(built) == len(fired) > 0
+        assert built == fired
 
 
 class TestReplay:

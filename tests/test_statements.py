@@ -1,3 +1,4 @@
+import string
 from fractions import Fraction
 from itertools import permutations
 
@@ -13,6 +14,8 @@ from geoforge.statements import (
     StatementSet,
     UnknownPointError,
     UnknownPredicateError,
+    _LABELS as LEGAL_LABELS,
+    _POINT_RE,
     _canon_triangle_pair,
     angle_measure,
     canonicalize,
@@ -142,7 +145,16 @@ class TestParsing:
 
     def test_two_digit_labels(self):
         s = parse_statement("collinear(A1,B,C)")
-        assert "A1" in list(s.points())
+        assert s.groups == (("A1", "B", "C"),)
+
+    def test_label_set_is_the_point_grammar(self):
+        # canonicalize checks labels by set membership, the parser by _POINT_RE
+        chars = string.printable
+        texts = [*chars, *(a + b for a in chars for b in chars)]
+        assert [t for t in texts if t in LEGAL_LABELS] == [t for t in texts if _POINT_RE.fullmatch(t)]
+        assert len(LEGAL_LABELS) == 286
+        with pytest.raises(MalformedStatementError, match="bad point label 'a1'"):
+            collinear("a1", "B", "C")
 
 
 _LABELS = st.sampled_from([c + d for c in "ABCDEFGH" for d in ("", "1")])

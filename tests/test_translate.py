@@ -138,7 +138,7 @@ class TestConnectThinking:
             labels: set[str] = set()
             for step in steps:
                 for stmt in (*step.premises, step.conclusion):
-                    labels.update(stmt.points())
+                    labels.update(*stmt.groups)
                     if stmt.value is not None:
                         formal_numbers.update(_NUMBER.findall(str(stmt.value)))
                         formal_numbers.add(str(stmt.value))
