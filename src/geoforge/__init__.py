@@ -10,7 +10,7 @@ from .constructions import (
     generate_base_scene,
     scene_from_json,
 )
-from .geometry import SceneGeometry, Tolerances
+from .geometry import SceneGeometry
 from .pipeline import (
     PipelineConfig,
     bootstrap,
@@ -21,7 +21,7 @@ from .pipeline import (
     verify,
 )
 from .reasoner import Budget, ReasoningGraph, SolutionStep, Transition, saturate
-from .render import DiagramStyle, render_svg
+from .render import render_svg
 from .rules import DEFAULT_RULES, RULES_BY_ID, Rule
 from .sampler import (
     ReasoningPath,
@@ -42,9 +42,7 @@ from .statements import (
     serialize_statement,
 )
 from .translate import (
-    ConnectedSolution,
     ExternalBackend,
-    NlStep,
     TemplateBackend,
     connect_thinking,
     statement_nl,

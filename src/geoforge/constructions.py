@@ -574,7 +574,7 @@ def _bisector_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
         return None
     dist = rng.uniform(0.45, 0.85) * min(nu, nw)
     p = (pv[0] + dist * bx / nb, pv[1] + dist * by / nb)
-    return {"new0": p} if _inside_box(p) else None
+    return {"new0": p}
 
 
 def _parallel_bindings(scene: Scene) -> list[tuple[str, ...]]:
@@ -594,7 +594,7 @@ def _parallel_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
     pp, pa, pb = _pt(scene, p), _pt(scene, a), _pt(scene, b)
     t = rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 0.9)
     q = (pp[0] + t * (pb[0] - pa[0]), pp[1] + t * (pb[1] - pa[1]))
-    return {"new0": q} if _inside_box(q) else None
+    return {"new0": q}
 
 
 def _extension_bindings(scene: Scene) -> list[tuple[str, ...]]:
@@ -613,7 +613,7 @@ def _extension_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
     pa, pb = _pt(scene, a), _pt(scene, b)
     t = float(rng.choice(_EXTENSION_FACTORS))
     q = (pb[0] + t * (pb[0] - pa[0]), pb[1] + t * (pb[1] - pa[1]))
-    return {"new0": q} if _inside_box(q) else None
+    return {"new0": q}
 
 
 def _extension_effects(binding, new_points) -> list[Statement]:
@@ -653,7 +653,7 @@ def _circumcenter_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
     ox = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
     oy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
     p = (ox, oy)
-    return {"new0": p} if _inside_box(p) else None
+    return {"new0": p}
 
 
 def _circumcenter_effects(binding, new_points) -> list[Statement]:
@@ -695,7 +695,7 @@ def _reflect_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
     p, c = binding
     pp, pc = _pt(scene, p), _pt(scene, c)
     q = (2.0 * pc[0] - pp[0], 2.0 * pc[1] - pp[1])
-    return {"new0": q} if _inside_box(q) else None
+    return {"new0": q}
 
 
 def _midsegment_bindings(scene: Scene) -> list[tuple[str, ...]]:
@@ -819,8 +819,6 @@ CONSTRUCTIONS: tuple[Construction, ...] = (
     ),
 )
 
-CONSTRUCTION_BY_ID = {c.id: c for c in CONSTRUCTIONS}
-
 
 def applicable_constructions(scene: Scene) -> list[tuple[Construction, tuple[str, ...]]]:
     """Every (construction, binding) whose preconditions currently hold."""
@@ -841,29 +839,13 @@ def _apply(
     rng: random.Random,
 ) -> Scene | None:
     attempts = PLACEMENT_ATTEMPTS if construction.stochastic else 1
-    dmin = scene.geometry.d_min()
     for _ in range(attempts):
         placed = construction.place(scene, binding, rng)
         if placed is None:
             continue
         labels = _next_labels(scene.geometry.points, construction.new_point_count)
         coords = {labels[i]: placed[f"new{i}"] for i in range(construction.new_point_count)}
-        ok = True
-        for p in coords.values():
-            if not _inside_box(p):
-                ok = False
-                break
-            for q in scene.geometry.points.values():
-                if math.hypot(p[0] - q[0], p[1] - q[1]) < dmin:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and len(coords) == 2:
-            (p1, p2) = coords.values()
-            if math.hypot(p1[0] - p2[0], p1[1] - p2[1]) < dmin:
-                ok = False
-        if not ok:
+        if not all(_inside_box(p) for p in coords.values()):
             continue
         geometry = scene.geometry.extended(coords)
         statements = scene.initial_statements.copy()
@@ -873,9 +855,11 @@ def _apply(
             continue
         # the scene's own statements hold already, on points that did not move
         added = [s for s in effects if statements.add(s)]
-        if not all(geometry.check_statement(s).holds for s in added):
-            continue
+        # degeneracies first: it refuses coincident points, on which no angle
+        # of the new effects can be measured
         if geometry.degeneracies(statements):
+            continue
+        if not all(geometry.check_statement(s).holds for s in added):
             continue
         drawn = list(scene.drawn_segments)
         for seg in construction.drawn(binding, tuple(labels)):

@@ -2,7 +2,7 @@
 
 Holds instantiated coordinates and decides, with explicit relative
 residuals, whether statements hold on them. All predicates reduce to a
-dimensionless residual compared against ``eps_rel``; scenes additionally
+dimensionless residual compared against ``EPS_REL``; scenes additionally
 pass degeneracy thresholds (minimum pairwise distance, minimum referenced
 triangle angle).
 """
@@ -33,14 +33,10 @@ class DegenerateMeasurementError(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Default thresholds; chosen so double-precision construction noise
-    never flips verdicts."""
-
-    eps_rel: float = 1e-9
-    d_min_factor: float = 1e-3  # of the bounding-box diagonal
-    theta_min_deg: float = 5.0
+# Thresholds, chosen so double-precision construction noise never flips verdicts.
+EPS_REL = 1e-9
+D_MIN_FACTOR = 1e-3  # of the bounding-box diagonal
+THETA_MIN_DEG = 5.0
 
 
 @dataclass(frozen=True)
@@ -80,21 +76,20 @@ def _collinear_residual(pa: Coord, pb: Coord, pc: Coord) -> float:
 
 
 class SceneGeometry:
-    """Immutable map of point labels to coordinates plus the thresholds.
+    """Immutable map of point labels to coordinates.
 
     Triangle measures asked for by label are memoised per unordered triple:
     coordinates never move once placed, so an entry stays valid for this
     geometry and for every geometry ``extended`` from it.
     """
 
-    def __init__(self, points: Mapping[str, Coord], tol: Tolerances = Tolerances()):
+    def __init__(self, points: Mapping[str, Coord]):
         clean: dict[str, Coord] = {}
         for label, (x, y) in points.items():
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise GeometryError(f"non-finite coordinate for {label}")
             clean[label] = (float(x), float(y))
         self.points = clean
-        self.tol = tol
         self._min_angles: dict[frozenset[str], float | None] = {}
         self._collinear_residuals: dict[frozenset[str], float] = {}
 
@@ -107,13 +102,10 @@ class SceneGeometry:
         moved = self.points.keys() & new_points.keys()
         if moved:
             raise GeometryError(f"points already placed: {sorted(moved)}")
-        child = SceneGeometry({**self.points, **new_points}, self.tol)
+        child = SceneGeometry({**self.points, **new_points})
         child._min_angles = dict(self._min_angles)
         child._collinear_residuals = dict(self._collinear_residuals)
         return child
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.points
 
     def __len__(self) -> int:
         return len(self.points)
@@ -134,7 +126,7 @@ class SceneGeometry:
         return math.hypot(x1 - x0, y1 - y0)
 
     def d_min(self) -> float:
-        return self.tol.d_min_factor * max(self.bbox_diagonal(), 1e-6)
+        return D_MIN_FACTOR * max(self.bbox_diagonal(), 1e-6)
 
     def distance(self, a: str, b: str) -> float:
         return _norm(_sub(self.point(a), self.point(b)))
@@ -270,9 +262,9 @@ class SceneGeometry:
         raise AssertionError(pred)  # pragma: no cover - exhaustive
 
     def check_statement(self, s: Statement) -> Verdict:
-        """Holds iff the defining residual is within ``eps_rel``."""
+        """Holds iff the defining residual is within ``EPS_REL``."""
         residual = self.statement_residual(s)
-        return Verdict(residual <= self.tol.eps_rel, residual)
+        return Verdict(residual <= EPS_REL, residual)
 
     # scene-level validation --------------------------------------------
 
@@ -303,7 +295,7 @@ class SceneGeometry:
             smallest = self.min_angle_deg(a, b, c)
             if smallest is None:
                 problems.append(f"triangle {a}{b}{c} has a zero-length side")
-            elif smallest < self.tol.theta_min_deg:
+            elif smallest < THETA_MIN_DEG:
                 problems.append(f"triangle {a}{b}{c} has an angle below theta_min")
         return problems
 
@@ -318,7 +310,7 @@ class SceneGeometry:
     def numeric_answer(self, query: Statement) -> Fraction | float:
         """Ground-truth value of a value-bearing statement from coordinates.
 
-        Returns an exact rational when the measurement is within ``eps_rel``
+        Returns an exact rational when the measurement is within ``EPS_REL``
         of a rational with denominator <= 360, otherwise a float.
         """
         pred = query.predicate
@@ -336,6 +328,6 @@ class SceneGeometry:
         else:
             raise GeometryError(f"{pred.value} is not a measurable query")
         snapped = Fraction(x).limit_denominator(360)
-        if abs(float(snapped) - x) <= self.tol.eps_rel * max(1.0, abs(x)):
+        if abs(float(snapped) - x) <= EPS_REL * max(1.0, abs(x)):
             return snapped
         return x

@@ -18,6 +18,7 @@ import re
 import shutil
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,6 +34,7 @@ from .dataset import (
     CorruptRecordError,
     ProblemRecord,
     RecordMetadata,
+    load_config,
     load_records,
     load_scenes,
     record_content_hash,
@@ -48,7 +50,7 @@ from .reasoner import (
     VerifierContradictionError,
     saturate,
 )
-from .render import DiagramStyle, RenderError, render_svg
+from .render import RenderError, render_svg
 from .rules import RULES_BY_ID, Rule
 from .sampler import (
     OracleMismatchError,
@@ -184,12 +186,12 @@ def _draft_to_record(
     untranslated = False
     try:
         primary = draft.solutions[0]
-        nl_steps = translate_steps(primary, backend)
-        nl_solution = " ".join(s.rule_text for s in nl_steps)
-        connection = connect_thinking(primary, nl_steps, draft.target, backend).render()
+        sentences = translate_steps(primary, backend)
+        nl_solution = " ".join(sentences)
+        connection = connect_thinking(primary, sentences, draft.target, backend)
         if draft.template == "traceback" and draft.wrong_branch:
             # the wrong branch, a pivot, then the correct continuation
-            wrong = " ".join(s.rule_text for s in translate_steps(draft.wrong_branch, backend))
+            wrong = " ".join(translate_steps(draft.wrong_branch, backend))
             pivot = backend.pivot_sentence(draft.wrong_branch[-1].conclusion, draft.target)
             nl_solution = f"{wrong} {pivot} {nl_solution}"
             connection = f"{wrong} {pivot} {connection}"
@@ -308,7 +310,7 @@ def _process_scene(
     diagrams: dict[str, str] = {}
     if drafts:
         try:
-            svg = render_svg(scene, DiagramStyle())
+            svg = render_svg(scene)
         except RenderError as exc:
             return [], {}, failures + [f"scene {scene_id}: render failed: {exc}"]
         for draft in drafts:
@@ -331,13 +333,13 @@ def _generate_one_seed(config: PipelineConfig, seed: int, generation: int = 0):
     try:
         scene = _build_scene(config, seed)
     except ConstructionError as exc:
-        return seed, [], {}, {}, [f"seed {seed}: construction failed: {exc}"]
+        return [], {}, {}, [f"seed {seed}: construction failed: {exc}"]
     try:
         records, diagrams, failures = _process_scene(scene, config, generation, backend)
     except (VerifierContradictionError, GeometryError) as exc:
-        return seed, [], {}, {}, [f"seed {seed}: {exc}"]
+        return [], {}, {}, [f"seed {seed}: {exc}"]
     scenes = {scene_id_of(scene): scene} if records else {}
-    return seed, records, scenes, diagrams, failures
+    return records, scenes, diagrams, failures
 
 
 def generate(config: PipelineConfig, out_dir: str | Path) -> GenerationReport:
@@ -350,13 +352,13 @@ def generate(config: PipelineConfig, out_dir: str | Path) -> GenerationReport:
     if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        # map keeps the seed order; a frozen config pickles as it is
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_worker_entry, [(config.to_doc(), s) for s in seeds]))
-        results.sort(key=lambda item: item[0])
+            results = list(pool.map(_generate_one_seed, repeat(config), seeds))
     else:
         results = [_generate_one_seed(config, s) for s in seeds]
 
-    for _, records, scenes, diagrams, failures in results:
+    for records, scenes, diagrams, failures in results:
         report.records.extend(records)
         all_scenes.update(scenes)
         all_diagrams.update(diagrams)
@@ -364,11 +366,6 @@ def generate(config: PipelineConfig, out_dir: str | Path) -> GenerationReport:
 
     write_dataset(out_dir, report.records, all_scenes, all_diagrams, config.to_doc())
     return report
-
-
-def _worker_entry(payload):
-    config_doc, seed = payload
-    return _generate_one_seed(PipelineConfig.from_doc(config_doc), seed)
 
 
 def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -> GenerationReport:
@@ -663,11 +660,32 @@ def _replay_steps(
     return None, frozenset(used)
 
 
+def _shape_mismatch(record: ProblemRecord) -> str | None:
+    """Why the record's fields do not fit its template, if they do not: one
+    solution (at least two for multi_solution), and a wrong branch with its
+    overlap exactly when the template is traceback."""
+    template = record.template
+    if template not in ("deductive", "multi_solution", "traceback"):
+        return f"unknown template {template!r}"
+    many = template == "multi_solution"
+    if (len(record.solutions) > 1) != many:
+        if many:
+            return "a multi_solution record needs at least two solutions"
+        return f"a {template} record needs exactly one solution"
+    if template == "traceback":
+        if record.wrong_branch is None or record.overlap is None:
+            return "a traceback record needs a wrong branch and an overlap"
+    elif record.wrong_branch is not None or record.overlap is not None:
+        return f"a {template} record has a wrong branch or an overlap"
+    return None
+
+
 def _verify_record(
     record: ProblemRecord,
     scenes: dict[str, Scene],
     diagrams: set[str],
     checks: dict[str, _SceneChecks],
+    config: PipelineConfig,
 ) -> str | None:
     doc = record_to_doc(record)
     if record_content_hash(doc) != record.id:
@@ -676,6 +694,12 @@ def _verify_record(
         return f"diagram {record.diagram} is not svg/{record.id}.svg"
     if record.diagram not in diagrams:
         return f"diagram {record.diagram} is missing"
+    meta = record.metadata
+    if (meta.tau_l, meta.tau_r, meta.tau_p) != (config.tau_l, config.tau_r, config.tau_p):
+        return "stored thresholds disagree with config.json"
+    problem = _shape_mismatch(record)
+    if problem:
+        return problem
     scene = scenes.get(record.scene_id)
     if scene is None:
         return f"unknown scene {record.scene_id}"
@@ -698,9 +722,9 @@ def _verify_record(
             return f"solution {j} does not end at the target"
         length = len(steps)
         ratio = len(used) / len(scene.initial_statements)
-        if length < record.metadata.tau_l:
+        if length < config.tau_l:
             return f"solution {j} violates the length filter"
-        if ratio < record.metadata.tau_r - 1e-12:
+        if ratio < config.tau_r - 1e-12:
             return f"solution {j} violates the premise-ratio filter"
         if j == 0:
             if length != record.metadata.reasoning_length:
@@ -723,9 +747,9 @@ def _verify_record(
             (s.premises, s.rule, s.conclusion) for s in record.wrong_branch
         }
         overlap = len(shared) / len(record.wrong_branch)
-        if record.overlap is None or abs(overlap - record.overlap) > 1e-9:
+        if abs(overlap - record.overlap) > 1e-9:
             return "stored overlap disagrees with the branches"
-        if overlap < record.metadata.tau_p - 1e-12:
+        if overlap < config.tau_p - 1e-12:
             return "overlap violates tau_p"
     if record.kind == "numeric":
         try:
@@ -755,8 +779,11 @@ def verify(in_dir: str | Path) -> VerifyReport:
 
     Each solution step is re-derived by its cited rule's matcher from exactly
     its cited premises, and each statement is checked numerically on the
-    scene geometry; filters and tier are re-derived, and numeric answers
-    re-checked against the coordinate oracle. These checks are pure, so each
+    scene geometry; filters and tier are re-derived against the thresholds
+    of ``config.json``, which each record must repeat, each record must have
+    its template's shape, and numeric answers are re-checked against the
+    coordinate oracle. A missing or invalid ``config.json`` is a
+    ``<dataset>`` failure. These checks are pure, so each
     distinct replay, numeric check and statement parse runs once per scene
     per call, however many records share it. Each record's diagram must be
     ``svg/<id>.svg`` and present. The record ids, in order, must
@@ -769,6 +796,10 @@ def verify(in_dir: str | Path) -> VerifyReport:
         scenes = load_scenes(in_dir)
     except (OSError, KeyError, ValueError) as exc:
         return VerifyReport(0, [("<dataset>", f"cannot load scenes: {exc}")])
+    try:
+        config = PipelineConfig.from_doc(load_config(in_dir))
+    except (OSError, ValueError, TypeError, PipelineError) as exc:
+        return VerifyReport(0, [("<dataset>", f"cannot load config: {exc}")])
     try:
         diagrams = {f"svg/{p.name}" for p in (Path(in_dir) / "svg").iterdir()}
     except OSError:
@@ -794,7 +825,7 @@ def verify(in_dir: str | Path) -> VerifyReport:
             failures.append((f"line {line_no}", f"corrupt record: {exc}"))
             continue
         try:
-            problem = _verify_record(record, scenes, diagrams, checks)
+            problem = _verify_record(record, scenes, diagrams, checks, config)
         except (GeometryError, ParseError) as exc:
             problem = f"verification error: {exc}"
         if problem:

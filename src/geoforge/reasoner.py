@@ -9,14 +9,13 @@ construction (premise index < conclusion index for every transition).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .constructions import Scene
 from .geometry import SceneGeometry
 from .rules import DEFAULT_RULES, MatchContext, Rule
-from .statements import Predicate, Statement, parse_statement
+from .statements import Predicate, Statement
 
 
 class ReasonerError(RuntimeError):
@@ -135,37 +134,6 @@ class ReasoningGraph:
                         seen.add(p)
                         stack.append(p)
         return seen
-
-    # serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {
-            "truncated": self.truncated,
-            "statements": [
-                {"id": i, "text": s.text(), "initial": self.is_initial(i)}
-                for i, s in enumerate(self.statements)
-            ],
-            "transitions": [
-                {"premises": list(t.premises), "rule": t.rule, "conclusion": t.conclusion}
-                for t in self.transitions
-            ],
-        }
-        return json.dumps(doc, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ReasoningGraph":
-        doc = json.loads(text)
-        g = cls()
-        for entry in doc["statements"]:
-            stmt = parse_statement(entry["text"])
-            if entry["initial"]:
-                g.add_initial(stmt)
-            else:
-                g.add_statement(stmt)
-        for entry in doc["transitions"]:
-            g.add_transition(entry["premises"], entry["rule"], entry["conclusion"])
-        g.truncated = doc["truncated"]
-        return g
 
 
 def saturate_statements(

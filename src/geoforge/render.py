@@ -2,14 +2,13 @@
 
 Only the initial statements and the scene's drawn segments drive the
 picture: segments, circles, point dots and labels, right-angle squares, and
-equal-length tick marks. Identical scene and style always produce
-byte-identical output (fixed float formatting, fixed element order).
+equal-length tick marks. Identical scenes always produce byte-identical
+output (fixed sizes, fixed float formatting, fixed element order).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .constructions import Scene
 from .statements import Predicate, Statement
@@ -19,24 +18,14 @@ class RenderError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class DiagramStyle:
-    canvas: int = 440
-    stroke_width: float = 2.0
-    mark_stroke_width: float = 1.2
-    font_size: int = 15
-    point_radius: float = 2.6
-    label_offset: float = 14.0
-    right_angle_size: float = 10.0
-    tick_size: float = 5.0
-    show_right_angle_marks: bool = True
-    show_equal_tick_marks: bool = True
-    show_point_dots: bool = True
-
-    def __post_init__(self) -> None:
-        for name in ("canvas", "stroke_width", "font_size", "point_radius", "label_offset"):
-            if getattr(self, name) <= 0:
-                raise RenderError(f"style dimension {name} must be positive")
+CANVAS = 440
+STROKE_WIDTH = 2.0
+MARK_STROKE_WIDTH = 1.2
+FONT_SIZE = 15
+POINT_RADIUS = 2.6
+LABEL_OFFSET = 14.0
+RIGHT_ANGLE_SIZE = 10.0
+TICK_SIZE = 5.0
 
 
 def _fmt(x: float) -> str:
@@ -119,13 +108,13 @@ _PROBE_DIRECTIONS = [
 ]
 
 
-def render_svg(scene: Scene, style: DiagramStyle = DiagramStyle()) -> str:
+def render_svg(scene: Scene) -> str:
     """Render the scene to an SVG 1.1 document (line/circle/text/path only)."""
     geom = scene.geometry
     x0, y0, x1, y1 = geom.bbox()
     span = max(x1 - x0, y1 - y0, 1e-9)
     margin = 0.05 * span
-    scale = style.canvas / (span + 2 * margin)
+    scale = CANVAS / (span + 2 * margin)
 
     def to_svg(p: tuple[float, float]) -> tuple[float, float]:
         return (
@@ -147,7 +136,7 @@ def render_svg(scene: Scene, style: DiagramStyle = DiagramStyle()) -> str:
         cx, cy = pos[center]
         parts.append(
             f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(radius * scale)}" '
-            f'fill="none" stroke="black" stroke-width="{_fmt(style.mark_stroke_width)}"/>'
+            f'fill="none" stroke="black" stroke-width="{_fmt(MARK_STROKE_WIDTH)}"/>'
         )
 
     segments = _referenced_segments(scene)
@@ -155,42 +144,39 @@ def render_svg(scene: Scene, style: DiagramStyle = DiagramStyle()) -> str:
         (xa, ya), (xb, yb) = pos[a], pos[b]
         parts.append(
             f'<line x1="{_fmt(xa)}" y1="{_fmt(ya)}" x2="{_fmt(xb)}" y2="{_fmt(yb)}" '
-            f'stroke="black" stroke-width="{_fmt(style.stroke_width)}"/>'
+            f'stroke="black" stroke-width="{_fmt(STROKE_WIDTH)}"/>'
         )
 
-    if style.show_right_angle_marks:
-        for s in scene.initial_statements:
-            if s.predicate is Predicate.RIGHT_ANGLE:
-                parts.append(_right_angle_mark(pos, s, style))
+    for s in scene.initial_statements:
+        if s.predicate is Predicate.RIGHT_ANGLE:
+            parts.append(_right_angle_mark(pos, s))
 
-    if style.show_equal_tick_marks:
-        group = 0
-        for s in scene.initial_statements:
-            if s.predicate is Predicate.EQUAL_SEGMENTS:
-                group += 1
-                ticks = min(group, 3)
-                for seg in s.groups:
-                    parts.extend(_tick_marks(pos, seg, ticks, style))
+    group = 0
+    for s in scene.initial_statements:
+        if s.predicate is Predicate.EQUAL_SEGMENTS:
+            group += 1
+            ticks = min(group, 3)
+            for seg in s.groups:
+                parts.extend(_tick_marks(pos, seg, ticks))
 
-    if style.show_point_dots:
-        for label in geom.points:
-            cx, cy = pos[label]
-            parts.append(
-                f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(style.point_radius)}" '
-                'fill="black"/>'
-            )
+    for label in geom.points:
+        cx, cy = pos[label]
+        parts.append(
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(POINT_RADIUS)}" '
+            'fill="black"/>'
+        )
 
-    parts.extend(_labels(scene, pos, segments, style))
+    parts.extend(_labels(scene, pos, segments))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _right_angle_mark(pos, s: Statement, style: DiagramStyle) -> str:
+def _right_angle_mark(pos, s: Statement) -> str:
     a, v, c = s.groups[0]
     pv, pa, pc = pos[v], pos[a], pos[c]
     ua = _unit((pa[0] - pv[0], pa[1] - pv[1]))
     uc = _unit((pc[0] - pv[0], pc[1] - pv[1]))
-    k = style.right_angle_size
+    k = RIGHT_ANGLE_SIZE
     p1 = (pv[0] + k * ua[0], pv[1] + k * ua[1])
     p2 = (pv[0] + k * (ua[0] + uc[0]), pv[1] + k * (ua[1] + uc[1]))
     p3 = (pv[0] + k * uc[0], pv[1] + k * uc[1])
@@ -200,11 +186,11 @@ def _right_angle_mark(pos, s: Statement, style: DiagramStyle) -> str:
     )
     return (
         f'<path d="{d}" fill="none" stroke="black" '
-        f'stroke-width="{_fmt(style.mark_stroke_width)}"/>'
+        f'stroke-width="{_fmt(MARK_STROKE_WIDTH)}"/>'
     )
 
 
-def _tick_marks(pos, seg, ticks: int, style: DiagramStyle) -> list[str]:
+def _tick_marks(pos, seg, ticks: int) -> list[str]:
     (xa, ya), (xb, yb) = pos[seg[0]], pos[seg[1]]
     ux, uy = _unit((xb - xa, yb - ya))
     nx, ny = -uy, ux
@@ -214,11 +200,11 @@ def _tick_marks(pos, seg, ticks: int, style: DiagramStyle) -> list[str]:
     for i in range(ticks):
         off = (i - (ticks - 1) / 2.0) * gap
         cx, cy = mx + off * ux, my + off * uy
-        t = style.tick_size
+        t = TICK_SIZE
         out.append(
             f'<line x1="{_fmt(cx - t * nx)}" y1="{_fmt(cy - t * ny)}" '
             f'x2="{_fmt(cx + t * nx)}" y2="{_fmt(cy + t * ny)}" '
-            f'stroke="black" stroke-width="{_fmt(style.mark_stroke_width)}"/>'
+            f'stroke="black" stroke-width="{_fmt(MARK_STROKE_WIDTH)}"/>'
         )
     return out
 
@@ -228,7 +214,7 @@ def _unit(v: tuple[float, float]) -> tuple[float, float]:
     return (1.0, 0.0) if n == 0.0 else (v[0] / n, v[1] / n)
 
 
-def _labels(scene: Scene, pos, segments, style: DiagramStyle) -> list[str]:
+def _labels(scene: Scene, pos, segments) -> list[str]:
     neighbors: dict[str, list[str]] = {label: [] for label in scene.geometry.points}
     for a, b in segments:
         neighbors[a].append(b)
@@ -249,7 +235,7 @@ def _labels(scene: Scene, pos, segments, style: DiagramStyle) -> list[str]:
         candidates.extend(_PROBE_DIRECTIONS)
         anchor = None
         for dx, dy in candidates:
-            cand = (px + style.label_offset * dx, py + style.label_offset * dy)
+            cand = (px + LABEL_OFFSET * dx, py + LABEL_OFFSET * dy)
             if all(math.hypot(cand[0] - ax, cand[1] - ay) > 1.0 for ax, ay in anchors.values()):
                 anchor = cand
                 break
@@ -258,7 +244,7 @@ def _labels(scene: Scene, pos, segments, style: DiagramStyle) -> list[str]:
         anchors[label] = anchor
         out.append(
             f'<text x="{_fmt(anchor[0])}" y="{_fmt(anchor[1])}" '
-            f'font-size="{style.font_size}" font-family="sans-serif" '
+            f'font-size="{FONT_SIZE}" font-family="sans-serif" '
             f'text-anchor="middle" dominant-baseline="middle">{label}</text>'
         )
     return out

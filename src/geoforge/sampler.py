@@ -43,6 +43,12 @@ class OracleMismatchError(SamplerError):
     """Path-derived answer disagrees with the coordinate oracle: engine bug."""
 
 
+# Option choices ``geo_explore_m`` tries per target before it stops.
+WORK_CAP = 20000
+# Erroneous statements ``geo_explore_t`` draws per target.
+TRACEBACK_ATTEMPTS = 100
+
+
 @dataclass(frozen=True)
 class ReasoningPath:
     """Forward presentation of a backward trace to ``target``."""
@@ -82,7 +88,6 @@ class TracebackRecord:
     wrong_branch: ReasoningPath
     correct_path: ReasoningPath
     overlap: float
-    backtrack_index: int | None  # position in wrong_branch of the last shared transition
 
 
 @dataclass(frozen=True)
@@ -165,14 +170,14 @@ def geo_explore_m(
     tau_l: int,
     tau_r: float,
     max_paths: int = 16,
-    work_cap: int = 20000,
 ) -> list[ReasoningPath]:
     """Enumerate distinct acyclic derivations of ``target``.
 
     Branches over every alternative incoming transition of every needed
     statement (options ordered by rule id then premise tuple), keeps paths
     passing both filters, and stops when all option assignments are
-    exhausted, ``max_paths`` filtered paths were found, or the work cap hits.
+    exhausted, ``max_paths`` filtered paths were found, or ``WORK_CAP``
+    options were tried.
 
     Every path lies inside the target's upstream cone over all derivations,
     so when the cone holds fewer than ``tau_l`` derived statements, or too
@@ -237,7 +242,7 @@ def geo_explore_m(
             frames.pop()
             continue
         work += 1
-        if work > work_cap:
+        if work > WORK_CAP:
             break
         t = opts[idx]
         chosen[sid] = t
@@ -256,7 +261,6 @@ def geo_explore_t(
     tau_p: float,
     rng_seed: int,
     max_paths: int = 16,
-    attempts: int = 100,
 ) -> TracebackRecord | None:
     """Compose a wrong branch with a correct derivation sharing its prefix.
 
@@ -281,7 +285,7 @@ def geo_explore_t(
         )
     rng = random.Random(("traceback", rng_seed).__repr__())
     tried: set[int] = set()
-    for _ in range(attempts):
+    for _ in range(TRACEBACK_ATTEMPTS):
         erroneous = candidates[rng.randrange(len(candidates))]
         if erroneous in tried:
             continue
@@ -291,13 +295,8 @@ def geo_explore_t(
             for path in correct:
                 shared = wrong_set & path.transition_set()
                 overlap = len(shared) / wrong.length if wrong.length else 0.0
-                if overlap < tau_p:
-                    continue
-                backtrack = None
-                for i, t in enumerate(wrong.transitions):
-                    if t in shared:
-                        backtrack = i
-                return TracebackRecord(wrong, path, overlap, backtrack)
+                if overlap >= tau_p:
+                    return TracebackRecord(wrong, path, overlap)
     return None
 
 

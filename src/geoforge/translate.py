@@ -120,28 +120,6 @@ _RULE_PHRASES: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class NlStep:
-    index: int
-    rule: str
-    statement_text: str  # conclusion in natural language
-    rule_text: str  # full sentence for the step
-
-
-@dataclass(frozen=True)
-class ConnectedSolution:
-    steps: tuple[tuple[str, NlStep], ...]  # (bridge, step) pairs
-    closing: str
-
-    def render(self) -> str:
-        parts = []
-        for bridge, step in self.steps:
-            parts.append(bridge)
-            parts.append(step.rule_text)
-        parts.append(self.closing)
-        return " ".join(parts)
-
-
 class TemplateBackend:
     """Deterministic, offline, rule-keyed translation."""
 
@@ -163,11 +141,7 @@ class TemplateBackend:
         return f"Since {given}, {phrase}, so {statement_nl(step.conclusion)}."
 
     def bridge_sentence(
-        self,
-        index: int,
-        established: Statement | None,
-        upcoming: SolutionStep,
-        target: Statement,
+        self, established: Statement | None, upcoming: SolutionStep, target: Statement
     ) -> str:
         goal = statement_nl(target)
         focus = ", ".join(statement_nl(p) for p in upcoming.premises)
@@ -207,7 +181,7 @@ def _http_transport(url: str, payload: dict, timeout: float) -> str:
         return resp.read().decode("utf-8")
 
 
-_DEFAULT_EXEMPLARS: tuple[tuple[str, str], ...] = (
+_EXEMPLARS: tuple[tuple[str, str], ...] = (
     (
         "eq_seg(A,B;A,C) |- isosceles_base_angles |- eq_angle(A,B,C;A,C,B)",
         "Since AB = AC, triangle ABC is isosceles, so ∠ABC = ∠ACB.",
@@ -231,7 +205,6 @@ class ExternalBackend:
     model: str
     timeout: float = 30.0
     retries: int = 2
-    exemplars: tuple[tuple[str, str], ...] = _DEFAULT_EXEMPLARS
     transport: Transport = field(default=_http_transport)
     kind = "external"
 
@@ -255,7 +228,7 @@ class ExternalBackend:
         raise BackendUnavailableError(str(last))
 
     def step_sentence(self, step: SolutionStep) -> str:
-        shots = "\n".join(f"FORMAL: {f}\nNATURAL: {n}" for f, n in self.exemplars)
+        shots = "\n".join(f"FORMAL: {f}\nNATURAL: {n}" for f, n in _EXEMPLARS)
         formal = (
             f"{'; '.join(p.text() for p in step.premises)} |- {step.rule} |- "
             f"{step.conclusion.text()}"
@@ -266,7 +239,7 @@ class ExternalBackend:
         )
         return self._chat(system, f"{shots}\nFORMAL: {formal}\nNATURAL:")
 
-    def bridge_sentence(self, index, established, upcoming, target) -> str:
+    def bridge_sentence(self, established, upcoming, target) -> str:
         system = (
             "You write one bridging sentence of a geometry solution: summarize what is "
             "already established, link it to the upcoming step, and point at the goal."
@@ -289,34 +262,24 @@ class ExternalBackend:
 Backend = TemplateBackend | ExternalBackend
 
 
-def translate_steps(steps: Sequence[SolutionStep], backend: Backend) -> list[NlStep]:
-    """One NlStep per transition, translated independently step by step."""
-    out = []
-    for i, step in enumerate(steps):
-        out.append(
-            NlStep(
-                index=i,
-                rule=step.rule,
-                statement_text=statement_nl(step.conclusion),
-                rule_text=backend.step_sentence(step),
-            )
-        )
-    return out
+def translate_steps(steps: Sequence[SolutionStep], backend: Backend) -> list[str]:
+    """One sentence per transition, translated independently step by step."""
+    return [backend.step_sentence(step) for step in steps]
 
 
 def connect_thinking(
     steps: Sequence[SolutionStep],
-    nl_steps: Sequence[NlStep],
+    sentences: Sequence[str],
     target: Statement,
     backend: Backend,
-) -> ConnectedSolution:
-    """Interleave one bridging rationale before every translated step."""
+) -> str:
+    """The translated steps, each after one bridging rationale, then the
+    closing sentence."""
     if not steps:
         raise TranslationError("cannot connect an empty solution")
-    pairs = []
-    for i, (step, nl_step) in enumerate(zip(steps, nl_steps)):
+    parts = []
+    for i, (step, sentence) in enumerate(zip(steps, sentences)):
         established = steps[i - 1].conclusion if i > 0 else None
-        bridge = backend.bridge_sentence(i, established, step, target)
-        pairs.append((bridge, nl_step))
-    return ConnectedSolution(tuple(pairs), backend.closing_sentence(target))
-
+        parts.extend((backend.bridge_sentence(established, step, target), sentence))
+    parts.append(backend.closing_sentence(target))
+    return " ".join(parts)

@@ -5,7 +5,6 @@ import pytest
 
 from geoforge.constructions import (
     BASE_GENERATORS,
-    CONSTRUCTION_BY_ID,
     CONSTRUCTIONS,
     POINT_CAP,
     UnknownGeneratorError,
@@ -22,6 +21,12 @@ from geoforge.statements import (
     midpoint,
     parse_statement,
 )
+
+
+def _placed_at(construction_id, point):
+    """The construction, placing its one new point at ``point``."""
+    construction = next(c for c in CONSTRUCTIONS if c.id == construction_id)
+    return dataclasses.replace(construction, place=lambda scene, binding, rng: {"new0": point})
 
 
 class TestBaseGenerators:
@@ -104,14 +109,24 @@ class TestExtension:
 
         def placed_at(t):
             point = (ax + t * (bx - ax), ay + t * (by - ay))
-            return dataclasses.replace(
-                CONSTRUCTION_BY_ID["midpoint"], place=lambda scene, binding, rng: {"new0": point}
-            )
+            return _placed_at("midpoint", point)
 
         assert _apply(scene, placed_at(0.4), (a, b), random.Random(0)) is None
         applied = _apply(scene, placed_at(0.5), (a, b), random.Random(0))
         (new,) = applied.constructions[-1].new_points
         assert midpoint(new, (a, b)) in applied.initial_statements
+
+    def test_placement_onto_an_existing_point_is_refused(self):
+        # the bisector's new effect measures angles at its vertex, which a
+        # point placed onto the vertex would leave without a ray
+        scene = generate_base_scene("scalene_triangle", 2)
+        onto_a = scene.geometry.point("A")
+        for construction_id, binding in (
+            ("midpoint", ("A", "B")),
+            ("angle_bisector_point", ("A", "B", "C")),
+        ):
+            placed = _placed_at(construction_id, onto_a)
+            assert _apply(scene, placed, binding, random.Random(0)) is None
 
     def test_negative_steps_rejected(self):
         scene = generate_base_scene("rectangle", 5)

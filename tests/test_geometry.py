@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoforge.geometry import (
+    EPS_REL,
     DegenerateMeasurementError,
     GeometryError,
     SceneGeometry,
@@ -229,7 +230,7 @@ class TestInvariance:
         assert length == pytest.approx(2.0 * scale, rel=1e-12)
         # the oracle may snap to a nearby rational, within its documented tolerance
         measured = g.numeric_answer(parse_statement("seg_len(A,B)"))
-        assert abs(float(measured) - length) <= g.tol.eps_rel * max(1.0, length)
+        assert abs(float(measured) - length) <= EPS_REL * max(1.0, length)
 
     def test_residual_changes_linearly_with_perturbation(self):
         # finite-difference sanity: residual growth is O(delta)

@@ -574,6 +574,71 @@ class TestVerifyTamperDetection:
         report = self._tampered(dataset, tmp_path, mutate, index)
         assert report.failures == [(ids[0], "stored overlap disagrees with the branches")]
 
+    @pytest.mark.parametrize(
+        "template, field, value, reason",
+        [
+            ("traceback", "wrong_branch", None, "a traceback record needs a wrong branch and an overlap"),
+            ("traceback", "overlap", None, "a traceback record needs a wrong branch and an overlap"),
+            ("traceback", "template", "deductive", "a deductive record has a wrong branch or an overlap"),
+            ("deductive", "template", "5", "unknown template '5'"),
+            ("deductive", "template", "multi_solution", "a multi_solution record needs at least two solutions"),
+            ("deductive", "template", "traceback", "a traceback record needs a wrong branch and an overlap"),
+            ("multi_solution", "template", "deductive", "a deductive record needs exactly one solution"),
+        ],
+        ids=[
+            "traceback_without_wrong_branch",
+            "traceback_without_overlap",
+            "traceback_as_deductive",
+            "unknown_template",
+            "deductive_as_multi_solution",
+            "deductive_as_traceback",
+            "multi_solution_as_deductive",
+        ],
+    )
+    def test_record_shape_must_fit_template(self, dataset, tmp_path, template, field, value, reason):
+        _, report0 = dataset
+        index = next(i for i, r in enumerate(report0.records) if r.template == template)
+        ids = []
+
+        def mutate(doc):
+            doc[field] = value
+            doc["id"] = record_content_hash(doc)
+            ids.append(doc["id"])
+
+        report = self._tampered(dataset, tmp_path, mutate, index)
+        assert report.failures == [(ids[0], reason)]
+
+    @pytest.mark.parametrize("field", ["tau_l", "tau_r", "tau_p"])
+    def test_thresholds_must_match_config(self, dataset, tmp_path, field):
+        # a lowered threshold would let a record pass a filter it fails
+        ids = []
+
+        def mutate(doc):
+            doc["metadata"][field] = -1
+            doc["id"] = record_content_hash(doc)
+            ids.append(doc["id"])
+
+        report = self._tampered(dataset, tmp_path, mutate)
+        assert report.failures == [(ids[0], "stored thresholds disagree with config.json")]
+
+    def test_missing_or_invalid_config_fails(self, dataset, tmp_path):
+        out, _ = dataset
+        target = tmp_path / "config"
+        shutil.copytree(out, target)
+        config = target / "config.json"
+        for text in (
+            None,  # deleted
+            "{",
+            "[]",
+            json.dumps({**load_config(out), "tau_r": 1.5}),
+            json.dumps({**load_config(out), "colour": "red"}),
+        ):
+            config.unlink(missing_ok=True)
+            if text is not None:
+                config.write_text(text)
+            (where, reason), = verify(target).failures
+            assert (where, reason.split(":")[0]) == ("<dataset>", "cannot load config")
+
 
 class TestVerifyWork:
     def test_each_check_runs_once_per_scene(self, dataset, monkeypatch):

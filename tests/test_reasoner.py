@@ -68,7 +68,8 @@ class TestSaturate:
         scene = _scene(5)
         a = saturate(scene)
         b = saturate(scene)
-        assert a.to_json() == b.to_json()
+        assert a.statements == b.statements
+        assert a.transitions == b.transitions
 
     def test_modes_incoming_counts(self):
         graph = saturate(_scene(8))
@@ -176,10 +177,3 @@ class TestReasoningGraph:
             graph.add_transition([3], "r", 3)
         with pytest.raises(ReasonerError):
             graph.add_transition([3], "r", 2)  # premise after conclusion
-
-    def test_serialization_round_trip(self):
-        scene = _scene(4)
-        graph = saturate(scene)
-        clone = ReasoningGraph.from_json(graph.to_json())
-        assert clone.to_json() == graph.to_json()
-        assert clone.n_initial == graph.n_initial

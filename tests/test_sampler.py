@@ -166,7 +166,6 @@ class TestGeoExploreT:
         assert record is not None
         assert record.wrong_branch.target == 4
         assert record.overlap == pytest.approx(2.0 / 3.0)
-        assert record.backtrack_index == 1
         # validity: erroneous statement outside every correct path's upstream
         for path in geo_explore_m(graph, 3, 0, 0.0):
             upstream = set()

@@ -55,10 +55,9 @@ class TestTranslateSteps:
         assert set(_RULE_PHRASES) == {rule.id for rule in DEFAULT_RULES}
 
     def test_isosceles_template_sentence(self):
-        steps = translate_steps([_iso_step()], BACKEND)
-        assert steps[0].rule_text == (
+        assert translate_steps([_iso_step()], BACKEND) == [
             "Since AB = AC, triangle ABC is isosceles, so ∠ABC = ∠ACB."
-        )
+        ]
 
     def test_empty_path(self):
         assert translate_steps([], BACKEND) == []
@@ -69,7 +68,7 @@ class TestTranslateSteps:
             rule="right_angle_measure",
             conclusion=angle_measure(("A", "B", "C"), 90),
         )
-        text = translate_steps([step], BACKEND)[0].rule_text
+        (text,) = translate_steps([step], BACKEND)
         assert "90" in text
 
     def test_one_step_per_transition(self):
@@ -79,9 +78,7 @@ class TestTranslateSteps:
         path = geo_explore(graph, target, 0, 0.0)
         assert isinstance(path, ReasoningPath)
         steps = path.resolve(graph)
-        nl = translate_steps(steps, BACKEND)
-        assert len(nl) == len(steps)
-        assert [s.index for s in nl] == list(range(len(steps)))
+        assert translate_steps(steps, BACKEND) == [BACKEND.step_sentence(s) for s in steps]
 
 
 class TestConnectThinking:
@@ -96,16 +93,19 @@ class TestConnectThinking:
         steps, target = self._steps()
         nl = translate_steps(steps, BACKEND)
         connected = connect_thinking(steps, nl, target, BACKEND)
-        assert len(connected.steps) == len(steps)
-        for bridge, _ in connected.steps:
-            assert "toward" in bridge  # goal-orientation clause
+        # each step after its bridge, whose goal-orientation clause ends in the target
+        bridge_end = f"we can take the next step toward showing {statement_nl(target)}."
+        for sentence in nl:
+            at = connected.index(sentence)
+            assert connected[:at].endswith(f"{bridge_end} ")
+            connected = connected[at + len(sentence):]
+        assert connected == " " + BACKEND.closing_sentence(target)
 
     def test_single_step_bridge_references_goal_only(self):
         step = _iso_step()
         nl = translate_steps([step], BACKEND)
         connected = connect_thinking([step], nl, step.conclusion, BACKEND)
-        bridge = connected.steps[0][0]
-        assert bridge.startswith("Starting from the given premises")
+        assert connected.startswith("Starting from the given premises")
 
     def test_bridge_cites_previous_conclusion(self):
         steps, target = self._steps()
@@ -113,8 +113,8 @@ class TestConnectThinking:
             pytest.skip("need a two-step path")
         nl = translate_steps(steps, BACKEND)
         connected = connect_thinking(steps, nl, target, BACKEND)
-        bridge = connected.steps[1][0]
-        assert statement_nl(steps[0].conclusion) in bridge
+        second_bridge = f"So far we have established that {statement_nl(steps[0].conclusion)}."
+        assert f"{nl[0]} {second_bridge}" in connected
 
     def test_empty_rejected(self):
         with pytest.raises(TranslationError):
@@ -132,8 +132,7 @@ class TestConnectThinking:
             path = geo_explore(graph, target, 0, 0.0)
             steps = path.resolve(graph)
             nl = translate_steps(steps, BACKEND)
-            connected = connect_thinking(steps, nl, graph.stmt(target), BACKEND)
-            text = connected.render()
+            text = connect_thinking(steps, nl, graph.stmt(target), BACKEND)
             formal_numbers: set[str] = set()
             labels: set[str] = set()
             for step in steps:
