@@ -8,6 +8,7 @@ from .constructions import (
     applicable_constructions,
     extend_scene,
     generate_base_scene,
+    scene_from_doc,
     scene_from_json,
 )
 from .geometry import SceneGeometry

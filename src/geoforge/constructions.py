@@ -15,8 +15,8 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
-from typing import Callable, Iterable
+from itertools import combinations, islice
+from typing import Callable, Container
 
 from .geometry import Coord, SceneGeometry
 from .statements import (
@@ -104,8 +104,12 @@ class Scene:
 
 
 def scene_from_json(text: str) -> Scene:
-    doc = json.loads(text)
+    return scene_from_doc(json.loads(text))
+
+
+def scene_from_doc(doc: dict) -> Scene:
     points = {label: (float(x), float(y)) for label, (x, y) in doc["points"].items()}
+    known = frozenset(points)
     return Scene(
         generator=doc["generator"],
         seed=doc["seed"],
@@ -115,7 +119,7 @@ def scene_from_json(text: str) -> Scene:
             for c in doc["constructions"]
         ),
         initial_statements=StatementSet(
-            parse_statement(t, known_points=points) for t in doc["initial_statements"]
+            parse_statement(t, known_points=known) for t in doc["initial_statements"]
         ),
         drawn_segments=tuple((a, b) for a, b in doc["drawn_segments"]),
         exhausted=doc.get("exhausted", False),
@@ -131,10 +135,8 @@ _LABEL_POOL = [chr(c) for c in range(ord("A"), ord("Z") + 1)] + [
 ]
 
 
-def _next_labels(existing: Iterable[str], n: int) -> list[str]:
-    used = set(existing)
-    fresh = [label for label in _LABEL_POOL if label not in used]
-    return fresh[:n]
+def _next_labels(existing: Container[str], n: int) -> list[str]:
+    return list(islice((label for label in _LABEL_POOL if label not in existing), n))
 
 
 def _dir(deg: float) -> Coord:
@@ -464,14 +466,15 @@ class Construction:
     """A conditional scene-building step.
 
     ``bindings`` enumerates point bindings whose preconditions (including
-    numeric degeneracy pre-checks) hold; ``place`` proposes coordinates for
-    the new points, or None when the draw is unusable.
+    numeric degeneracy pre-checks) hold, reading the scene's shared tables;
+    ``place`` proposes coordinates for the new points, or None when the draw
+    is unusable.
     """
 
     id: str
     new_point_count: int
     stochastic: bool
-    bindings: Callable[[Scene], list[tuple[str, ...]]]
+    bindings: Callable[[Scene, _Tables], list[tuple[str, ...]]]
     place: Callable[[Scene, tuple[str, ...], random.Random], dict[str, Coord] | None]
     effects: Callable[[tuple[str, ...], tuple[str, ...]], list[Statement]]
     drawn: Callable[[tuple[str, ...], tuple[str, ...]], list[Seg]]
@@ -494,7 +497,36 @@ def _inside_box(p: Coord) -> bool:
     return MARGIN / 2 <= p[0] <= BOX - MARGIN / 2 and MARGIN / 2 <= p[1] <= BOX - MARGIN / 2
 
 
-def _midpoint_bindings(scene: Scene) -> list[tuple[str, ...]]:
+class _Tables:
+    """What several constructions' bindings ask of one scene, each built on
+    first use and kept for one ``applicable_constructions`` call only."""
+
+    def __init__(self, scene: Scene):
+        self.scene = scene
+
+    @cached_property
+    def angles(self) -> list[tuple[str, str, str, float]]:
+        """(p, a, b, smallest angle of pab) for each point p off each drawn
+        segment ab, points outer; a triangle with a zero-length side is left out."""
+        geometry = self.scene.geometry
+        return [
+            (p, a, b, smallest)
+            for p in geometry.points
+            for a, b in self.scene.drawn_segments
+            if p not in (a, b) and (smallest := geometry.min_angle_deg(p, a, b)) is not None
+        ]
+
+    @cached_property
+    def neighbours(self) -> dict[str, set[str]]:
+        """Each point's drawn neighbours, for membership tests only."""
+        out: dict[str, set[str]] = {p: set() for p in self.scene.geometry.points}
+        for a, b in self.scene.drawn_segments:
+            out[a].add(b)
+            out[b].add(a)
+        return out
+
+
+def _midpoint_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     out = []
     for seg in scene.drawn_segments:
         if not _has_midpoint_statement(scene, seg):
@@ -507,23 +539,22 @@ def _midpoint_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
     return {"new0": ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)}
 
 
-def _foot_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _foot_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     out = []
     dmin = scene.geometry.d_min()
-    for apex in scene.geometry.points:
-        for a, b in scene.drawn_segments:
-            if apex in (a, b) or not _non_collinear(scene, apex, a, b, 10.0):
-                continue
-            pa, pb, pp = _pt(scene, a), _pt(scene, b), _pt(scene, apex)
-            ux, uy = pb[0] - pa[0], pb[1] - pa[1]
-            denom = ux * ux + uy * uy
-            t = ((pp[0] - pa[0]) * ux + (pp[1] - pa[1]) * uy) / denom
-            if not (0.12 <= t <= 0.88):
-                continue
-            foot = (pa[0] + t * ux, pa[1] + t * uy)
-            if math.hypot(foot[0] - pp[0], foot[1] - pp[1]) < 4 * dmin:
-                continue
-            out.append((apex, a, b))
+    for apex, a, b, smallest in tables.angles:
+        if smallest < 10.0:
+            continue
+        pa, pb, pp = _pt(scene, a), _pt(scene, b), _pt(scene, apex)
+        ux, uy = pb[0] - pa[0], pb[1] - pa[1]
+        denom = ux * ux + uy * uy
+        t = ((pp[0] - pa[0]) * ux + (pp[1] - pa[1]) * uy) / denom
+        if not (0.12 <= t <= 0.88):
+            continue
+        foot = (pa[0] + t * ux, pa[1] + t * uy)
+        if math.hypot(foot[0] - pp[0], foot[1] - pp[1]) < 4 * dmin:
+            continue
+        out.append((apex, a, b))
     return out
 
 
@@ -550,7 +581,7 @@ def _vertex_segment_pairs(scene: Scene) -> list[tuple[str, str, str]]:
     return out
 
 
-def _bisector_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _bisector_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     out = []
     for v, x, y in _vertex_segment_pairs(scene):
         try:
@@ -577,16 +608,8 @@ def _bisector_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
     return {"new0": p}
 
 
-def _parallel_bindings(scene: Scene) -> list[tuple[str, ...]]:
-    out = []
-    for p in scene.geometry.points:
-        for a, b in scene.drawn_segments:
-            if p in (a, b):
-                continue
-            if not _non_collinear(scene, p, a, b, 6.0):
-                continue
-            out.append((p, a, b))
-    return out
+def _parallel_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
+    return [(p, a, b) for p, a, b, smallest in tables.angles if smallest >= 6.0]
 
 
 def _parallel_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
@@ -597,7 +620,7 @@ def _parallel_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
     return {"new0": q}
 
 
-def _extension_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _extension_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     out = []
     for a, b in scene.drawn_segments:
         out.append((a, b))  # extend beyond b
@@ -622,26 +645,19 @@ def _extension_effects(binding, new_points) -> list[Statement]:
     return [collinear(a, b, c)]
 
 
-def _connect_bindings(scene: Scene) -> list[tuple[str, ...]]:
-    drawn = {frozenset(s) for s in scene.drawn_segments}
-    labels = list(scene.geometry.points)
+def _connect_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
+    drawn = tables.neighbours
+    return [(p, q) for p, q in combinations(scene.geometry.points, 2) if q not in drawn[p]]
+
+
+def _circumcenter_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
+    drawn = tables.neighbours
     return [
-        (p, q)
-        for p, q in combinations(labels, 2)
-        if frozenset((p, q)) not in drawn
+        (a, b, c)
+        for a, b, c in combinations(scene.geometry.points, 3)
+        if b in drawn[a] and c in drawn[b] and c in drawn[a]
+        and _non_collinear(scene, a, b, c, 12.0)
     ]
-
-
-def _circumcenter_bindings(scene: Scene) -> list[tuple[str, ...]]:
-    drawn = {frozenset(s) for s in scene.drawn_segments}
-    out = []
-    for a, b, c in combinations(list(scene.geometry.points), 3):
-        sides = [frozenset((a, b)), frozenset((b, c)), frozenset((a, c))]
-        if not all(s in drawn for s in sides):
-            continue
-        if _non_collinear(scene, a, b, c, 12.0):
-            out.append((a, b, c))
-    return out
 
 
 def _circumcenter_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
@@ -663,16 +679,12 @@ def _circumcenter_effects(binding, new_points) -> list[Statement]:
     return [on_circle(a, o, sr), on_circle(b, o, sr), on_circle(c, o, sr)]
 
 
-def _median_bindings(scene: Scene) -> list[tuple[str, ...]]:
-    out = []
-    for v in scene.geometry.points:
-        for a, b in scene.drawn_segments:
-            if v in (a, b) or not _non_collinear(scene, v, a, b, 10.0):
-                continue
-            if _has_midpoint_statement(scene, (a, b)):
-                continue
-            out.append((v, a, b))
-    return out
+def _median_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
+    return [
+        (v, a, b)
+        for v, a, b, smallest in tables.angles
+        if smallest >= 10.0 and not _has_midpoint_statement(scene, (a, b))
+    ]
 
 
 def _median_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
@@ -681,7 +693,7 @@ def _median_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
     return {"new0": ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0)}
 
 
-def _reflect_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _reflect_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     labels = list(scene.geometry.points)
     out = []
     for p in labels:
@@ -698,12 +710,12 @@ def _reflect_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
     return {"new0": q}
 
 
-def _midsegment_bindings(scene: Scene) -> list[tuple[str, ...]]:
-    drawn = {frozenset(s) for s in scene.drawn_segments}
+def _midsegment_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
+    drawn = tables.neighbours
     out = []
-    for a, b, c in combinations(list(scene.geometry.points), 3):
+    for a, b, c in combinations(scene.geometry.points, 3):
         for apex, e1, e2 in ((a, b, c), (b, a, c), (c, a, b)):
-            if frozenset((apex, e1)) in drawn and frozenset((apex, e2)) in drawn:
+            if e1 in drawn[apex] and e2 in drawn[apex]:
                 if not _non_collinear(scene, apex, e1, e2, 12.0):
                     continue
                 if _has_midpoint_statement(scene, (apex, e1)) or _has_midpoint_statement(
@@ -824,10 +836,11 @@ def applicable_constructions(scene: Scene) -> list[tuple[Construction, tuple[str
     """Every (construction, binding) whose preconditions currently hold."""
     out: list[tuple[Construction, tuple[str, ...]]] = []
     n_points = len(scene.geometry)
+    tables = _Tables(scene)
     for construction in CONSTRUCTIONS:
         if n_points + construction.new_point_count > POINT_CAP:
             continue
-        for binding in construction.bindings(scene):
+        for binding in construction.bindings(scene, tables):
             out.append((construction, binding))
     return out
 
@@ -839,18 +852,18 @@ def _apply(
     rng: random.Random,
 ) -> Scene | None:
     attempts = PLACEMENT_ATTEMPTS if construction.stochastic else 1
+    labels = tuple(_next_labels(scene.geometry.points, construction.new_point_count))
     for _ in range(attempts):
         placed = construction.place(scene, binding, rng)
         if placed is None:
             continue
-        labels = _next_labels(scene.geometry.points, construction.new_point_count)
-        coords = {labels[i]: placed[f"new{i}"] for i in range(construction.new_point_count)}
+        coords = {label: placed[f"new{i}"] for i, label in enumerate(labels)}
         if not all(_inside_box(p) for p in coords.values()):
             continue
         geometry = scene.geometry.extended(coords)
         statements = scene.initial_statements.copy()
         try:
-            effects = construction.effects(binding, tuple(labels))
+            effects = construction.effects(binding, labels)
         except ValueError:
             continue
         # the scene's own statements hold already, on points that did not move
@@ -862,7 +875,7 @@ def _apply(
         if not all(geometry.check_statement(s).holds for s in added):
             continue
         drawn = list(scene.drawn_segments)
-        for seg in construction.drawn(binding, tuple(labels)):
+        for seg in construction.drawn(binding, labels):
             canon = _canon_seg(*seg)
             if canon not in drawn:
                 drawn.append(canon)
@@ -871,7 +884,7 @@ def _apply(
             seed=scene.seed,
             geometry=geometry,
             constructions=scene.constructions
-            + (AppliedConstruction(construction.id, binding, tuple(labels)),),
+            + (AppliedConstruction(construction.id, binding, labels),),
             initial_statements=statements,
             drawn_segments=tuple(drawn),
             exhausted=scene.exhausted,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-from .constructions import Scene, scene_from_json
+from .constructions import Scene, scene_from_doc
 from .reasoner import SolutionStep
 from .statements import Statement, Unit, parse_statement
 
@@ -289,7 +289,7 @@ def load_scenes(in_dir: str | Path) -> dict[str, Scene]:
             continue
         doc = json.loads(line)
         try:
-            scenes[doc["scene_id"]] = scene_from_json(json.dumps(doc["scene"]))
+            scenes[doc["scene_id"]] = scene_from_doc(doc["scene"])
         except (AttributeError, TypeError) as exc:
             raise ValueError(f"scenes.jsonl line {line_no} is not a scene object: {exc}") from exc
     return scenes

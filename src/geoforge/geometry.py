@@ -146,8 +146,10 @@ class SceneGeometry:
         zero length. Every argument order gives the same value: the angle at
         a vertex does not depend on the order of its two rays."""
         key = frozenset((a, b, c))
-        if key in self._min_angles:
+        try:
             return self._min_angles[key]
+        except KeyError:
+            pass
         try:
             smallest: float | None = min(
                 self.angle_deg(b, a, c), self.angle_deg(a, b, c), self.angle_deg(a, c, b)

@@ -354,7 +354,10 @@ class StatementSet:
         return f"StatementSet({len(self._items)} statements)"
 
     def copy(self) -> "StatementSet":
-        return StatementSet(self._items)
+        clone = StatementSet()
+        clone._members = self._members.copy()  # reuses the stored hashes
+        clone._items = self._items.copy()
+        return clone
 
 
 Seg = tuple[str, str]

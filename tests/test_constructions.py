@@ -1,12 +1,18 @@
 import dataclasses
+import math
 import random
+from itertools import combinations
+from typing import Iterable
 
 import pytest
 
+from geoforge import constructions
 from geoforge.constructions import (
     BASE_GENERATORS,
     CONSTRUCTIONS,
     POINT_CAP,
+    ConstructionError,
+    Scene,
     UnknownGeneratorError,
     _apply,
     applicable_constructions,
@@ -14,8 +20,11 @@ from geoforge.constructions import (
     generate_base_scene,
     scene_from_json,
 )
+from geoforge.geometry import Coord
+from geoforge.pipeline import PipelineConfig, _build_scene
 from geoforge.statements import (
     Predicate,
+    Seg,
     equal_angles,
     equal_segments,
     midpoint,
@@ -171,3 +180,231 @@ class TestSerialization:
         scene = generate_base_scene("triangle_cevian", 3)
         for s in scene.initial_statements:
             parse_statement(s.text(), known_points=scene.geometry.points)
+
+
+class TestCandidateReference:
+    """The candidate list, order included, against the binding loops as they
+    stood before the bindings shared one angle table and one neighbour map
+    per call (kept verbatim below). ``extend_scene`` draws from this list by
+    index, so a different order is different output."""
+
+    def test_matches_reference_on_every_listed_scene(self, monkeypatch):
+        listed = constructions.applicable_constructions
+        sizes = []
+
+        def compared(scene):
+            candidates = listed(scene)
+            got = [(c.id, b) for c, b in candidates]
+            assert got == _reference_candidates(scene), (scene.seed, len(scene.constructions))
+            sizes.append(len(scene.geometry))
+            return candidates
+
+        monkeypatch.setattr(constructions, "applicable_constructions", compared)
+        config = PipelineConfig()
+        for seed in range(300):
+            try:
+                scene = _build_scene(config, seed)
+            except ConstructionError:
+                continue
+            # three more steps, seeded as bootstrap's first generation seeds them
+            extend_scene(scene, 3, seed * 1000003 + 101)
+        assert len(sizes) > 2000
+        assert max(sizes) == POINT_CAP
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_next_labels_matches_full_filter(self, n):
+        pool = _LABEL_POOL
+        cases = [pool[:k] for k in range(POINT_CAP + 2)]
+        cases += [pool[1:POINT_CAP], pool[::2][:POINT_CAP], ["Z", "A1", "B"], pool[:-1], pool]
+        cases += [list(generate_base_scene(g, 0).geometry.points) for g in sorted(BASE_GENERATORS)]
+        for existing in cases:
+            expected = _next_labels(existing, n)
+            assert constructions._next_labels(dict.fromkeys(existing), n) == expected, existing
+
+
+def _reference_candidates(scene):
+    n_points = len(scene.geometry)
+    return [
+        (construction_id, binding)
+        for construction_id, new_point_count, bindings in _REFERENCE_CATALOG
+        if n_points + new_point_count <= POINT_CAP
+        for binding in bindings(scene)
+    ]
+
+
+# --- reference: label and binding code before the per-call tables ----------
+
+_LABEL_POOL = [chr(c) for c in range(ord("A"), ord("Z") + 1)] + [
+    f"{chr(c)}{d}" for d in range(1, 10) for c in range(ord("A"), ord("Z") + 1)
+]
+
+
+def _canon_seg(a: str, b: str) -> Seg:
+    return (a, b) if a < b else (b, a)
+
+
+def _next_labels(existing: Iterable[str], n: int) -> list[str]:
+    used = set(existing)
+    fresh = [label for label in _LABEL_POOL if label not in used]
+    return fresh[:n]
+
+
+def _pt(scene: Scene, label: str) -> Coord:
+    return scene.geometry.point(label)
+
+
+def _has_midpoint_statement(scene: Scene, seg: Seg) -> bool:
+    return _canon_seg(*seg) in scene.midpoint_segments
+
+
+def _non_collinear(scene: Scene, a: str, b: str, c: str, margin_deg: float = 8.0) -> bool:
+    smallest = scene.geometry.min_angle_deg(a, b, c)
+    return smallest is not None and smallest >= margin_deg
+
+
+def _midpoint_bindings(scene: Scene) -> list[tuple[str, ...]]:
+    out = []
+    for seg in scene.drawn_segments:
+        if not _has_midpoint_statement(scene, seg):
+            out.append(seg)
+    return out
+
+
+def _foot_bindings(scene: Scene) -> list[tuple[str, ...]]:
+    out = []
+    dmin = scene.geometry.d_min()
+    for apex in scene.geometry.points:
+        for a, b in scene.drawn_segments:
+            if apex in (a, b) or not _non_collinear(scene, apex, a, b, 10.0):
+                continue
+            pa, pb, pp = _pt(scene, a), _pt(scene, b), _pt(scene, apex)
+            ux, uy = pb[0] - pa[0], pb[1] - pa[1]
+            denom = ux * ux + uy * uy
+            t = ((pp[0] - pa[0]) * ux + (pp[1] - pa[1]) * uy) / denom
+            if not (0.12 <= t <= 0.88):
+                continue
+            foot = (pa[0] + t * ux, pa[1] + t * uy)
+            if math.hypot(foot[0] - pp[0], foot[1] - pp[1]) < 4 * dmin:
+                continue
+            out.append((apex, a, b))
+    return out
+
+
+def _vertex_segment_pairs(scene: Scene) -> list[tuple[str, str, str]]:
+    """(vertex, ray endpoint, ray endpoint) for pairs of drawn segments."""
+    rays: dict[str, list[str]] = {}
+    for a, b in scene.drawn_segments:
+        rays.setdefault(a, []).append(b)
+        rays.setdefault(b, []).append(a)
+    out = []
+    for v in scene.geometry.points:
+        ends = rays.get(v, [])
+        for x, y in combinations(ends, 2):
+            out.append((v, x, y))
+    return out
+
+
+def _bisector_bindings(scene: Scene) -> list[tuple[str, ...]]:
+    out = []
+    for v, x, y in _vertex_segment_pairs(scene):
+        try:
+            theta = scene.geometry.angle_deg(x, v, y)
+        except Exception:
+            continue
+        if 24.0 <= theta <= 150.0:
+            out.append((v, x, y))
+    return out
+
+
+def _parallel_bindings(scene: Scene) -> list[tuple[str, ...]]:
+    out = []
+    for p in scene.geometry.points:
+        for a, b in scene.drawn_segments:
+            if p in (a, b):
+                continue
+            if not _non_collinear(scene, p, a, b, 6.0):
+                continue
+            out.append((p, a, b))
+    return out
+
+
+def _extension_bindings(scene: Scene) -> list[tuple[str, ...]]:
+    out = []
+    for a, b in scene.drawn_segments:
+        out.append((a, b))  # extend beyond b
+        out.append((b, a))  # extend beyond a
+    return out
+
+
+def _connect_bindings(scene: Scene) -> list[tuple[str, ...]]:
+    drawn = {frozenset(s) for s in scene.drawn_segments}
+    labels = list(scene.geometry.points)
+    return [
+        (p, q)
+        for p, q in combinations(labels, 2)
+        if frozenset((p, q)) not in drawn
+    ]
+
+
+def _circumcenter_bindings(scene: Scene) -> list[tuple[str, ...]]:
+    drawn = {frozenset(s) for s in scene.drawn_segments}
+    out = []
+    for a, b, c in combinations(list(scene.geometry.points), 3):
+        sides = [frozenset((a, b)), frozenset((b, c)), frozenset((a, c))]
+        if not all(s in drawn for s in sides):
+            continue
+        if _non_collinear(scene, a, b, c, 12.0):
+            out.append((a, b, c))
+    return out
+
+
+def _median_bindings(scene: Scene) -> list[tuple[str, ...]]:
+    out = []
+    for v in scene.geometry.points:
+        for a, b in scene.drawn_segments:
+            if v in (a, b) or not _non_collinear(scene, v, a, b, 10.0):
+                continue
+            if _has_midpoint_statement(scene, (a, b)):
+                continue
+            out.append((v, a, b))
+    return out
+
+
+def _reflect_bindings(scene: Scene) -> list[tuple[str, ...]]:
+    labels = list(scene.geometry.points)
+    out = []
+    for p in labels:
+        for c in labels:
+            if p != c:
+                out.append((p, c))
+    return out
+
+
+def _midsegment_bindings(scene: Scene) -> list[tuple[str, ...]]:
+    drawn = {frozenset(s) for s in scene.drawn_segments}
+    out = []
+    for a, b, c in combinations(list(scene.geometry.points), 3):
+        for apex, e1, e2 in ((a, b, c), (b, a, c), (c, a, b)):
+            if frozenset((apex, e1)) in drawn and frozenset((apex, e2)) in drawn:
+                if not _non_collinear(scene, apex, e1, e2, 12.0):
+                    continue
+                if _has_midpoint_statement(scene, (apex, e1)) or _has_midpoint_statement(
+                    scene, (apex, e2)
+                ):
+                    continue
+                out.append((apex, e1, e2))
+    return out
+
+
+_REFERENCE_CATALOG = (
+    ("midpoint", 1, _midpoint_bindings),
+    ("perpendicular_foot", 1, _foot_bindings),
+    ("angle_bisector_point", 1, _bisector_bindings),
+    ("parallel_through_point", 1, _parallel_bindings),
+    ("segment_extension", 1, _extension_bindings),
+    ("connect_points", 0, _connect_bindings),
+    ("circumcenter", 1, _circumcenter_bindings),
+    ("median", 1, _median_bindings),
+    ("reflect_point", 1, _reflect_bindings),
+    ("midsegment_endpoints", 2, _midsegment_bindings),
+)

@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +37,7 @@ from geoforge.statements import parse_statement
 
 SMALL = PipelineConfig(seed_start=0, count=40)
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,28 @@ class TestGenerate:
         generate(cfg, serial)
         generate(dataclasses.replace(cfg, workers=2), parallel)
         assert (serial / "records.jsonl").read_bytes() == (parallel / "records.jsonl").read_bytes()
+
+    def test_output_independent_of_hash_seed_and_workers(self, tmp_path):
+        # every set the engine iterates for output order must not follow str hashing
+        pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        digests = set()
+        for hash_seed in ("1", "2"):
+            for workers in ("1", "2"):
+                out = tmp_path / f"h{hash_seed}w{workers}"
+                subprocess.run(
+                    [sys.executable, "-c", "import sys; from geoforge.cli import main; sys.exit(main())",
+                     "generate", "--out", str(out), "--seed-start", "0", "--count", "30",
+                     "--workers", workers],
+                    env={**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed},
+                    check=True,
+                    capture_output=True,
+                )
+                assert (out / "records.jsonl").stat().st_size > 0
+                digests.add(tuple(
+                    hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("records.jsonl", "scenes.jsonl")
+                ))
+        assert len(digests) == 1
 
     def test_crash_before_manifest_fails_verify(self, dataset, tmp_path, monkeypatch):
         out, report0 = dataset

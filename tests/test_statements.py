@@ -233,3 +233,18 @@ class TestStatementSet:
         ss = StatementSet([s])
         assert s in ss
         assert parse_statement("right_angle(C,B,A)") in ss
+
+    def test_copy_is_equal_and_independent(self):
+        s1, s2, s3, s4 = (
+            equal_segments(("A", "B"), ("C", "D")),
+            collinear("A", "B", "C"),
+            right_angle(("A", "B", "C")),
+            parallel(("A", "B"), ("C", "D")),
+        )
+        original = StatementSet([s1, s2])
+        clone = original.copy()
+        assert clone == original and list(clone) == [s1, s2]
+        assert clone.add(s3) and not clone.add(s1)
+        assert s3 not in original and list(original) == [s1, s2]
+        assert original.add(s4)
+        assert s4 not in clone and list(clone) == [s1, s2, s3]
