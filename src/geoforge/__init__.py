@@ -11,10 +11,12 @@ from .constructions import (
     scene_from_doc,
     scene_from_json,
 )
+from .dataset import scene_id_of
 from .geometry import SceneGeometry
 from .pipeline import (
     PipelineConfig,
     bootstrap,
+    build_record,
     check_answer,
     curate_testset,
     generate,

@@ -87,8 +87,8 @@ class Scene:
             s.groups[1] for s in self.initial_statements if s.predicate is Predicate.MIDPOINT
         )
 
-    def to_json(self) -> str:
-        doc = {
+    def to_doc(self) -> dict:
+        return {
             "seed": self.seed,
             "generator": self.generator,
             "constructions": [
@@ -100,7 +100,9 @@ class Scene:
             "drawn_segments": [list(seg) for seg in self.drawn_segments],
             "exhausted": self.exhausted,
         }
-        return json.dumps(doc, separators=(",", ":"))
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_doc(), separators=(",", ":"))
 
 
 def scene_from_json(text: str) -> Scene:

@@ -255,7 +255,7 @@ def write_dataset(
             f.write(_dump(record_to_doc(r)) + "\n")
     with _replacing(out / "scenes.jsonl") as f:
         for scene_id in sorted(scenes):
-            f.write(_dump({"scene_id": scene_id, "scene": json.loads(scenes[scene_id].to_json())}) + "\n")
+            f.write(_dump({"scene_id": scene_id, "scene": scenes[scene_id].to_doc()}) + "\n")
     for record_id, svg in sorted(diagrams.items()):
         with _replacing(out / "svg" / f"{record_id}.svg") as f:
             f.write(svg)

@@ -53,6 +53,7 @@ from .reasoner import (
 from .render import RenderError, render_svg
 from .rules import RULES_BY_ID, Rule
 from .sampler import (
+    BelowTierRangeError,
     OracleMismatchError,
     ProblemDraft,
     ReasoningPath,
@@ -64,12 +65,13 @@ from .sampler import (
     geo_explore_t,
     tier_of,
 )
-from .statements import VALUE_PREDICATES, ParseError, Predicate, Statement
+from .statements import VALUE_PREDICATES, ParseError, Predicate, Statement, Unit
 from .translate import (
     BackendUnavailableError,
     ExternalBackend,
     TemplateBackend,
     connect_thinking,
+    statement_nl,
     translate_steps,
 )
 
@@ -129,6 +131,8 @@ class PipelineConfig:
             raise PipelineError("tau_p must lie in [0, 1]")
         if self.translator not in ("template", "external"):
             raise PipelineError(f"unknown translator {self.translator!r}")
+        if self.distractor_policy not in ("all", "used"):
+            raise PipelineError(f"unknown distractor policy {self.distractor_policy!r}")
 
     def budget(self) -> Budget:
         return Budget(self.max_statements, self.max_transitions, self.max_rounds)
@@ -173,32 +177,77 @@ def _numeric_target(stmt: Statement) -> bool:
     return stmt.predicate in VALUE_PREDICATES and stmt.value is not None
 
 
-def _draft_to_record(
+def _question_clause(target: Statement) -> str:
+    if target.unit is Unit.LENGTH:
+        a, b = target.groups[0]
+        return f"find the length of {a}{b}"
+    if target.unit is Unit.DEGREES:
+        a, v, c = target.groups[0]
+        return f"find the measure of ∠{a}{v}{c} in degrees"
+    if target.unit is Unit.RATIO:
+        (a, b), (c, d) = target.groups
+        return f"find the ratio {a}{b} / {c}{d}"
+    raise PipelineError(f"{target.predicate.value} is not a numeric query")
+
+
+def _translate(draft: ProblemDraft, shown: Statement, backend) -> tuple[str | None, str | None]:
+    """(nl_solution, connection_thinking), or two Nones when the backend is
+    unavailable."""
+    try:
+        primary = draft.solutions[0]
+        sentences = translate_steps(primary, backend)
+        nl_solution = " ".join(sentences)
+        connection = connect_thinking(primary, sentences, shown, backend)
+        if draft.wrong_branch:
+            # the wrong branch, a pivot, then the correct continuation
+            wrong = " ".join(translate_steps(draft.wrong_branch, backend))
+            pivot = backend.pivot_sentence(draft.wrong_branch[-1].conclusion, shown)
+            nl_solution = f"{wrong} {pivot} {nl_solution}"
+            connection = f"{wrong} {pivot} {connection}"
+    except BackendUnavailableError:
+        return None, None
+    return nl_solution, connection
+
+
+def build_record(
     draft: ProblemDraft,
     scene: Scene,
     scene_id: str,
     config: PipelineConfig,
     generation: int,
     backend,
-) -> ProblemRecord:
-    nl_solution: str | None = None
-    connection: str | None = None
-    untranslated = False
+) -> tuple[ProblemRecord, dict]:
+    """The finished record of a formal core, and its ``record_to_doc``.
+
+    ``generate`` builds each record here, and ``verify`` rebuilds each one
+    here and compares the two whole. ``backend`` translates the texts. In
+    its place ``verify`` passes a record's stored ``(nl_solution,
+    connection_thinking)`` when an external translator wrote them, since
+    it cannot rerun one offline.
+    """
+    cited = frozenset().union(*draft.cited)
+    keep_all = config.distractor_policy == "all"
+    premises = tuple(p for p in scene.initial_statements if keep_all or p in cited)
+    clauses = "; ".join(statement_nl(p) for p in premises)
+    target = draft.target
+    if draft.kind == "numeric":
+        shown, answer_value = target.without_value(), target.value
+        question = f"In the figure, {clauses}. Based on these premises, {_question_clause(target)}."
+    else:
+        shown, answer_value = target, None
+        question = f"In the figure, {clauses}. Prove that {statement_nl(target)}."
+    primary = draft.solutions[0]
     try:
-        primary = draft.solutions[0]
-        sentences = translate_steps(primary, backend)
-        nl_solution = " ".join(sentences)
-        connection = connect_thinking(primary, sentences, draft.target, backend)
-        if draft.template == "traceback" and draft.wrong_branch:
-            # the wrong branch, a pivot, then the correct continuation
-            wrong = " ".join(translate_steps(draft.wrong_branch, backend))
-            pivot = backend.pivot_sentence(draft.wrong_branch[-1].conclusion, draft.target)
-            nl_solution = f"{wrong} {pivot} {nl_solution}"
-            connection = f"{wrong} {pivot} {connection}"
-    except BackendUnavailableError:
-        nl_solution = None
-        connection = None
-        untranslated = True
+        tier: int | None = tier_of(len(primary)).tier
+    except BelowTierRangeError:
+        tier = None
+    overlap = None
+    if draft.wrong_branch is not None:
+        overlap = len(set(primary).intersection(draft.wrong_branch)) / len(draft.wrong_branch)
+    if isinstance(backend, tuple):
+        nl_solution, connection = backend
+    else:
+        nl_solution, connection = _translate(draft, shown, backend)
 
     record = ProblemRecord(
         id="",
@@ -206,29 +255,31 @@ def _draft_to_record(
         scene_id=scene_id,
         template=draft.template,
         kind=draft.kind,
-        question=draft.question,
-        premises=draft.premises,
-        target=draft.target,
-        answer_value=draft.answer_value,
+        question=question,
+        premises=premises,
+        target=shown,
+        answer_value=answer_value,
         solutions=draft.solutions,
         wrong_branch=draft.wrong_branch,
-        overlap=draft.overlap,
+        overlap=overlap,
         nl_solution=nl_solution,
         connection_thinking=connection,
-        untranslated=untranslated,
+        untranslated=nl_solution is None,
         diagram="",
         metadata=RecordMetadata(
-            reasoning_length=draft.reasoning_length,
-            premise_ratio=draft.premise_ratio,
-            tier=draft.tier,
+            reasoning_length=len(primary),
+            premise_ratio=len(draft.cited[0]) / len(scene.initial_statements),
+            tier=tier,
             tau_l=config.tau_l,
             tau_r=config.tau_r,
             tau_p=config.tau_p,
             bootstrap_generation=generation,
         ),
     )
-    record_id = record_content_hash(record_to_doc(record))
-    return dataclasses.replace(record, id=record_id, diagram=f"svg/{record_id}.svg")
+    doc = record_to_doc(record)
+    doc["id"] = record_content_hash(doc)
+    doc["diagram"] = f"svg/{doc['id']}.svg"
+    return dataclasses.replace(record, id=doc["id"], diagram=doc["diagram"]), doc
 
 
 def _process_scene(
@@ -297,9 +348,7 @@ def _process_scene(
             if material is None:
                 continue
             try:
-                drafts.append(
-                    formulate_problem(scene, graph, material, kind, config.distractor_policy)
-                )
+                drafts.append(formulate_problem(scene, graph, material, kind))
             except OracleMismatchError as exc:
                 failures.append(f"scene {scene_id} target {sid}: {exc}")
                 continue
@@ -314,7 +363,7 @@ def _process_scene(
         except RenderError as exc:
             return [], {}, failures + [f"scene {scene_id}: render failed: {exc}"]
         for draft in drafts:
-            record = _draft_to_record(draft, scene, scene_id, config, generation, backend)
+            record, _ = build_record(draft, scene, scene_id, config, generation, backend)
             records.append(record)
             diagrams[record.id] = svg
     return records, diagrams, failures
@@ -680,16 +729,27 @@ def _shape_mismatch(record: ProblemRecord) -> str | None:
     return None
 
 
+# derived from every other field, so named only when nothing else differs
+_DERIVED = ("id", "diagram")
+_ABSENT = object()
+
+
+def _first_difference(rebuilt: dict, stored: dict) -> str:
+    """The first field, in ``record_to_doc`` order, where two documents
+    differ; ``rebuilt`` and ``stored`` must differ somewhere."""
+    order = [*(k for k in rebuilt if k not in _DERIVED), *_DERIVED]
+    order += [k for k in stored if k not in rebuilt]
+    return next(k for k in order if rebuilt.get(k, _ABSENT) != stored.get(k, _ABSENT))
+
+
 def _verify_record(
     record: ProblemRecord,
+    stored: dict,
     scenes: dict[str, Scene],
     diagrams: set[str],
     checks: dict[str, _SceneChecks],
     config: PipelineConfig,
 ) -> str | None:
-    doc = record_to_doc(record)
-    if record_content_hash(doc) != record.id:
-        return "content hash mismatch"
     if record.diagram != f"svg/{record.id}.svg":
         return f"diagram {record.diagram} is not svg/{record.id}.svg"
     if record.diagram not in diagrams:
@@ -706,64 +766,50 @@ def _verify_record(
     scene_checks = checks.get(record.scene_id)
     if scene_checks is None:
         scene_checks = checks[record.scene_id] = _SceneChecks(scene)
-    for p in record.premises:
-        if p not in scene_checks.initial:
-            return f"question premise {p} is not an initial statement"
     if not record.solutions:
         return "no formal solution"
-    last_step_sets = []
+    target = _full_target(record)
+    cited = []
     for j, steps in enumerate(record.solutions):
         if not steps:
             return f"solution {j} is empty"
         error, used = _replay_steps(scene_checks, steps, f"solution {j}")
         if error:
             return error
-        if steps[-1].conclusion != _full_target(record):
+        if steps[-1].conclusion != target:
             return f"solution {j} does not end at the target"
-        length = len(steps)
-        ratio = len(used) / len(scene.initial_statements)
-        if length < config.tau_l:
+        if len(steps) < config.tau_l:
             return f"solution {j} violates the length filter"
-        if ratio < config.tau_r - 1e-12:
+        if len(used) / len(scene.initial_statements) < config.tau_r - 1e-12:
             return f"solution {j} violates the premise-ratio filter"
-        if j == 0:
-            if length != record.metadata.reasoning_length:
-                return "stored reasoning length disagrees with the solution"
-            if abs(ratio - record.metadata.premise_ratio) > 1e-9:
-                return "stored premise ratio disagrees with the solution"
-            expected_tier: int | None
-            try:
-                expected_tier = tier_of(length).tier
-            except SamplerError:
-                expected_tier = None
-            if expected_tier != record.metadata.tier:
-                return "stored tier disagrees with the reasoning length"
-        last_step_sets.append({(s.premises, s.rule, s.conclusion) for s in steps})
+        cited.append(used)
     if record.wrong_branch is not None:
-        error, _ = _replay_steps(scene_checks, record.wrong_branch, "wrong branch")
+        error, used = _replay_steps(scene_checks, record.wrong_branch, "wrong branch")
         if error:
             return error
-        shared = last_step_sets[0] & {
-            (s.premises, s.rule, s.conclusion) for s in record.wrong_branch
-        }
-        overlap = len(shared) / len(record.wrong_branch)
-        if abs(overlap - record.overlap) > 1e-9:
-            return "stored overlap disagrees with the branches"
-        if overlap < config.tau_p - 1e-12:
-            return "overlap violates tau_p"
-    if record.kind == "numeric":
-        try:
-            oracle = scene.geometry.numeric_answer(record.target)
-        except GeometryError as exc:
-            return f"oracle failure: {exc}"
-        claimed = record.answer_value
-        if isinstance(oracle, Fraction):
-            if abs(claimed - oracle) > Fraction(1, 10**9) * max(1, abs(oracle)):
-                return f"answer {claimed} disagrees with oracle {oracle}"
-        else:
-            o = float(oracle)
-            if abs(float(claimed) - o) > 0.01 * max(abs(o), 1e-12):
-                return f"answer {claimed} disagrees with oracle {oracle}"
+        cited.append(used)
+    if config.translator == "template":
+        backend = TemplateBackend()
+    else:  # an external translator's texts, which cannot be rebuilt offline
+        texts = (record.nl_solution, record.connection_thinking)
+        if (texts[0] is None, texts[1] is None) != (record.untranslated,) * 2:
+            return "nl_solution and connection_thinking must be null exactly when untranslated is true"
+        backend = texts
+    draft = ProblemDraft(
+        kind=record.kind,
+        template=record.template,
+        target=target,
+        solutions=record.solutions,
+        wrong_branch=record.wrong_branch,
+        cited=tuple(cited),
+    )
+    rebuilt, doc = build_record(
+        draft, scene, record.scene_id, config, meta.bootstrap_generation, backend
+    )
+    if rebuilt.overlap is not None and rebuilt.overlap < config.tau_p - 1e-12:
+        return "overlap violates tau_p"
+    if doc != stored:
+        return f"{_first_difference(doc, stored)} disagrees with the record rebuilt from its formal core"
     return None
 
 
@@ -775,21 +821,30 @@ def _full_target(record: ProblemRecord) -> Statement:
 
 
 def verify(in_dir: str | Path) -> VerifyReport:
-    """Independently replay every record of a dataset.
+    """Independently replay every record of a dataset, then rebuild it.
 
     Each solution step is re-derived by its cited rule's matcher from exactly
     its cited premises, and each statement is checked numerically on the
-    scene geometry; filters and tier are re-derived against the thresholds
-    of ``config.json``, which each record must repeat, each record must have
-    its template's shape, and numeric answers are re-checked against the
-    coordinate oracle. A missing or invalid ``config.json`` is a
-    ``<dataset>`` failure. These checks are pure, so each
-    distinct replay, numeric check and statement parse runs once per scene
-    per call, however many records share it. Each record's diagram must be
-    ``svg/<id>.svg`` and present. The record ids, in order, must
-    match manifest.jsonl, so a truncated records.jsonl fails as a
-    ``<dataset>`` failure, as does a missing or non-UTF-8 one. Schema and
-    field-type problems surface as corrupt-record failures, not crashes.
+    scene geometry; the filters are judged against the thresholds of
+    ``config.json``, which each record must repeat, and each record must
+    have its template's shape. A missing or invalid ``config.json`` is a
+    ``<dataset>`` failure. These checks are pure, so each distinct replay,
+    numeric check and statement parse runs once per scene per call, however
+    many records share it. Each record's diagram must be ``svg/<id>.svg``
+    and present.
+
+    Each record that passes is then rebuilt by ``build_record`` from its
+    formal core (template, kind, target, solutions, wrong branch and the
+    initial statements they cite), its scene and ``config.json``, and must
+    equal its stored line field for field, id included; the failure names
+    the first field that differs. Texts of an external translator are not
+    rebuilt, which would need the network: they must be null exactly when
+    ``untranslated`` is true.
+
+    The record ids, in order, must match manifest.jsonl, so a truncated
+    records.jsonl fails as a ``<dataset>`` failure, as does a missing or
+    non-UTF-8 one. Schema and field-type problems surface as corrupt-record
+    failures, not crashes.
     """
     failures: list[tuple[str, str]] = []
     try:
@@ -825,7 +880,7 @@ def verify(in_dir: str | Path) -> VerifyReport:
             failures.append((f"line {line_no}", f"corrupt record: {exc}"))
             continue
         try:
-            problem = _verify_record(record, scenes, diagrams, checks, config)
+            problem = _verify_record(record, doc, scenes, diagrams, checks, config)
         except (GeometryError, ParseError) as exc:
             problem = f"verification error: {exc}"
         if problem:

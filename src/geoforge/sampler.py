@@ -5,8 +5,8 @@ backward trace along each statement's first derivation with
 length/premise-ratio filters, exhaustive multi-derivation enumeration
 (branching over alternative incoming transitions), and self-reflective
 traceback composition (a wrong branch that shares enough of its prefix with
-a correct derivation). Problem formulation and difficulty tiering also live
-here.
+a correct derivation). Difficulty tiering and the formal core of each
+problem also live here.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from typing import Sequence
 
 from .constructions import Scene
 from .reasoner import ReasoningGraph, SolutionStep, Transition
-from .statements import VALUE_PREDICATES, Statement, Unit
-from .translate import statement_nl
+from .statements import VALUE_PREDICATES, Statement
 
 
 class SamplerError(ValueError):
@@ -305,34 +304,16 @@ def geo_explore_t(
 
 @dataclass(frozen=True)
 class ProblemDraft:
-    """Everything the pipeline needs to emit one record, minus bookkeeping."""
+    """The formal core of one record. ``pipeline.build_record`` derives every
+    other field from it, the scene and the config."""
 
     kind: str  # "numeric" | "proof"
     template: str  # "deductive" | "multi_solution" | "traceback"
-    target: Statement
-    question: str
-    premises: tuple[Statement, ...]
-    answer_value: Fraction | None
+    target: Statement  # with its value for numeric problems
     solutions: tuple[tuple[SolutionStep, ...], ...]
     wrong_branch: tuple[SolutionStep, ...] | None
-    overlap: float | None
-    reasoning_length: int
-    premise_ratio: float
-    tier: int | None
-
-
-def _question_clause(target: Statement) -> str:
-    pred = target.predicate.value
-    if target.unit is Unit.LENGTH:
-        a, b = target.groups[0]
-        return f"find the length of {a}{b}"
-    if target.unit is Unit.DEGREES:
-        a, v, c = target.groups[0]
-        return f"find the measure of ∠{a}{v}{c} in degrees"
-    if target.unit is Unit.RATIO:
-        (a, b), (c, d) = target.groups
-        return f"find the ratio {a}{b} / {c}{d}"
-    raise SamplerError(f"{pred} is not a numeric query")
+    # initial statements cited by each solution, then by the wrong branch
+    cited: tuple[frozenset[Statement], ...]
 
 
 def formulate_problem(
@@ -340,33 +321,25 @@ def formulate_problem(
     graph: ReasoningGraph,
     material: ReasoningPath | list[ReasoningPath] | TracebackRecord,
     kind: str,
-    distractor_policy: str = "all",
 ) -> ProblemDraft:
-    """Turn sampled path material into a question/answer/solution core.
+    """Turn sampled path material into the formal core of a problem.
 
-    Numeric questions strip the target's value and cross-check it against the
-    coordinate oracle (1% relative, 1e-9 when both sides are exact).
+    A numeric target's value is cross-checked against the coordinate oracle
+    (1% relative, 1e-9 when both sides are exact).
     """
     if isinstance(material, TracebackRecord):
         template = "traceback"
-        primary = material.correct_path
-        solutions = [primary]
-        wrong: ReasoningPath | None = material.wrong_branch
-        overlap: float | None = material.overlap
+        paths = [material.correct_path, material.wrong_branch]
     elif isinstance(material, ReasoningPath):
         template = "deductive"
-        primary = material
-        solutions = [material]
-        wrong, overlap = None, None
+        paths = [material]
     else:
         if not material:
             raise SamplerError("multi-solution material must be non-empty")
         template = "multi_solution"
-        primary = material[0]
-        solutions = list(material)
-        wrong, overlap = None, None
+        paths = list(material)
 
-    target = graph.stmt(primary.target)
+    target = graph.stmt(paths[0].target)
     if kind == "numeric":
         if target.predicate not in VALUE_PREDICATES or target.value is None:
             raise SamplerError("numeric problems need a value-bearing target")
@@ -378,50 +351,16 @@ def formulate_problem(
             ok = abs(float(claimed) - oracle) <= 0.01 * abs(oracle)
         if not ok:
             raise OracleMismatchError(f"path says {claimed}, oracle says {oracle}")
-        answer_value: Fraction | None = claimed
-    elif kind == "proof":
-        answer_value = None
-    else:
+    elif kind != "proof":
         raise SamplerError(f"unknown problem kind {kind!r}")
 
-    used_ids: set[int] = set()
-    for path in solutions:
-        used_ids |= path.used_premises
-    if wrong is not None:
-        used_ids |= wrong.used_premises
-    if distractor_policy == "all":
-        premise_ids = list(graph.initial_ids())
-    elif distractor_policy == "used":
-        premise_ids = sorted(used_ids)
-    else:
-        raise SamplerError(f"unknown distractor policy {distractor_policy!r}")
-    premises = tuple(graph.stmt(i) for i in premise_ids)
-
-    clauses = "; ".join(statement_nl(p) for p in premises)
-    if kind == "numeric":
-        shown = target.without_value()
-        ask = _question_clause(target)
-        question = f"In the figure, {clauses}. Based on these premises, {ask}."
-    else:
-        shown = target
-        question = f"In the figure, {clauses}. Prove that {statement_nl(target)}."
-
-    try:
-        tier: int | None = tier_of(primary.length).tier
-    except BelowTierRangeError:
-        tier = None
-
+    steps = tuple(path.resolve(graph) for path in paths)
+    wrong = template == "traceback"
     return ProblemDraft(
         kind=kind,
         template=template,
-        target=shown,
-        question=question,
-        premises=premises,
-        answer_value=answer_value,
-        solutions=tuple(path.resolve(graph) for path in solutions),
-        wrong_branch=wrong.resolve(graph) if wrong is not None else None,
-        overlap=overlap,
-        reasoning_length=primary.length,
-        premise_ratio=primary.premise_ratio,
-        tier=tier,
+        target=target,
+        solutions=steps[:-1] if wrong else steps,
+        wrong_branch=steps[-1] if wrong else None,
+        cited=tuple(frozenset(graph.stmt(i) for i in path.used_premises) for path in paths),
     )

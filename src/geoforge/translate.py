@@ -43,45 +43,39 @@ def _tri(group: Sequence[str]) -> str:
     return "△" + "".join(group)
 
 
+# one formatter per predicate, called with (groups, value): one dict lookup
+# costs less than testing the predicate against each enum member in turn
+_NL: dict[Predicate, Callable[[tuple, object], str]] = {
+    Predicate.COLLINEAR: lambda g, v: "points {}, {} and {} are collinear".format(*g[0]),
+    Predicate.PARALLEL: lambda g, v: f"{_seg(g[0])} ∥ {_seg(g[1])}",
+    Predicate.PERPENDICULAR: lambda g, v: f"{_seg(g[0])} ⊥ {_seg(g[1])}",
+    Predicate.EQUAL_SEGMENTS: lambda g, v: f"{_seg(g[0])} = {_seg(g[1])}",
+    Predicate.EQUAL_ANGLES: lambda g, v: f"{_ang(g[0])} = {_ang(g[1])}",
+    Predicate.SEGMENT_LENGTH: lambda g, v: (
+        f"the length of {_seg(g[0])} is unknown" if v is None else f"{_seg(g[0])} = {v}"
+    ),
+    Predicate.ANGLE_MEASURE: lambda g, v: (
+        f"the measure of {_ang(g[0])} is unknown" if v is None else f"{_ang(g[0])} = {v}°"
+    ),
+    Predicate.RIGHT_ANGLE: lambda g, v: f"{_ang(g[0])} is a right angle",
+    Predicate.MIDPOINT: lambda g, v: f"{g[0][0]} is the midpoint of {_seg(g[1])}",
+    Predicate.ON_CIRCLE: lambda g, v: (
+        f"{g[0][0]} lies on the circle centered at {g[1][0]} with radius {_seg(g[2])}"
+    ),
+    Predicate.CONGRUENT_TRIANGLES: lambda g, v: f"{_tri(g[0])} ≅ {_tri(g[1])}",
+    Predicate.SIMILAR_TRIANGLES: lambda g, v: f"{_tri(g[0])} ∼ {_tri(g[1])}",
+    Predicate.SEGMENT_RATIO: lambda g, v: (
+        f"the ratio {_seg(g[0])} / {_seg(g[1])} is unknown"
+        if v is None
+        else f"{_seg(g[0])} / {_seg(g[1])} = {v}"
+    ),
+}
+
+
 def statement_nl(s: Statement) -> str:
     """Natural-language clause for one statement; keeps every point label and
     numeric value verbatim."""
-    p = s.predicate
-    g = s.groups
-    if p is Predicate.COLLINEAR:
-        a, b, c = g[0]
-        return f"points {a}, {b} and {c} are collinear"
-    if p is Predicate.PARALLEL:
-        return f"{_seg(g[0])} ∥ {_seg(g[1])}"
-    if p is Predicate.PERPENDICULAR:
-        return f"{_seg(g[0])} ⊥ {_seg(g[1])}"
-    if p is Predicate.EQUAL_SEGMENTS:
-        return f"{_seg(g[0])} = {_seg(g[1])}"
-    if p is Predicate.EQUAL_ANGLES:
-        return f"{_ang(g[0])} = {_ang(g[1])}"
-    if p is Predicate.SEGMENT_LENGTH:
-        if s.value is None:
-            return f"the length of {_seg(g[0])} is unknown"
-        return f"{_seg(g[0])} = {s.value}"
-    if p is Predicate.ANGLE_MEASURE:
-        if s.value is None:
-            return f"the measure of {_ang(g[0])} is unknown"
-        return f"{_ang(g[0])} = {s.value}°"
-    if p is Predicate.RIGHT_ANGLE:
-        return f"{_ang(g[0])} is a right angle"
-    if p is Predicate.MIDPOINT:
-        return f"{g[0][0]} is the midpoint of {_seg(g[1])}"
-    if p is Predicate.ON_CIRCLE:
-        return f"{g[0][0]} lies on the circle centered at {g[1][0]} with radius {_seg(g[2])}"
-    if p is Predicate.CONGRUENT_TRIANGLES:
-        return f"{_tri(g[0])} ≅ {_tri(g[1])}"
-    if p is Predicate.SIMILAR_TRIANGLES:
-        return f"{_tri(g[0])} ∼ {_tri(g[1])}"
-    if p is Predicate.SEGMENT_RATIO:
-        if s.value is None:
-            return f"the ratio {_seg(g[0])} / {_seg(g[1])} is unknown"
-        return f"{_seg(g[0])} / {_seg(g[1])} = {s.value}"
-    raise AssertionError(p)  # pragma: no cover - exhaustive
+    return _NL[s.predicate](s.groups, s.value)
 
 
 _RULE_PHRASES: dict[str, str] = {

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import geoforge.dataset
+import geoforge.pipeline
 from geoforge.dataset import (
     load_config,
     load_records,
@@ -34,6 +36,7 @@ from geoforge.pipeline import (
 )
 from geoforge.rules import Rule
 from geoforge.statements import parse_statement
+from geoforge.translate import ExternalBackend
 
 SMALL = PipelineConfig(seed_start=0, count=40)
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
@@ -205,6 +208,8 @@ class TestGenerate:
             PipelineConfig(tau_r=1.5)
         with pytest.raises(PipelineError):
             PipelineConfig(translator="quantum")
+        with pytest.raises(PipelineError):
+            PipelineConfig(distractor_policy="some")
 
 
 class TestVerifyTamperDetection:
@@ -277,11 +282,46 @@ class TestVerifyTamperDetection:
         ]
 
     def test_hash_mismatch_detected(self, dataset, tmp_path):
+        # the id is not recomputed, so the rebuilt record differs in question and id
+        _, report0 = dataset
+
         def mutate(doc):
             doc["question"] = doc["question"] + " (edited)"
 
         report = self._tampered(dataset, tmp_path, mutate)
-        assert any("hash" in reason for _, reason in report.failures)
+        assert report.failures == [
+            (report0.records[0].id, "question disagrees with the record rebuilt from its formal core")
+        ]
+
+    # re-hashed edits of fields that are not part of the formal core: each
+    # one fails only the comparison with the rebuilt record
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("question", lambda doc: "What is 2+2?"),
+            ("premises", lambda doc: doc["premises"][::-1]),
+            ("premises", lambda doc: doc["premises"][:1]),
+            ("nl_solution", lambda doc: "Trust me."),
+            ("connection_thinking", lambda doc: "Trust me."),
+            ("untranslated", lambda doc: True),
+            ("seed", lambda doc: 999999),
+        ],
+        ids=["question", "premises_reversed", "premises_cut", "nl_solution",
+             "connection_thinking", "untranslated", "seed"],
+    )
+    def test_field_must_match_rebuilt_record(self, dataset, tmp_path, field, edit):
+        ids = []
+
+        def mutate(doc):
+            doc[field] = edit(doc)
+            doc["id"] = record_content_hash(doc)
+            ids.append(doc["id"])
+
+        report = self._tampered(dataset, tmp_path, mutate)
+        assert report.failures == [
+            (ids[0], f"{field} disagrees with the record rebuilt from its formal core")
+        ]
 
     def test_corrupt_schema_detected(self, dataset, tmp_path):
         def mutate(doc):
@@ -597,7 +637,9 @@ class TestVerifyTamperDetection:
             ids.append(doc["id"])
 
         report = self._tampered(dataset, tmp_path, mutate, index)
-        assert report.failures == [(ids[0], "stored overlap disagrees with the branches")]
+        assert report.failures == [
+            (ids[0], "overlap disagrees with the record rebuilt from its formal core")
+        ]
 
     @pytest.mark.parametrize(
         "template, field, value, reason",
@@ -663,6 +705,41 @@ class TestVerifyTamperDetection:
                 config.write_text(text)
             (where, reason), = verify(target).failures
             assert (where, reason.split(":")[0]) == ("<dataset>", "cannot load config")
+
+    def test_external_texts_checked_without_a_transport_call(self, tmp_path, monkeypatch):
+        # external texts cannot be rebuilt offline: verify asks no backend,
+        # and checks only that they are null exactly when untranslated is true
+        def answer(url, payload, timeout):
+            return json.dumps({"choices": [{"message": {"content": "Translated sentence."}}]})
+
+        calls = []
+
+        def refuse(url, payload, timeout):
+            calls.append(url)
+            raise AssertionError("verify called the translator")
+
+        config = dataclasses.replace(
+            SMALL, count=10, translator="external", llm_endpoint="https://llm.invalid", llm_model="m"
+        )
+        out = tmp_path / "external"
+        monkeypatch.setattr(
+            geoforge.pipeline, "ExternalBackend", functools.partial(ExternalBackend, transport=answer)
+        )
+        report0 = generate(config, out)
+        assert report0.count and not any(r.untranslated for r in report0.records)
+        monkeypatch.setattr(
+            geoforge.pipeline, "ExternalBackend", functools.partial(ExternalBackend, transport=refuse)
+        )
+        assert verify(out).ok
+
+        def mutate(doc):
+            doc["untranslated"] = True
+            doc["id"] = record_content_hash(doc)
+
+        report = self._tampered((out, report0), tmp_path, mutate)
+        (_, reason), = report.failures
+        assert reason == "nl_solution and connection_thinking must be null exactly when untranslated is true"
+        assert calls == []
 
 
 class TestVerifyWork:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,7 +6,7 @@ from helpers import HAND_GRAPHS, brute_force_paths, build_graph, diamond_graph
 
 from geoforge.constructions import ConstructionError, generate_base_scene
 from geoforge.geometry import SceneGeometry
-from geoforge.pipeline import PipelineConfig, _build_scene
+from geoforge.pipeline import PipelineConfig, _build_scene, build_record
 from geoforge.reasoner import ReasoningGraph, saturate
 from geoforge.sampler import (
     BelowTierRangeError,
@@ -20,7 +21,8 @@ from geoforge.sampler import (
     geo_explore_t,
     tier_of,
 )
-from geoforge.statements import angle_measure
+from geoforge.statements import StatementSet, angle_measure
+from geoforge.translate import TemplateBackend
 
 
 def _chain(n_transitions: int, n_initial: int = 4) -> ReasoningGraph:
@@ -230,30 +232,38 @@ class TestFormulate:
         )
         return apex, geo_explore(graph, apex, tau_l=0, tau_r=0.0)
 
+    def _record(self, scene, draft, distractor_policy="all"):
+        config = PipelineConfig(distractor_policy=distractor_policy)
+        record, _ = build_record(draft, scene, "scene", config, 0, TemplateBackend())
+        return record
+
     def test_numeric_record_core(self, iso):
         scene, graph = iso
         apex, path = self._apex_path(scene, graph)
         draft = formulate_problem(scene, graph, path, "numeric")
         assert draft.kind == "numeric"
-        assert draft.answer_value == graph.stmt(apex).value
-        assert draft.target.value is None
-        assert "find the measure" in draft.question
-        assert draft.reasoning_length == path.length
-        assert len(draft.premises) == graph.n_initial  # distractor policy "all"
+        assert draft.target == graph.stmt(apex)
+        record = self._record(scene, draft)
+        assert record.answer_value == graph.stmt(apex).value
+        assert record.target.value is None
+        assert "find the measure" in record.question
+        assert record.metadata.reasoning_length == path.length
+        assert len(record.premises) == graph.n_initial  # distractor policy "all"
 
     def test_used_only_policy(self, iso):
         scene, graph = iso
         _, path = self._apex_path(scene, graph)
-        draft = formulate_problem(scene, graph, path, "numeric", distractor_policy="used")
-        assert len(draft.premises) == len(path.used_premises)
-        assert len(draft.premises) < graph.n_initial
+        draft = formulate_problem(scene, graph, path, "numeric")
+        record = self._record(scene, draft, distractor_policy="used")
+        assert len(record.premises) == len(path.used_premises)
+        assert len(record.premises) < graph.n_initial
 
     def test_distractors_present_by_default(self, iso):
         scene, graph = iso
         _, path = self._apex_path(scene, graph)
-        draft = formulate_problem(scene, graph, path, "numeric")
+        record = self._record(scene, formulate_problem(scene, graph, path, "numeric"))
         used = {graph.stmt(i) for i in path.used_premises}
-        assert any(p not in used for p in draft.premises)
+        assert any(p not in used for p in record.premises)
 
     def test_proof_kind(self, iso):
         scene, graph = iso
@@ -263,19 +273,19 @@ class TestFormulate:
             if graph.stmt(sid).predicate.value == "congruent"
         ]
         path = geo_explore(graph, candidates[0], 0, 0.0)
-        draft = formulate_problem(scene, graph, path, "proof")
-        assert draft.answer_value is None
-        assert "Prove that" in draft.question
-        assert draft.target == graph.stmt(candidates[0])
+        record = self._record(scene, formulate_problem(scene, graph, path, "proof"))
+        assert record.answer_value is None
+        assert "Prove that" in record.question
+        assert record.target == graph.stmt(candidates[0])
 
     def test_tier_metadata(self, iso):
         scene, graph = iso
         _, path = self._apex_path(scene, graph)
-        draft = formulate_problem(scene, graph, path, "numeric")
+        record = self._record(scene, formulate_problem(scene, graph, path, "numeric"))
         if path.length >= 5:
-            assert draft.tier == tier_of(path.length).tier
+            assert record.metadata.tier == tier_of(path.length).tier
         else:
-            assert draft.tier is None
+            assert record.metadata.tier is None
 
     def test_oracle_mismatch_aborts(self):
         geometry = SceneGeometry(
@@ -293,13 +303,18 @@ class TestFormulate:
 
     def test_multi_solution_union_of_premises(self):
         graph = diamond_graph()
-        # pretend scene: formulate only needs geometry for numeric targets
+        # a scene whose premises are the hand-built graph's initial statements
         scene = generate_base_scene("isosceles_triangle", 1)
+        scene = dataclasses.replace(
+            scene, initial_statements=StatementSet(graph.stmt(i) for i in graph.initial_ids())
+        )
         paths = geo_explore_m(graph, 4, 0, 0.0)
-        draft = formulate_problem(scene, graph, paths, "proof", distractor_policy="used")
+        draft = formulate_problem(scene, graph, paths, "proof")
         union = set()
         for p in paths:
             union |= p.used_premises
-        assert len(draft.premises) == len(union)
+        assert set().union(*draft.cited) == {graph.stmt(i) for i in union}
+        record = self._record(scene, draft, distractor_policy="used")
+        assert len(record.premises) == len(union)
         assert draft.template == "multi_solution"
         assert len(draft.solutions) == 2

@@ -4,11 +4,13 @@ import re
 import pytest
 
 from geoforge.constructions import extend_scene, generate_base_scene
-from geoforge.pipeline import PipelineConfig, _draft_to_record
+from geoforge.pipeline import PipelineConfig, build_record, generate
 from geoforge.reasoner import SolutionStep, saturate
 from geoforge.rules import DEFAULT_RULES
 from geoforge.sampler import ProblemDraft, ReasoningPath, geo_explore
 from geoforge.statements import (
+    Predicate,
+    Statement,
     angle_measure,
     equal_angles,
     equal_segments,
@@ -40,7 +42,99 @@ def _iso_step() -> SolutionStep:
     )
 
 
+def _seg(group):
+    return "".join(group)
+
+
+def _ang(group):
+    return "∠" + "".join(group)
+
+
+def _tri(group):
+    return "△" + "".join(group)
+
+
+def _reference_statement_nl(s: Statement) -> str:
+    """The chain of ``is`` tests ``statement_nl`` was before its table."""
+    p = s.predicate
+    g = s.groups
+    if p is Predicate.COLLINEAR:
+        a, b, c = g[0]
+        return f"points {a}, {b} and {c} are collinear"
+    if p is Predicate.PARALLEL:
+        return f"{_seg(g[0])} ∥ {_seg(g[1])}"
+    if p is Predicate.PERPENDICULAR:
+        return f"{_seg(g[0])} ⊥ {_seg(g[1])}"
+    if p is Predicate.EQUAL_SEGMENTS:
+        return f"{_seg(g[0])} = {_seg(g[1])}"
+    if p is Predicate.EQUAL_ANGLES:
+        return f"{_ang(g[0])} = {_ang(g[1])}"
+    if p is Predicate.SEGMENT_LENGTH:
+        if s.value is None:
+            return f"the length of {_seg(g[0])} is unknown"
+        return f"{_seg(g[0])} = {s.value}"
+    if p is Predicate.ANGLE_MEASURE:
+        if s.value is None:
+            return f"the measure of {_ang(g[0])} is unknown"
+        return f"{_ang(g[0])} = {s.value}°"
+    if p is Predicate.RIGHT_ANGLE:
+        return f"{_ang(g[0])} is a right angle"
+    if p is Predicate.MIDPOINT:
+        return f"{g[0][0]} is the midpoint of {_seg(g[1])}"
+    if p is Predicate.ON_CIRCLE:
+        return f"{g[0][0]} lies on the circle centered at {g[1][0]} with radius {_seg(g[2])}"
+    if p is Predicate.CONGRUENT_TRIANGLES:
+        return f"{_tri(g[0])} ≅ {_tri(g[1])}"
+    if p is Predicate.SIMILAR_TRIANGLES:
+        return f"{_tri(g[0])} ∼ {_tri(g[1])}"
+    if p is Predicate.SEGMENT_RATIO:
+        if s.value is None:
+            return f"the ratio {_seg(g[0])} / {_seg(g[1])} is unknown"
+        return f"{_seg(g[0])} / {_seg(g[1])} = {s.value}"
+    raise AssertionError(p)  # pragma: no cover - exhaustive
+
+
+# one statement per predicate, and each value-bearing one with its value too
+_ONE_PER_PREDICATE = (
+    "collinear(A,B,C)",
+    "parallel(A,B;C,D)",
+    "perp(A,B;C,D)",
+    "eq_seg(A,B;C,D)",
+    "eq_angle(A,B,C;D,E,F)",
+    "seg_len(A,B)",
+    "seg_len(A,B;3/2)",
+    "angle_val(A,B,C)",
+    "angle_val(A,B,C;45)",
+    "right_angle(A,B,C)",
+    "midpoint(M;A,B)",
+    "on_circle(P;O;O,A)",
+    "congruent(A,B,C;D,E,F)",
+    "similar(A,B,C;D,E,F)",
+    "seg_ratio(A,B;C,D)",
+    "seg_ratio(A,B;C,D;1/2)",
+)
+
+
 class TestStatementNl:
+    def test_table_matches_reference_by_hand(self):
+        statements = [parse_statement(t) for t in _ONE_PER_PREDICATE]
+        assert {s.predicate for s in statements} == set(Predicate)
+        for s in statements:
+            assert statement_nl(s) == _reference_statement_nl(s), s.text()
+
+    def test_table_matches_reference_on_generated_records(self, tmp_path):
+        report = generate(PipelineConfig(seed_start=0, count=30), tmp_path)
+        statements = set()
+        for r in report.records:
+            statements.update(r.premises)
+            statements.add(r.target)
+            for steps in (*r.solutions, r.wrong_branch or ()):
+                for step in steps:
+                    statements.update((*step.premises, step.conclusion))
+        assert any(s.value is None for s in statements)  # a shown numeric target
+        for s in statements:
+            assert statement_nl(s) == _reference_statement_nl(s), s.text()
+
     def test_value_rendering(self):
         assert statement_nl(angle_measure(("A", "B", "C"), 45)) == "∠ABC = 45°"
         assert statement_nl(parse_statement("seg_ratio(A,B;C,D;1/2)")) == "AB / CD = 1/2"
@@ -157,22 +251,17 @@ def _right_angle_step(c: str) -> SolutionStep:
 
 
 def _traceback_record(wrong, correct, backend):
+    scene = generate_base_scene("isosceles_triangle", 0)
     draft = ProblemDraft(
         kind="proof",
         template="traceback",
         target=correct[-1].conclusion,
-        question="Prove it.",
-        premises=(),
-        answer_value=None,
         solutions=(tuple(correct),),
         wrong_branch=tuple(wrong),
-        overlap=0.5,
-        reasoning_length=len(correct),
-        premise_ratio=1.0,
-        tier=None,
+        cited=(frozenset(scene.initial_statements),) * 2,
     )
-    scene = generate_base_scene("isosceles_triangle", 0)
-    return _draft_to_record(draft, scene, "scene", PipelineConfig(), 0, backend)
+    record, _ = build_record(draft, scene, "scene", PipelineConfig(), 0, backend)
+    return record
 
 
 class TestTraceback:
