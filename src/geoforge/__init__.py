@@ -9,7 +9,6 @@ from .constructions import (
     extend_scene,
     generate_base_scene,
     scene_from_doc,
-    scene_from_json,
 )
 from .dataset import scene_id_of
 from .geometry import SceneGeometry

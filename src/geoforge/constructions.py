@@ -105,10 +105,6 @@ class Scene:
         return json.dumps(self.to_doc(), separators=(",", ":"))
 
 
-def scene_from_json(text: str) -> Scene:
-    return scene_from_doc(json.loads(text))
-
-
 def scene_from_doc(doc: dict) -> Scene:
     points = {label: (float(x), float(y)) for label, (x, y) in doc["points"].items()}
     known = frozenset(points)

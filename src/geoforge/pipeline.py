@@ -282,13 +282,44 @@ def build_record(
     return dataclasses.replace(record, id=doc["id"], diagram=doc["diagram"]), doc
 
 
-def _process_scene(
-    scene: Scene, config: PipelineConfig, generation: int, backend
-) -> tuple[list[ProblemRecord], dict[str, str], list[str]]:
-    """Saturate once, sample every template, formulate, render, translate."""
-    failures: list[str] = []
-    graph = saturate(scene, budget=config.budget())
+@dataclass
+class _Batch:
+    """Records, the scenes and diagrams they cite, and failures, as
+    ``generate`` and ``bootstrap`` collect them scene by scene."""
+
+    records: list[ProblemRecord] = field(default_factory=list)
+    scenes: dict[str, Scene] = field(default_factory=dict)
+    diagrams: dict[str, str] = field(default_factory=dict)
+    failures: list[str] = field(default_factory=list)
+
+    def extend(self, other: "_Batch") -> None:
+        self.records.extend(other.records)
+        self.scenes.update(other.scenes)
+        self.diagrams.update(other.diagrams)
+        self.failures.extend(other.failures)
+
+    def write(self, out_dir: str | Path, config: PipelineConfig) -> GenerationReport:
+        write_dataset(out_dir, self.records, self.scenes, self.diagrams, config.to_doc())
+        return GenerationReport(str(out_dir), self.records, self.failures)
+
+
+def _process_scene(scene: Scene, config: PipelineConfig, generation: int, backend) -> _Batch:
+    """Saturate once, sample every template, formulate, render, translate.
+
+    The scene is registered under its id when it yields a record; a scene
+    the reasoner or the geometry rejects yields only a failure."""
     scene_id = scene_id_of(scene)
+    try:
+        return _scene_records(scene, scene_id, config, generation, backend)
+    except (VerifierContradictionError, GeometryError) as exc:
+        return _Batch(failures=[f"scene {scene_id}: {exc}"])
+
+
+def _scene_records(
+    scene: Scene, scene_id: str, config: PipelineConfig, generation: int, backend
+) -> _Batch:
+    out = _Batch()
+    graph = saturate(scene, budget=config.budget())
     drafts: list[ProblemDraft] = []
 
     def deductive(sid: int) -> ReasoningPath | None:
@@ -350,23 +381,23 @@ def _process_scene(
             try:
                 drafts.append(formulate_problem(scene, graph, material, kind))
             except OracleMismatchError as exc:
-                failures.append(f"scene {scene_id} target {sid}: {exc}")
+                out.failures.append(f"scene {scene_id} target {sid}: {exc}")
                 continue
             kept += 1
             proofs += kind == "proof"
 
-    records: list[ProblemRecord] = []
-    diagrams: dict[str, str] = {}
     if drafts:
         try:
             svg = render_svg(scene)
         except RenderError as exc:
-            return [], {}, failures + [f"scene {scene_id}: render failed: {exc}"]
+            out.failures.append(f"scene {scene_id}: render failed: {exc}")
+            return out
         for draft in drafts:
             record, _ = build_record(draft, scene, scene_id, config, generation, backend)
-            records.append(record)
-            diagrams[record.id] = svg
-    return records, diagrams, failures
+            out.records.append(record)
+            out.diagrams[record.id] = svg
+        out.scenes[scene_id] = scene
+    return out
 
 
 def _build_scene(config: PipelineConfig, seed: int) -> Scene:
@@ -377,27 +408,32 @@ def _build_scene(config: PipelineConfig, seed: int) -> Scene:
     return extend_scene(scene, steps, seed)
 
 
-def _generate_one_seed(config: PipelineConfig, seed: int, generation: int = 0):
+def _grow_scene(config: PipelineConfig, base: Scene, generation: int) -> Scene | None:
+    """``base`` extended by ``bootstrap_extra_steps`` constructions, retried
+    until its premise set strictly grows; None after ten attempts."""
+    for attempt in range(10):
+        candidate = extend_scene(
+            base,
+            config.bootstrap_extra_steps,
+            rng_seed=base.seed * 1000003 + generation * 101 + attempt,
+        )
+        if len(candidate.initial_statements) > len(base.initial_statements):
+            return candidate
+    return None
+
+
+def _generate_one_seed(config: PipelineConfig, seed: int) -> _Batch:
     backend = _make_backend(config)
     try:
         scene = _build_scene(config, seed)
     except ConstructionError as exc:
-        return [], {}, {}, [f"seed {seed}: construction failed: {exc}"]
-    try:
-        records, diagrams, failures = _process_scene(scene, config, generation, backend)
-    except (VerifierContradictionError, GeometryError) as exc:
-        return [], {}, {}, [f"seed {seed}: {exc}"]
-    scenes = {scene_id_of(scene): scene} if records else {}
-    return records, scenes, diagrams, failures
+        return _Batch(failures=[f"seed {seed}: construction failed: {exc}"])
+    return _process_scene(scene, config, 0, backend)
 
 
 def generate(config: PipelineConfig, out_dir: str | Path) -> GenerationReport:
     """Run the full engine for every seed and emit a dataset directory."""
-    report = GenerationReport(out_dir=str(out_dir))
     seeds = range(config.seed_start, config.seed_start + config.count)
-    all_scenes: dict[str, Scene] = {}
-    all_diagrams: dict[str, str] = {}
-
     if config.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -407,14 +443,10 @@ def generate(config: PipelineConfig, out_dir: str | Path) -> GenerationReport:
     else:
         results = [_generate_one_seed(config, s) for s in seeds]
 
-    for records, scenes, diagrams, failures in results:
-        report.records.extend(records)
-        all_scenes.update(scenes)
-        all_diagrams.update(diagrams)
-        report.failures.extend(failures)
-
-    write_dataset(out_dir, report.records, all_scenes, all_diagrams, config.to_doc())
-    return report
+    out = _Batch()
+    for batch in results:
+        out.extend(batch)
+    return out.write(out_dir, config)
 
 
 def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -> GenerationReport:
@@ -432,10 +464,7 @@ def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -
     if not prior_records:
         raise PipelineError("prior dataset has no records")
 
-    report = GenerationReport(out_dir=str(out_dir))
-    all_scenes: dict[str, Scene] = {}
-    all_diagrams: dict[str, str] = {}
-
+    out = _Batch()
     current_records = prior_records
     current_scenes = prior_scenes
     generation = max(r.metadata.bootstrap_generation for r in prior_records)
@@ -447,50 +476,26 @@ def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -
             best[r.scene_id] = max(best.get(r.scene_id, 0), r.metadata.reasoning_length)
         ranked = sorted(best, key=lambda sid: (-best[sid], sid))
         k = max(1, math.ceil(config.bootstrap_quantile * len(ranked)))
-        selected = ranked[:k]
 
-        new_records: list[ProblemRecord] = []
-        new_scenes: dict[str, Scene] = {}
-        for scene_id in selected:
+        new = _Batch()
+        for scene_id in ranked[:k]:
             base = current_scenes.get(scene_id)
             if base is None:
-                report.failures.append(f"bootstrap: scene {scene_id} missing")
+                new.failures.append(f"bootstrap: scene {scene_id} missing")
                 continue
-            extended: Scene | None = None
-            for attempt in range(10):
-                candidate = extend_scene(
-                    base,
-                    config.bootstrap_extra_steps,
-                    rng_seed=base.seed * 1000003 + generation * 101 + attempt,
-                )
-                if len(candidate.initial_statements) > len(base.initial_statements):
-                    extended = candidate
-                    break
+            extended = _grow_scene(config, base, generation)
             if extended is None:
-                report.failures.append(f"bootstrap: scene {scene_id} would not grow")
+                new.failures.append(f"bootstrap: scene {scene_id} would not grow")
                 continue
-            try:
-                records, diagrams, failures = _process_scene(
-                    extended, config, generation, backend
-                )
-            except (VerifierContradictionError, GeometryError) as exc:
-                report.failures.append(f"bootstrap scene {scene_id}: {exc}")
-                continue
-            report.failures.extend(failures)
-            all_diagrams.update(diagrams)
-            if records:
-                new_scenes[scene_id_of(extended)] = extended
-                new_records.extend(records)
-        report.records.extend(new_records)
-        all_scenes.update(new_scenes)
-        current_records = new_records or current_records
-        current_scenes = {**current_scenes, **new_scenes}
+            new.extend(_process_scene(extended, config, generation, backend))
+        out.extend(new)
+        current_records = new.records or current_records
+        current_scenes = {**current_scenes, **new.scenes}
 
-    if not report.records:
+    if not out.records:
         # an empty dataset would verify as "0 records, 0 failures"
         raise PipelineError(f"bootstrap of {in_dir} yielded no records; nothing written")
-    write_dataset(out_dir, report.records, all_scenes, all_diagrams, config.to_doc())
-    return report
+    return out.write(out_dir, config)
 
 
 def curate_testset(in_dir: str | Path, per_tier: int, out_dir: str | Path) -> list[ProblemRecord]:
@@ -709,26 +714,6 @@ def _replay_steps(
     return None, frozenset(used)
 
 
-def _shape_mismatch(record: ProblemRecord) -> str | None:
-    """Why the record's fields do not fit its template, if they do not: one
-    solution (at least two for multi_solution), and a wrong branch with its
-    overlap exactly when the template is traceback."""
-    template = record.template
-    if template not in ("deductive", "multi_solution", "traceback"):
-        return f"unknown template {template!r}"
-    many = template == "multi_solution"
-    if (len(record.solutions) > 1) != many:
-        if many:
-            return "a multi_solution record needs at least two solutions"
-        return f"a {template} record needs exactly one solution"
-    if template == "traceback":
-        if record.wrong_branch is None or record.overlap is None:
-            return "a traceback record needs a wrong branch and an overlap"
-    elif record.wrong_branch is not None or record.overlap is not None:
-        return f"a {template} record has a wrong branch or an overlap"
-    return None
-
-
 # derived from every other field, so named only when nothing else differs
 _DERIVED = ("id", "diagram")
 _ABSENT = object()
@@ -750,16 +735,8 @@ def _verify_record(
     checks: dict[str, _SceneChecks],
     config: PipelineConfig,
 ) -> str | None:
-    if record.diagram != f"svg/{record.id}.svg":
-        return f"diagram {record.diagram} is not svg/{record.id}.svg"
     if record.diagram not in diagrams:
         return f"diagram {record.diagram} is missing"
-    meta = record.metadata
-    if (meta.tau_l, meta.tau_r, meta.tau_p) != (config.tau_l, config.tau_r, config.tau_p):
-        return "stored thresholds disagree with config.json"
-    problem = _shape_mismatch(record)
-    if problem:
-        return problem
     scene = scenes.get(record.scene_id)
     if scene is None:
         return f"unknown scene {record.scene_id}"
@@ -768,6 +745,9 @@ def _verify_record(
         scene_checks = checks[record.scene_id] = _SceneChecks(scene)
     if not record.solutions:
         return "no formal solution"
+    if record.wrong_branch is not None and len(record.solutions) > 1:
+        # the one shape the template, derived from the core, cannot express
+        return "a record with a wrong branch needs exactly one solution"
     target = _full_target(record)
     cited = []
     for j, steps in enumerate(record.solutions):
@@ -797,14 +777,13 @@ def _verify_record(
         backend = texts
     draft = ProblemDraft(
         kind=record.kind,
-        template=record.template,
         target=target,
         solutions=record.solutions,
         wrong_branch=record.wrong_branch,
         cited=tuple(cited),
     )
     rebuilt, doc = build_record(
-        draft, scene, record.scene_id, config, meta.bootstrap_generation, backend
+        draft, scene, record.scene_id, config, record.metadata.bootstrap_generation, backend
     )
     if rebuilt.overlap is not None and rebuilt.overlap < config.tau_p - 1e-12:
         return "overlap violates tau_p"
@@ -826,20 +805,19 @@ def verify(in_dir: str | Path) -> VerifyReport:
     Each solution step is re-derived by its cited rule's matcher from exactly
     its cited premises, and each statement is checked numerically on the
     scene geometry; the filters are judged against the thresholds of
-    ``config.json``, which each record must repeat, and each record must
-    have its template's shape. A missing or invalid ``config.json`` is a
+    ``config.json``. A missing or invalid ``config.json`` is a
     ``<dataset>`` failure. These checks are pure, so each distinct replay,
     numeric check and statement parse runs once per scene per call, however
-    many records share it. Each record's diagram must be ``svg/<id>.svg``
-    and present.
+    many records share it. Each record's diagram file must be present, and
+    a record with a wrong branch must have exactly one solution.
 
     Each record that passes is then rebuilt by ``build_record`` from its
-    formal core (template, kind, target, solutions, wrong branch and the
-    initial statements they cite), its scene and ``config.json``, and must
-    equal its stored line field for field, id included; the failure names
-    the first field that differs. Texts of an external translator are not
-    rebuilt, which would need the network: they must be null exactly when
-    ``untranslated`` is true.
+    formal core (kind, target, solutions, wrong branch and the initial
+    statements they cite), its scene and ``config.json``, and must equal
+    its stored line field for field: template, thresholds, diagram name and
+    id included. The failure names the first field that differs. Texts of
+    an external translator are not rebuilt, which would need the network:
+    they must be null exactly when ``untranslated`` is true.
 
     The record ids, in order, must match manifest.jsonl, so a truncated
     records.jsonl fails as a ``<dataset>`` failure, as does a missing or

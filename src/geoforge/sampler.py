@@ -308,12 +308,18 @@ class ProblemDraft:
     other field from it, the scene and the config."""
 
     kind: str  # "numeric" | "proof"
-    template: str  # "deductive" | "multi_solution" | "traceback"
     target: Statement  # with its value for numeric problems
     solutions: tuple[tuple[SolutionStep, ...], ...]
     wrong_branch: tuple[SolutionStep, ...] | None
     # initial statements cited by each solution, then by the wrong branch
     cited: tuple[frozenset[Statement], ...]
+
+    @property
+    def template(self) -> str:
+        """The thinking template the core's shape makes it."""
+        if self.wrong_branch is not None:
+            return "traceback"
+        return "multi_solution" if len(self.solutions) > 1 else "deductive"
 
 
 def formulate_problem(
@@ -327,16 +333,14 @@ def formulate_problem(
     A numeric target's value is cross-checked against the coordinate oracle
     (1% relative, 1e-9 when both sides are exact).
     """
-    if isinstance(material, TracebackRecord):
-        template = "traceback"
+    wrong = isinstance(material, TracebackRecord)
+    if wrong:
         paths = [material.correct_path, material.wrong_branch]
     elif isinstance(material, ReasoningPath):
-        template = "deductive"
         paths = [material]
     else:
-        if not material:
-            raise SamplerError("multi-solution material must be non-empty")
-        template = "multi_solution"
+        if len(material) < 2:
+            raise SamplerError("multi-solution material needs at least two paths")
         paths = list(material)
 
     target = graph.stmt(paths[0].target)
@@ -355,10 +359,8 @@ def formulate_problem(
         raise SamplerError(f"unknown problem kind {kind!r}")
 
     steps = tuple(path.resolve(graph) for path in paths)
-    wrong = template == "traceback"
     return ProblemDraft(
         kind=kind,
-        template=template,
         target=target,
         solutions=steps[:-1] if wrong else steps,
         wrong_branch=steps[-1] if wrong else None,

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 from itertools import combinations
@@ -18,7 +19,7 @@ from geoforge.constructions import (
     applicable_constructions,
     extend_scene,
     generate_base_scene,
-    scene_from_json,
+    scene_from_doc,
 )
 from geoforge.geometry import Coord
 from geoforge.pipeline import PipelineConfig, _build_scene
@@ -171,7 +172,7 @@ class TestApplicability:
 class TestSerialization:
     def test_round_trip(self):
         scene = extend_scene(generate_base_scene("circle_diameter_point", 9), 3, 10)
-        clone = scene_from_json(scene.to_json())
+        clone = scene_from_doc(json.loads(scene.to_json()))
         assert clone.to_json() == scene.to_json()
         assert clone.geometry.points == scene.geometry.points
         assert list(clone.initial_statements) == list(scene.initial_statements)

@@ -19,6 +19,7 @@ from geoforge.dataset import (
     load_records,
     load_scenes,
     record_content_hash,
+    scene_id_of,
     write_dataset,
 )
 from geoforge.geometry import SceneGeometry
@@ -39,6 +40,8 @@ from geoforge.statements import parse_statement
 from geoforge.translate import ExternalBackend
 
 SMALL = PipelineConfig(seed_start=0, count=40)
+# the tail of every failure that names a field of the rebuilt record
+REBUILT = "disagrees with the record rebuilt from its formal core"
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -137,6 +140,19 @@ class TestGenerate:
     def test_config_echo(self, dataset):
         out, _ = dataset
         assert PipelineConfig.from_doc(load_config(out)) == SMALL
+
+    def test_each_scene_hashed_once(self, tmp_path, monkeypatch):
+        # the per-scene path names a scene once, whether or not it yields
+        hashed = Counter()
+
+        def counting(scene):
+            hashed[scene.seed] += 1
+            return scene_id_of(scene)
+
+        monkeypatch.setattr(geoforge.pipeline, "scene_id_of", counting)
+        report = generate(dataclasses.replace(SMALL, count=10), tmp_path / "hashed")
+        assert report.count and {r.seed for r in report.records} < set(range(10))
+        assert hashed == Counter(range(10))
 
     def test_workers_do_not_change_output(self, tmp_path):
         cfg = dataclasses.replace(SMALL, count=6)
@@ -408,7 +424,7 @@ class TestVerifyTamperDetection:
         )
         report = verify(target)
         assert report.failures == [
-            (first.id, f"diagram svg/{docs[2]['id']}.svg is not {first.diagram}"),
+            (first.id, f"diagram {REBUILT}"),
             (second.id, f"diagram {second.diagram} is missing"),
         ]
 
@@ -644,13 +660,20 @@ class TestVerifyTamperDetection:
     @pytest.mark.parametrize(
         "template, field, value, reason",
         [
-            ("traceback", "wrong_branch", None, "a traceback record needs a wrong branch and an overlap"),
-            ("traceback", "overlap", None, "a traceback record needs a wrong branch and an overlap"),
-            ("traceback", "template", "deductive", "a deductive record has a wrong branch or an overlap"),
-            ("deductive", "template", "5", "unknown template '5'"),
-            ("deductive", "template", "multi_solution", "a multi_solution record needs at least two solutions"),
-            ("deductive", "template", "traceback", "a traceback record needs a wrong branch and an overlap"),
-            ("multi_solution", "template", "deductive", "a deductive record needs exactly one solution"),
+            ("traceback", "wrong_branch", None, f"template {REBUILT}"),
+            ("traceback", "overlap", None, f"overlap {REBUILT}"),
+            ("traceback", "template", "deductive", f"template {REBUILT}"),
+            ("deductive", "template", "5", f"template {REBUILT}"),
+            ("deductive", "template", "multi_solution", f"template {REBUILT}"),
+            ("deductive", "template", "traceback", f"template {REBUILT}"),
+            ("multi_solution", "template", "deductive", f"template {REBUILT}"),
+            (
+                "traceback",
+                "formal_solutions",
+                lambda doc: doc["formal_solutions"] * 2,
+                "a record with a wrong branch needs exactly one solution",
+            ),
+            ("deductive", "overlap", 0.5, f"overlap {REBUILT}"),
         ],
         ids=[
             "traceback_without_wrong_branch",
@@ -660,15 +683,19 @@ class TestVerifyTamperDetection:
             "deductive_as_multi_solution",
             "deductive_as_traceback",
             "multi_solution_as_deductive",
+            "traceback_with_two_solutions",
+            "deductive_with_overlap",
         ],
     )
     def test_record_shape_must_fit_template(self, dataset, tmp_path, template, field, value, reason):
+        # the template follows from the core's shape, so a field that does not
+        # fit the stored template disagrees with the rebuilt record
         _, report0 = dataset
         index = next(i for i, r in enumerate(report0.records) if r.template == template)
         ids = []
 
         def mutate(doc):
-            doc[field] = value
+            doc[field] = value(doc) if callable(value) else value
             doc["id"] = record_content_hash(doc)
             ids.append(doc["id"])
 
@@ -677,7 +704,8 @@ class TestVerifyTamperDetection:
 
     @pytest.mark.parametrize("field", ["tau_l", "tau_r", "tau_p"])
     def test_thresholds_must_match_config(self, dataset, tmp_path, field):
-        # a lowered threshold would let a record pass a filter it fails
+        # a lowered threshold would let a record pass a filter it fails; the
+        # rebuilt metadata carries the thresholds of config.json
         ids = []
 
         def mutate(doc):
@@ -686,7 +714,7 @@ class TestVerifyTamperDetection:
             ids.append(doc["id"])
 
         report = self._tampered(dataset, tmp_path, mutate)
-        assert report.failures == [(ids[0], "stored thresholds disagree with config.json")]
+        assert report.failures == [(ids[0], f"metadata {REBUILT}")]
 
     def test_missing_or_invalid_config_fails(self, dataset, tmp_path):
         out, _ = dataset

@@ -14,6 +14,7 @@ from geoforge.sampler import (
     OracleMismatchError,
     ReasoningPath,
     Rejected,
+    SamplerError,
     TargetIsInitialError,
     formulate_problem,
     geo_explore,
@@ -286,6 +287,25 @@ class TestFormulate:
             assert record.metadata.tier == tier_of(path.length).tier
         else:
             assert record.metadata.tier is None
+
+    def test_template_follows_the_material(self):
+        # proof kind: no oracle, so a hand-built graph needs no matching scene
+        scene = generate_base_scene("isosceles_triangle", 1)
+        graph = _traceback_graph()
+        (path,) = geo_explore_m(graph, 3, 0, 0.0)
+        assert formulate_problem(scene, graph, path, "proof").template == "deductive"
+        traceback = geo_explore_t(graph, 3, [path], tau_p=0.5, rng_seed=1)
+        draft = formulate_problem(scene, graph, traceback, "proof")
+        assert draft.template == "traceback"
+        assert len(draft.solutions) == 1 and draft.wrong_branch is not None
+
+    def test_one_path_is_not_multi_solution(self):
+        scene = generate_base_scene("isosceles_triangle", 1)
+        graph = diamond_graph()
+        paths = geo_explore_m(graph, 4, 0, 0.0)
+        assert len(paths) == 2
+        with pytest.raises(SamplerError):
+            formulate_problem(scene, graph, paths[:1], "proof")
 
     def test_oracle_mismatch_aborts(self):
         geometry = SceneGeometry(

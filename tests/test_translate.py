@@ -254,7 +254,6 @@ def _traceback_record(wrong, correct, backend):
     scene = generate_base_scene("isosceles_triangle", 0)
     draft = ProblemDraft(
         kind="proof",
-        template="traceback",
         target=correct[-1].conclusion,
         solutions=(tuple(correct),),
         wrong_branch=tuple(wrong),
