@@ -105,7 +105,10 @@ class Scene:
         return json.dumps(self.to_doc(), separators=(",", ":"))
 
 
-def scene_from_doc(doc: dict) -> Scene:
+def scene_from_doc(doc: dict, parse=None) -> Scene:
+    """``parse(text, known_points)`` reads each initial statement;
+    ``parse_statement`` when not given."""
+    parse = parse or parse_statement
     points = {label: (float(x), float(y)) for label, (x, y) in doc["points"].items()}
     known = frozenset(points)
     return Scene(
@@ -117,7 +120,7 @@ def scene_from_doc(doc: dict) -> Scene:
             for c in doc["constructions"]
         ),
         initial_statements=StatementSet(
-            parse_statement(t, known_points=known) for t in doc["initial_statements"]
+            parse(t, known) for t in doc["initial_statements"]
         ),
         drawn_segments=tuple((a, b) for a, b in doc["drawn_segments"]),
         exhausted=doc.get("exhausted", False),

@@ -76,19 +76,31 @@ def _steps_doc(steps: Iterable[SolutionStep]) -> list[dict]:
     ]
 
 
-def _step_from_doc(entry, parse) -> SolutionStep:
-    if not isinstance(entry["rule"], str):
-        raise TypeError(f"rule {entry['rule']!r} is not a string")
-    return SolutionStep(
+def _step_from_doc(entry, parse, memo: dict) -> SolutionStep:
+    rule = entry["rule"]
+    if not isinstance(rule, str):
+        raise TypeError(f"rule {rule!r} is not a string")
+    premises, conclusion = entry.get("premises"), entry.get("conclusion")
+    # only a well-typed step is looked up, so any other fails below as before
+    key = None
+    if type(premises) is list and type(conclusion) is str and all(type(t) is str for t in premises):
+        key = (tuple(premises), rule, conclusion)
+        step = memo.get(key)
+        if step is not None:
+            return step
+    step = SolutionStep(
         premises=tuple(parse(t) for t in entry["premises"]),
-        rule=entry["rule"],
+        rule=rule,
         conclusion=parse(entry["conclusion"]),
     )
+    if key is not None:
+        memo[key] = step
+    return step
 
 
-def _steps_from_doc(doc, parse) -> tuple[SolutionStep, ...]:
+def _steps_from_doc(doc, parse, memo: dict) -> tuple[SolutionStep, ...]:
     try:
-        return tuple(_step_from_doc(entry, parse) for entry in doc)
+        return tuple(_step_from_doc(entry, parse, memo) for entry in doc)
     except (KeyError, TypeError) as exc:
         raise CorruptRecordError(f"bad solution step: {exc}") from exc
 
@@ -152,9 +164,11 @@ def record_content_hash(doc: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def record_from_doc(doc: dict, parsed: dict[str, Statement] | None = None) -> ProblemRecord:
-    """``parsed`` memoises statement text -> ``Statement``; records of one
-    scene share most of their statements, so pass one dict per file."""
+def record_from_doc(doc: dict, parsed: dict | None = None) -> ProblemRecord:
+    """``parsed`` memoises statement text -> ``Statement`` and stored step
+    (premise texts, rule, conclusion text) -> ``SolutionStep``; records of
+    one scene share most of their statements and steps, so pass one dict
+    per file."""
     if parsed is None:
         parsed = {}
 
@@ -182,8 +196,10 @@ def record_from_doc(doc: dict, parsed: dict[str, Statement] | None = None) -> Pr
             premises=tuple(parse(t) for t in doc["premises"]),
             target=parse(doc["target"]),
             answer_value=value,
-            solutions=tuple(_steps_from_doc(sol, parse) for sol in doc["formal_solutions"]),
-            wrong_branch=_steps_from_doc(doc["wrong_branch"], parse) if doc["wrong_branch"] else None,
+            solutions=tuple(_steps_from_doc(sol, parse, parsed) for sol in doc["formal_solutions"]),
+            wrong_branch=(
+                _steps_from_doc(doc["wrong_branch"], parse, parsed) if doc["wrong_branch"] else None
+            ),
             overlap=_number(doc, "overlap", optional=True),
             nl_solution=doc["nl_solution"],
             connection_thinking=doc["connection_thinking"],
@@ -281,15 +297,28 @@ def load_records(in_dir: str | Path) -> list[ProblemRecord]:
     return records
 
 
-def load_scenes(in_dir: str | Path) -> dict[str, Scene]:
+def load_scenes(in_dir: str | Path, parsed: dict | None = None) -> dict[str, Scene]:
+    """``parsed`` is a statement memo as for ``record_from_doc``; ``verify``
+    passes it on to the records, so a text both files hold is parsed once."""
     path = Path(in_dir) / "scenes.jsonl"
+    if parsed is None:
+        parsed = {}
+
+    def parse(text: str, known: frozenset[str]) -> Statement:
+        # a remembered statement must name only this scene's points; any
+        # other text is parsed, and raises as it would without the memo
+        stmt = parsed.get(text) if isinstance(text, str) else None
+        if stmt is None or not known.issuperset(label for group in stmt.groups for label in group):
+            stmt = parsed[text] = parse_statement(text, known)
+        return stmt
+
     scenes: dict[str, Scene] = {}
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         doc = json.loads(line)
         try:
-            scenes[doc["scene_id"]] = scene_from_doc(doc["scene"])
+            scenes[doc["scene_id"]] = scene_from_doc(doc["scene"], parse)
         except (AttributeError, TypeError) as exc:
             raise ValueError(f"scenes.jsonl line {line_no} is not a scene object: {exc}") from exc
     return scenes

@@ -659,15 +659,15 @@ class VerifyReport:
 
 class _SceneChecks:
     """One scene's initial set and its pure checks, each run once per
-    ``verify`` call: statement -> numeric verdict, and (rule id, premises in
-    cited order, conclusion) -> licensed. Never shared across scenes or
-    calls, where a verdict would meet another geometry."""
+    ``verify`` call: statement -> numeric verdict, and step -> its
+    ``_StepChecks``. Never shared across scenes or calls, where a verdict
+    would meet another geometry."""
 
     def __init__(self, scene: Scene):
         self.geometry = scene.geometry
         self.initial = set(scene.initial_statements)
         self._holds: dict[Statement, bool] = {}
-        self._licensed: dict[tuple, bool] = {}
+        self._steps: dict[SolutionStep, _StepChecks] = {}
 
     def holds(self, stmt: Statement) -> bool:
         verdict = self._holds.get(stmt)
@@ -675,12 +675,48 @@ class _SceneChecks:
             verdict = self._holds[stmt] = self.geometry.check_statement(stmt).holds
         return verdict
 
-    def licensed(self, rule: Rule, step: SolutionStep) -> bool:
-        key = (rule.id, step.premises, step.conclusion)
-        verdict = self._licensed.get(key)
-        if verdict is None:
-            verdict = self._licensed[key] = rule.recheck(self.geometry, step.premises, step.conclusion)
-        return verdict
+    def step(self, step: SolutionStep) -> "_StepChecks":
+        checks = self._steps.get(step)
+        if checks is None:
+            checks = self._steps[step] = _StepChecks(step, self.initial)
+        return checks
+
+
+_UNCHECKED = object()
+
+
+class _StepChecks:
+    """The checks of one distinct step that no other step affects: its rule
+    is known, its premises hold, and then (``after_premises``) its
+    conclusion is new and holds and its rule licenses it. Each runs the
+    first time a replay reaches it, so a check that raises raises where it
+    did before anything was memoised."""
+
+    __slots__ = ("rule", "given", "needed", "concluded", "held", "_after")
+
+    def __init__(self, step: SolutionStep, initial: set[Statement]):
+        self.rule: Rule | None = RULES_BY_ID.get(step.rule)
+        # sets, whose operations reuse the hashes they store: a replay hashes
+        # no statement of a step whose checks have all passed before
+        premises = frozenset(step.premises)
+        self.needed = premises - initial  # must be earlier conclusions
+        self.given = premises - self.needed
+        self.concluded = frozenset((step.conclusion,))
+        self.held = 0  # leading premises known to hold numerically
+        self._after: str | None | object = _UNCHECKED
+
+    def after_premises(self, checks: _SceneChecks, step: SolutionStep) -> str | None:
+        """Why the step fails once its premises are established and hold."""
+        if self._after is _UNCHECKED:
+            if step.conclusion in step.premises:
+                self._after = "conclusion among premises"
+            elif not checks.holds(step.conclusion):
+                self._after = "conclusion fails numerically"
+            elif not self.rule.recheck(checks.geometry, step.premises, step.conclusion):
+                self._after = f"rule {step.rule} does not license this step"
+            else:
+                self._after = None
+        return self._after
 
 
 def _replay_steps(
@@ -690,27 +726,28 @@ def _replay_steps(
 
     Each step must be derived by its cited rule's matcher from exactly its
     cited premises, all established earlier, and every premise and
-    conclusion must hold numerically."""
+    conclusion must hold numerically. Only whether a premise is established
+    depends on the steps before it; the rest comes from ``checks``."""
     derived: set[Statement] = set()
     used: set[Statement] = set()
     for i, step in enumerate(steps):
-        rule = RULES_BY_ID.get(step.rule)
-        if rule is None:
+        step_checks = checks.step(step)
+        if step_checks.rule is None:
             return f"{label} step {i}: unknown rule {step.rule}", frozenset()
-        for p in step.premises:
-            if p in checks.initial:
-                used.add(p)
-            elif p not in derived:
-                return f"{label} step {i}: premise {p} not established", frozenset()
-            if not checks.holds(p):
-                return f"{label} step {i}: premise {p} fails numerically", frozenset()
-        if step.conclusion in step.premises:
-            return f"{label} step {i}: conclusion among premises", frozenset()
-        if not checks.holds(step.conclusion):
-            return f"{label} step {i}: conclusion fails numerically", frozenset()
-        if not checks.licensed(rule, step):
-            return f"{label} step {i}: rule {step.rule} does not license this step", frozenset()
-        derived.add(step.conclusion)
+        if step_checks.held < len(step.premises) or not step_checks.needed <= derived:
+            # premise by premise, so the first failure is the one reported
+            for k, p in enumerate(step.premises):
+                if p not in step_checks.given and p not in derived:
+                    return f"{label} step {i}: premise {p} not established", frozenset()
+                if k == step_checks.held:
+                    if not checks.holds(p):
+                        return f"{label} step {i}: premise {p} fails numerically", frozenset()
+                    step_checks.held += 1
+        error = step_checks.after_premises(checks, step)
+        if error:
+            return f"{label} step {i}: {error}", frozenset()
+        used |= step_checks.given
+        derived |= step_checks.concluded
     return None, frozenset(used)
 
 
@@ -734,7 +771,10 @@ def _verify_record(
     diagrams: set[str],
     checks: dict[str, _SceneChecks],
     config: PipelineConfig,
+    backend: TemplateBackend | None,
 ) -> str | None:
+    """Why ``record`` fails, or None. ``backend`` rebuilds the texts of a
+    template translator and is None for an external one."""
     if record.diagram not in diagrams:
         return f"diagram {record.diagram} is missing"
     scene = scenes.get(record.scene_id)
@@ -748,6 +788,9 @@ def _verify_record(
     if record.wrong_branch is not None and len(record.solutions) > 1:
         # the one shape the template, derived from the core, cannot express
         return "a record with a wrong branch needs exactly one solution"
+    for j, steps in enumerate(record.solutions):
+        if steps in record.solutions[:j]:
+            return f"solution {j} repeats solution {record.solutions.index(steps)}"
     target = _full_target(record)
     cited = []
     for j, steps in enumerate(record.solutions):
@@ -768,9 +811,7 @@ def _verify_record(
         if error:
             return error
         cited.append(used)
-    if config.translator == "template":
-        backend = TemplateBackend()
-    else:  # an external translator's texts, which cannot be rebuilt offline
+    if backend is None:  # an external translator's texts, which cannot be rebuilt offline
         texts = (record.nl_solution, record.connection_thinking)
         if (texts[0] is None, texts[1] is None) != (record.untranslated,) * 2:
             return "nl_solution and connection_thinking must be null exactly when untranslated is true"
@@ -806,10 +847,19 @@ def verify(in_dir: str | Path) -> VerifyReport:
     its cited premises, and each statement is checked numerically on the
     scene geometry; the filters are judged against the thresholds of
     ``config.json``. A missing or invalid ``config.json`` is a
-    ``<dataset>`` failure. These checks are pure, so each distinct replay,
-    numeric check and statement parse runs once per scene per call, however
-    many records share it. Each record's diagram file must be present, and
-    a record with a wrong branch must have exactly one solution.
+    ``<dataset>`` failure. Each record's diagram file must be present, a
+    record with a wrong branch must have exactly one solution, and no
+    solution may repeat an earlier one.
+
+    These checks are pure, so each distinct piece of work runs once per
+    call however many records share it: each statement text of both files
+    is parsed once and each stored step built once; per scene, each
+    distinct step's checks that no other step affects (rule known,
+    premises hold, conclusion new and holding, licence) and each numeric
+    check run once; and one template backend words each distinct step and
+    bridge sentence once. Per record, only whether each premise is
+    established and which initial statements a solution uses remain. The
+    memos are keyed by value and live for this call only.
 
     Each record that passes is then rebuilt by ``build_record`` from its
     formal core (kind, target, solutions, wrong branch and the initial
@@ -825,8 +875,9 @@ def verify(in_dir: str | Path) -> VerifyReport:
     failures, not crashes.
     """
     failures: list[tuple[str, str]] = []
+    parsed: dict = {}  # statement and step memo for both files
     try:
-        scenes = load_scenes(in_dir)
+        scenes = load_scenes(in_dir, parsed)
     except (OSError, KeyError, ValueError) as exc:
         return VerifyReport(0, [("<dataset>", f"cannot load scenes: {exc}")])
     try:
@@ -841,7 +892,8 @@ def verify(in_dir: str | Path) -> VerifyReport:
         lines = (Path(in_dir) / "records.jsonl").read_text(encoding="utf-8").splitlines()
     except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
         return VerifyReport(0, [("<dataset>", f"cannot read records: {exc}")])
-    parsed: dict[str, Statement] = {}
+    # one template backend for the call, so each shared sentence is worded once
+    backend = TemplateBackend() if config.translator == "template" else None
     checks: dict[str, _SceneChecks] = {}
     ids: list[str | None] = []
     for line_no, line in enumerate(lines, 1):
@@ -858,7 +910,7 @@ def verify(in_dir: str | Path) -> VerifyReport:
             failures.append((f"line {line_no}", f"corrupt record: {exc}"))
             continue
         try:
-            problem = _verify_record(record, doc, scenes, diagrams, checks, config)
+            problem = _verify_record(record, doc, scenes, diagrams, checks, config, backend)
         except (GeometryError, ParseError) as exc:
             problem = f"verification error: {exc}"
         if problem:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import geoforge.constructions
 import geoforge.dataset
 import geoforge.pipeline
 from geoforge.dataset import (
@@ -22,7 +23,7 @@ from geoforge.dataset import (
     scene_id_of,
     write_dataset,
 )
-from geoforge.geometry import SceneGeometry
+from geoforge.geometry import GeometryError, SceneGeometry
 from geoforge.pipeline import (
     AnswerCheck,
     InsufficientRecordsError,
@@ -36,8 +37,8 @@ from geoforge.pipeline import (
     verify,
 )
 from geoforge.rules import Rule
-from geoforge.statements import parse_statement
-from geoforge.translate import ExternalBackend
+from geoforge.statements import UnknownPointError, parse_statement
+from geoforge.translate import ExternalBackend, TemplateBackend
 
 SMALL = PipelineConfig(seed_start=0, count=40)
 # the tail of every failure that names a field of the rebuilt record
@@ -493,6 +494,61 @@ class TestVerifyTamperDetection:
         (rid, rule), = ids
         assert report.failures == [(rid, f"solution 0 step {k}: rule {rule} does not license this step")]
 
+    def test_record_of_shared_steps_with_tampered_text_fails(self, dataset, tmp_path):
+        # every step was replayed and worded for earlier records; the text
+        # is still rebuilt whole and compared
+        _, report0 = dataset
+        seen = set()
+        for index, record in enumerate(report0.records):
+            steps = {(record.scene_id, s) for sol in (*record.solutions, record.wrong_branch or ()) for s in sol}
+            if index and steps <= seen:
+                break
+            seen |= steps
+        else:
+            pytest.fail("no record shares every step with earlier records")
+        ids = []
+
+        def mutate(doc):
+            doc["nl_solution"] = doc["nl_solution"].replace(".", ";", 1)
+            doc["id"] = record_content_hash(doc)
+            ids.append(doc["id"])
+
+        report = self._tampered(dataset, tmp_path, mutate, index)
+        assert report.failures == [(ids[0], f"nl_solution {REBUILT}")]
+
+    def test_first_unestablished_premise_fails_before_a_later_one_is_checked(self, dataset, tmp_path):
+        # checking the second premise numerically raises, since it names a
+        # point the scene lacks; the first premise fails before that check
+        out, report0 = dataset
+        unestablished, unknown = parse_statement("seg_len(A,B;7717)"), parse_statement("seg_len(A,Z9;1)")
+        with pytest.raises(GeometryError):
+            load_scenes(out)[report0.records[0].scene_id].geometry.check_statement(unknown)
+        ids = []
+
+        def mutate(doc):
+            doc["formal_solutions"][0][0]["premises"] = [unestablished.text(), unknown.text()]
+            doc["id"] = record_content_hash(doc)
+            ids.append(doc["id"])
+
+        report = self._tampered(dataset, tmp_path, mutate)
+        assert report.failures == [(ids[0], f"solution 0 step 0: premise {unestablished} not established")]
+
+    def test_repeated_solution_fails(self, dataset, tmp_path):
+        # a derivation listed twice is one solution, not the two a
+        # multi_solution record promises
+        _, report0 = dataset
+        index = next(i for i, r in enumerate(report0.records) if r.template == "deductive")
+        ids = []
+
+        def mutate(doc):
+            doc["formal_solutions"] = doc["formal_solutions"] * 2
+            doc["template"] = "multi_solution"
+            doc["id"] = record_content_hash(doc)
+            ids.append(doc["id"])
+
+        report = self._tampered(dataset, tmp_path, mutate, index)
+        assert report.failures == [(ids[0], "solution 1 repeats solution 0")]
+
     def _moved(self, dataset, tmp_path, name):
         """A copy with the first cited point of record 0 moved, its scene id
         kept, and the (docs, scene docs) of the original."""
@@ -548,6 +604,54 @@ class TestVerifyTamperDetection:
         report = verify(target)
         assert [rid for rid, _ in report.failures] == [clone["id"]]
         assert "fails numerically" in report.failures[0][1]
+
+    def test_moved_point_of_a_text_two_scenes_share_fails_in_one(self, dataset, tmp_path):
+        # both scenes' records cite one statement text, parsed once per call;
+        # each scene judges it on its own geometry
+        out, _ = dataset
+        docs = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        scenes_of: dict[str, set[str]] = {}
+        for doc in docs:
+            for sol in [*doc["formal_solutions"], doc["wrong_branch"] or []]:
+                for step in sol:
+                    scenes_of.setdefault(step["premises"][0], set()).add(doc["scene_id"])
+        text = next(t for t, ids in scenes_of.items() if len(ids) > 1)
+        moved_id = min(scenes_of[text])
+        label = parse_statement(text).groups[0][0]
+        target = tmp_path / "shared"
+        shutil.copytree(out, target)
+        scene_docs = [json.loads(line) for line in (out / "scenes.jsonl").read_text().splitlines()]
+        for doc in scene_docs:
+            if doc["scene_id"] == moved_id:  # the id is kept, the point moves
+                x, y = doc["scene"]["points"][label]
+                doc["scene"]["points"][label] = [x + 0.5, y + 0.3]
+        _write_lines(target / "scenes.jsonl", scene_docs)
+        failures = dict(verify(target).failures)
+        citing = {
+            doc["id"]
+            for doc in docs
+            if doc["scene_id"] == moved_id
+            and any(text in step["premises"] for sol in doc["formal_solutions"] for step in sol)
+        }
+        assert citing and citing <= failures.keys()
+        assert all("fails numerically" in failures[rid] for rid in citing)
+        # the records of the other scene, which cite the same text, verify
+        assert {d["scene_id"] for d in docs if d["id"] in failures} == {moved_id}
+
+    def test_scene_naming_a_point_it_lacks_fails(self, dataset, tmp_path):
+        # its texts were parsed once already, for a scene that has the point
+        out, _ = dataset
+        target = tmp_path / "lacking"
+        shutil.copytree(out, target)
+        scene_docs = [json.loads(line) for line in (out / "scenes.jsonl").read_text().splitlines()]
+        copy = json.loads(json.dumps(scene_docs[0]))
+        copy["scene_id"] = "f" * 16
+        del copy["scene"]["points"][parse_statement(copy["scene"]["initial_statements"][0]).groups[0][0]]
+        _write_lines(target / "scenes.jsonl", [*scene_docs, copy])
+        with pytest.raises(UnknownPointError):
+            load_scenes(target)
+        (where, reason), = verify(target).failures
+        assert where == "<dataset>" and reason.startswith("cannot load scenes: ")
 
     def test_scenes_line_that_is_not_an_object_fails(self, dataset, tmp_path):
         out, _ = dataset
@@ -812,6 +916,48 @@ class TestVerifyWork:
         assert calls["recheck"] == len(replays) < len(steps)
         assert calls["check"] == len(checked)
         assert calls["parse"] == len(texts)
+
+    def test_each_text_and_step_handled_once_per_call(self, tmp_path, monkeypatch):
+        # one parse per distinct text of both files, one replay per distinct
+        # step of a scene, and one sentence per distinct translated step
+        out = tmp_path / "counted"
+        generate(dataclasses.replace(SMALL, count=30), out)
+        records = load_records(out)
+        scene_texts = [
+            text
+            for line in (out / "scenes.jsonl").read_text().splitlines()
+            for text in json.loads(line)["scene"]["initial_statements"]
+        ]
+        texts = set(scene_texts)
+        for line in (out / "records.jsonl").read_text().splitlines():
+            doc = json.loads(line)
+            texts.update(doc["premises"], [doc["target"]])
+            for sol in [*doc["formal_solutions"], doc["wrong_branch"] or []]:
+                for step in sol:
+                    texts.update(step["premises"], [step["conclusion"]])
+        steps = [
+            (r.scene_id, step) for r in records for sol in (*r.solutions, r.wrong_branch or ()) for step in sol
+        ]
+        translated = {step for r in records for step in (*r.solutions[0], *(r.wrong_branch or ()))}
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (geoforge.dataset, geoforge.constructions):
+            monkeypatch.setattr(module, "parse_statement", counted("parse", module.parse_statement))
+        monkeypatch.setattr(Rule, "recheck", counted("recheck", Rule.recheck))
+        monkeypatch.setattr(
+            TemplateBackend, "step_sentence", counted("sentence", TemplateBackend.step_sentence)
+        )
+        assert verify(out).ok
+        assert calls["parse"] == len(texts) < len(scene_texts) + len(texts)
+        assert calls["recheck"] == len({*steps}) < len(steps)
+        assert calls["sentence"] == len(translated) < sum(len(r.solutions[0]) for r in records)
 
 
 class TestBootstrap:
