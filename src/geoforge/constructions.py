@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import combinations, islice
 from typing import Callable, Container
 
-from .geometry import Coord, SceneGeometry
+from .geometry import Coord, GeometryError, SceneGeometry
 from .statements import (
     Predicate,
     Seg,
@@ -587,7 +587,7 @@ def _bisector_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     for v, x, y in _vertex_segment_pairs(scene):
         try:
             theta = scene.geometry.angle_deg(x, v, y)
-        except Exception:
+        except GeometryError:
             continue
         if 24.0 <= theta <= 150.0:
             out.append((v, x, y))

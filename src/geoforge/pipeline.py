@@ -658,14 +658,21 @@ class VerifyReport:
 
 
 class _SceneChecks:
-    """One scene's initial set and its pure checks, each run once per
-    ``verify`` call: statement -> numeric verdict, and step -> its
-    ``_StepChecks``. Never shared across scenes or calls, where a verdict
-    would meet another geometry."""
+    """One scene's verdict and its pure checks, each run once per ``verify``
+    call: ``check_scene``, the constructor's own validity test, on its
+    initial statements (``problem``), statement -> numeric verdict, and
+    step -> its ``_StepChecks``. Never shared across scenes or calls, where
+    a verdict would meet another geometry."""
 
     def __init__(self, scene: Scene):
         self.geometry = scene.geometry
         self.initial = set(scene.initial_statements)
+        verdict = self.geometry.check_scene(scene.initial_statements)
+        self.problem: str | None = None
+        if verdict.failing:
+            self.problem = f"scene statement {verdict.failing[0]} fails numerically"
+        elif verdict.degeneracies:
+            self.problem = f"scene is degenerate: {verdict.degeneracies[0]}"
         self._holds: dict[Statement, bool] = {}
         self._steps: dict[SolutionStep, _StepChecks] = {}
 
@@ -687,26 +694,25 @@ _UNCHECKED = object()
 
 class _StepChecks:
     """The checks of one distinct step that no other step affects: its rule
-    is known, its premises hold, and then (``after_premises``) its
-    conclusion is new and holds and its rule licenses it. Each runs the
-    first time a replay reaches it, so a check that raises raises where it
-    did before anything was memoised."""
+    is known, and then (``after_premises``) its conclusion is new and holds
+    and its rule licenses it. Each runs the first time a replay reaches it,
+    so a check that raises raises where it did before anything was
+    memoised."""
 
-    __slots__ = ("rule", "given", "needed", "concluded", "held", "_after")
+    __slots__ = ("rule", "given", "needed", "concluded", "_after")
 
     def __init__(self, step: SolutionStep, initial: set[Statement]):
         self.rule: Rule | None = RULES_BY_ID.get(step.rule)
-        # sets, whose operations reuse the hashes they store: a replay hashes
-        # no statement of a step whose checks have all passed before
+        # sets, whose operations reuse the hashes they store; the lookup in
+        # _SceneChecks.step still hashes the whole step on every replay
         premises = frozenset(step.premises)
         self.needed = premises - initial  # must be earlier conclusions
         self.given = premises - self.needed
         self.concluded = frozenset((step.conclusion,))
-        self.held = 0  # leading premises known to hold numerically
         self._after: str | None | object = _UNCHECKED
 
     def after_premises(self, checks: _SceneChecks, step: SolutionStep) -> str | None:
-        """Why the step fails once its premises are established and hold."""
+        """Why the step fails once its premises are established."""
         if self._after is _UNCHECKED:
             if step.conclusion in step.premises:
                 self._after = "conclusion among premises"
@@ -722,27 +728,24 @@ class _StepChecks:
 def _replay_steps(
     checks: _SceneChecks, steps: Sequence[SolutionStep], label: str
 ) -> tuple[str | None, frozenset[Statement]]:
-    """Re-verify a transition list; returns (error or None, used premises).
+    """Re-verify a transition list on a scene that passed its scene check;
+    returns (error or None, used premises).
 
     Each step must be derived by its cited rule's matcher from exactly its
-    cited premises, all established earlier, and every premise and
-    conclusion must hold numerically. Only whether a premise is established
-    depends on the steps before it; the rest comes from ``checks``."""
+    cited premises, all established earlier, and its conclusion must hold
+    numerically. A premise is an initial statement, which the scene check
+    holds, or an earlier conclusion, checked at its own step. Only whether a
+    premise is established depends on the steps before it; the rest comes
+    from ``checks``."""
     derived: set[Statement] = set()
     used: set[Statement] = set()
     for i, step in enumerate(steps):
         step_checks = checks.step(step)
         if step_checks.rule is None:
             return f"{label} step {i}: unknown rule {step.rule}", frozenset()
-        if step_checks.held < len(step.premises) or not step_checks.needed <= derived:
-            # premise by premise, so the first failure is the one reported
-            for k, p in enumerate(step.premises):
-                if p not in step_checks.given and p not in derived:
-                    return f"{label} step {i}: premise {p} not established", frozenset()
-                if k == step_checks.held:
-                    if not checks.holds(p):
-                        return f"{label} step {i}: premise {p} fails numerically", frozenset()
-                    step_checks.held += 1
+        if not step_checks.needed <= derived:
+            p = next(p for p in step.premises if p not in step_checks.given and p not in derived)
+            return f"{label} step {i}: premise {p} not established", frozenset()
         error = step_checks.after_premises(checks, step)
         if error:
             return f"{label} step {i}: {error}", frozenset()
@@ -783,6 +786,8 @@ def _verify_record(
     scene_checks = checks.get(record.scene_id)
     if scene_checks is None:
         scene_checks = checks[record.scene_id] = _SceneChecks(scene)
+    if scene_checks.problem:
+        return scene_checks.problem
     if not record.solutions:
         return "no formal solution"
     if record.wrong_branch is not None and len(record.solutions) > 1:
@@ -843,23 +848,24 @@ def _full_target(record: ProblemRecord) -> Statement:
 def verify(in_dir: str | Path) -> VerifyReport:
     """Independently replay every record of a dataset, then rebuild it.
 
-    Each solution step is re-derived by its cited rule's matcher from exactly
-    its cited premises, and each statement is checked numerically on the
-    scene geometry; the filters are judged against the thresholds of
-    ``config.json``. A missing or invalid ``config.json`` is a
-    ``<dataset>`` failure. Each record's diagram file must be present, a
+    Each record's scene must pass ``check_scene``, the test its
+    constructor accepted it by: every initial statement holds numerically
+    and nothing is degenerate. Each solution step is re-derived by its
+    cited rule's matcher from exactly its cited premises, and its
+    conclusion is checked numerically on the scene geometry; the filters
+    are judged against the thresholds of ``config.json``. A missing or
+    invalid ``config.json`` is a ``<dataset>`` failure. Each record's diagram file must be present, a
     record with a wrong branch must have exactly one solution, and no
     solution may repeat an earlier one.
 
     These checks are pure, so each distinct piece of work runs once per
     call however many records share it: each statement text of both files
-    is parsed once and each stored step built once; per scene, each
-    distinct step's checks that no other step affects (rule known,
-    premises hold, conclusion new and holding, licence) and each numeric
-    check run once; and one template backend words each distinct step and
-    bridge sentence once. Per record, only whether each premise is
-    established and which initial statements a solution uses remain. The
-    memos are keyed by value and live for this call only.
+    is parsed once and each stored step built once; per scene, the scene
+    check, each distinct step's checks that no other step affects (rule
+    known, conclusion new and holding, licence) and each numeric check run
+    once. Per record, only whether each premise is established and which
+    initial statements a solution uses remain. The memos are keyed by
+    value and live for this call only.
 
     Each record that passes is then rebuilt by ``build_record`` from its
     formal core (kind, target, solutions, wrong branch and the initial
@@ -892,7 +898,6 @@ def verify(in_dir: str | Path) -> VerifyReport:
         lines = (Path(in_dir) / "records.jsonl").read_text(encoding="utf-8").splitlines()
     except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
         return VerifyReport(0, [("<dataset>", f"cannot read records: {exc}")])
-    # one template backend for the call, so each shared sentence is worded once
     backend = TemplateBackend() if config.translator == "template" else None
     checks: dict[str, _SceneChecks] = {}
     ids: list[str | None] = []

@@ -10,7 +10,6 @@ corrupting them.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import urllib.error
@@ -116,17 +115,9 @@ _RULE_PHRASES: dict[str, str] = {
 
 
 class TemplateBackend:
-    """Deterministic, offline, rule-keyed translation.
-
-    Each instance remembers the step and bridge sentences it has written,
-    keyed by their arguments' values, so a step that several records of
-    one run share is worded once."""
+    """Deterministic, offline, rule-keyed translation."""
 
     kind = "template"
-
-    def __init__(self) -> None:
-        self.step_sentence = functools.cache(self.step_sentence)
-        self.bridge_sentence = functools.cache(self.bridge_sentence)
 
     def step_sentence(self, step: SolutionStep) -> str:
         if step.rule == "isosceles_base_angles":

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import itertools
+import json
+import shutil
 from fractions import Fraction
+from pathlib import Path
 
 from geoforge.reasoner import ReasoningGraph, Transition
 from geoforge.statements import Statement, segment_length
@@ -134,3 +137,42 @@ def brute_force_paths(graph: ReasoningGraph, target: int) -> set[frozenset[Trans
         if complete and needed:
             results.add(frozenset(choice[s] for s in needed))
     return results
+
+
+def uncited_point(records, scenes) -> tuple[str, str]:
+    """(scene id, label): the first point, by scene id then label, that an
+    initial statement of its scene names and no step of the scene's records
+    cites, so only the scene check can see it move."""
+    cited: dict[str, set[str]] = {}
+    for r in records:
+        names = cited.setdefault(r.scene_id, set())
+        for sol in (*r.solutions, r.wrong_branch or ()):
+            for step in sol:
+                for stmt in (*step.premises, step.conclusion):
+                    names.update(*stmt.groups)
+    for sid in sorted(cited):
+        named = set().union(*(p for s in scenes[sid].initial_statements for p in s.groups))
+        if named - cited[sid]:
+            return sid, min(named - cited[sid])
+    raise AssertionError("every named point of every scene is cited")
+
+
+def copy_with_edited_scene(src: Path, dst: Path, scene_id: str, edit) -> None:
+    """Copy dataset ``src`` to ``dst``, applying ``edit(points)`` to the
+    points of scene ``scene_id``, whose stored id is kept."""
+    shutil.copytree(src, dst)
+    docs = [json.loads(line) for line in (src / "scenes.jsonl").read_text().splitlines()]
+    for doc in docs:
+        if doc["scene_id"] == scene_id:
+            edit(doc["scene"]["points"])
+    (dst / "scenes.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+
+
+def move_point(label: str):
+    """An ``edit`` for ``copy_with_edited_scene`` that moves ``label``."""
+
+    def edit(points):
+        x, y = points[label]
+        points[label] = [x + 0.5, y + 0.3]
+
+    return edit

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from geoforge.cli import main
+from geoforge.dataset import load_records, load_scenes
+from helpers import copy_with_edited_scene, move_point, uncited_point
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,17 @@ class TestCli:
             "\n".join(json.dumps(d, sort_keys=True, separators=(",", ":")) for d in docs) + "\n"
         )
         assert main(["verify", "--in", str(clone)]) == 1
+
+    def test_verify_fails_every_record_of_a_scene_with_a_moved_point(self, run_dir, tmp_path, capsys):
+        # the point is cited by no step, only by the scene's own statements
+        records = load_records(run_dir)
+        scene_id, label = uncited_point(records, load_scenes(run_dir))
+        copy_with_edited_scene(run_dir, tmp_path / "moved", scene_id, move_point(label))
+        assert main(["verify", "--in", str(tmp_path / "moved")]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+        expected = [f"FAIL {r.id}" for r in records if r.scene_id == scene_id]
+        assert [line.split(":")[0] for line in fails] == expected
+        assert all(line.split(": ", 1)[1].startswith("scene statement ") for line in fails)
 
     def test_curate_insufficient(self, run_dir, tmp_path, capsys):
         code = main(["curate", "--in", str(run_dir), "--out", str(tmp_path / "s"), "--per-tier", "999"])

@@ -21,7 +21,7 @@ from geoforge.constructions import (
     generate_base_scene,
     scene_from_doc,
 )
-from geoforge.geometry import Coord
+from geoforge.geometry import Coord, DegenerateMeasurementError, SceneGeometry
 from geoforge.pipeline import PipelineConfig, _build_scene
 from geoforge.statements import (
     Predicate,
@@ -167,6 +167,24 @@ class TestApplicability:
 
     def test_catalog_size(self):
         assert len(CONSTRUCTIONS) == 10
+
+    def test_bisector_bindings_skip_only_kernel_errors(self, monkeypatch):
+        # a kernel error means the angle has no measure, so the binding is
+        # left out; any other error is a fault and propagates
+        scene = generate_base_scene("scalene_triangle", 2)
+        tables = constructions._Tables(scene)
+
+        def raising(error):
+            def angle_deg(self, a, v, c):
+                raise error
+
+            return angle_deg
+
+        monkeypatch.setattr(SceneGeometry, "angle_deg", raising(DegenerateMeasurementError("ray")))
+        assert constructions._bisector_bindings(scene, tables) == []
+        monkeypatch.setattr(SceneGeometry, "angle_deg", raising(RuntimeError("kernel fault")))
+        with pytest.raises(RuntimeError, match="kernel fault"):
+            constructions._bisector_bindings(scene, tables)
 
 
 class TestSerialization:

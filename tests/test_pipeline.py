@@ -38,7 +38,8 @@ from geoforge.pipeline import (
 )
 from geoforge.rules import Rule
 from geoforge.statements import UnknownPointError, parse_statement
-from geoforge.translate import ExternalBackend, TemplateBackend
+from geoforge.translate import ExternalBackend
+from helpers import copy_with_edited_scene, move_point, uncited_point
 
 SMALL = PipelineConfig(seed_start=0, count=40)
 # the tail of every failure that names a field of the rebuilt record
@@ -638,6 +639,30 @@ class TestVerifyTamperDetection:
         # the records of the other scene, which cite the same text, verify
         assert {d["scene_id"] for d in docs if d["id"] in failures} == {moved_id}
 
+    def test_moved_uncited_point_fails_every_record_of_its_scene(self, dataset, tmp_path):
+        # no step cites the point; the scene check holds every initial
+        # statement, which each record states in its question
+        out, report0 = dataset
+        scene_id, label = uncited_point(report0.records, load_scenes(out))
+        copy_with_edited_scene(out, tmp_path / "moved", scene_id, move_point(label))
+        failures = dict(verify(tmp_path / "moved").failures)
+        assert failures.keys() == {r.id for r in report0.records if r.scene_id == scene_id}
+        (reason,) = set(failures.values())
+        assert reason.startswith("scene statement ") and reason.endswith(" fails numerically")
+        assert label in set().union(*parse_statement(reason.split()[2]).groups)
+
+    def test_point_on_top_of_another_fails_every_record_of_its_scene(self, dataset, tmp_path):
+        out, report0 = dataset
+        scene_id = report0.records[0].scene_id
+
+        def add(points):
+            points["Z9"] = list(points["A"])
+
+        copy_with_edited_scene(out, tmp_path / "doubled", scene_id, add)
+        failures = verify(tmp_path / "doubled").failures
+        assert [rid for rid, _ in failures] == [r.id for r in report0.records if r.scene_id == scene_id]
+        assert {reason for _, reason in failures} == {"scene is degenerate: points A,Z9 closer than d_min"}
+
     def test_scene_naming_a_point_it_lacks_fails(self, dataset, tmp_path):
         # its texts were parsed once already, for a scene that has the point
         out, _ = dataset
@@ -886,7 +911,11 @@ class TestVerifyWork:
             for step in sol
         ]
         replays = {(sid, s.rule, s.premises, s.conclusion) for sid, s in steps}
-        checked = {(sid, stmt) for sid, s in steps for stmt in (*s.premises, s.conclusion)}
+        # each scene's initial statements once, by its scene check, then each
+        # distinct conclusion once
+        scenes = load_scenes(out)
+        initial = sum(len(scenes[sid].initial_statements) for sid in {r.scene_id for r in records})
+        concluded = {(sid, s.conclusion) for sid, s in steps}
         texts = set()
         for doc in docs:
             texts.update(doc["premises"])
@@ -914,12 +943,12 @@ class TestVerifyWork:
         )
         assert verify(out).ok
         assert calls["recheck"] == len(replays) < len(steps)
-        assert calls["check"] == len(checked)
+        assert calls["check"] == initial + len(concluded)
         assert calls["parse"] == len(texts)
 
     def test_each_text_and_step_handled_once_per_call(self, tmp_path, monkeypatch):
-        # one parse per distinct text of both files, one replay per distinct
-        # step of a scene, and one sentence per distinct translated step
+        # one parse per distinct text of both files and one replay per
+        # distinct step of a scene
         out = tmp_path / "counted"
         generate(dataclasses.replace(SMALL, count=30), out)
         records = load_records(out)
@@ -938,7 +967,6 @@ class TestVerifyWork:
         steps = [
             (r.scene_id, step) for r in records for sol in (*r.solutions, r.wrong_branch or ()) for step in sol
         ]
-        translated = {step for r in records for step in (*r.solutions[0], *(r.wrong_branch or ()))}
         calls = Counter()
 
         def counted(name, fn):
@@ -951,13 +979,9 @@ class TestVerifyWork:
         for module in (geoforge.dataset, geoforge.constructions):
             monkeypatch.setattr(module, "parse_statement", counted("parse", module.parse_statement))
         monkeypatch.setattr(Rule, "recheck", counted("recheck", Rule.recheck))
-        monkeypatch.setattr(
-            TemplateBackend, "step_sentence", counted("sentence", TemplateBackend.step_sentence)
-        )
         assert verify(out).ok
         assert calls["parse"] == len(texts) < len(scene_texts) + len(texts)
         assert calls["recheck"] == len({*steps}) < len(steps)
-        assert calls["sentence"] == len(translated) < sum(len(r.solutions[0]) for r in records)
 
 
 class TestBootstrap:
