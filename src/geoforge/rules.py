@@ -7,18 +7,18 @@ conclusion) the rule licenses with that statement as the newest premise
 (semi-naive evaluation: every premise combination fires exactly once, when
 its newest premise is processed). A matcher reads only statements with ids
 <= the newest, so a combination is new exactly when it cites the newest id.
-Three helpers state the join's policies once: ``_role`` picks the
+Two helpers state the join's policies once: ``_role`` picks the
 statements that may fill a premise of one predicate (the newest alone if it
-has that predicate, else the earlier ones), ``_fire`` drops a conclusion
-that is not a well-formed statement, and ``_distinct`` reports a fire once
-per call for the triangle matchers, which reach it once per labelling: they
-yield the premises, the factory and the two triangles, and ``_distinct``
-keys them on the premises and the vertex correspondence before it builds
-the conclusion. The triangle joins read hash indexes that
-``MatchContext.note`` keeps (equal-segments facts by segment pair,
-equal-angles facts by triangle pair and by angle vertices); a lookup returns
-ascending ids below a bound, so a matcher fires in the order a scan of all
-earlier facts would.
+has that predicate, else the earlier ones), and ``_fire`` drops a conclusion
+that is not a well-formed statement.
+The triangle matchers yield each (premises, vertex correspondence) once per
+call: they try one labelling of each triangle pair, since the others give
+the same correspondence again or reversed, and they skip earlier facts that
+cannot be a side or angle pair of the new fact's triangles. They read hash
+indexes that ``MatchContext.note`` keeps (equal-segments facts by segment
+pair, equal-angles facts by triangle pair and by angle vertices); a lookup
+returns ascending ids below a bound, so a matcher fires in the order a scan
+of all earlier facts would.
 Saturation runs only the rules a new statement's predicate triggers; replay
 refuses a step whose newest cited premise is not a trigger and otherwise
 runs the same matcher over a context holding only the cited premises, so the
@@ -154,27 +154,6 @@ def _fire(premises: tuple[int, ...], factory: Callable[..., Statement], *args) -
     except MalformedStatementError:
         return
     yield premises, conclusion
-
-
-TriangleFire = tuple[tuple[int, ...], Callable[..., Statement], tuple[str, ...], tuple[str, ...]]
-
-
-def _distinct(matcher: Callable[[MatchContext, int], Iterator[TriangleFire]]) -> Matcher:
-    """Build and report each fire of one triangle matcher call once, in
-    first-seen order. The matcher yields ``(premises, factory, t1, t2)`` once
-    per labelling of a triangle pair; labellings with the same premises and
-    the same vertex correspondence, either way round, canonicalise to the
-    same conclusion, so they are merged before it is built."""
-
-    def distinct(ctx: MatchContext, sid: int) -> Iterator[Match]:
-        seen: set[tuple[tuple[int, ...], frozenset]] = set()
-        for premises, factory, t1, t2 in matcher(ctx, sid):
-            key = (premises, frozenset(zip(t1, t2)))
-            if key not in seen:
-                seen.update((key, (premises, frozenset(zip(t2, t1)))))
-                yield from _fire(premises, factory, t1, t2)
-
-    return distinct
 
 
 def _below(ids: Sequence[int], before: int) -> Sequence[int]:
@@ -506,42 +485,42 @@ def _triangle_correspondence(
     return t1, tuple(mapping[p] for p in t1)
 
 
-@_distinct
-def _m_sss_congruence(ctx: MatchContext, sid: int) -> Iterator[TriangleFire]:
-    new = ctx.stmt(sid)
+def _m_sss_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
+    a, b = ctx.stmt(sid).groups
     g = ctx.geometry
-    eqs = list(_others(ctx, Predicate.EQUAL_SEGMENTS, sid))
 
-    def congruent(premises: tuple[int, ...], sides1, sides2) -> Iterator[TriangleFire]:
+    def congruent(premises: tuple[int, ...], sides1, sides2) -> Iterator[Match]:
         pair = _triangle_correspondence(sides1, sides2)
         if pair is not None and _not_collinear(g, *pair[0]) and _not_collinear(g, *pair[1]):
-            yield premises, congruent_triangles, *pair
+            yield from _fire(premises, congruent_triangles, *pair)
 
+    # The new fact's segments a and b are sides of the first and the second
+    # triangle; the other labelling swaps the triangles, which is the same
+    # correspondence reversed. Sides of a triangle meet pairwise, so an
+    # earlier equality is a side pair only when it can be laid with one
+    # segment meeting a and the other meeting b; each keeps those layings.
+    eqs = []
+    for i, eq in _others(ctx, Predicate.EQUAL_SEGMENTS, sid):
+        layings = [
+            (eq.groups[o], eq.groups[1 - o])
+            for o in (0, 1)
+            if _shared_point(a, eq.groups[o]) is not None
+            and _shared_point(b, eq.groups[1 - o]) is not None
+        ]
+        if layings:
+            eqs.append((i, layings))
     # three explicit equalities
-    for (i2, e2), (i3, e3) in combinations(eqs, 2):
-        premises = (i2, i3, sid)
-        for o1 in (0, 1):
-            for o2 in (0, 1):
-                for o3 in (0, 1):
-                    sides1 = [new.groups[o1], e2.groups[o2], e3.groups[o3]]
-                    sides2 = [new.groups[1 - o1], e2.groups[1 - o2], e3.groups[1 - o3]]
-                    yield from congruent(premises, sides1, sides2)
+    for (i2, layings2), (i3, layings3) in combinations(eqs, 2):
+        for x1, x2 in layings2:
+            for y1, y2 in layings3:
+                yield from congruent((i2, i3, sid), [a, x1, y1], [b, x2, y2])
     # two equalities plus a literally shared third side
-    for i2, e2 in eqs:
-        for o1 in (0, 1):
-            for o2 in (0, 1):
-                s1a, s1b = new.groups[o1], e2.groups[o2]
-                s2a, s2b = new.groups[1 - o1], e2.groups[1 - o2]
-                p1 = _shared_point(s1a, s1b)
-                p2 = _shared_point(s2a, s2b)
-                if p1 is None or p2 is None:
-                    continue
-                loose1 = (set(s1a) | set(s1b)) - {p1}
-                loose2 = (set(s2a) | set(s2b)) - {p2}
-                if len(loose1) != 2 or len(loose2) != 2 or loose1 != loose2:
-                    continue
-                third = _seg(*sorted(loose1))
-                yield from congruent((i2, sid), [s1a, s1b, third], [s2a, s2b, third])
+    for i2, layings in eqs:
+        for x1, x2 in layings:
+            loose = {*a, *x1} - {_shared_point(a, x1)}
+            if loose == {*b, *x2} - {_shared_point(b, x2)}:
+                third = _seg(*loose)
+                yield from congruent((i2, sid), [a, x1, third], [b, x2, third])
 
 
 def _eq_or_identical(
@@ -569,32 +548,36 @@ def _same_pair(ctx: MatchContext, eq_ang: Statement, before: int) -> list[tuple[
 
 
 def _angles_on(ctx: MatchContext, eq_seg: Statement, before: int) -> list[tuple[int, Statement]]:
-    """The equal-angles facts with ids < ``before`` whose two angle vertices
-    are points of ``eq_seg``'s segments, ascending: a side equality of SAS or
-    ASA built on an angle fact needs both its vertices."""
-    ends = sorted({*eq_seg.groups[0], *eq_seg.groups[1]})
-    keys = [(p, q) for k, p in enumerate(ends) for q in ends[k:]]
+    """The equal-angles facts with ids < ``before`` that have one angle
+    vertex on each of ``eq_seg``'s segments, ascending. A side equality of
+    SAS or ASA equates a side through the fact's vertex in one triangle with
+    the side through its vertex in the other, so no other fact can use
+    ``eq_seg`` as one."""
+    s1, s2 = eq_seg.groups
+    keys = {_seg(p, q) for p in s1 for q in s2}
     ids = sorted(i for key in keys for i in _below(ctx.angles_by_vertices.get(key, ()), before))
     return [(i, ctx.stmt(i)) for i in ids]
 
 
-def _angle_pairings(
-    eq_ang: Statement,
-) -> Iterator[tuple[tuple[str, str, str], tuple[str, str, str]]]:
-    """Yield angle pairs in both triangle-assignment orders and ray pairings."""
-    g1, g2 = eq_ang.groups
-    for a1, a2 in ((g1, g2), (g2, g1)):
-        yield a1, a2
-        yield (a1[2], a1[1], a1[0]), a2
+def _same_key_pairs(facts: list[tuple[int, Statement]]) -> list[tuple[tuple[int, Statement], ...]]:
+    """The pairs of equal-angles ``facts`` with the same triangle-pair key,
+    the only ones that can share triangles, in ascending (first, second)
+    id order."""
+    by_key: dict[frozenset, list[tuple[int, Statement]]] = {}
+    for fact in facts:
+        by_key.setdefault(_triangle_pair_key(fact[1]), []).append(fact)
+    pairs = (pair for same in by_key.values() for pair in combinations(same, 2))
+    return sorted(pairs, key=lambda pair: (pair[0][0], pair[1][0]))
 
 
-@_distinct
-def _m_sas_congruence(ctx: MatchContext, sid: int) -> Iterator[TriangleFire]:
+def _m_sas_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
     g = ctx.geometry
     angles = ((sid, new),) if new.predicate is Predicate.EQUAL_ANGLES else _angles_on(ctx, new, sid)
     for ang_id, ang in angles:
-        for (x1, v1, y1), (x2, v2, y2) in _angle_pairings(ang):
+        a1, (x2, v2, y2) = ang.groups
+        # the two ray pairings; swapping the angles gives them reversed
+        for x1, v1, y1 in (a1, a1[::-1]):
             ok1, eq1 = _eq_or_identical(ctx, (v1, x1), (v2, x2), sid + 1)
             ok2, eq2 = _eq_or_identical(ctx, (v1, y1), (v2, y2), sid + 1)
             if not (ok1 and ok2):
@@ -604,7 +587,7 @@ def _m_sas_congruence(ctx: MatchContext, sid: int) -> Iterator[TriangleFire]:
                 continue
             if not (_not_collinear(g, x1, v1, y1) and _not_collinear(g, x2, v2, y2)):
                 continue
-            yield tuple(sorted(ids)), congruent_triangles, (x1, v1, y1), (x2, v2, y2)
+            yield from _fire(tuple(sorted(ids)), congruent_triangles, (x1, v1, y1), (x2, v2, y2))
 
 
 def _triangle_maps(
@@ -623,23 +606,24 @@ def _two_angle_triangles(
     g: SceneGeometry, st_a: Statement, st_b: Statement
 ) -> Iterator[tuple[tuple[str, str, str], tuple[str, str, str]]]:
     """Non-degenerate triangle pairs (v, w, u) in which ``st_a`` equates the
-    angles at v and ``st_b`` those at w."""
-    for a1, a2 in _angle_pairings(st_a):
-        for b1, b2 in _angle_pairings(st_b):
-            if set(a1) != set(b1) or set(a2) != set(b2):
-                continue
-            tri = _triangle_maps(set(a1), set(a2), a1[1], a2[1], b1[1], b2[1])
-            if tri is not None and _not_collinear(g, *tri[0]) and _not_collinear(g, *tri[1]):
-                yield tri
+    angles at v and ``st_b`` those at w. An angle's vertex set and vertex do
+    not depend on its ray order, and swapping both facts' angles swaps the
+    triangles, so fixing ``st_a``'s order leaves only ``st_b``'s two."""
+    a1, a2 = st_a.groups
+    for b1, b2 in (st_b.groups, st_b.groups[::-1]):
+        if set(a1) != set(b1) or set(a2) != set(b2):
+            continue
+        tri = _triangle_maps(set(a1), set(a2), a1[1], a2[1], b1[1], b2[1])
+        if tri is not None and _not_collinear(g, *tri[0]) and _not_collinear(g, *tri[1]):
+            yield tri
 
 
-@_distinct
-def _m_asa_congruence(ctx: MatchContext, sid: int) -> Iterator[TriangleFire]:
+def _m_asa_congruence(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
     if new.predicate is Predicate.EQUAL_ANGLES:
         pairs = (((sid, new), other) for other in _same_pair(ctx, new, sid))
     else:
-        pairs = combinations(_angles_on(ctx, new, sid), 2)
+        pairs = _same_key_pairs(_angles_on(ctx, new, sid))
     for (id_a, st_a), (id_b, st_b) in pairs:
         for (v1, w1, u1), (v2, w2, u2) in _two_angle_triangles(ctx.geometry, st_a, st_b):
             ok, eq_id = _eq_or_identical(ctx, (v1, w1), (v2, w2), sid + 1)
@@ -647,7 +631,8 @@ def _m_asa_congruence(ctx: MatchContext, sid: int) -> Iterator[TriangleFire]:
                 continue
             ids = {id_a, id_b} | ({eq_id} if eq_id is not None else set())
             if sid in ids:
-                yield tuple(sorted(ids)), congruent_triangles, (v1, w1, u1), (v2, w2, u2)
+                premises = tuple(sorted(ids))
+                yield from _fire(premises, congruent_triangles, (v1, w1, u1), (v2, w2, u2))
 
 
 def _corresponding_side_pairs(t1, t2):
@@ -668,12 +653,11 @@ def _m_congruent_angles(ctx: MatchContext, sid: int) -> Iterator[Match]:
         yield from _fire((sid,), equal_angles, a1, a2)
 
 
-@_distinct
-def _m_aa_similarity(ctx: MatchContext, sid: int) -> Iterator[TriangleFire]:
+def _m_aa_similarity(ctx: MatchContext, sid: int) -> Iterator[Match]:
     new = ctx.stmt(sid)
     for oid, other in _same_pair(ctx, new, sid):
         for t1, t2 in _two_angle_triangles(ctx.geometry, new, other):
-            yield (oid, sid), similar_triangles, t1, t2
+            yield from _fire((oid, sid), similar_triangles, t1, t2)
 
 
 def _m_similar_side_ratio(ctx: MatchContext, sid: int) -> Iterator[Match]:

@@ -845,6 +845,100 @@ class TestVerifyTamperDetection:
         report = self._tampered(dataset, tmp_path, mutate)
         assert report.failures == [(ids[0], f"metadata {REBUILT}")]
 
+    def _with_thresholds(self, dataset, tmp_path, **thresholds):
+        """Verify a copy of the dataset whose config.json and every record's
+        metadata carry ``thresholds``, each id re-hashed and renamed in the
+        diagrams and the manifest; returns the copy's records and report."""
+        out, _ = dataset
+        target = tmp_path / "thresholds"
+        shutil.copytree(out, target)
+        (target / "config.json").write_text(json.dumps({**load_config(out), **thresholds}))
+        docs = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        for doc in docs:
+            doc["metadata"].update(thresholds)
+            doc["id"] = record_content_hash(doc)
+            shutil.copy(target / doc["diagram"], target / f"svg/{doc['id']}.svg")
+            doc["diagram"] = f"svg/{doc['id']}.svg"
+        (target / "records.jsonl").write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        manifest = [json.loads(line) for line in (out / "manifest.jsonl").read_text().splitlines()]
+        for line, doc in zip(manifest, docs):
+            line["id"] = doc["id"]
+        (target / "manifest.jsonl").write_text("".join(json.dumps(m) + "\n" for m in manifest))
+        return docs, verify(target)
+
+    def test_raised_length_threshold_fails_short_solutions(self, dataset, tmp_path):
+        docs, report = self._with_thresholds(dataset, tmp_path, tau_l=9)
+        expected = []
+        for doc in docs:
+            short = [j for j, sol in enumerate(doc["formal_solutions"]) if len(sol) < 9]
+            if short:
+                expected.append((doc["id"], f"solution {short[0]} violates the length filter"))
+        assert report.failures == expected
+        assert (len(expected), len(docs)) == (32, 43)
+
+    def test_raised_premise_ratio_threshold_fails_narrow_solutions(self, dataset, tmp_path):
+        out, _ = dataset
+        initial = {}
+        for line in (out / "scenes.jsonl").read_text().splitlines():
+            doc = json.loads(line)
+            initial[doc["scene_id"]] = set(doc["scene"]["initial_statements"])
+        docs, report = self._with_thresholds(dataset, tmp_path, tau_r=0.6)
+        expected = []
+        for doc in docs:
+            given = initial[doc["scene_id"]]
+            narrow = [
+                j
+                for j, sol in enumerate(doc["formal_solutions"])
+                if len({p for step in sol for p in step["premises"]} & given) / len(given) < 0.6
+            ]
+            if narrow:
+                expected.append((doc["id"], f"solution {narrow[0]} violates the premise-ratio filter"))
+        assert report.failures == expected
+        assert (len(expected), len(docs)) == (30, 43)
+
+    def test_raised_overlap_threshold_fails_distant_wrong_branches(self, dataset, tmp_path):
+        docs, report = self._with_thresholds(dataset, tmp_path, tau_p=0.9)
+        expected = [
+            (doc["id"], "overlap violates tau_p")
+            for doc in docs
+            if doc["overlap"] is not None and doc["overlap"] < 0.9
+        ]
+        assert report.failures == expected
+        assert (len(expected), len(docs)) == (10, 43)
+
+    def test_unknown_rule_fails(self, dataset, tmp_path):
+        ids = []
+
+        def mutate(doc):
+            doc["formal_solutions"][0][0]["rule"] = "no_such_rule"
+            doc["id"] = record_content_hash(doc)
+            ids.append(doc["id"])
+
+        report = self._tampered(dataset, tmp_path, mutate)
+        assert report.failures == [(ids[0], "solution 0 step 0: unknown rule no_such_rule")]
+
+    @pytest.mark.parametrize(
+        "solutions, reason",
+        [
+            (lambda sols: [], "no formal solution"),
+            (lambda sols: [*sols, []], "solution {n} is empty"),
+        ],
+        ids=["no_solution", "last_solution_empty"],
+    )
+    def test_missing_or_empty_solution_fails(self, dataset, tmp_path, solutions, reason):
+        _, report0 = dataset
+        index = next(i for i, r in enumerate(report0.records) if r.template == "deductive")
+        ids = []
+
+        def mutate(doc):
+            doc["formal_solutions"] = solutions(doc["formal_solutions"])
+            doc["id"] = record_content_hash(doc)
+            ids.append(doc["id"])
+
+        report = self._tampered(dataset, tmp_path, mutate, index)
+        n = len(report0.records[index].solutions)
+        assert report.failures == [(ids[0], reason.format(n=n))]
+
     def test_missing_or_invalid_config_fails(self, dataset, tmp_path):
         out, _ = dataset
         target = tmp_path / "config"

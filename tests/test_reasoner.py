@@ -1,9 +1,11 @@
+import hashlib
 from collections import Counter
 
 import pytest
 
 from geoforge.constructions import BASE_GENERATORS, extend_scene, generate_base_scene
 from geoforge.geometry import SceneGeometry
+from geoforge.pipeline import PipelineConfig, _build_scene
 from geoforge.reasoner import (
     Budget,
     ReasonerError,
@@ -20,7 +22,12 @@ from geoforge.statements import (
     equal_segments,
     right_angle,
     segment_length,
+    serialize_statement,
 )
+
+# sha256 over the saturated graphs of the scenes of `generate` seeds 0-199:
+# each graph's statement texts in id order, then its transitions in order
+GENERATE_0_200_GRAPHS = "d10aa8fb9cecfb7c3fa0da1f13f17cdbfef1148eadfef6f5df25dec24b6f9c08"
 
 
 def _scene(seed):
@@ -120,6 +127,20 @@ class TestSaturate:
         scene = _scene(2)
         graph = saturate(scene, budget=Budget(max_statements=6, max_transitions=3, max_rounds=2))
         assert graph.truncated
+
+    def test_generate_graphs_match_pinned_digest(self):
+        # most of these scenes write no record, so the records pins cannot
+        # see a matcher that fires in another order or cites other premises
+        config = PipelineConfig()
+        digest = hashlib.sha256()
+        for seed in range(200):
+            graph = saturate(_build_scene(config, seed), budget=config.budget())
+            for stmt in graph.statements:
+                digest.update(f"{serialize_statement(stmt)}\n".encode())
+            for t in graph.transitions:
+                digest.update(f"{t.premises} {t.rule} {t.conclusion}\n".encode())
+            digest.update(f"end {graph.n_initial} {graph.truncated}\n".encode())
+        assert digest.hexdigest() == GENERATE_0_200_GRAPHS
 
     def test_transitions_respect_insertion_order(self):
         for seed in range(10):

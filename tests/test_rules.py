@@ -568,11 +568,60 @@ class TestTrianglePrefilters:
         assert matched(points, [b_c, side, mixed], "asa_congruence") == []
         assert matched(points, [b_c, mixed], "aa_similarity") == []
 
+    def test_sss_skips_an_equality_off_one_triangle(self):
+        # SSS keeps an earlier equality only when one of its segments meets
+        # AB and the other meets DE; AC = GH and AC = BC meet only ABC
+        points = {**_CONG, "G": (6.0, 7.0), "H": (9.0, 8.0)}
+        ab = equal_segments(("A", "B"), ("D", "E"))
+        bc = equal_segments(("B", "C"), ("E", "F"))
+        ac = equal_segments(("A", "C"), ("D", "F"))
+        assert matched(points, [bc, ac, ab], "sss_congruence") == [((0, 1, 2), self.ABC_DEF)]
+        for off in (equal_segments(("A", "C"), ("G", "H")), equal_segments(("A", "C"), ("B", "C"))):
+            assert matched(points, [bc, off, ab], "sss_congruence") == []
+            assert matched(points, [off, ab], "sss_congruence") == []
+
+    def test_sss_shared_side_with_either_equality_newest(self):
+        # AB = CB and AD = CD with BD shared: each equality meets both of the
+        # other's segments, whichever of them is new
+        kite = {"A": (0.0, 0.0), "C": (4.0, 0.0), "B": (2.0, 3.0), "D": (2.0, 0.0)}
+        sides = [equal_segments(("A", "B"), ("C", "B")), equal_segments(("A", "D"), ("C", "D"))]
+        abd_cbd = congruent_triangles(("A", "B", "D"), ("C", "B", "D"))
+        for order in (sides, sides[::-1]):
+            assert matched(kite, order, "sss_congruence") == [((0, 1), abd_cbd)]
+
+    def test_asa_on_new_side_with_angle_facts_in_either_order(self):
+        angle_a = equal_angles(("B", "A", "C"), ("E", "D", "F"))
+        angle_b = equal_angles(("A", "B", "C"), ("D", "E", "F"))
+        side = equal_segments(("A", "B"), ("D", "E"))
+        for first, second in ((angle_a, angle_b), (angle_b, angle_a)):
+            assert matched(_CONG, [first, second, side], "asa_congruence") == [
+                ((0, 1, 2), self.ABC_DEF)
+            ]
+        # two triangle pairs on the side AB = DE, with their angle facts
+        # interleaved: fires come in ascending (first, second) fact order
+        points = {**_CONG, "G": (1.0, -2.0), "H": (6.0, 3.0)}
+        facts = [
+            angle_a,
+            equal_angles(("B", "A", "G"), ("E", "D", "H")),
+            equal_angles(("A", "B", "G"), ("D", "E", "H")),
+            angle_b,
+            side,
+        ]
+        assert matched(points, facts, "asa_congruence") == [
+            ((0, 3, 4), self.ABC_DEF),
+            ((1, 2, 4), congruent_triangles(("A", "B", "G"), ("D", "E", "H"))),
+        ]
+        # an angle fact on another triangle pair is not paired with angle A
+        points = {**_CONG, "G": (6.0, 7.0)}
+        other_pair = equal_angles(("A", "B", "C"), ("D", "E", "G"))
+        for first, second in ((angle_a, other_pair), (other_pair, angle_a)):
+            assert matched(points, [first, second, side], "asa_congruence") == []
+
 
 class TestFiresOnce:
     def test_sss_reports_each_fire_once(self):
-        # each side equality can be read in either direction, so the matcher
-        # reaches the congruence once per orientation of the three of them
+        # each side equality can be read in either direction, and reading the
+        # new one the other way round gives the same correspondence reversed
         sides = [
             equal_segments(("A", "B"), ("D", "E")),
             equal_segments(("B", "C"), ("E", "F")),
@@ -582,11 +631,35 @@ class TestFiresOnce:
             ((0, 1, 2), congruent_triangles(("A", "B", "C"), ("D", "E", "F")))
         ]
 
+    def test_fires_on_one_triangle_reported_once(self):
+        # the facts relate angles and sides of the one triangle ABC, so a
+        # labelling the matchers do not try would give the same fire again,
+        # or its reverse, which is the same statement
+        b_c = equal_angles(("A", "B", "C"), ("A", "C", "B"))
+        a_b = equal_angles(("B", "A", "C"), ("A", "B", "C"))
+        bc_ab = equal_segments(("B", "C"), ("A", "B"))
+        ab_ac = equal_segments(("A", "B"), ("A", "C"))
+        rotated = (("A", "B", "C"), ("B", "C", "A"))
+        reflected = congruent_triangles(("A", "B", "C"), ("A", "C", "B"))
+        cases = [
+            ([b_c, a_b], "aa_similarity", [((0, 1), similar_triangles(*rotated))]),
+            ([b_c, bc_ab, a_b], "asa_congruence", [((0, 1, 2), congruent_triangles(*rotated))]),
+            ([a_b, b_c, bc_ab], "asa_congruence", [((0, 1, 2), congruent_triangles(*rotated))]),
+            ([ab_ac, b_c], "sas_congruence", [((0, 1), reflected)]),
+            ([b_c, ab_ac], "sas_congruence", [((0, 1), reflected)]),
+            (
+                [bc_ab, equal_segments(("B", "C"), ("A", "C")), ab_ac],
+                "sss_congruence",
+                [((0, 1, 2), congruent_triangles(*rotated))],
+            ),
+        ]
+        for facts, rule_id, expected in cases:
+            assert matched(_EQUILATERAL, facts, rule_id) == expected, rule_id
 
     def test_each_triangle_conclusion_is_built_once(self, monkeypatch):
-        # the triangle matchers reach a conclusion once per labelling of its
-        # triangles; the statement is built only for its first labelling
-        built, fired = [], []
+        # each (premises, correspondence) is yielded once per matcher call,
+        # and its statement is built once
+        built, fired, calls = [], [], []
 
         def counting(factory):
             def build(*args):
@@ -601,8 +674,10 @@ class TestFiresOnce:
 
         def recording(rule):
             def match(ctx, sid):
+                calls.append([])
                 for fire in rule.match(ctx, sid):
                     fired.append(fire[1])
+                    calls[-1].append(fire)
                     yield fire
 
             return dataclasses.replace(rule, match=match)
@@ -618,6 +693,7 @@ class TestFiresOnce:
             saturate(scene, rules=traced)
         assert len(built) == len(fired) > 0
         assert built == fired
+        assert all(len(set(fires)) == len(fires) for fires in calls)
 
 
 class TestReplay:
