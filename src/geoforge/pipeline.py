@@ -53,7 +53,6 @@ from .reasoner import (
 from .render import RenderError, render_svg
 from .rules import RULES_BY_ID, Rule
 from .sampler import (
-    BelowTierRangeError,
     OracleMismatchError,
     ProblemDraft,
     ReasoningPath,
@@ -237,10 +236,6 @@ def build_record(
         shown, answer_value = target, None
         question = f"In the figure, {clauses}. Prove that {statement_nl(target)}."
     primary = draft.solutions[0]
-    try:
-        tier: int | None = tier_of(len(primary)).tier
-    except BelowTierRangeError:
-        tier = None
     overlap = None
     if draft.wrong_branch is not None:
         overlap = len(set(primary).intersection(draft.wrong_branch)) / len(draft.wrong_branch)
@@ -269,7 +264,7 @@ def build_record(
         metadata=RecordMetadata(
             reasoning_length=len(primary),
             premise_ratio=len(draft.cited[0]) / len(scene.initial_statements),
-            tier=tier,
+            tier=tier_of(len(primary)),
             tau_l=config.tau_l,
             tau_r=config.tau_r,
             tau_p=config.tau_p,

@@ -1,21 +1,32 @@
 """Path extraction over the reasoning graph.
 
-Three samplers over the same reasoning graph, one per thinking template: the
-backward trace along each statement's first derivation with
-length/premise-ratio filters, exhaustive multi-derivation enumeration
-(branching over alternative incoming transitions), and self-reflective
-traceback composition (a wrong branch that shares enough of its prefix with
-a correct derivation). Difficulty tiering and the formal core of each
-problem also live here.
+The three GeoExplore samplers, one per thinking template, share one
+backward walk from a target to the initial premises (``_derivations``),
+which yields each distinct derivation as it reaches it. They differ only in
+the derivations they may branch over and in how many leaves they keep:
+
+- ``geo_explore`` (deductive) follows each statement's first derivation and
+  keeps the one leaf, filtered by length and premise ratio;
+- ``geo_explore_m`` (multi-solution) branches over every derivation and
+  keeps the leaves that pass both filters, up to ``max_paths``;
+- ``geo_explore_t`` (traceback) branches over every derivation of each
+  sampled erroneous statement, reads up to ``max_paths`` leaves of it, and
+  keeps the first that shares enough of its steps with a correct
+  derivation.
+
+Difficulty tiering and the formal core of each problem also live here.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cache
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .constructions import Scene
 from .reasoner import ReasoningGraph, SolutionStep, Transition
@@ -34,15 +45,11 @@ class NoEligibleErroneousStatementError(SamplerError):
     pass
 
 
-class BelowTierRangeError(SamplerError):
-    pass
-
-
 class OracleMismatchError(SamplerError):
     """Path-derived answer disagrees with the coordinate oracle: engine bug."""
 
 
-# Option choices ``geo_explore_m`` tries per target before it stops.
+# Option choices a walk over every derivation makes before it stops.
 WORK_CAP = 20000
 # Erroneous statements ``geo_explore_t`` draws per target.
 TRACEBACK_ATTEMPTS = 100
@@ -89,29 +96,10 @@ class TracebackRecord:
     overlap: float
 
 
-@dataclass(frozen=True)
-class DifficultyTier:
-    tier: int
-    min_length: int  # exclusive except for tier 1 (inclusive 5)
-    max_length: int | None  # inclusive
-
-
-TIERS = (
-    DifficultyTier(1, 5, 10),
-    DifficultyTier(2, 10, 20),
-    DifficultyTier(3, 20, 50),
-    DifficultyTier(4, 50, None),
-)
-
-
-def tier_of(length: int) -> DifficultyTier:
-    """Length 5-10 is tier 1, 11-20 tier 2, 21-50 tier 3, beyond is tier 4."""
-    if length < TIERS[0].min_length:
-        raise BelowTierRangeError(f"length {length} is below the tier range")
-    for t in TIERS:
-        if t.max_length is None or length <= t.max_length:
-            return t
-    raise AssertionError  # pragma: no cover
+def tier_of(length: int) -> int | None:
+    """Length 5-10 is tier 1, 11-20 tier 2, 21-50 tier 3, beyond is tier 4;
+    a shorter path has no tier."""
+    return None if length < 5 else bisect_left((10, 20, 50), length) + 1
 
 
 def _finish_path(graph: ReasoningGraph, transitions: list[Transition], target: int) -> ReasoningPath:
@@ -131,6 +119,63 @@ def _filter(path: ReasoningPath, tau_l: int, tau_r: float) -> Rejected | None:
     return None
 
 
+_Options = Callable[[int], Sequence[Transition]]
+
+
+def _derivations(
+    graph: ReasoningGraph, target: int, options: _Options, max_choices: float
+) -> Iterator[list[Transition]]:
+    """Walk ``target``'s derivations backward, depth first, and yield each
+    leaf: one transition per statement it needs, chosen among
+    ``options(sid)``. Stops before choice ``max_choices + 1``.
+
+    The largest unresolved id is resolved next, so the choices made so far
+    fix the next statement: no two leaves share their transition set. A
+    premise is below its conclusion, so it is never already resolved.
+    """
+    unresolved = [target]  # ascending, so pop() takes the largest
+    chosen: dict[int, Transition] = {}
+    # each frame: (sid, its options left, the premises its choice added)
+    frames: list[tuple[int, Iterator[Transition], list[int]]] = []
+    choices = 0
+    while True:
+        if unresolved:
+            sid = unresolved.pop()
+            frames.append((sid, iter(options(sid)), []))
+        else:
+            yield list(chosen.values())
+        # advance the newest frame, backtracking through exhausted ones
+        while frames:
+            sid, opts, added = frames[-1]
+            for p in added:
+                unresolved.remove(p)
+            added.clear()
+            t = next(opts, None)
+            if t is not None:
+                break
+            chosen.pop(sid, None)  # absent when sid had no option
+            insort(unresolved, sid)
+            frames.pop()
+        else:
+            return
+        choices += 1
+        if choices > max_choices:
+            return
+        chosen[sid] = t
+        for p in t.premises:
+            if not graph.is_initial(p) and p not in unresolved:
+                insort(unresolved, p)
+                added.append(p)
+
+
+def _every_derivation(graph: ReasoningGraph) -> _Options:
+    """Every incoming transition of a statement, ordered by rule id then
+    premise tuple."""
+    return cache(
+        lambda sid: sorted(graph.incoming_transitions(sid), key=lambda t: (t.rule, t.premises))
+    )
+
+
 def geo_explore(
     graph: ReasoningGraph, target: int, tau_l: int, tau_r: float
 ) -> ReasoningPath | Rejected:
@@ -142,23 +187,15 @@ def geo_explore(
     """
     if graph.is_initial(target):
         raise TargetIsInitialError(f"statement {target} is an initial premise")
-    transitions: list[Transition] = []
-    pending = [target]
-    resolved: set[int] = set()
-    while pending:
-        sid = pending.pop()  # strictly descending ids: premises predate conclusions
-        if sid in resolved:
-            continue
-        resolved.add(sid)
+
+    def first(sid: int) -> tuple[Transition]:
         t_idxs = graph.incoming.get(sid)
         if not t_idxs:
             raise SamplerError(f"derived statement {sid} has no derivation")
-        t = graph.transitions[t_idxs[0]]
-        transitions.append(t)
-        for p in t.premises:
-            if not graph.is_initial(p) and p not in resolved:
-                insort(pending, p)
-    path = _finish_path(graph, transitions, target)
+        return (graph.transitions[t_idxs[0]],)
+
+    # one choice per derived statement, so no cap
+    path = _finish_path(graph, next(_derivations(graph, target, first, math.inf)), target)
     rejected = _filter(path, tau_l, tau_r)
     return path if rejected is None else rejected
 
@@ -189,67 +226,13 @@ def geo_explore_m(
     best_ratio = cone_initial / graph.n_initial if graph.n_initial else 0.0
     if len(cone) - cone_initial < tau_l or best_ratio < tau_r:
         return []
-
-    option_cache: dict[int, list[Transition]] = {}
-
-    def options(sid: int) -> list[Transition]:
-        cached = option_cache.get(sid)
-        if cached is None:
-            cached = sorted(
-                graph.incoming_transitions(sid), key=lambda t: (t.rule, t.premises)
-            )
-            option_cache[sid] = cached
-        return cached
-
     results: list[ReasoningPath] = []
-    seen: set[frozenset[Transition]] = set()
-    unresolved = [target]
-    chosen: dict[int, Transition] = {}
-    # frame: [sid, option list, current index, premises added by current option]
-    frames: list[list] = []
-    work = 0
-    descending = True
-    while True:
-        if descending:
-            if not unresolved:
-                key = frozenset(chosen.values())
-                if key not in seen:
-                    seen.add(key)
-                    path = _finish_path(graph, list(chosen.values()), target)
-                    if _filter(path, tau_l, tau_r) is None:
-                        results.append(path)
-                        if len(results) >= max_paths:
-                            break
-                descending = False  # backtrack into the newest frame
-                continue
-            sid = unresolved.pop()
-            frames.append([sid, options(sid), -1, []])
-            descending = False
-            continue
-        if not frames:
-            break
-        frame = frames[-1]
-        sid, opts, idx, added = frame
-        for p in added:
-            unresolved.remove(p)
-        added.clear()
-        chosen.pop(sid, None)
-        idx += 1
-        frame[2] = idx
-        if idx >= len(opts) or not opts:
-            insort(unresolved, sid)
-            frames.pop()
-            continue
-        work += 1
-        if work > WORK_CAP:
-            break
-        t = opts[idx]
-        chosen[sid] = t
-        for p in t.premises:
-            if not graph.is_initial(p) and p not in chosen and p not in unresolved:
-                insort(unresolved, p)
-                added.append(p)
-        descending = True
+    for leaf in _derivations(graph, target, _every_derivation(graph), WORK_CAP):
+        path = _finish_path(graph, leaf, target)
+        if _filter(path, tau_l, tau_r) is None:
+            results.append(path)
+            if len(results) >= max_paths:
+                break
     return results
 
 
@@ -265,8 +248,9 @@ def geo_explore_t(
 
     ``correct`` holds the target's filtered derivations, as ``geo_explore_m``
     enumerates them. Samples erroneous statements outside the target's
-    upstream dependency cone; returns None when no sampled statement yields
-    enough overlap.
+    upstream dependency cone and compares each one's derivations, up to
+    ``max_paths`` of them, as the walk yields them; returns None when no
+    sampled statement yields enough overlap.
     """
     if graph.is_initial(target):
         raise TargetIsInitialError(f"statement {target} is an initial premise")
@@ -282,6 +266,7 @@ def geo_explore_t(
         raise NoEligibleErroneousStatementError(
             "every derived statement is upstream of the target"
         )
+    options = _every_derivation(graph)
     rng = random.Random(("traceback", rng_seed).__repr__())
     tried: set[int] = set()
     for _ in range(TRACEBACK_ATTEMPTS):
@@ -289,7 +274,9 @@ def geo_explore_t(
         if erroneous in tried:
             continue
         tried.add(erroneous)
-        for wrong in geo_explore_m(graph, erroneous, 0, 0.0, max_paths):
+        leaves = _derivations(graph, erroneous, options, WORK_CAP)
+        for leaf in islice(leaves, max(max_paths, 1)):  # at least one, as in geo_explore_m
+            wrong = _finish_path(graph, leaf, erroneous)
             wrong_set = wrong.transition_set()
             for path in correct:
                 shared = wrong_set & path.transition_set()

@@ -158,7 +158,7 @@ def test_criterion_5_filter_and_tier_guarantees(big_run):
         lo, hi = bounds[record.metadata.tier]
         assert lo <= length <= hi
     for length, tier in _TIER_ORACLE.items():
-        assert tier_of(length).tier == tier
+        assert tier_of(length) == tier
     print(
         f"\nACCEPTANCE 5 PASS - 0 of {report.count} records violate the filters or "
         "tier bounds; tier_of matches the boundary oracle"

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import functools
 import hashlib
@@ -433,23 +434,30 @@ class TestVerifyTamperDetection:
     def test_records_out_of_step_with_manifest_fail(self, dataset, tmp_path):
         out, report0 = dataset
         lines = (out / "records.jsonl").read_text().splitlines(keepends=True)
+        first, second = (r.id for r in report0.records[:2])
         cases = {
-            "truncated": lines[:-1],  # cut at a line boundary
-            "reordered": [lines[1], lines[0], *lines[2:]],
+            "truncated": (  # cut at a line boundary
+                lines[:-1],
+                f"manifest lists {len(lines)} records, records.jsonl holds {len(lines) - 1}",
+            ),
+            "reordered": (
+                [lines[1], lines[0], *lines[2:]],
+                f"record 0 is {second}, the manifest lists {first}",
+            ),
         }
-        for name, kept in cases.items():
+        for name, (kept, reason) in cases.items():
             target = tmp_path / name
             shutil.copytree(out, target)
             (target / "records.jsonl").write_text("".join(kept))
             report = verify(target)
             assert report.total == len(kept)
-            assert [rid for rid, _ in report.failures] == ["<dataset>"], name
+            assert report.failures == [("<dataset>", reason)], name
         (target / "records.jsonl").write_text("".join(lines))
         (target / "manifest.jsonl").unlink()
         report = verify(target)
         assert report.total == report0.count
-        assert [rid for rid, _ in report.failures] == ["<dataset>"]
-        assert "manifest" in report.failures[0][1]
+        [(where, reason)] = report.failures
+        assert where == "<dataset>" and reason.startswith("cannot read manifest: ")
 
     # verify runs each distinct check once per scene; the tests below tamper
     # a record that shares a scene or a cited step with an earlier record, so
@@ -917,6 +925,68 @@ class TestVerifyTamperDetection:
         report = self._tampered(dataset, tmp_path, mutate)
         assert report.failures == [(ids[0], "solution 0 step 0: unknown rule no_such_rule")]
 
+    def test_unknown_scene_fails(self, dataset, tmp_path):
+        ids = []
+
+        def mutate(doc):
+            doc["scene_id"] = "0" * len(doc["scene_id"])
+            doc["id"] = record_content_hash(doc)
+            ids.append((doc["id"], doc["scene_id"]))
+
+        report = self._tampered(dataset, tmp_path, mutate)
+        (rid, scene_id), = ids
+        assert report.failures == [(rid, f"unknown scene {scene_id}")]
+
+    def test_conclusion_the_geometry_cannot_check_fails(self, dataset, tmp_path):
+        # a last conclusion naming a point the scene lacks: its numeric check
+        # raises, and verify reports that instead of crashing
+        out, report0 = dataset
+        unknown = parse_statement("seg_len(A,Z9;1)")
+        with pytest.raises(GeometryError) as raised:
+            load_scenes(out)[report0.records[0].scene_id].geometry.check_statement(unknown)
+        ids = []
+
+        def mutate(doc):
+            doc["formal_solutions"][0][-1]["conclusion"] = unknown.text()
+            doc["id"] = record_content_hash(doc)
+            ids.append(doc["id"])
+
+        report = self._tampered(dataset, tmp_path, mutate)
+        assert report.failures == [(ids[0], f"verification error: {raised.value}")]
+
+    def test_unlicensed_wrong_branch_step_fails(self, dataset, tmp_path):
+        # the wrong branch's last step concludes the erroneous statement, which
+        # no correct solution reaches, so only the wrong branch's replay fails
+        _, report0 = dataset
+        index = next(i for i, r in enumerate(report0.records) if r.template == "traceback")
+        ids = []
+
+        def relabel(doc):
+            step = doc["wrong_branch"][-1]
+            step["rule"] = "thales_right_angle" if step["rule"] != "thales_right_angle" else "pythagoras"
+            doc["id"] = record_content_hash(doc)
+            ids.append((doc["id"], len(doc["wrong_branch"]) - 1, step["rule"]))
+
+        report = self._tampered(dataset, tmp_path, relabel, index)
+        (rid, last, rule), = ids
+        assert report.failures == [(rid, f"wrong branch step {last}: rule {rule} does not license this step")]
+
+    def test_step_reconcluding_its_own_premise_fails(self, dataset, tmp_path):
+        # the last conclusion is established, so citing it passes the premise
+        # check; the solution still ends at the target
+        ids = []
+
+        def reconclude(doc):
+            sol = doc["formal_solutions"][0]
+            last = sol[-1]
+            sol.append({"premises": [last["conclusion"]], "rule": last["rule"], "conclusion": last["conclusion"]})
+            doc["id"] = record_content_hash(doc)
+            ids.append((doc["id"], len(sol) - 1))
+
+        report = self._tampered(dataset, tmp_path, reconclude)
+        (rid, k), = ids
+        assert report.failures == [(rid, f"solution 0 step {k}: conclusion among premises")]
+
     @pytest.mark.parametrize(
         "solutions, reason",
         [
@@ -991,6 +1061,90 @@ class TestVerifyTamperDetection:
         (_, reason), = report.failures
         assert reason == "nl_solution and connection_thinking must be null exactly when untranslated is true"
         assert calls == []
+
+
+# the functions whose failure messages ``verify`` reports
+_VERIFY_PATH = (
+    "verify",
+    "_verify_record",
+    "_replay_steps",
+    "_manifest_mismatch",
+    "_SceneChecks.__init__",
+    "_StepChecks.after_premises",
+)
+
+
+def _is_text(node: ast.AST) -> bool:
+    return isinstance(node, ast.JoinedStr) or (
+        isinstance(node, ast.Constant) and isinstance(node.value, str)
+    )
+
+
+def _pieces(node: ast.AST) -> list[str]:
+    """The literal runs of a string or f-string, without the placeholders,
+    trimmed of the spaces and colons that join them to a placeholder."""
+    values = node.values if isinstance(node, ast.JoinedStr) else [node]
+    return [v.value.strip(" :") for v in values if isinstance(v, ast.Constant) and v.value.strip(" :")]
+
+
+def _verify_messages() -> list[ast.AST]:
+    """Every failure-message literal on the ``verify`` path: returned (alone
+    or first in a tuple), assigned, or the reason of a (where, reason) pair."""
+    defs = {}
+    for node in ast.parse(Path(geoforge.pipeline.__file__).read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            defs.update((f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
+    messages = []
+    for name in _VERIFY_PATH:
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Return) and node.value is not None:
+                value = node.value.elts[0] if isinstance(node.value, ast.Tuple) else node.value
+            elif isinstance(node, ast.Assign):
+                value = node.value
+            elif isinstance(node, ast.Tuple) and len(node.elts) == 2:
+                value = node.elts[1]
+            else:
+                continue
+            if _is_text(value):
+                messages.append(value)
+    return messages
+
+
+def _test_texts() -> list[str]:
+    """The string literals of the tests (bodies and decorators of the
+    ``test_*`` functions, and module constants), this guard's own aside."""
+    texts = []
+    for path in Path(__file__).parent.glob("test_*.py"):
+        tree = ast.parse(path.read_text())
+        roots: list[ast.AST] = [n for n in tree.body if isinstance(n, ast.Assign)]
+        roots += [
+            n
+            for n in ast.walk(tree)
+            if isinstance(n, ast.FunctionDef)
+            and n.name.startswith("test_")
+            and n.name != "test_every_verify_failure_message_is_asserted"
+        ]
+        texts += [" ".join(_pieces(n)) for root in roots for n in ast.walk(root) if _is_text(n)]
+    return texts
+
+
+def test_every_verify_failure_message_is_asserted():
+    # a check whose message no test names is a check no test is shown to
+    # kill: each literal run of every message must appear in some test
+    messages = _verify_messages()
+    shown = {ast.unparse(m) for m in messages}
+    assert {"'no formal solution'", "'conclusion among premises'"} <= shown
+    assert "f'{label} step {i}: unknown rule {step.rule}'" in shown
+    assert "f'corrupt record: {exc}'" in shown
+    texts = _test_texts()
+    unasserted = [
+        ast.unparse(m)
+        for m in messages
+        if not all(any(piece in text for text in texts) for piece in _pieces(m))
+    ]
+    assert unasserted == []
 
 
 class TestVerifyWork:
