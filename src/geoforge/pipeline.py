@@ -18,9 +18,10 @@ import re
 import shutil
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import dataset
 from .constructions import (
@@ -124,6 +125,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.tau_l < 0:
             raise PipelineError("tau_l must be >= 0")
+        if self.max_paths < 1:
+            raise PipelineError("max_paths must be >= 1")
         if not 0.0 <= self.tau_r <= 1.0:
             raise PipelineError("tau_r must lie in [0, 1]")
         if not 0.0 <= self.tau_p <= 1.0:
@@ -302,16 +305,17 @@ def _process_scene(scene: Scene, config: PipelineConfig, generation: int, backen
     """Saturate once, sample every template, formulate, render, translate.
 
     The scene is registered under its id when it yields a record; a scene
-    the reasoner or the geometry rejects yields only a failure."""
-    scene_id = scene_id_of(scene)
+    the reasoner or the geometry rejects yields only a failure. Only these
+    name the scene, so only they compute its id."""
+    scene_id = cache(lambda: scene_id_of(scene))
     try:
         return _scene_records(scene, scene_id, config, generation, backend)
     except (VerifierContradictionError, GeometryError) as exc:
-        return _Batch(failures=[f"scene {scene_id}: {exc}"])
+        return _Batch(failures=[f"scene {scene_id()}: {exc}"])
 
 
 def _scene_records(
-    scene: Scene, scene_id: str, config: PipelineConfig, generation: int, backend
+    scene: Scene, scene_id: Callable[[], str], config: PipelineConfig, generation: int, backend
 ) -> _Batch:
     out = _Batch()
     graph = saturate(scene, budget=config.budget())
@@ -376,7 +380,7 @@ def _scene_records(
             try:
                 drafts.append(formulate_problem(scene, graph, material, kind))
             except OracleMismatchError as exc:
-                out.failures.append(f"scene {scene_id} target {sid}: {exc}")
+                out.failures.append(f"scene {scene_id()} target {sid}: {exc}")
                 continue
             kept += 1
             proofs += kind == "proof"
@@ -385,13 +389,13 @@ def _scene_records(
         try:
             svg = render_svg(scene)
         except RenderError as exc:
-            out.failures.append(f"scene {scene_id}: render failed: {exc}")
+            out.failures.append(f"scene {scene_id()}: render failed: {exc}")
             return out
         for draft in drafts:
-            record, _ = build_record(draft, scene, scene_id, config, generation, backend)
+            record, _ = build_record(draft, scene, scene_id(), config, generation, backend)
             out.records.append(record)
             out.diagrams[record.id] = svg
-        out.scenes[scene_id] = scene
+        out.scenes[scene_id()] = scene
     return out
 
 

@@ -68,6 +68,7 @@ class ReasoningGraph:
         self.incoming: dict[int, list[int]] = {}
         self.truncated = False
         self._transition_keys: set[tuple[tuple[int, ...], str, int]] = set()
+        self._closures: tuple[list[int], list[int], int] | None = None
 
     # construction ------------------------------------------------------
 
@@ -75,12 +76,9 @@ class ReasoningGraph:
         if self.transitions:
             raise ReasonerError("initial statements must precede derivations")
         sid = self.index.get(stmt)
-        if sid is not None:
-            return sid
-        sid = len(self.statements)
-        self.statements.append(stmt)
-        self.index[stmt] = sid
-        self.n_initial = len(self.statements)
+        if sid is None:
+            sid = self.add_statement(stmt)
+            self.n_initial = len(self.statements)
         return sid
 
     def add_statement(self, stmt: Statement) -> int:
@@ -89,6 +87,7 @@ class ReasoningGraph:
         sid = len(self.statements)
         self.statements.append(stmt)
         self.index[stmt] = sid
+        self._closures = None
         return sid
 
     def add_transition(self, premises: Sequence[int], rule: str, conclusion: int) -> bool:
@@ -104,6 +103,7 @@ class ReasoningGraph:
         self._transition_keys.add(key)
         self.incoming.setdefault(conclusion, []).append(len(self.transitions))
         self.transitions.append(Transition(*key))
+        self._closures = None
         return True
 
     # queries -----------------------------------------------------------
@@ -120,20 +120,36 @@ class ReasoningGraph:
     def incoming_transitions(self, sid: int) -> list[Transition]:
         return [self.transitions[t] for t in self.incoming.get(sid, [])]
 
-    def upstream_dependencies(self, sid: int) -> set[int]:
-        """All statements backward-reachable from ``sid``, itself included."""
+    def closures(self, sid: int) -> tuple[int, int, int]:
+        """Bitsets of statement ids: ``sid`` and what it rests on through each
+        derived statement's first derivation (first) or through every one
+        (every), and the derived statements of first that nothing concludes.
+        One ascending pass (premises precede conclusions) after each change
+        gives them for every statement."""
         if not 0 <= sid < len(self.statements):
             raise ReasonerError(f"unknown statement id {sid}")
-        seen = {sid}
-        stack = [sid]
-        while stack:
-            cur = stack.pop()
-            for t_idx in self.incoming.get(cur, ()):
-                for p in self.transitions[t_idx].premises:
-                    if p not in seen:
-                        seen.add(p)
-                        stack.append(p)
-        return seen
+        if self._closures is None:
+            first, every, underived = [], [], 0
+            for cur in range(len(self.statements)):
+                f = e = 1 << cur
+                t_idxs = self.incoming.get(cur, ())
+                for k, t_idx in enumerate(t_idxs):
+                    for p in self.transitions[t_idx].premises:
+                        e |= every[p]
+                        if k == 0 and cur >= self.n_initial:
+                            f |= first[p]
+                if not t_idxs and cur >= self.n_initial:
+                    underived |= f
+                first.append(f)
+                every.append(e)
+            self._closures = first, every, underived
+        first, every, underived = self._closures
+        return first[sid], every[sid], first[sid] & underived
+
+    def upstream_dependencies(self, sid: int) -> set[int]:
+        """All statements backward-reachable from ``sid``, itself included."""
+        every = self.closures(sid)[1]
+        return {i for i in range(sid + 1) if every >> i & 1}
 
 
 def saturate_statements(

@@ -1,16 +1,16 @@
 """Path extraction over the reasoning graph.
 
-The three GeoExplore samplers, one per thinking template, share one
-backward walk from a target to the initial premises (``_derivations``),
-which yields each distinct derivation as it reaches it. They differ only in
-the derivations they may branch over and in how many leaves they keep:
+The three GeoExplore samplers, one per thinking template, read a target's
+closures, which one ascending pass over the graph gives for every statement
+(``ReasoningGraph.closures``):
 
-- ``geo_explore`` (deductive) follows each statement's first derivation and
-  keeps the one leaf, filtered by length and premise ratio;
-- ``geo_explore_m`` (multi-solution) branches over every derivation and
-  keeps the leaves that pass both filters, up to ``max_paths``;
-- ``geo_explore_t`` (traceback) branches over every derivation of each
-  sampled erroneous statement, reads up to ``max_paths`` leaves of it, and
+- ``geo_explore`` (deductive) follows each statement's first derivation: its
+  path is the first closure, filtered by length and premise ratio;
+- ``geo_explore_m`` (multi-solution) walks every derivation backward
+  (``_derivations``), within the every closure, and keeps the leaves that
+  pass both filters, up to ``max_paths``;
+- ``geo_explore_t`` (traceback) samples erroneous statements outside the
+  target's every closure, reads up to ``max_paths`` leaves of each, and
   keeps the first that shares enough of its steps with a correct
   derivation.
 
@@ -19,7 +19,6 @@ Difficulty tiering and the formal core of each problem also live here.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass
@@ -111,11 +110,11 @@ def _finish_path(graph: ReasoningGraph, transitions: list[Transition], target: i
     return ReasoningPath(ordered, target, used, ratio)
 
 
-def _filter(path: ReasoningPath, tau_l: int, tau_r: float) -> Rejected | None:
-    if path.length < tau_l:
-        return Rejected("length", path.length, path.premise_ratio)
-    if path.premise_ratio < tau_r:
-        return Rejected("premise_ratio", path.length, path.premise_ratio)
+def _filter(length: int, ratio: float, tau_l: int, tau_r: float) -> Rejected | None:
+    if length < tau_l:
+        return Rejected("length", length, ratio)
+    if ratio < tau_r:
+        return Rejected("premise_ratio", length, ratio)
     return None
 
 
@@ -180,24 +179,22 @@ def geo_explore(
     graph: ReasoningGraph, target: int, tau_l: int, tau_r: float
 ) -> ReasoningPath | Rejected:
     """Trace ``target`` backward to the premises, following each statement's
-    first derivation (the one that introduced it into the graph).
-
-    The result either passes both filters or is returned as a Rejected
-    verdict naming the failed metric.
+    first derivation (the one that introduced it into the graph): one step per
+    derived statement of its first closure. The path either passes both
+    filters or is returned as a Rejected verdict naming the failed metric.
     """
     if graph.is_initial(target):
         raise TargetIsInitialError(f"statement {target} is an initial premise")
-
-    def first(sid: int) -> tuple[Transition]:
-        t_idxs = graph.incoming.get(sid)
-        if not t_idxs:
-            raise SamplerError(f"derived statement {sid} has no derivation")
-        return (graph.transitions[t_idxs[0]],)
-
-    # one choice per derived statement, so no cap
-    path = _finish_path(graph, next(_derivations(graph, target, first, math.inf)), target)
-    rejected = _filter(path, tau_l, tau_r)
-    return path if rejected is None else rejected
+    first, _, underived = graph.closures(target)
+    if underived:  # the highest, which a backward walk reaches first
+        raise SamplerError(f"derived statement {underived.bit_length() - 1} has no derivation")
+    used = first & ((1 << graph.n_initial) - 1)
+    ratio = used.bit_count() / graph.n_initial if graph.n_initial else 0.0
+    rejected = _filter((first ^ used).bit_count(), ratio, tau_l, tau_r)
+    return rejected or _finish_path(graph, [
+        graph.transitions[graph.incoming[sid][0]]
+        for sid in range(graph.n_initial, target + 1) if first >> sid & 1
+    ], target)
 
 
 def geo_explore_m(
@@ -215,21 +212,21 @@ def geo_explore_m(
     exhausted, ``max_paths`` filtered paths were found, or ``WORK_CAP``
     options were tried.
 
-    Every path lies inside the target's upstream cone over all derivations,
-    so when the cone holds fewer than ``tau_l`` derived statements, or too
-    few initial ones to reach ``tau_r``, no path can pass and none is built.
+    Every path lies inside the target's every closure, so when that holds
+    fewer than ``tau_l`` derived statements, or too few initial ones to reach
+    ``tau_r``, no path can pass and none is built.
     """
     if graph.is_initial(target):
         raise TargetIsInitialError(f"statement {target} is an initial premise")
-    cone = graph.upstream_dependencies(target)
-    cone_initial = sum(graph.is_initial(sid) for sid in cone)
-    best_ratio = cone_initial / graph.n_initial if graph.n_initial else 0.0
-    if len(cone) - cone_initial < tau_l or best_ratio < tau_r:
+    _, cone, _ = graph.closures(target)
+    initial = cone & ((1 << graph.n_initial) - 1)
+    best_ratio = initial.bit_count() / graph.n_initial if graph.n_initial else 0.0
+    if _filter((cone ^ initial).bit_count(), best_ratio, tau_l, tau_r) is not None:
         return []
     results: list[ReasoningPath] = []
     for leaf in _derivations(graph, target, _every_derivation(graph), WORK_CAP):
         path = _finish_path(graph, leaf, target)
-        if _filter(path, tau_l, tau_r) is None:
+        if _filter(path.length, path.premise_ratio, tau_l, tau_r) is None:
             results.append(path)
             if len(results) >= max_paths:
                 break
@@ -248,7 +245,7 @@ def geo_explore_t(
 
     ``correct`` holds the target's filtered derivations, as ``geo_explore_m``
     enumerates them. Samples erroneous statements outside the target's
-    upstream dependency cone and compares each one's derivations, up to
+    every closure and compares each one's derivations, up to
     ``max_paths`` of them, as the walk yields them; returns None when no
     sampled statement yields enough overlap.
     """
@@ -256,11 +253,9 @@ def geo_explore_t(
         raise TargetIsInitialError(f"statement {target} is an initial premise")
     if not correct:
         return None
-    upstream = graph.upstream_dependencies(target)
+    _, upstream, _ = graph.closures(target)
     candidates = [
-        sid
-        for sid in range(len(graph.statements))
-        if sid not in upstream and not graph.is_initial(sid)
+        sid for sid in range(graph.n_initial, len(graph.statements)) if not upstream >> sid & 1
     ]
     if not candidates:
         raise NoEligibleErroneousStatementError(
@@ -275,7 +270,7 @@ def geo_explore_t(
             continue
         tried.add(erroneous)
         leaves = _derivations(graph, erroneous, options, WORK_CAP)
-        for leaf in islice(leaves, max(max_paths, 1)):  # at least one, as in geo_explore_m
+        for leaf in islice(leaves, max_paths):
             wrong = _finish_path(graph, leaf, erroneous)
             wrong_set = wrong.transition_set()
             for path in correct:

@@ -145,7 +145,8 @@ class TestGenerate:
         assert PipelineConfig.from_doc(load_config(out)) == SMALL
 
     def test_each_scene_hashed_once(self, tmp_path, monkeypatch):
-        # the per-scene path names a scene once, whether or not it yields
+        # the per-scene path names a scene once when a record or a failure
+        # cites it, and never otherwise
         hashed = Counter()
 
         def counting(scene):
@@ -153,9 +154,32 @@ class TestGenerate:
             return scene_id_of(scene)
 
         monkeypatch.setattr(geoforge.pipeline, "scene_id_of", counting)
-        report = generate(dataclasses.replace(SMALL, count=10), tmp_path / "hashed")
-        assert report.count and {r.seed for r in report.records} < set(range(10))
-        assert hashed == Counter(range(10))
+        config = dataclasses.replace(SMALL, count=10)
+        report = generate(config, tmp_path / "hashed")
+        cited = {r.seed for r in report.records}
+        failed_ids = {f.split()[1].rstrip(":") for f in report.failures if f.startswith("scene ")}
+        for seed in set(range(10)) - cited:
+            if scene_id_of(geoforge.pipeline._build_scene(config, seed)) in failed_ids:
+                cited.add(seed)
+        assert report.count and cited < set(range(10))
+        assert hashed == Counter(cited)
+
+    def test_samplers_called_through_the_module_namespace(self, tmp_path, monkeypatch):
+        # the bench's tracer times these layers by replacing these names in
+        # geoforge.pipeline: a call that bypassed them would read zero time
+        names = ("saturate", "geo_explore", "geo_explore_m", "geo_explore_t", "formulate_problem")
+        called = Counter()
+        for name in names:
+
+            def counting(*args, _name=name, _fn=getattr(geoforge.pipeline, name), **kwargs):
+                called[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(geoforge.pipeline, name, counting)
+        report = generate(dataclasses.replace(SMALL, count=10), tmp_path / "traced")
+        assert report.count
+        assert set(called) == set(names)
+        assert called["saturate"] == 10
 
     def test_workers_do_not_change_output(self, tmp_path):
         cfg = dataclasses.replace(SMALL, count=6)
@@ -229,6 +253,9 @@ class TestGenerate:
             PipelineConfig(translator="quantum")
         with pytest.raises(PipelineError):
             PipelineConfig(distractor_policy="some")
+        for max_paths in (0, -3):
+            with pytest.raises(PipelineError, match="max_paths must be >= 1"):
+                PipelineConfig(max_paths=max_paths)
 
 
 class TestVerifyTamperDetection:

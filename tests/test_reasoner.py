@@ -2,6 +2,7 @@ import hashlib
 from collections import Counter
 
 import pytest
+from helpers import HAND_GRAPHS, build_graph, dummy_statement
 
 from geoforge.constructions import BASE_GENERATORS, extend_scene, generate_base_scene
 from geoforge.geometry import SceneGeometry
@@ -198,3 +199,73 @@ class TestReasoningGraph:
             graph.add_transition([3], "r", 3)
         with pytest.raises(ReasonerError):
             graph.add_transition([3], "r", 2)  # premise after conclusion
+
+
+def _reachable(graph: ReasoningGraph, sid: int, follow) -> set[int]:
+    """Statements backward-reachable from ``sid`` over ``follow(statement)``'s
+    transitions, ``sid`` included."""
+    seen, stack = {sid}, [sid]
+    while stack:
+        for t in follow(stack.pop()):
+            for p in t.premises:
+                if p not in seen:
+                    seen.add(p)
+                    stack.append(p)
+    return seen
+
+
+def _bits(ids) -> int:
+    return sum(1 << i for i in set(ids))
+
+
+def _assert_closures_brute_force(graph: ReasoningGraph) -> None:
+    def first_derivation(sid):
+        return [] if graph.is_initial(sid) else graph.incoming_transitions(sid)[:1]
+
+    for sid in range(len(graph.statements)):
+        first = _reachable(graph, sid, first_derivation)
+        every = _reachable(graph, sid, graph.incoming_transitions)
+        underived = [
+            s for s in first if not graph.is_initial(s) and not graph.incoming_transitions(s)
+        ]
+        assert graph.closures(sid) == (_bits(first), _bits(every), _bits(underived)), sid
+        assert graph.upstream_dependencies(sid) == every
+
+
+CLOSURE_GRAPHS = {
+    **{name: make for name, (make, _, _) in HAND_GRAPHS.items()},
+    # statement 1 is derived but nothing concludes it
+    "underived": lambda: build_graph(1, [([0, 1], "r", 2)]),
+    # initial statement 1 is re-derived: the every closure follows that
+    # derivation, the first closure stops at initial statements
+    "rederived_initial": lambda: build_graph(2, [([0], "r", 1), ([1], "s", 2), ([0], "t", 2)]),
+}
+
+
+class TestClosures:
+    @pytest.mark.parametrize("name", sorted(CLOSURE_GRAPHS))
+    def test_match_brute_force_on_hand_graphs(self, name):
+        _assert_closures_brute_force(CLOSURE_GRAPHS[name]())
+
+    def test_match_brute_force_on_pipeline_scenes(self):
+        config = PipelineConfig()
+        for seed in range(40):
+            _assert_closures_brute_force(
+                saturate(_build_scene(config, seed), budget=config.budget())
+            )
+
+    def test_recomputed_after_each_addition(self):
+        graph = build_graph(2, [([0], "a", 2), ([2], "b", 3)])
+        assert graph.closures(3) == (0b1101, 0b1101, 0)
+        graph.add_transition([1], "c", 2)  # a second derivation of 2
+        assert graph.closures(3) == (0b1101, 0b1111, 0)
+        four = graph.add_statement(dummy_statement(4))
+        assert graph.closures(four) == (0b10000, 0b10000, 0b10000)
+        graph.add_transition([1, 3], "d", four)
+        assert graph.closures(four) == (0b11111, 0b11111, 0)
+
+    def test_unknown_statement(self):
+        graph = build_graph(1, [([0], "r", 1)])
+        for sid in (-1, 2):
+            with pytest.raises(ReasonerError, match="unknown statement id"):
+                graph.closures(sid)

@@ -16,6 +16,9 @@ from geoforge.sampler import (
     Rejected,
     SamplerError,
     TargetIsInitialError,
+    _derivations,
+    _filter,
+    _finish_path,
     formulate_problem,
     geo_explore,
     geo_explore_m,
@@ -73,6 +76,20 @@ def _chain(n_transitions: int, n_initial: int = 4) -> ReasoningGraph:
     return build_graph(n_initial, edges)
 
 
+def _first_derivation_walk(graph, target, tau_l, tau_r):
+    """Reference for ``geo_explore``: walk the target's first derivations
+    backward, one statement at a time, then sort and filter the leaf."""
+
+    def first(sid):
+        t_idxs = graph.incoming.get(sid)
+        if not t_idxs:
+            raise SamplerError(f"derived statement {sid} has no derivation")
+        return (graph.transitions[t_idxs[0]],)
+
+    path = _finish_path(graph, next(_derivations(graph, target, first, math.inf)), target)
+    return _filter(path.length, path.premise_ratio, tau_l, tau_r) or path
+
+
 class TestGeoExplore:
     def test_full_use_chain(self):
         graph = _chain(6)
@@ -116,6 +133,20 @@ class TestGeoExplore:
         with pytest.raises(SamplerError, match="derived statement 1 has no derivation"):
             geo_explore(graph, 2, 0, 0.0)
         assert geo_explore_m(graph, 2, 0, 0.0) == []
+        # neither 1 nor 2 is concluded: the walk reaches 2, the highest, first
+        graph = build_graph(1, [([0, 1, 2], "r", 3)])
+        for tau_l in (0, 10):
+            with pytest.raises(SamplerError, match="derived statement 2 has no derivation"):
+                geo_explore(graph, 3, tau_l, 0.0)
+
+    def test_matches_first_derivation_walk_on_pipeline_scenes(self):
+        config = PipelineConfig()
+        for seed in range(200):
+            graph = saturate(_build_scene(config, seed), budget=config.budget())
+            for sid in range(graph.n_initial, len(graph.statements)):
+                for tau_l, tau_r in ((config.tau_l, config.tau_r), (0, 0.0)):
+                    expected = _first_derivation_walk(graph, sid, tau_l, tau_r)
+                    assert geo_explore(graph, sid, tau_l, tau_r) == expected, (seed, sid)
 
     def test_forward_order(self):
         graph = _chain(5)
