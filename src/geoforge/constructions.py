@@ -20,6 +20,7 @@ from typing import Callable, Container
 
 from .geometry import Coord, GeometryError, SceneGeometry
 from .statements import (
+    MalformedStatementError,
     Predicate,
     Seg,
     Statement,
@@ -271,9 +272,8 @@ def _gen_parallelogram(rng: random.Random) -> BaseDraw:
     theta = 5 * rng.randint(8, 14)  # 40..70, keeps the shape fat
     w = rng.choice([4, 5, 6])
     side = rng.choice([Fraction(5, 2), 3, Fraction(7, 2)])
-    dx, dy = float(side) * math.cos(math.radians(theta)), float(side) * math.sin(
-        math.radians(theta)
-    )
+    d = _dir(theta)
+    dx, dy = float(side) * d[0], float(side) * d[1]
     pts = {
         "A": (0.0, 0.0),
         "B": (float(w), 0.0),
@@ -295,9 +295,8 @@ def _gen_trapezoid(rng: random.Random) -> BaseDraw:
     w1 = rng.choice([5, 6, 7])
     w2 = rng.choice([Fraction(5, 2), 3, Fraction(7, 2)])
     leg = rng.choice([Fraction(5, 2), 3])
-    dx, dy = float(leg) * math.cos(math.radians(theta)), float(leg) * math.sin(
-        math.radians(theta)
-    )
+    d = _dir(theta)
+    dx, dy = float(leg) * d[0], float(leg) * d[1]
     pts = {
         "A": (0.0, 0.0),
         "B": (float(w1), 0.0),
@@ -461,28 +460,42 @@ def generate_base_scene(generator_id: str, rng_seed: int) -> Scene:
 
 # --- constructions ----------------------------------------------------------
 
+Build = tuple[tuple[Coord, ...], list[Statement], list[Seg]]
+
 
 @dataclass(frozen=True)
 class Construction:
     """A conditional scene-building step.
 
     ``bindings`` enumerates point bindings whose preconditions (including
-    numeric degeneracy pre-checks) hold, reading the scene's shared tables;
-    ``place`` proposes coordinates for the new points, or None when the draw
-    is unusable.
+    numeric degeneracy pre-checks) hold, reading the scene's shared tables.
+    ``build(scene, binding, new_labels, rng)`` places the new points and
+    returns their coordinates in ``new_labels`` order, the effects they add
+    and the segments to draw, or None when the draw is unusable.
     """
 
     id: str
     new_point_count: int
     stochastic: bool
     bindings: Callable[[Scene, _Tables], list[tuple[str, ...]]]
-    place: Callable[[Scene, tuple[str, ...], random.Random], dict[str, Coord] | None]
-    effects: Callable[[tuple[str, ...], tuple[str, ...]], list[Statement]]
-    drawn: Callable[[tuple[str, ...], tuple[str, ...]], list[Seg]]
+    build: Callable[[Scene, tuple[str, ...], tuple[str, ...], random.Random], Build | None]
 
 
 def _pt(scene: Scene, label: str) -> Coord:
     return scene.geometry.point(label)
+
+
+def _mid(scene: Scene, a: str, b: str) -> Coord:
+    pa, pb = _pt(scene, a), _pt(scene, b)
+    return ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0)
+
+
+def _projection(scene: Scene, p: str, a: str, b: str) -> tuple[float, Coord]:
+    """The parameter t along ab of p's perpendicular foot, and the foot."""
+    pa, pb, pp = _pt(scene, a), _pt(scene, b), _pt(scene, p)
+    ux, uy = pb[0] - pa[0], pb[1] - pa[1]
+    t = ((pp[0] - pa[0]) * ux + (pp[1] - pa[1]) * uy) / (ux * ux + uy * uy)
+    return t, (pa[0] + t * ux, pa[1] + t * uy)
 
 
 def _has_midpoint_statement(scene: Scene, seg: Seg) -> bool:
@@ -535,9 +548,8 @@ def _midpoint_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     return out
 
 
-def _midpoint_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
-    a, b = (_pt(scene, binding[0]), _pt(scene, binding[1]))
-    return {"new0": ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)}
+def _midpoint_build(scene: Scene, binding, new, rng) -> Build:
+    return (_mid(scene, *binding),), [midpoint(new[0], binding)], []
 
 
 def _foot_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
@@ -546,26 +558,19 @@ def _foot_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     for apex, a, b, smallest in tables.angles:
         if smallest < 10.0:
             continue
-        pa, pb, pp = _pt(scene, a), _pt(scene, b), _pt(scene, apex)
-        ux, uy = pb[0] - pa[0], pb[1] - pa[1]
-        denom = ux * ux + uy * uy
-        t = ((pp[0] - pa[0]) * ux + (pp[1] - pa[1]) * uy) / denom
+        t, foot = _projection(scene, apex, a, b)
         if not (0.12 <= t <= 0.88):
             continue
-        foot = (pa[0] + t * ux, pa[1] + t * uy)
-        if math.hypot(foot[0] - pp[0], foot[1] - pp[1]) < 4 * dmin:
+        if math.dist(foot, _pt(scene, apex)) < 4 * dmin:
             continue
         out.append((apex, a, b))
     return out
 
 
-def _foot_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
-    apex, a, b = binding
-    pa, pb, pp = _pt(scene, a), _pt(scene, b), _pt(scene, apex)
-    ux, uy = pb[0] - pa[0], pb[1] - pa[1]
-    denom = ux * ux + uy * uy
-    t = ((pp[0] - pa[0]) * ux + (pp[1] - pa[1]) * uy) / denom
-    return {"new0": (pa[0] + t * ux, pa[1] + t * uy)}
+def _foot_build(scene: Scene, binding, new, rng) -> Build:
+    (apex, a, b), (f,) = binding, new
+    effects = [perpendicular((apex, f), (a, b)), collinear(a, f, b)]
+    return (_projection(scene, apex, a, b)[1],), effects, [(apex, f)]
 
 
 def _vertex_segment_pairs(scene: Scene) -> list[tuple[str, str, str]]:
@@ -594,8 +599,8 @@ def _bisector_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     return out
 
 
-def _bisector_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
-    v, x, y = binding
+def _bisector_build(scene: Scene, binding, new, rng) -> Build | None:
+    (v, x, y), (p,) = binding, new
     pv, px, py = _pt(scene, v), _pt(scene, x), _pt(scene, y)
     ux, uy = px[0] - pv[0], px[1] - pv[1]
     wx, wy = py[0] - pv[0], py[1] - pv[1]
@@ -605,20 +610,20 @@ def _bisector_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
     if nb < 1e-9:
         return None
     dist = rng.uniform(0.45, 0.85) * min(nu, nw)
-    p = (pv[0] + dist * bx / nb, pv[1] + dist * by / nb)
-    return {"new0": p}
+    placed = (pv[0] + dist * bx / nb, pv[1] + dist * by / nb)
+    return (placed,), [equal_angles((x, v, p), (p, v, y))], [(v, p)]
 
 
 def _parallel_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     return [(p, a, b) for p, a, b, smallest in tables.angles if smallest >= 6.0]
 
 
-def _parallel_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
-    p, a, b = binding
+def _parallel_build(scene: Scene, binding, new, rng) -> Build:
+    (p, a, b), (q,) = binding, new
     pp, pa, pb = _pt(scene, p), _pt(scene, a), _pt(scene, b)
     t = rng.choice([-1.0, 1.0]) * rng.uniform(0.4, 0.9)
-    q = (pp[0] + t * (pb[0] - pa[0]), pp[1] + t * (pb[1] - pa[1]))
-    return {"new0": q}
+    placed = (pp[0] + t * (pb[0] - pa[0]), pp[1] + t * (pb[1] - pa[1]))
+    return (placed,), [parallel((p, q), (a, b))], [(p, q)]
 
 
 def _extension_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
@@ -632,23 +637,24 @@ def _extension_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
 _EXTENSION_FACTORS = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
 
 
-def _extension_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
-    a, b = binding
+def _extension_build(scene: Scene, binding, new, rng) -> Build | None:
+    (a, b), (c,) = binding, new
     pa, pb = _pt(scene, a), _pt(scene, b)
     t = float(rng.choice(_EXTENSION_FACTORS))
-    q = (pb[0] + t * (pb[0] - pa[0]), pb[1] + t * (pb[1] - pa[1]))
-    return {"new0": q}
-
-
-def _extension_effects(binding, new_points) -> list[Statement]:
-    a, b = binding
-    (c,) = new_points
-    return [collinear(a, b, c)]
+    placed = (pb[0] + t * (pb[0] - pa[0]), pb[1] + t * (pb[1] - pa[1]))
+    # most draws leave the box and are redrawn: refuse them before the effect
+    if not _inside_box(placed):
+        return None
+    return (placed,), [collinear(a, b, c)], [(b, c)]
 
 
 def _connect_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     drawn = tables.neighbours
     return [(p, q) for p, q in combinations(scene.geometry.points, 2) if q not in drawn[p]]
+
+
+def _connect_build(scene: Scene, binding, new, rng) -> Build:
+    return (), [], [binding]
 
 
 def _circumcenter_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
@@ -661,7 +667,8 @@ def _circumcenter_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...
     ]
 
 
-def _circumcenter_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
+def _circumcenter_build(scene: Scene, binding, new, rng) -> Build | None:
+    (o,) = new
     a, b, c = (_pt(scene, x) for x in binding)
     d = 2.0 * (a[0] * (b[1] - c[1]) + b[0] * (c[1] - a[1]) + c[0] * (a[1] - b[1]))
     if abs(d) < 1e-9:
@@ -669,15 +676,8 @@ def _circumcenter_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
     a2, b2, c2 = a[0] ** 2 + a[1] ** 2, b[0] ** 2 + b[1] ** 2, c[0] ** 2 + c[1] ** 2
     ox = (a2 * (b[1] - c[1]) + b2 * (c[1] - a[1]) + c2 * (a[1] - b[1])) / d
     oy = (a2 * (c[0] - b[0]) + b2 * (a[0] - c[0]) + c2 * (b[0] - a[0])) / d
-    p = (ox, oy)
-    return {"new0": p}
-
-
-def _circumcenter_effects(binding, new_points) -> list[Statement]:
-    a, b, c = binding
-    (o,) = new_points
-    sr = (o, a)
-    return [on_circle(a, o, sr), on_circle(b, o, sr), on_circle(c, o, sr)]
+    sr = (o, binding[0])
+    return ((ox, oy),), [on_circle(x, o, sr) for x in binding], [(o, x) for x in binding]
 
 
 def _median_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
@@ -688,10 +688,9 @@ def _median_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     ]
 
 
-def _median_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
-    _, a, b = binding
-    pa, pb = _pt(scene, a), _pt(scene, b)
-    return {"new0": ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0)}
+def _median_build(scene: Scene, binding, new, rng) -> Build:
+    (v, a, b), (m,) = binding, new
+    return (_mid(scene, a, b),), [midpoint(m, (a, b))], [(v, m)]
 
 
 def _reflect_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
@@ -704,11 +703,11 @@ def _reflect_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     return out
 
 
-def _reflect_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
-    p, c = binding
+def _reflect_build(scene: Scene, binding, new, rng) -> Build:
+    (p, c), (q,) = binding, new
     pp, pc = _pt(scene, p), _pt(scene, c)
-    q = (2.0 * pc[0] - pp[0], 2.0 * pc[1] - pp[1])
-    return {"new0": q}
+    placed = (2.0 * pc[0] - pp[0], 2.0 * pc[1] - pp[1])
+    return (placed,), [midpoint(c, (p, q))], [(p, q)]
 
 
 def _midsegment_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
@@ -727,13 +726,10 @@ def _midsegment_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]
     return out
 
 
-def _midsegment_place(scene: Scene, binding, rng) -> dict[str, Coord] | None:
-    apex, e1, e2 = binding
-    pa, p1, p2 = _pt(scene, apex), _pt(scene, e1), _pt(scene, e2)
-    return {
-        "new0": ((pa[0] + p1[0]) / 2.0, (pa[1] + p1[1]) / 2.0),
-        "new1": ((pa[0] + p2[0]) / 2.0, (pa[1] + p2[1]) / 2.0),
-    }
+def _midsegment_build(scene: Scene, binding, new, rng) -> Build:
+    (apex, e1, e2), (m1, m2) = binding, new
+    coords = (_mid(scene, apex, e1), _mid(scene, apex, e2))
+    return coords, [midpoint(m1, (apex, e1)), midpoint(m2, (apex, e2))], [(m1, m2)]
 
 
 CONSTRUCTIONS: tuple[Construction, ...] = (
@@ -742,93 +738,70 @@ CONSTRUCTIONS: tuple[Construction, ...] = (
         new_point_count=1,
         stochastic=False,
         bindings=_midpoint_bindings,
-        place=_midpoint_place,
-        effects=lambda b, n: [midpoint(n[0], (b[0], b[1]))],
-        drawn=lambda b, n: [],
+        build=_midpoint_build,
     ),
     Construction(
         id="perpendicular_foot",
         new_point_count=1,
         stochastic=False,
         bindings=_foot_bindings,
-        place=_foot_place,
-        effects=lambda b, n: [
-            perpendicular((b[0], n[0]), (b[1], b[2])),
-            collinear(b[1], n[0], b[2]),
-        ],
-        drawn=lambda b, n: [(b[0], n[0])],
+        build=_foot_build,
     ),
     Construction(
         id="angle_bisector_point",
         new_point_count=1,
         stochastic=True,
         bindings=_bisector_bindings,
-        place=_bisector_place,
-        effects=lambda b, n: [equal_angles((b[1], b[0], n[0]), (n[0], b[0], b[2]))],
-        drawn=lambda b, n: [(b[0], n[0])],
+        build=_bisector_build,
     ),
     Construction(
         id="parallel_through_point",
         new_point_count=1,
         stochastic=True,
         bindings=_parallel_bindings,
-        place=_parallel_place,
-        effects=lambda b, n: [parallel((b[0], n[0]), (b[1], b[2]))],
-        drawn=lambda b, n: [(b[0], n[0])],
+        build=_parallel_build,
     ),
     Construction(
         id="segment_extension",
         new_point_count=1,
         stochastic=True,
         bindings=_extension_bindings,
-        place=_extension_place,
-        effects=_extension_effects,
-        drawn=lambda b, n: [(b[1], n[0])],
+        build=_extension_build,
     ),
     Construction(
         id="connect_points",
         new_point_count=0,
         stochastic=False,
         bindings=_connect_bindings,
-        place=lambda scene, b, rng: {},
-        effects=lambda b, n: [],
-        drawn=lambda b, n: [(b[0], b[1])],
+        build=_connect_build,
     ),
     Construction(
         id="circumcenter",
         new_point_count=1,
         stochastic=False,
         bindings=_circumcenter_bindings,
-        place=_circumcenter_place,
-        effects=_circumcenter_effects,
-        drawn=lambda b, n: [(n[0], b[0]), (n[0], b[1]), (n[0], b[2])],
+        build=_circumcenter_build,
     ),
     Construction(
         id="median",
         new_point_count=1,
         stochastic=False,
         bindings=_median_bindings,
-        place=_median_place,
-        effects=lambda b, n: [midpoint(n[0], (b[1], b[2]))],
-        drawn=lambda b, n: [(b[0], n[0])],
+        build=_median_build,
     ),
     Construction(
         id="reflect_point",
         new_point_count=1,
         stochastic=False,
         bindings=_reflect_bindings,
-        place=_reflect_place,
-        effects=lambda b, n: [midpoint(b[1], (b[0], n[0]))],
-        drawn=lambda b, n: [(b[0], n[0])],
+        build=_reflect_build,
     ),
     Construction(
         id="midsegment_endpoints",
         new_point_count=2,
         stochastic=False,
         bindings=_midsegment_bindings,
-        place=_midsegment_place,
-        effects=lambda b, n: [midpoint(n[0], (b[0], b[1])), midpoint(n[1], (b[0], b[2]))],
-        drawn=lambda b, n: [(n[0], n[1])],
+        build=_midsegment_build,
     ),
 )
 
@@ -855,18 +828,17 @@ def _apply(
     attempts = PLACEMENT_ATTEMPTS if construction.stochastic else 1
     labels = tuple(_next_labels(scene.geometry.points, construction.new_point_count))
     for _ in range(attempts):
-        placed = construction.place(scene, binding, rng)
-        if placed is None:
-            continue
-        coords = {label: placed[f"new{i}"] for i, label in enumerate(labels)}
-        if not all(_inside_box(p) for p in coords.values()):
-            continue
-        geometry = scene.geometry.extended(coords)
-        statements = scene.initial_statements.copy()
         try:
-            effects = construction.effects(binding, labels)
-        except ValueError:
+            built = construction.build(scene, binding, labels, rng)
+        except MalformedStatementError:
             continue
+        if built is None:
+            continue
+        coords, effects, segments = built
+        if not all(_inside_box(p) for p in coords):
+            continue
+        geometry = scene.geometry.extended(dict(zip(labels, coords)))
+        statements = scene.initial_statements.copy()
         # the scene's own statements hold already, on points that did not move
         added = [s for s in effects if statements.add(s)]
         # degeneracies first: it refuses coincident points, on which no angle
@@ -875,20 +847,14 @@ def _apply(
             continue
         if not all(geometry.check_statement(s).holds for s in added):
             continue
-        drawn = list(scene.drawn_segments)
-        for seg in construction.drawn(binding, labels):
-            canon = _canon_seg(*seg)
-            if canon not in drawn:
-                drawn.append(canon)
-        return Scene(
-            generator=scene.generator,
-            seed=scene.seed,
+        drawn = (*scene.drawn_segments, *(_canon_seg(*seg) for seg in segments))
+        return replace(
+            scene,
             geometry=geometry,
             constructions=scene.constructions
             + (AppliedConstruction(construction.id, binding, labels),),
             initial_statements=statements,
-            drawn_segments=tuple(drawn),
-            exhausted=scene.exhausted,
+            drawn_segments=tuple(dict.fromkeys(drawn)),
         )
     return None
 
@@ -907,8 +873,7 @@ def extend_scene(scene: Scene, steps: int, rng_seed: int) -> Scene:
         candidates = applicable_constructions(current)
         applied = None
         while candidates:
-            idx = rng.randrange(len(candidates))
-            construction, binding = candidates.pop(idx)
+            construction, binding = candidates.pop(rng.randrange(len(candidates)))
             applied = _apply(current, construction, binding, rng)
             if applied is not None:
                 break

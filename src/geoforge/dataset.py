@@ -250,6 +250,13 @@ def _replacing(path: Path) -> Iterator[TextIO]:
     os.replace(tmp, path)
 
 
+def write_jsonl(path: Path, docs: Iterable[dict]) -> None:
+    """One ``_dump`` line per doc, written beside ``path`` and renamed into place."""
+    with _replacing(path) as f:
+        for doc in docs:
+            f.write(_dump(doc) + "\n")
+
+
 def write_dataset(
     out_dir: str | Path,
     records: Iterable[ProblemRecord],
@@ -266,20 +273,17 @@ def write_dataset(
     (out / "svg").mkdir(parents=True, exist_ok=True)
     (out / "manifest.jsonl").unlink(missing_ok=True)
     records = list(records)
-    with _replacing(out / "records.jsonl") as f:
-        for r in records:
-            f.write(_dump(record_to_doc(r)) + "\n")
-    with _replacing(out / "scenes.jsonl") as f:
-        for scene_id in sorted(scenes):
-            f.write(_dump({"scene_id": scene_id, "scene": scenes[scene_id].to_doc()}) + "\n")
+    write_jsonl(out / "records.jsonl", (record_to_doc(r) for r in records))
+    write_jsonl(
+        out / "scenes.jsonl",
+        ({"scene_id": sid, "scene": scenes[sid].to_doc()} for sid in sorted(scenes)),
+    )
     for record_id, svg in sorted(diagrams.items()):
         with _replacing(out / "svg" / f"{record_id}.svg") as f:
             f.write(svg)
     with _replacing(out / "config.json") as f:
         f.write(_dump(config_doc) + "\n")
-    with _replacing(out / "manifest.jsonl") as f:
-        for r in records:
-            f.write(_dump(manifest_line(r)) + "\n")
+    write_jsonl(out / "manifest.jsonl", (manifest_line(r) for r in records))
 
 
 def load_records(in_dir: str | Path) -> list[ProblemRecord]:

@@ -42,6 +42,7 @@ from .dataset import (
     record_to_doc,
     scene_id_of,
     write_dataset,
+    write_jsonl,
 )
 from .geometry import GeometryError
 from .reasoner import (
@@ -511,19 +512,25 @@ def curate_testset(in_dir: str | Path, per_tier: int, out_dir: str | Path) -> li
 
     out = Path(out_dir)
     (out / "svg").mkdir(parents=True, exist_ok=True)
-    with (out / "test.jsonl").open("w", encoding="utf-8") as f:
-        for r in chosen:
-            doc = {"id": r.id, "question": r.question, "diagram": r.diagram, "tier": r.metadata.tier}
-            f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    with (out / "key.jsonl").open("w", encoding="utf-8") as f:
-        for r in chosen:
-            doc = {
+    write_jsonl(
+        out / "test.jsonl",
+        (
+            {"id": r.id, "question": r.question, "diagram": r.diagram, "tier": r.metadata.tier}
+            for r in chosen
+        ),
+    )
+    write_jsonl(
+        out / "key.jsonl",
+        (
+            {
                 "id": r.id,
                 "tier": r.metadata.tier,
                 "exact": str(r.answer_value),
                 "approx": float(r.answer_value),
             }
-            f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+            for r in chosen
+        ),
+    )
     for r in chosen:
         src = Path(in_dir) / r.diagram
         if src.exists():
@@ -545,7 +552,8 @@ class AnswerCheck:
 
 def check_answer(predicted: str, key: float | Fraction) -> AnswerCheck:
     """Last number token of the prediction against the key, 1% relative
-    tolerance (absolute 0.01 when the key is zero)."""
+    tolerance (absolute 0.01 when the key is zero). A fraction with no float
+    value (a zero denominator, or beyond float range) is a wrong answer."""
     key_f = float(key)
     if not math.isfinite(key_f):
         raise PipelineError("answer key must be finite")
@@ -553,7 +561,10 @@ def check_answer(predicted: str, key: float | Fraction) -> AnswerCheck:
     if not tokens:
         return AnswerCheck(False, False, None)
     token = tokens[-1]
-    value = float(Fraction(token)) if "/" in token else float(token)
+    try:
+        value = float(Fraction(token)) if "/" in token else float(token)
+    except (ZeroDivisionError, OverflowError):
+        return AnswerCheck(False, True, None)
     if key_f == 0.0:
         correct = abs(value) <= 0.01
     else:

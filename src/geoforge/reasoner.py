@@ -146,11 +146,6 @@ class ReasoningGraph:
         first, every, underived = self._closures
         return first[sid], every[sid], first[sid] & underived
 
-    def upstream_dependencies(self, sid: int) -> set[int]:
-        """All statements backward-reachable from ``sid``, itself included."""
-        every = self.closures(sid)[1]
-        return {i for i in range(sid + 1) if every >> i & 1}
-
 
 def saturate_statements(
     geometry: SceneGeometry,

@@ -100,6 +100,13 @@ HAND_GRAPHS = {
 }
 
 
+def every_closure(graph: ReasoningGraph, sid: int) -> set[int]:
+    """The statement ids of ``sid``'s every closure: ``sid`` and all it is
+    backward-reachable from over every derivation."""
+    every = graph.closures(sid)[1]
+    return {i for i in range(every.bit_length()) if every >> i & 1}
+
+
 def brute_force_paths(graph: ReasoningGraph, target: int) -> set[frozenset[Transition]]:
     """Exhaustive enumeration over global per-statement derivation choices.
 

@@ -21,7 +21,7 @@ from geoforge.constructions import (
     generate_base_scene,
     scene_from_doc,
 )
-from geoforge.geometry import Coord, DegenerateMeasurementError, SceneGeometry
+from geoforge.geometry import Coord, DegenerateMeasurementError, GeometryError, SceneGeometry
 from geoforge.pipeline import PipelineConfig, _build_scene
 from geoforge.statements import (
     Predicate,
@@ -36,7 +36,12 @@ from geoforge.statements import (
 def _placed_at(construction_id, point):
     """The construction, placing its one new point at ``point``."""
     construction = next(c for c in CONSTRUCTIONS if c.id == construction_id)
-    return dataclasses.replace(construction, place=lambda scene, binding, rng: {"new0": point})
+
+    def build(scene, binding, new_labels, rng):
+        _, effects, drawn = construction.build(scene, binding, new_labels, rng)
+        return (point,), effects, drawn
+
+    return dataclasses.replace(construction, build=build)
 
 
 class TestBaseGenerators:
@@ -185,6 +190,47 @@ class TestApplicability:
         monkeypatch.setattr(SceneGeometry, "angle_deg", raising(RuntimeError("kernel fault")))
         with pytest.raises(RuntimeError, match="kernel fault"):
             constructions._bisector_bindings(scene, tables)
+
+
+class TestBuild:
+    def test_effects_hold_at_the_build_placement(self):
+        # without this, a wrong coordinate would only show as a placement
+        # that _apply silently refuses
+        checked = {c.id: 0 for c in CONSTRUCTIONS}
+        scenes = [
+            extend_scene(generate_base_scene(generator, seed), 2, seed)
+            for generator in sorted(BASE_GENERATORS)
+            for seed in range(5)
+        ]
+        for scene in scenes:
+            for construction, binding in applicable_constructions(scene):
+                count = construction.new_point_count
+                labels = tuple(constructions._next_labels(scene.geometry.points, count))
+                built = construction.build(scene, binding, labels, random.Random(0))
+                if built is None:
+                    continue
+                coords, effects, _ = built
+                assert len(coords) == count, (construction.id, binding)
+                geometry = scene.geometry.extended(dict(zip(labels, coords)))
+                for effect in effects:
+                    verdict = geometry.check_statement(effect)
+                    assert verdict.holds, (scene.generator, scene.seed, binding, effect)
+                checked[construction.id] += 1
+        assert all(checked.values()), checked
+
+    def test_apply_refuses_malformed_effects_and_propagates_kernel_faults(self):
+        scene = generate_base_scene("scalene_triangle", 2)
+        midpoint_of = next(c for c in CONSTRUCTIONS if c.id == "midpoint")
+
+        def degenerate_effect(scene, binding, new_labels, rng):
+            a, _ = binding
+            return ((5.0, 5.0),), [midpoint(new_labels[0], (a, a))], []
+
+        malformed = dataclasses.replace(midpoint_of, build=degenerate_effect)
+        assert _apply(scene, malformed, ("A", "B"), random.Random(0)) is None
+        # a placement reading a point the scene lacks is a fault, not a bad draw
+        with pytest.raises(GeometryError):
+            _apply(scene, midpoint_of, ("A", "Z"), random.Random(0))
 
 
 class TestSerialization:

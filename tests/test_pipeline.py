@@ -1386,6 +1386,8 @@ class TestCheckAnswer:
         ("0.01", 0.0, True),  # zero-key absolute boundary
         ("0.011", 0.0, False),
         ("120", 7.0, False),
+        ("answer 3/0", 5.0, False),  # a zero denominator names no number
+        ("1" + "0" * 400 + "/1", 5.0, False),  # beyond float range
     ]
 
     @pytest.mark.parametrize("predicted,key,expected", CASES)
@@ -1395,6 +1397,10 @@ class TestCheckAnswer:
     def test_no_number_flag(self):
         result = check_answer("i cannot solve this", 3.0)
         assert result == AnswerCheck(False, False, None)
+
+    def test_fraction_without_a_float_value_is_a_wrong_answer(self):
+        for predicted in ("answer 3/0", "1" + "0" * 400 + "/1"):
+            assert check_answer(predicted, 5) == AnswerCheck(False, True, None)
 
     def test_fraction_key(self):
         assert check_answer("0.5", Fraction(1, 2)).correct

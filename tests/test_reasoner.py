@@ -2,7 +2,7 @@ import hashlib
 from collections import Counter
 
 import pytest
-from helpers import HAND_GRAPHS, build_graph, dummy_statement
+from helpers import HAND_GRAPHS, build_graph, dummy_statement, every_closure
 
 from geoforge.constructions import BASE_GENERATORS, extend_scene, generate_base_scene
 from geoforge.geometry import SceneGeometry
@@ -166,7 +166,7 @@ class TestReasoningGraph:
 
     def test_upstream_initial_is_itself(self):
         graph, (a, b, c, d) = self.make_diamond()
-        assert graph.upstream_dependencies(a) == {a}
+        assert every_closure(graph, a) == {a}
 
     def test_upstream_linear_chain(self):
         graph = ReasoningGraph()
@@ -175,7 +175,7 @@ class TestReasoningGraph:
         c = graph.add_statement(segment_length(("E", "F"), 3))
         graph.add_transition([a], "r", b)
         graph.add_transition([b], "r", c)
-        assert graph.upstream_dependencies(c) == {a, b, c}
+        assert every_closure(graph, c) == {a, b, c}
 
     def test_upstream_diamond_union(self):
         # brute-force DFS oracle on the hand-built diamond
@@ -189,7 +189,7 @@ class TestReasoningGraph:
                         brute(p, acc)
             return acc
 
-        assert graph.upstream_dependencies(d) == brute(d, set()) == {a, b, c, d}
+        assert every_closure(graph, d) == brute(d, set()) == {a, b, c, d}
 
     def test_infrastructure_invariants(self):
         graph, _ = self.make_diamond()
@@ -229,7 +229,6 @@ def _assert_closures_brute_force(graph: ReasoningGraph) -> None:
             s for s in first if not graph.is_initial(s) and not graph.incoming_transitions(s)
         ]
         assert graph.closures(sid) == (_bits(first), _bits(every), _bits(underived)), sid
-        assert graph.upstream_dependencies(sid) == every
 
 
 CLOSURE_GRAPHS = {

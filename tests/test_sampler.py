@@ -3,7 +3,7 @@ import hashlib
 import math
 
 import pytest
-from helpers import HAND_GRAPHS, brute_force_paths, build_graph, diamond_graph
+from helpers import HAND_GRAPHS, brute_force_paths, build_graph, diamond_graph, every_closure
 
 from geoforge.constructions import ConstructionError, generate_base_scene
 from geoforge.geometry import SceneGeometry
@@ -213,7 +213,7 @@ class TestGeoExploreM:
                 every = geo_explore_m(graph, target, 0, 0.0, max_paths=10**6)
                 passing = [p for p in every if p.length >= 5 and p.premise_ratio >= 0.5]
                 assert geo_explore_m(graph, target, 5, 0.5, max_paths=10**6) == passing
-                cone = graph.upstream_dependencies(target)
+                cone = every_closure(graph, target)
                 initial = sum(graph.is_initial(sid) for sid in cone)
                 if len(cone) - initial < 5 or initial / graph.n_initial < 0.5:
                     ruled_out += 1
@@ -278,7 +278,7 @@ class TestGeoExploreT:
             if record is None:
                 continue
             assert record.overlap >= 0.4
-            upstream_ids = graph.upstream_dependencies(3)
+            upstream_ids = every_closure(graph, 3)
             assert record.wrong_branch.target not in upstream_ids
 
 
