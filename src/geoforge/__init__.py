@@ -38,7 +38,6 @@ from .sampler import (
 from .statements import (
     Predicate,
     Statement,
-    StatementSet,
     canonicalize,
     parse_statement,
     serialize_statement,

@@ -7,10 +7,10 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 from .dataset import load_records
 from .pipeline import (
-    InsufficientRecordsError,
     PipelineConfig,
     PipelineError,
     bootstrap,
@@ -68,11 +68,7 @@ def _cmd_bootstrap(args: argparse.Namespace) -> int:
 
 
 def _cmd_curate(args: argparse.Namespace) -> int:
-    try:
-        chosen = curate_testset(args.in_dir, args.per_tier, args.out)
-    except InsufficientRecordsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    chosen = curate_testset(args.in_dir, args.per_tier, args.out)
     print(f"curated {len(chosen)} test records to {args.out}")
     return 0
 
@@ -95,21 +91,33 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    keys: dict[str, tuple[float, int | None]] = {}
-    for line in Path(args.key).read_text(encoding="utf-8").splitlines():
+def _jsonl_objects(path: str, *fields: str) -> Iterator[dict]:
+    """Each non-blank line of ``path`` as a JSON object whose ``fields`` hold
+    strings; any other line raises ``PipelineError`` naming it."""
+    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        doc = json.loads(line)
+        try:
+            doc = json.loads(line)
+        except ValueError as exc:
+            raise PipelineError(f"{path} line {n}: not JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise PipelineError(f"{path} line {n}: not a JSON object")
+        for field in fields:
+            if not isinstance(doc.get(field), str):
+                raise PipelineError(f"{path} line {n}: {field!r} is not a string")
+        yield doc
+
+
+def _cmd_check(args: argparse.Namespace) -> int:
+    keys: dict[str, tuple[float, int | None]] = {}
+    for doc in _jsonl_objects(args.key, "id"):
         value = Fraction(doc["exact"]) if doc.get("exact") else doc["approx"]
         keys[doc["id"]] = (value, doc.get("tier"))
     correct = 0
     total = 0
     by_tier: dict[int | None, list[int]] = {}
-    for line in Path(args.pred).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        doc = json.loads(line)
+    for doc in _jsonl_objects(args.pred, "id", "prediction"):
         key = keys.get(doc["id"])
         if key is None:
             continue
@@ -182,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PipelineError as exc:
+    except (PipelineError, OSError) as exc:  # OSError: a missing input file or directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,7 +24,6 @@ from .statements import (
     Predicate,
     Seg,
     Statement,
-    StatementSet,
     angle_measure,
     collinear,
     equal_angles,
@@ -68,16 +67,16 @@ class AppliedConstruction:
 class Scene:
     """A numerically instantiated scene plus its construction history.
 
-    ``initial_statements`` is the deduplicated union of every construction
-    effect (the problem premises S0). Replaying the same seeds reproduces
-    the scene bit-exactly.
+    ``initial_statements`` is the union of every construction effect (the
+    problem premises S0), a dict whose keys keep construction order.
+    Replaying the same seeds reproduces the scene bit-exactly.
     """
 
     generator: str
     seed: int
     geometry: SceneGeometry
     constructions: tuple[AppliedConstruction, ...]
-    initial_statements: StatementSet
+    initial_statements: dict[Statement, None]
     drawn_segments: tuple[Seg, ...]
     exhausted: bool = False
 
@@ -120,9 +119,7 @@ def scene_from_doc(doc: dict, parse=None) -> Scene:
             AppliedConstruction(c["id"], tuple(c["binding"]), tuple(c["new_points"]))
             for c in doc["constructions"]
         ),
-        initial_statements=StatementSet(
-            parse(t, known) for t in doc["initial_statements"]
-        ),
+        initial_statements=dict.fromkeys(parse(t, known) for t in doc["initial_statements"]),
         drawn_segments=tuple((a, b) for a, b in doc["drawn_segments"]),
         exhausted=doc.get("exhausted", False),
     )
@@ -444,7 +441,7 @@ def generate_base_scene(generator_id: str, rng_seed: int) -> Scene:
         if fitted is None:
             continue
         geometry = SceneGeometry(fitted)
-        statements = StatementSet(stmts)
+        statements = dict.fromkeys(stmts)
         if not geometry.check_scene(statements).valid:
             continue
         return Scene(
@@ -838,13 +835,14 @@ def _apply(
         if not all(_inside_box(p) for p in coords):
             continue
         geometry = scene.geometry.extended(dict(zip(labels, coords)))
-        statements = scene.initial_statements.copy()
-        # the scene's own statements hold already, on points that did not move
-        added = [s for s in effects if statements.add(s)]
+        statements = scene.initial_statements | dict.fromkeys(effects)
         # degeneracies first: it refuses coincident points, on which no angle
         # of the new effects can be measured
         if geometry.degeneracies(statements):
             continue
+        # the merge appended only the new effects, in order; the scene's own
+        # statements hold already, on points that did not move
+        added = islice(statements, len(scene.initial_statements), None)
         if not all(geometry.check_statement(s).holds for s in added):
             continue
         drawn = (*scene.drawn_segments, *(_canon_seg(*seg) for seg in segments))

@@ -276,12 +276,10 @@ class SceneGeometry:
             pred = s.predicate
             if pred in (Predicate.ANGLE_MEASURE, Predicate.RIGHT_ANGLE):
                 tris.add(tuple(sorted(s.groups[0])))
-            elif pred is Predicate.EQUAL_ANGLES:
-                tris.add(tuple(sorted(s.groups[0])))
-                tris.add(tuple(sorted(s.groups[1])))
-            elif pred in (Predicate.CONGRUENT_TRIANGLES, Predicate.SIMILAR_TRIANGLES):
-                tris.add(tuple(sorted(s.groups[0])))
-                tris.add(tuple(sorted(s.groups[1])))
+            elif pred in (
+                Predicate.EQUAL_ANGLES, Predicate.CONGRUENT_TRIANGLES, Predicate.SIMILAR_TRIANGLES
+            ):
+                tris.update(tuple(sorted(g)) for g in s.groups)
         return tris
 
     def degeneracies(self, statements: Iterable[Statement]) -> list[str]:

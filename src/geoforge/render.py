@@ -34,14 +34,10 @@ def _fmt(x: float) -> str:
 
 
 def _referenced_segments(scene: Scene) -> list[tuple[str, str]]:
-    segs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
+    segs: dict[tuple[str, str], None] = {}
 
     def add(a: str, b: str) -> None:
-        seg = (a, b) if a < b else (b, a)
-        if seg not in seen:
-            seen.add(seg)
-            segs.append(seg)
+        segs[(a, b) if a < b else (b, a)] = None
 
     for seg in scene.drawn_segments:
         add(*seg)
@@ -79,21 +75,18 @@ def _referenced_segments(scene: Scene) -> list[tuple[str, str]]:
                 key=lambda seg: scene.geometry.distance(*seg),
             )
             add(*best)
-    return segs
+    return list(segs)
 
 
 def _circles(scene: Scene) -> list[tuple[str, float]]:
-    out: list[tuple[str, float]] = []
-    seen: set[tuple[str, float]] = set()
+    # the first radius drawn for each (center, rounded radius)
+    out: dict[tuple[str, float], tuple[str, float]] = {}
     for s in scene.initial_statements:
         if s.predicate is Predicate.ON_CIRCLE:
             center = s.groups[1][0]
             radius = scene.geometry.distance(*s.groups[2])
-            key = (center, round(radius, 9))
-            if key not in seen:
-                seen.add(key)
-                out.append((center, radius))
-    return out
+            out.setdefault((center, round(radius, 9)), (center, radius))
+    return list(out.values())
 
 
 _PROBE_DIRECTIONS = [

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class StatementError(ValueError):
@@ -104,7 +104,7 @@ class Statement:
     ``groups`` follows the per-predicate shape in ``_SHAPES`` (e.g. two
     2-point groups for segment pairs). ``value`` is present exactly for the
     value-bearing predicates; ``value=None`` on those denotes a query form
-    (the "find this" slot) and never appears inside a StatementSet.
+    (the "find this" slot) and never appears in a scene's premise dict.
     """
 
     predicate: Predicate
@@ -311,53 +311,6 @@ def parse_statement(text: str, known_points: Iterable[str] | None = None) -> Sta
     if pos != len(text):
         raise ParseError(text, pos, ("end of input",))
     return canonicalize(Statement(pred, tuple(groups), value))
-
-
-class StatementSet:
-    """Deduplicated canonical statements with stable insertion order.
-
-    Membership is O(1); iteration follows insertion order. Treated as
-    immutable once a scene or graph hands it out.
-    """
-
-    __slots__ = ("_members", "_items")
-
-    def __init__(self, items: Iterable[Statement] = ()):
-        self._members: set[Statement] = set()
-        self._items: list[Statement] = []
-        for s in items:
-            self.add(s)
-
-    def add(self, s: Statement) -> bool:
-        """Insert ``s``; returns True when it was not already present."""
-        if s in self._members:
-            return False
-        self._members.add(s)
-        self._items.append(s)
-        return True
-
-    def __contains__(self, s: object) -> bool:
-        return s in self._members
-
-    def __iter__(self) -> Iterator[Statement]:
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StatementSet):
-            return NotImplemented
-        return self._items == other._items
-
-    def __repr__(self) -> str:
-        return f"StatementSet({len(self._items)} statements)"
-
-    def copy(self) -> "StatementSet":
-        clone = StatementSet()
-        clone._members = self._members.copy()  # reuses the stored hashes
-        clone._items = self._items.copy()
-        return clone
 
 
 Seg = tuple[str, str]

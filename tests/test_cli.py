@@ -96,3 +96,42 @@ class TestCli:
         code = main(["curate", "--in", str(run_dir), "--out", str(tmp_path / "s"), "--per-tier", "999"])
         assert code == 1
         assert "need 999" in capsys.readouterr().err
+
+
+class TestCliInputErrors:
+    """Bad input files end in one ``error:`` line and exit 1, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "pred_line, reason",
+        [
+            ('{"id": "x1", "prediction": 3}', "'prediction' is not a string"),
+            ('{"prediction": "3"}', "'id' is not a string"),
+            ('{"id": "x1", "prediction": ', "not JSON: "),
+        ],
+        ids=["numeric_prediction", "no_id", "not_json"],
+    )
+    def test_check_bad_prediction_line(self, pred_line, reason, tmp_path, capsys):
+        key = tmp_path / "key.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        key.write_text(json.dumps({"id": "x1", "exact": "5", "approx": 5.0, "tier": 1}) + "\n")
+        pred.write_text(json.dumps({"id": "x1", "prediction": "5"}) + "\n" + pred_line + "\n")
+        assert main(["check", "--pred", str(pred), "--key", str(key)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pred} line 2: {reason}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--in", "{missing}"],
+            ["curate", "--in", "{missing}", "--out", "{out}", "--per-tier", "1"],
+            ["bootstrap", "--in", "{missing}", "--out", "{out}"],
+        ],
+        ids=["stats", "curate", "bootstrap"],
+    )
+    def test_missing_dataset(self, argv, tmp_path, capsys):
+        paths = {"missing": tmp_path / "missing", "out": tmp_path / "out"}
+        assert main([a.format(**paths) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(paths["missing"]) in err
+        assert err.count("\n") == 1
+        assert not paths["out"].exists()

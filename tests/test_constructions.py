@@ -131,6 +131,54 @@ class TestExtension:
         (new,) = applied.constructions[-1].new_points
         assert midpoint(new, (a, b)) in applied.initial_statements
 
+    def test_repeated_effects_are_added_once_in_effect_order(self, monkeypatch):
+        scene = generate_base_scene("isosceles_triangle", 7)
+        halves = equal_segments(("B", "D"), ("D", "C"))
+        effects = [
+            halves,
+            parse_statement("eq_seg(C,A;B,A)"),  # a premise, spelled otherwise
+            midpoint("D", ("B", "C")),
+            parse_statement("eq_seg(C,D;D,B)"),  # ``halves`` again
+            midpoint("D", ("C", "B")),
+        ]
+        midpoint_of = next(c for c in CONSTRUCTIONS if c.id == "midpoint")
+
+        def build(scene, binding, new_labels, rng):
+            assert new_labels == ("D",)
+            coords, _, drawn = midpoint_of.build(scene, binding, new_labels, rng)
+            return coords, effects, drawn
+
+        checked = []
+        check_statement = SceneGeometry.check_statement
+
+        def recording(self, s):
+            checked.append(s)
+            return check_statement(self, s)
+
+        monkeypatch.setattr(SceneGeometry, "check_statement", recording)
+        construction = dataclasses.replace(midpoint_of, build=build)
+        applied = _apply(scene, construction, ("B", "C"), random.Random(0))
+        added = [halves, midpoint("D", ("B", "C"))]
+        assert list(applied.initial_statements) == [*scene.initial_statements, *added]
+        # only the new statements are checked numerically
+        assert checked == added
+
+    def test_parent_premises_are_left_unchanged(self):
+        scene = generate_base_scene("isosceles_triangle", 7)
+        before = list(scene.initial_statements)
+        midpoint_of = next(c for c in CONSTRUCTIONS if c.id == "midpoint")
+        applied = _apply(scene, midpoint_of, ("B", "C"), random.Random(0))
+        extended = extend_scene(scene, 3, 42)
+        assert list(scene.initial_statements) == before
+        assert len(applied.initial_statements) > len(before)
+        assert len(extended.initial_statements) > len(before)
+
+    def test_premise_found_under_another_spelling(self):
+        s0 = generate_base_scene("isosceles_triangle", 7).initial_statements
+        assert parse_statement("eq_seg(C,A;B,A)") in s0
+        assert parse_statement("eq_angle(A,C,B;A,B,C)") in s0
+        assert parse_statement("seg_len(C,B;3)") in s0
+
     def test_placement_onto_an_existing_point_is_refused(self):
         # the bisector's new effect measures angles at its vertex, which a
         # point placed onto the vertex would leave without a ray

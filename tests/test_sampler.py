@@ -25,7 +25,7 @@ from geoforge.sampler import (
     geo_explore_t,
     tier_of,
 )
-from geoforge.statements import StatementSet, angle_measure
+from geoforge.statements import angle_measure
 from geoforge.translate import TemplateBackend
 
 
@@ -403,7 +403,7 @@ class TestFormulate:
         # a scene whose premises are the hand-built graph's initial statements
         scene = generate_base_scene("isosceles_triangle", 1)
         scene = dataclasses.replace(
-            scene, initial_statements=StatementSet(graph.stmt(i) for i in graph.initial_ids())
+            scene, initial_statements=dict.fromkeys(graph.stmt(i) for i in graph.initial_ids())
         )
         paths = geo_explore_m(graph, 4, 0, 0.0)
         draft = formulate_problem(scene, graph, paths, "proof")

@@ -11,7 +11,6 @@ from geoforge.statements import (
     ParseError,
     Predicate,
     Statement,
-    StatementSet,
     UnknownPointError,
     UnknownPredicateError,
     _LABELS as LEGAL_LABELS,
@@ -218,33 +217,3 @@ class TestProperties:
         text = serialize_statement(s)
         assert text.isascii()
         assert "\n" not in text
-
-
-class TestStatementSet:
-    def test_dedup_and_order(self):
-        s1 = equal_segments(("A", "B"), ("C", "D"))
-        s2 = parse_statement("eq_seg(C,D;A,B)")
-        ss = StatementSet([s1, collinear("A", "B", "C"), s2])
-        assert len(ss) == 2
-        assert list(ss)[0] == s1
-
-    def test_membership(self):
-        s = right_angle(("A", "B", "C"))
-        ss = StatementSet([s])
-        assert s in ss
-        assert parse_statement("right_angle(C,B,A)") in ss
-
-    def test_copy_is_equal_and_independent(self):
-        s1, s2, s3, s4 = (
-            equal_segments(("A", "B"), ("C", "D")),
-            collinear("A", "B", "C"),
-            right_angle(("A", "B", "C")),
-            parallel(("A", "B"), ("C", "D")),
-        )
-        original = StatementSet([s1, s2])
-        clone = original.copy()
-        assert clone == original and list(clone) == [s1, s2]
-        assert clone.add(s3) and not clone.add(s1)
-        assert s3 not in original and list(original) == [s1, s2]
-        assert original.add(s4)
-        assert s4 not in clone and list(clone) == [s1, s2, s3]
