@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .dataset import load_records
+from .dataset import CorruptRecordError, load_records, read_jsonl
 from .pipeline import (
     PipelineConfig,
     PipelineError,
@@ -22,29 +23,23 @@ from .pipeline import (
 )
 
 
-def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
+def _load_config(args: argparse.Namespace) -> PipelineConfig:
+    """``--config``, then every flag given whose dest is a config field."""
     doc = {}
-    if path:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    doc.update({k: v for k, v in overrides.items() if v is not None})
+    if args.config:
+        try:
+            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise PipelineError(f"{args.config}: not JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise PipelineError(f"{args.config}: not a JSON object")
+    names = {f.name for f in dataclasses.fields(PipelineConfig)}
+    doc.update({k: v for k, v in vars(args).items() if k in names and v is not None})
     return PipelineConfig.from_doc(doc)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    config = _load_config(
-        args.config,
-        {
-            "seed_start": args.seed_start,
-            "count": args.count,
-            "tau_l": args.tau_l,
-            "tau_r": args.tau_r,
-            "translator": args.translator,
-            "llm_endpoint": args.llm_endpoint,
-            "llm_model": args.llm_model,
-            "workers": args.workers,
-        },
-    )
-    report = generate(config, args.out)
+    report = generate(_load_config(args), args.out)
     print(f"wrote {report.count} records to {args.out}")
     for failure in report.failures:
         print(f"skipped: {failure}", file=sys.stderr)
@@ -52,13 +47,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bootstrap(args: argparse.Namespace) -> int:
-    overrides = {
-        "bootstrap_quantile": args.quantile,
-        "bootstrap_extra_steps": args.extra_steps,
-        "bootstrap_iterations": args.iterations,
-    }
-    config = _load_config(args.config, overrides)
-    report = bootstrap(config, args.in_dir, args.out)
+    report = bootstrap(_load_config(args), args.in_dir, args.out)
     generations = sorted({r.metadata.bootstrap_generation for r in report.records})
     label = ",".join(map(str, generations)) or "?"
     print(f"wrote {report.count} generation-{label} records to {args.out}")
@@ -91,33 +80,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _jsonl_objects(path: str, *fields: str) -> Iterator[dict]:
-    """Each non-blank line of ``path`` as a JSON object whose ``fields`` hold
-    strings; any other line raises ``PipelineError`` naming it."""
-    for n, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except ValueError as exc:
-            raise PipelineError(f"{path} line {n}: not JSON: {exc}") from None
+def _jsonl_objects(path: str, *fields: str) -> Iterator[tuple[int, dict]]:
+    """Each non-blank line of ``path``, with its number, as a JSON object
+    whose ``fields`` hold strings; any other line raises naming it."""
+    for n, doc in read_jsonl(path):
         if not isinstance(doc, dict):
             raise PipelineError(f"{path} line {n}: not a JSON object")
         for field in fields:
             if not isinstance(doc.get(field), str):
                 raise PipelineError(f"{path} line {n}: {field!r} is not a string")
-        yield doc
+        yield n, doc
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
     keys: dict[str, tuple[float, int | None]] = {}
-    for doc in _jsonl_objects(args.key, "id"):
-        value = Fraction(doc["exact"]) if doc.get("exact") else doc["approx"]
+    for n, doc in _jsonl_objects(args.key, "id"):
+        try:
+            value = float(Fraction(doc["exact"]) if doc.get("exact") else doc["approx"])
+        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise PipelineError(f"{args.key} line {n}: no numeric answer: {exc}") from exc
         keys[doc["id"]] = (value, doc.get("tier"))
     correct = 0
     total = 0
     by_tier: dict[int | None, list[int]] = {}
-    for doc in _jsonl_objects(args.pred, "id", "prediction"):
+    for _, doc in _jsonl_objects(args.pred, "id", "prediction"):
         key = keys.get(doc["id"])
         if key is None:
             continue
@@ -148,13 +134,13 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("generate", help="generate a dataset")
     p.add_argument("--config", help="JSON file with PipelineConfig fields")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed-start", type=int, dest="seed_start")
+    p.add_argument("--seed-start", type=int)
     p.add_argument("--count", type=int)
-    p.add_argument("--tau-l", type=int, dest="tau_l")
-    p.add_argument("--tau-r", type=float, dest="tau_r")
+    p.add_argument("--tau-l", type=int)
+    p.add_argument("--tau-r", type=float)
     p.add_argument("--translator", choices=["template", "external"])
-    p.add_argument("--llm-endpoint", dest="llm_endpoint")
-    p.add_argument("--llm-model", dest="llm_model")
+    p.add_argument("--llm-endpoint")
+    p.add_argument("--llm-model")
     p.add_argument("--workers", type=int)
     p.set_defaults(func=_cmd_generate)
 
@@ -162,9 +148,9 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--config", help="JSON file with PipelineConfig fields")
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--quantile", type=float)
-    p.add_argument("--extra-steps", type=int, dest="extra_steps")
-    p.add_argument("--iterations", type=int)
+    p.add_argument("--quantile", type=float, dest="bootstrap_quantile")
+    p.add_argument("--extra-steps", type=int, dest="bootstrap_extra_steps")
+    p.add_argument("--iterations", type=int, dest="bootstrap_iterations")
     p.set_defaults(func=_cmd_bootstrap)
 
     p = sub.add_parser("curate", help="cut a tiered numeric-answer test split")
@@ -190,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineError, OSError) as exc:  # OSError: a missing input file or directory
+    except (PipelineError, CorruptRecordError, OSError) as exc:  # OSError: a missing input
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

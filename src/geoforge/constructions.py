@@ -499,9 +499,9 @@ def _has_midpoint_statement(scene: Scene, seg: Seg) -> bool:
     return _canon_seg(*seg) in scene.midpoint_segments
 
 
-def _non_collinear(scene: Scene, a: str, b: str, c: str, margin_deg: float = 8.0) -> bool:
+def _non_collinear(scene: Scene, a: str, b: str, c: str) -> bool:
     smallest = scene.geometry.min_angle_deg(a, b, c)
-    return smallest is not None and smallest >= margin_deg
+    return smallest is not None and smallest >= 12.0
 
 
 def _inside_box(p: Coord) -> bool:
@@ -660,7 +660,7 @@ def _circumcenter_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...
         (a, b, c)
         for a, b, c in combinations(scene.geometry.points, 3)
         if b in drawn[a] and c in drawn[b] and c in drawn[a]
-        and _non_collinear(scene, a, b, c, 12.0)
+        and _non_collinear(scene, a, b, c)
     ]
 
 
@@ -713,7 +713,7 @@ def _midsegment_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]
     for a, b, c in combinations(scene.geometry.points, 3):
         for apex, e1, e2 in ((a, b, c), (b, a, c), (c, a, b)):
             if e1 in drawn[apex] and e2 in drawn[apex]:
-                if not _non_collinear(scene, apex, e1, e2, 12.0):
+                if not _non_collinear(scene, apex, e1, e2):
                     continue
                 if _has_midpoint_statement(scene, (apex, e1)) or _has_midpoint_statement(
                     scene, (apex, e2)

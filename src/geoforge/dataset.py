@@ -286,18 +286,29 @@ def write_dataset(
     write_jsonl(out / "manifest.jsonl", (manifest_line(r) for r in records))
 
 
-def load_records(in_dir: str | Path) -> list[ProblemRecord]:
-    path = Path(in_dir) / "records.jsonl"
-    records = []
-    parsed: dict[str, Statement] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """``(line number, decoded value)`` for each non-blank line of ``path``.
+    A line that is not UTF-8 JSON raises ``CorruptRecordError`` naming the
+    file and line."""
+    for n, line in enumerate(Path(path).read_bytes().splitlines(), 1):
         if not line.strip():
             continue
         try:
             doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorruptRecordError(f"line {line_no}: {exc}") from exc
-        records.append(record_from_doc(doc, parsed))
+        except ValueError as exc:
+            raise CorruptRecordError(f"{path} line {n}: not JSON: {exc}") from exc
+        yield n, doc
+
+
+def load_records(in_dir: str | Path) -> list[ProblemRecord]:
+    path = Path(in_dir) / "records.jsonl"
+    records = []
+    parsed: dict[str, Statement] = {}
+    for n, doc in read_jsonl(path):
+        try:
+            records.append(record_from_doc(doc, parsed))
+        except CorruptRecordError as exc:
+            raise CorruptRecordError(f"{path} line {n}: {exc}") from exc
     return records
 
 
@@ -317,14 +328,11 @@ def load_scenes(in_dir: str | Path, parsed: dict | None = None) -> dict[str, Sce
         return stmt
 
     scenes: dict[str, Scene] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        doc = json.loads(line)
+    for n, doc in read_jsonl(path):
         try:
             scenes[doc["scene_id"]] = scene_from_doc(doc["scene"], parse)
-        except (AttributeError, TypeError) as exc:
-            raise ValueError(f"scenes.jsonl line {line_no} is not a scene object: {exc}") from exc
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise CorruptRecordError(f"scenes.jsonl line {n} is not a scene object: {exc}") from exc
     return scenes
 
 

@@ -38,6 +38,7 @@ from .dataset import (
     load_config,
     load_records,
     load_scenes,
+    read_jsonl,
     record_content_hash,
     record_to_doc,
     scene_id_of,
@@ -888,7 +889,9 @@ def verify(in_dir: str | Path) -> VerifyReport:
     The record ids, in order, must match manifest.jsonl, so a truncated
     records.jsonl fails as a ``<dataset>`` failure, as does a missing or
     non-UTF-8 one. Schema and field-type problems surface as corrupt-record
-    failures, not crashes.
+    failures, not crashes. records.jsonl is read by its own loop, not by
+    ``dataset.read_jsonl``, because a bad line is reported as a failure of
+    that line and the loop goes on to the next.
     """
     failures: list[tuple[str, str]] = []
     parsed: dict = {}  # statement and step memo for both files
@@ -939,11 +942,7 @@ def verify(in_dir: str | Path) -> VerifyReport:
 def _manifest_mismatch(path: Path, ids: list[str | None]) -> str | None:
     """Why the records' ids, in order, disagree with the manifest, if they do."""
     try:
-        listed = [
-            json.loads(line)["id"]
-            for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
+        listed = [doc["id"] for _, doc in read_jsonl(path)]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return f"cannot read manifest: {exc}"
     if len(listed) != len(ids):

@@ -174,8 +174,8 @@ def _other_end(seg: Sequence[str], p: str) -> str:
     return seg[1] if seg[0] == p else seg[0]
 
 
-def _not_collinear(g: SceneGeometry, a: str, b: str, c: str, margin: float = 1e-7) -> bool:
-    return len({a, b, c}) == 3 and g.collinear_residual(a, b, c) > margin
+def _not_collinear(g: SceneGeometry, a: str, b: str, c: str) -> bool:
+    return len({a, b, c}) == 3 and g.collinear_residual(a, b, c) > 1e-7
 
 
 def _position_deg(g: SceneGeometry, center: str, p: str) -> float:
@@ -199,13 +199,13 @@ def _on_major_arc(g: SceneGeometry, center: str, a: str, b: str, c: str) -> bool
     return dc > ds
 
 
-def _side_sign(g: SceneGeometry, p: str, a: str, b: str, margin: float = 1e-7) -> int:
+def _side_sign(g: SceneGeometry, p: str, a: str, b: str) -> int:
     """-1/+1 for a point strictly off the directed line a->b, else 0."""
     pa, pb, pp = g.point(a), g.point(b), g.point(p)
     ux, uy = pb[0] - pa[0], pb[1] - pa[1]
     cross = ux * (pp[1] - pa[1]) - uy * (pp[0] - pa[0])
     scale = math.hypot(ux, uy) * math.hypot(pp[0] - pa[0], pp[1] - pa[1])
-    if scale == 0.0 or abs(cross) / scale <= margin:
+    if scale == 0.0 or abs(cross) / scale <= 1e-7:
         return 0
     return 1 if cross > 0 else -1
 

@@ -117,8 +117,6 @@ _RULE_PHRASES: dict[str, str] = {
 class TemplateBackend:
     """Deterministic, offline, rule-keyed translation."""
 
-    kind = "template"
-
     def step_sentence(self, step: SolutionStep) -> str:
         if step.rule == "isosceles_base_angles":
             # matches the classic narration for this rule exactly
@@ -188,8 +186,9 @@ _EXEMPLARS: tuple[tuple[str, str], ...] = (
 
 
 @dataclass
-class ExternalBackend:
-    """JSON-over-HTTP chat-completion backend (temperature 0, few-shot).
+class ExternalBackend(TemplateBackend):
+    """JSON-over-HTTP chat-completion backend (temperature 0, few-shot) for
+    step and bridge sentences; the closing and pivot are the template's.
 
     The exemplar prompts are written fresh for this engine and are not
     canonical. Failures raise BackendUnavailableError after retries.
@@ -200,7 +199,6 @@ class ExternalBackend:
     timeout: float = 30.0
     retries: int = 2
     transport: Transport = field(default=_http_transport)
-    kind = "external"
 
     def _chat(self, system: str, user: str) -> str:
         payload = {
@@ -246,17 +244,8 @@ class ExternalBackend:
         )
         return self._chat(system, user)
 
-    def closing_sentence(self, target: Statement) -> str:
-        return TemplateBackend().closing_sentence(target)
 
-    def pivot_sentence(self, wrong_conclusion: Statement, target: Statement) -> str:
-        return TemplateBackend().pivot_sentence(wrong_conclusion, target)
-
-
-Backend = TemplateBackend | ExternalBackend
-
-
-def translate_steps(steps: Sequence[SolutionStep], backend: Backend) -> list[str]:
+def translate_steps(steps: Sequence[SolutionStep], backend: TemplateBackend) -> list[str]:
     """One sentence per transition, translated independently step by step."""
     return [backend.step_sentence(step) for step in steps]
 
@@ -265,7 +254,7 @@ def connect_thinking(
     steps: Sequence[SolutionStep],
     sentences: Sequence[str],
     target: Statement,
-    backend: Backend,
+    backend: TemplateBackend,
 ) -> str:
     """The translated steps, each after one bridging rationale, then the
     closing sentence."""

@@ -1,9 +1,12 @@
 import json
+import shutil
 
 import pytest
 
+import geoforge.cli as cli
 from geoforge.cli import main
 from geoforge.dataset import load_records, load_scenes
+from geoforge.pipeline import GenerationReport, PipelineConfig
 from helpers import copy_with_edited_scene, move_point, uncited_point
 
 
@@ -135,3 +138,120 @@ class TestCliInputErrors:
         assert err.startswith("error: ") and str(paths["missing"]) in err
         assert err.count("\n") == 1
         assert not paths["out"].exists()
+
+    @pytest.mark.parametrize("command", ["stats", "curate", "bootstrap"])
+    @pytest.mark.parametrize("bad", ["not_json", "not_utf8", "kind_unknown"])
+    def test_bad_records_line(self, run_dir, command, bad, tmp_path, capsys):
+        first = (run_dir / "records.jsonl").read_bytes().splitlines()[0]
+        doc = json.loads(first)
+        doc["kind"] = "x"
+        line, reason = {
+            "not_json": (b"not json", "not JSON: "),
+            "not_utf8": (b'{"id": "\xff"}', "not JSON: 'utf-8' codec can't decode"),
+            "kind_unknown": (json.dumps(doc).encode(), "kind 'x' is neither numeric nor proof"),
+        }[bad]
+        records = tmp_path / "in" / "records.jsonl"
+        records.parent.mkdir()
+        records.write_bytes(first + b"\n" + line + b"\n")
+        out = tmp_path / "out"
+        argv = {
+            "stats": ["stats", "--in", str(records.parent)],
+            "curate": ["curate", "--in", str(records.parent), "--out", str(out), "--per-tier", "1"],
+            "bootstrap": ["bootstrap", "--in", str(records.parent), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {records} line 2: {reason}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_bootstrap_bad_scenes_line(self, run_dir, tmp_path, capsys):
+        shutil.copytree(run_dir, tmp_path / "in")
+        scenes = tmp_path / "in" / "scenes.jsonl"
+        n = len(scenes.read_text().splitlines())
+        with scenes.open("a") as f:
+            f.write("[]\n")
+        out = tmp_path / "out"
+        assert main(["bootstrap", "--in", str(tmp_path / "in"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenes.jsonl line {n + 1} is not a scene object: ")
+        assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize(
+        "key_line, reason",
+        [
+            ('{"id": "x1", "exact": "abc", "approx": 5.0}', "Invalid literal for Fraction: 'abc'"),
+            ('{"id": "x1", "tier": 1}', "'approx'"),
+            ('{"id": "x1", "exact": "1/0"}', "Fraction(1, 0)"),
+        ],
+        ids=["exact_not_rational", "no_answer", "exact_zero_denominator"],
+    )
+    def test_check_bad_key_line(self, key_line, reason, tmp_path, capsys):
+        key = tmp_path / "key.jsonl"
+        pred = tmp_path / "pred.jsonl"
+        key.write_text(json.dumps({"id": "x0", "exact": "5", "tier": 1}) + "\n" + key_line + "\n")
+        pred.write_text(json.dumps({"id": "x1", "prediction": "5"}) + "\n")
+        assert main(["check", "--pred", str(pred), "--key", str(key)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {key} line 2: no numeric answer: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("{", "not JSON: "), ("[1]", "not a JSON object"), ('{"tau_q": 1}', "unknown config keys")],
+        ids=["not_json", "not_object", "unknown_key"],
+    )
+    def test_generate_bad_config(self, text, reason, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err and err.count("\n") == 1
+        assert not out.exists()
+
+
+class TestCliConfig:
+    """Each flag whose dest is a ``PipelineConfig`` field sets that field."""
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        seen = []
+
+        def run(config, *dirs):
+            seen.append(config)
+            return GenerationReport(str(dirs[-1]))
+
+        monkeypatch.setattr(cli, "generate", run)
+        monkeypatch.setattr(cli, "bootstrap", run)
+        return seen
+
+    @pytest.mark.parametrize(
+        "command, flag, value, field, expected",
+        [
+            ("generate", "--seed-start", "7", "seed_start", 7),
+            ("generate", "--count", "3", "count", 3),
+            ("generate", "--tau-l", "4", "tau_l", 4),
+            ("generate", "--tau-r", "0.25", "tau_r", 0.25),
+            ("generate", "--translator", "external", "translator", "external"),
+            ("generate", "--llm-endpoint", "http://localhost:1", "llm_endpoint", "http://localhost:1"),
+            ("generate", "--llm-model", "m", "llm_model", "m"),
+            ("generate", "--workers", "2", "workers", 2),
+            ("bootstrap", "--quantile", "0.5", "bootstrap_quantile", 0.5),
+            ("bootstrap", "--extra-steps", "2", "bootstrap_extra_steps", 2),
+            ("bootstrap", "--iterations", "2", "bootstrap_iterations", 2),
+        ],
+    )
+    def test_flag_sets_field(self, configs, command, flag, value, field, expected, tmp_path):
+        dirs = ["--out", str(tmp_path / "out")]
+        if command == "bootstrap":
+            dirs += ["--in", str(tmp_path / "in")]
+        assert main([command, *dirs, flag, value]) == 0
+        [config] = configs
+        assert config.to_doc() == {**PipelineConfig().to_doc(), field: expected}
+
+    def test_flag_overrides_config_file(self, configs, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"tau_l": 3, "count": 9, "bootstrap_iterations": 4}))
+        common = ["--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(["generate", *common, "--tau-l", "6"]) == 0
+        assert main(["bootstrap", *common, "--in", str(tmp_path), "--iterations", "5"]) == 0
+        assert [(c.tau_l, c.count, c.bootstrap_iterations) for c in configs] == [(6, 9, 4), (3, 9, 5)]

@@ -1,6 +1,9 @@
 import dataclasses
+import json
 import math
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import geoforge.rules as rules_module
 
@@ -774,6 +777,21 @@ class TestReplay:
 class TestCatalog:
     def test_every_rule_has_unique_id(self):
         assert len(RULES_BY_ID) == len(DEFAULT_RULES)
+
+    def test_rule_set_matches_benchmark(self):
+        # perfbench reports one rules.<id>.s metric per rule and exits 3 when
+        # the metrics it makes differ from those BENCHMARK.json declares
+        spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+        names = [metric["name"] for metric in spec["per_layer"]]
+        timed = {m[1] for m in map(re.compile(r"rules\.(\w+)\.s").fullmatch, names) if m}
+        fired = {m[1] for m in map(re.compile(r"rules\.(\w+)\.(?:dup_)?fires").fullmatch, names) if m}
+        ids = {rule.id for rule in DEFAULT_RULES}
+        hint = "a rule change needs a benchmark-only change to BENCHMARK.json first"
+        assert ids == timed, (
+            f"{hint}: only in DEFAULT_RULES {sorted(ids - timed)}, "
+            f"only in BENCHMARK.json {sorted(timed - ids)}"
+        )
+        assert fired <= ids, f"{hint}: BENCHMARK.json counts fires of {sorted(fired - ids)}"
 
     def test_soundness_on_random_scenes(self):
         # no rule may ever derive a numerically false conclusion
