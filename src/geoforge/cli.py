@@ -21,6 +21,7 @@ from .pipeline import (
     stats,
     verify,
 )
+from .statements import StatementError
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -176,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineError, CorruptRecordError, OSError) as exc:  # OSError: a missing input
+    # OSError: a missing input; StatementError: a scene statement that does not parse
+    except (PipelineError, CorruptRecordError, StatementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,12 +16,13 @@ import math
 import random
 import re
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import dataset
 from .constructions import (
@@ -129,6 +130,8 @@ class PipelineConfig:
             raise PipelineError("tau_l must be >= 0")
         if self.max_paths < 1:
             raise PipelineError("max_paths must be >= 1")
+        if self.workers < 1:
+            raise PipelineError("workers must be >= 1")
         if not 0.0 <= self.tau_r <= 1.0:
             raise PipelineError("tau_r must lie in [0, 1]")
         if not 0.0 <= self.tau_p <= 1.0:
@@ -146,10 +149,25 @@ class PipelineConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PipelineConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise PipelineError("config is not a JSON object")
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        unknown = set(doc) - set(defaults)
         if unknown:
             raise PipelineError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            default = defaults[key]
+            # a field takes its default's type, a float field an int too, and
+            # a field that defaults to None a string; a JSON true is no number
+            if default is None:
+                allowed: tuple[type, ...] = (str, type(None))
+            elif type(default) is float:
+                allowed = (int, float)
+            else:
+                allowed = (type(default),)
+            if type(value) not in allowed:
+                expected = " or ".join("null" if t is type(None) else t.__name__ for t in allowed)
+                raise PipelineError(f"config key {key!r} must be {expected}, not {value!r}")
         return cls(**doc)
 
 
@@ -423,6 +441,25 @@ def _grow_scene(config: PipelineConfig, base: Scene, generation: int) -> Scene |
     return None
 
 
+@contextmanager
+def _scene_map(workers: int) -> Iterator[Callable]:
+    """A ``map`` that keeps input order: a process pool's at ``workers > 1``,
+    shut down and joined on exit, else the builtin.
+
+    Workers start by the platform's default method, fork on Linux before
+    Python 3.14, so they see the parent's module globals, patched ones
+    included; arguments and results are pickled, and a frozen config
+    pickles as it is. A worker's exception is raised in the parent.
+    """
+    if workers <= 1:
+        yield map
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
+
+
 def _generate_one_seed(config: PipelineConfig, seed: int) -> _Batch:
     backend = _make_backend(config)
     try:
@@ -435,19 +472,23 @@ def _generate_one_seed(config: PipelineConfig, seed: int) -> _Batch:
 def generate(config: PipelineConfig, out_dir: str | Path) -> GenerationReport:
     """Run the full engine for every seed and emit a dataset directory."""
     seeds = range(config.seed_start, config.seed_start + config.count)
-    if config.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # map keeps the seed order; a frozen config pickles as it is
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_generate_one_seed, repeat(config), seeds))
-    else:
-        results = [_generate_one_seed(config, s) for s in seeds]
-
     out = _Batch()
-    for batch in results:
-        out.extend(batch)
+    with _scene_map(config.workers) as scene_map:
+        for batch in scene_map(_generate_one_seed, repeat(config), seeds):
+            out.extend(batch)
     return out.write(out_dir, config)
+
+
+def _bootstrap_one_scene(
+    config: PipelineConfig, scene_id: str, base: Scene | None, generation: int
+) -> _Batch:
+    """One re-seeded scene of a bootstrap generation: grown, then processed."""
+    if base is None:
+        return _Batch(failures=[f"bootstrap: scene {scene_id} missing"])
+    extended = _grow_scene(config, base, generation)
+    if extended is None:
+        return _Batch(failures=[f"bootstrap: scene {scene_id} would not grow"])
+    return _process_scene(extended, config, generation, _make_backend(config))
 
 
 def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -> GenerationReport:
@@ -456,10 +497,14 @@ def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -
     Scenes whose best sampled reasoning length ranks in the top quantile are
     extended by extra constructions (retrying until the premise set strictly
     grows), then re-saturated and re-sampled; emitted records carry the next
-    bootstrap generation number. Raises ``PipelineError``, and writes
-    nothing, when no iteration yields a record.
+    bootstrap generation number. A generation's scenes run in parallel on
+    one ``workers`` pool that serves the whole call, while generations run
+    one after another, since each ranks the records of the one before;
+    records and failures keep the ranked order whatever ``workers`` is.
+    Raises ``PipelineError``, and writes nothing, when no iteration yields
+    a record.
     """
-    backend = _make_backend(config)
+    _make_backend(config)  # a missing endpoint fails before any work
     prior_records = load_records(in_dir)
     prior_scenes = load_scenes(in_dir)
     if not prior_records:
@@ -470,28 +515,25 @@ def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -
     current_scenes = prior_scenes
     generation = max(r.metadata.bootstrap_generation for r in prior_records)
 
-    for _ in range(config.bootstrap_iterations):
-        generation += 1
-        best: dict[str, int] = {}
-        for r in current_records:
-            best[r.scene_id] = max(best.get(r.scene_id, 0), r.metadata.reasoning_length)
-        ranked = sorted(best, key=lambda sid: (-best[sid], sid))
-        k = max(1, math.ceil(config.bootstrap_quantile * len(ranked)))
+    with _scene_map(config.workers) as scene_map:
+        for _ in range(config.bootstrap_iterations):
+            generation += 1
+            best: dict[str, int] = {}
+            for r in current_records:
+                best[r.scene_id] = max(best.get(r.scene_id, 0), r.metadata.reasoning_length)
+            ranked = sorted(best, key=lambda sid: (-best[sid], sid))
+            k = max(1, math.ceil(config.bootstrap_quantile * len(ranked)))
 
-        new = _Batch()
-        for scene_id in ranked[:k]:
-            base = current_scenes.get(scene_id)
-            if base is None:
-                new.failures.append(f"bootstrap: scene {scene_id} missing")
-                continue
-            extended = _grow_scene(config, base, generation)
-            if extended is None:
-                new.failures.append(f"bootstrap: scene {scene_id} would not grow")
-                continue
-            new.extend(_process_scene(extended, config, generation, backend))
-        out.extend(new)
-        current_records = new.records or current_records
-        current_scenes = {**current_scenes, **new.scenes}
+            new = _Batch()
+            selected = ranked[:k]
+            bases = [current_scenes.get(scene_id) for scene_id in selected]
+            for batch in scene_map(
+                _bootstrap_one_scene, repeat(config), selected, bases, repeat(generation)
+            ):
+                new.extend(batch)
+            out.extend(new)
+            current_records = new.records or current_records
+            current_scenes = {**current_scenes, **new.scenes}
 
     if not out.records:
         # an empty dataset would verify as "0 records, 0 failures"

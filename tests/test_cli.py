@@ -7,6 +7,7 @@ import geoforge.cli as cli
 from geoforge.cli import main
 from geoforge.dataset import load_records, load_scenes
 from geoforge.pipeline import GenerationReport, PipelineConfig
+from geoforge.statements import parse_statement
 from helpers import copy_with_edited_scene, move_point, uncited_point
 
 
@@ -207,6 +208,44 @@ class TestCliInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and reason in err and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ('{"tau_l": "5"}', "config key 'tau_l' must be int, not '5'"),
+            ('{"count": "5"}', "config key 'count' must be int, not '5'"),
+            ('{"tau_r": true}', "config key 'tau_r' must be int or float, not True"),
+            ('{"llm_model": 3}', "config key 'llm_model' must be str or null, not 3"),
+            ('{"workers": 0}', "workers must be >= 1"),
+        ],
+        ids=["tau_l_string", "count_string", "tau_r_bool", "llm_model_number", "workers_zero"],
+    )
+    def test_generate_bad_config_value(self, text, reason, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_generate_workers_below_one(self, workers, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["generate", "--out", str(out), "--workers", workers]) == 1
+        assert capsys.readouterr().err == "error: workers must be >= 1\n"
+        assert not out.exists()
+
+    def test_bootstrap_scene_naming_a_point_it_lacks(self, run_dir, tmp_path, capsys):
+        shutil.copytree(run_dir, tmp_path / "in")
+        scenes = tmp_path / "in" / "scenes.jsonl"
+        docs = [json.loads(line) for line in scenes.read_text().splitlines()]
+        del docs[0]["scene"]["points"][parse_statement(docs[0]["scene"]["initial_statements"][0]).groups[0][0]]
+        scenes.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        out = tmp_path / "out"
+        assert main(["bootstrap", "--in", str(tmp_path / "in"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: at byte ") and "expected known point" in err
+        assert err.count("\n") == 1 and not out.exists()
 
 
 class TestCliConfig:

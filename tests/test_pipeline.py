@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -256,6 +257,19 @@ class TestGenerate:
         for max_paths in (0, -3):
             with pytest.raises(PipelineError, match="max_paths must be >= 1"):
                 PipelineConfig(max_paths=max_paths)
+
+    def test_workers_below_one_rejected(self):
+        for workers in (0, -3):
+            with pytest.raises(PipelineError, match="workers must be >= 1"):
+                PipelineConfig(workers=workers)
+
+    def test_config_from_doc_checks_value_types(self):
+        # an int is a float, and a field that defaults to None takes a string
+        doc = {"tau_r": 1, "llm_model": "m", "llm_endpoint": None}
+        assert PipelineConfig.from_doc(doc) == PipelineConfig(tau_r=1.0, llm_model="m")
+        for key, value in (("count", 5.0), ("tau_p", "0.3"), ("workers", True), ("translator", None)):
+            with pytest.raises(PipelineError, match=f"config key '{key}' must be "):
+                PipelineConfig.from_doc({key: value})
 
 
 class TestVerifyTamperDetection:
@@ -1294,6 +1308,71 @@ class TestBootstrap:
         import math
 
         assert len(selected) <= max(1, math.ceil(SMALL.bootstrap_quantile * scene_count))
+
+    def test_workers_do_not_change_output(self, dataset, tmp_path):
+        # both failure kinds: the deleted first scenes line is missing, and a
+        # later generation's scene would not grow; at 2 extra steps several
+        # scenes of each generation yield, so their order shows
+        out, _ = dataset
+        prior = tmp_path / "prior"
+        shutil.copytree(out, prior)
+        scenes = (prior / "scenes.jsonl").read_text().splitlines(keepends=True)
+        (prior / "scenes.jsonl").write_text("".join(scenes[1:]))
+        config = dataclasses.replace(
+            SMALL, bootstrap_quantile=1.0, bootstrap_extra_steps=2, bootstrap_iterations=4
+        )
+        serial = bootstrap(config, prior, tmp_path / "serial")
+        parallel = bootstrap(dataclasses.replace(config, workers=2), prior, tmp_path / "parallel")
+        missing = json.loads(scenes[0])["scene_id"]
+        assert f"bootstrap: scene {missing} missing" in serial.failures
+        assert any(f.endswith(" would not grow") for f in serial.failures)
+        assert parallel.failures == serial.failures
+        for name in ("records.jsonl", "scenes.jsonl"):
+            assert (tmp_path / "parallel" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+    def test_output_independent_of_hash_seed_and_workers(self, dataset, tmp_path):
+        # generations keep the ranked scene order whatever order workers finish in
+        out, _ = dataset
+        pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        digests = set()
+        for hash_seed in ("1", "2"):
+            for workers in (1, 2):
+                config = tmp_path / f"w{workers}.json"
+                config.write_text(json.dumps({"workers": workers}))
+                boot = tmp_path / f"h{hash_seed}w{workers}"
+                subprocess.run(
+                    [sys.executable, "-c", "import sys; from geoforge.cli import main; sys.exit(main())",
+                     "bootstrap", "--in", str(out), "--out", str(boot), "--config", str(config),
+                     "--quantile", "1.0", "--extra-steps", "2", "--iterations", "2"],
+                    env={**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed},
+                    check=True,
+                    capture_output=True,
+                )
+                assert (boot / "records.jsonl").stat().st_size > 0
+                digests.add(tuple(
+                    hashlib.sha256((boot / name).read_bytes()).hexdigest()
+                    for name in ("records.jsonl", "scenes.jsonl")
+                ))
+        assert len(digests) == 1
+
+    def test_pool_leaves_no_child(self, dataset, tmp_path):
+        out, _ = dataset
+        generate(dataclasses.replace(SMALL, count=4, workers=2), tmp_path / "gen")
+        assert not multiprocessing.active_children()
+        bootstrap(dataclasses.replace(SMALL, workers=2), out, tmp_path / "boot")
+        assert not multiprocessing.active_children()
+
+    def test_worker_exception_propagates(self, dataset, tmp_path, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("scene failed in a worker")
+
+        # the pool's workers are forked inside the call, so they see the patch
+        monkeypatch.setattr(geoforge.pipeline, "_process_scene", fail)
+        out, _ = dataset
+        with pytest.raises(RuntimeError, match="scene failed in a worker"):
+            bootstrap(dataclasses.replace(SMALL, bootstrap_quantile=1.0, workers=2), out, tmp_path / "boot")
+        assert not (tmp_path / "boot" / "records.jsonl").exists()
+        assert not multiprocessing.active_children()
 
     def test_empty_prior_rejected(self, tmp_path):
         empty = tmp_path / "empty"
