@@ -22,7 +22,7 @@ from .pipeline import (
     stats,
     verify,
 )
-from .reasoner import Budget, ReasoningGraph, SolutionStep, Transition, saturate
+from .reasoner import ReasoningGraph, SolutionStep, Transition, saturate
 from .render import render_svg
 from .rules import DEFAULT_RULES, RULES_BY_ID, Rule
 from .sampler import (

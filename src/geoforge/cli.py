@@ -100,7 +100,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             value = float(Fraction(doc["exact"]) if doc.get("exact") else doc["approx"])
         except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise PipelineError(f"{args.key} line {n}: no numeric answer: {exc}") from exc
-        keys[doc["id"]] = (value, doc.get("tier"))
+        tier = doc.get("tier")
+        if tier is not None and type(tier) is not int:
+            raise PipelineError(f"{args.key} line {n}: tier is not an integer: {tier!r}")
+        keys[doc["id"]] = (value, tier)
     correct = 0
     total = 0
     by_tier: dict[int | None, list[int]] = {}

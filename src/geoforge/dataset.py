@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, TextIO
 
 from .constructions import Scene, scene_from_doc
 from .reasoner import SolutionStep
-from .statements import Statement, Unit, parse_statement
+from .statements import Statement, StatementError, Unit, parse_statement
 
 SCHEMA_VERSION = 1
 
@@ -333,6 +333,10 @@ def load_scenes(in_dir: str | Path, parsed: dict | None = None) -> dict[str, Sce
             scenes[doc["scene_id"]] = scene_from_doc(doc["scene"], parse)
         except (AttributeError, KeyError, TypeError) as exc:
             raise CorruptRecordError(f"scenes.jsonl line {n} is not a scene object: {exc}") from exc
+        except StatementError as exc:
+            # named where it stands, and still of its own type
+            exc.args = (f"{path} line {n}: {exc}",)
+            raise
     return scenes
 
 

@@ -48,7 +48,6 @@ from .dataset import (
 )
 from .geometry import GeometryError
 from .reasoner import (
-    Budget,
     ReasoningGraph,
     SolutionStep,
     VerifierContradictionError,
@@ -101,6 +100,10 @@ _PROOF_TARGETS = frozenset(
     }
 )
 
+MAX_PROBLEMS_PER_SCENE = 4  # deductive records per scene, at most one of them a proof
+MAX_PATHS = 8  # derivations per target that geo_explore_m keeps and geo_explore_t reads
+MIN_EXTENSION_STEPS, MAX_EXTENSION_STEPS = 2, 6  # constructions extending each base scene
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -113,13 +116,6 @@ class PipelineConfig:
     translator: str = "template"
     llm_endpoint: str | None = None
     llm_model: str | None = None
-    max_problems_per_scene: int = 4
-    max_paths: int = 8
-    min_extension_steps: int = 2
-    max_extension_steps: int = 6
-    max_statements: int = 5000
-    max_transitions: int = 20000
-    max_rounds: int = 50
     workers: int = 1
     bootstrap_quantile: float = 0.1
     bootstrap_extra_steps: int = 3
@@ -128,8 +124,6 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.tau_l < 0:
             raise PipelineError("tau_l must be >= 0")
-        if self.max_paths < 1:
-            raise PipelineError("max_paths must be >= 1")
         if self.workers < 1:
             raise PipelineError("workers must be >= 1")
         if not 0.0 <= self.tau_r <= 1.0:
@@ -138,11 +132,10 @@ class PipelineConfig:
             raise PipelineError("tau_p must lie in [0, 1]")
         if self.translator not in ("template", "external"):
             raise PipelineError(f"unknown translator {self.translator!r}")
+        if self.translator == "external" and not (self.llm_endpoint and self.llm_model):
+            raise PipelineError("external translator needs --llm-endpoint and --llm-model")
         if self.distractor_policy not in ("all", "used"):
             raise PipelineError(f"unknown distractor policy {self.distractor_policy!r}")
-
-    def budget(self) -> Budget:
-        return Budget(self.max_statements, self.max_transitions, self.max_rounds)
 
     def to_doc(self) -> dict:
         return dataclasses.asdict(self)
@@ -185,8 +178,6 @@ class GenerationReport:
 def _make_backend(config: PipelineConfig):
     if config.translator == "template":
         return TemplateBackend()
-    if not config.llm_endpoint or not config.llm_model:
-        raise PipelineError("external translator needs --llm-endpoint and --llm-model")
     return ExternalBackend(endpoint=config.llm_endpoint, model=config.llm_model)
 
 
@@ -338,7 +329,7 @@ def _scene_records(
     scene: Scene, scene_id: Callable[[], str], config: PipelineConfig, generation: int, backend
 ) -> _Batch:
     out = _Batch()
-    graph = saturate(scene, budget=config.budget())
+    graph = saturate(scene)
     drafts: list[ProblemDraft] = []
 
     def deductive(sid: int) -> ReasoningPath | None:
@@ -350,9 +341,7 @@ def _scene_records(
     def correct_paths(sid: int) -> list[ReasoningPath]:
         # the multi_solution and traceback rows share one enumeration per target
         if sid not in enumerated:
-            enumerated[sid] = geo_explore_m(
-                graph, sid, config.tau_l, config.tau_r, config.max_paths
-            )
+            enumerated[sid] = geo_explore_m(graph, sid, config.tau_l, config.tau_r, MAX_PATHS)
         return enumerated[sid]
 
     def multi_solution(sid: int) -> list[ReasoningPath] | None:
@@ -367,7 +356,7 @@ def _scene_records(
                 correct_paths(sid),
                 config.tau_p,
                 rng_seed=scene.seed * 8191 + sid,
-                max_paths=config.max_paths,
+                max_paths=MAX_PATHS,
             )
         except SamplerError:
             return None
@@ -376,7 +365,7 @@ def _scene_records(
     # The samplers resolve geo_explore* through module globals on every call,
     # so the functions stay replaceable from outside (tracing, tests).
     templates = (
-        (deductive, math.inf, config.max_problems_per_scene),
+        (deductive, math.inf, MAX_PROBLEMS_PER_SCENE),
         (multi_solution, 25, 1),
         (traceback, 8, 1),
     )
@@ -419,10 +408,10 @@ def _scene_records(
     return out
 
 
-def _build_scene(config: PipelineConfig, seed: int) -> Scene:
+def _build_scene(seed: int) -> Scene:
     rng = random.Random(("pipeline", seed).__repr__())
     generator_id = rng.choice(sorted(BASE_GENERATORS))
-    steps = rng.randint(config.min_extension_steps, config.max_extension_steps)
+    steps = rng.randint(MIN_EXTENSION_STEPS, MAX_EXTENSION_STEPS)
     scene = generate_base_scene(generator_id, seed)
     return extend_scene(scene, steps, seed)
 
@@ -463,7 +452,7 @@ def _scene_map(workers: int) -> Iterator[Callable]:
 def _generate_one_seed(config: PipelineConfig, seed: int) -> _Batch:
     backend = _make_backend(config)
     try:
-        scene = _build_scene(config, seed)
+        scene = _build_scene(seed)
     except ConstructionError as exc:
         return _Batch(failures=[f"seed {seed}: construction failed: {exc}"])
     return _process_scene(scene, config, 0, backend)
@@ -504,7 +493,6 @@ def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -
     Raises ``PipelineError``, and writes nothing, when no iteration yields
     a record.
     """
-    _make_backend(config)  # a missing endpoint fails before any work
     prior_records = load_records(in_dir)
     prior_scenes = load_scenes(in_dir)
     if not prior_records:
@@ -544,6 +532,8 @@ def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -
 def curate_testset(in_dir: str | Path, per_tier: int, out_dir: str | Path) -> list[ProblemRecord]:
     """Numeric-answer records only, ``per_tier`` from each tier by id order;
     solution fields are stripped and the answers go to a hidden key file."""
+    if per_tier < 1:
+        raise PipelineError("per_tier must be >= 1")
     records = load_records(in_dir)
     numeric = [r for r in records if r.kind == "numeric" and r.metadata.tier is not None]
     chosen: list[ProblemRecord] = []

@@ -34,11 +34,11 @@ class VerifierContradictionError(ReasonerError):
         super().__init__(f"rule {rule_id} derived {conclusion} with residual {residual:g}")
 
 
-@dataclass(frozen=True)
-class Budget:
-    max_statements: int = 5000
-    max_transitions: int = 20000
-    max_rounds: int = 50
+# Closure caps: a saturation that reaches one stops growing the graph and
+# sets its ``truncated`` flag.
+MAX_STATEMENTS = 5000
+MAX_TRANSITIONS = 20000
+MAX_ROUNDS = 50
 
 
 @dataclass(frozen=True)
@@ -151,17 +151,17 @@ def saturate_statements(
     geometry: SceneGeometry,
     initial: Iterable[Statement],
     rules: Sequence[Rule] = DEFAULT_RULES,
-    budget: Budget = Budget(),
 ) -> ReasoningGraph:
     """Smallest closure of the initial statements under the rule library,
-    bounded by the budget (the flag ``truncated`` is set when a cap bites).
+    bounded by the ``MAX_*`` caps (the flag ``truncated`` is set when one
+    bites).
     Each new statement runs, in catalog order, only the rules it triggers.
 
     Every conclusion must hold numerically, or the scene is aborted with
     ``VerifierContradictionError``. Coordinates do not change during
     saturation, so each distinct statement is checked once: a derived one
     when it is first concluded, an initial one when a rule first re-derives
-    it. Only a conclusion that a budget cap keeps out of the graph is
+    it. Only a conclusion that a cap keeps out of the graph is
     checked again each time it recurs."""
     triggered: dict[Predicate, list[Rule]] = {}
     for rule in rules:
@@ -178,7 +178,7 @@ def saturate_statements(
 
     rounds = 0
     while batch:
-        if rounds >= budget.max_rounds:
+        if rounds >= MAX_ROUNDS:
             graph.truncated = True
             break
         rounds += 1
@@ -197,31 +197,21 @@ def saturate_statements(
                         if not verdict.holds:
                             raise VerifierContradictionError(rule.id, conclusion, verdict.residual)
                         unchecked_initial.discard(existing)
+                    if existing is not None and max(premises) >= existing:
+                        continue  # a premise itself, or would break insertion-order soundness
+                    if len(graph.transitions) >= MAX_TRANSITIONS or (
+                        existing is None and len(graph.statements) >= MAX_STATEMENTS
+                    ):
+                        graph.truncated = True
+                        continue
                     if existing is None:
-                        if len(graph.statements) >= budget.max_statements:
-                            graph.truncated = True
-                            continue
-                        if len(graph.transitions) >= budget.max_transitions:
-                            graph.truncated = True
-                            continue
-                        new_id = graph.add_statement(conclusion)
-                        graph.add_transition(premises, rule.id, new_id)
-                        ctx.note(new_id)
-                        next_batch.append(new_id)
-                    elif existing not in premises:
-                        if max(premises) >= existing:
-                            continue  # would break insertion-order soundness
-                        if len(graph.transitions) >= budget.max_transitions:
-                            graph.truncated = True
-                            continue
-                        graph.add_transition(premises, rule.id, existing)
+                        existing = graph.add_statement(conclusion)
+                        ctx.note(existing)
+                        next_batch.append(existing)
+                    graph.add_transition(premises, rule.id, existing)
         batch = next_batch
     return graph
 
 
-def saturate(
-    scene: Scene,
-    rules: Sequence[Rule] = DEFAULT_RULES,
-    budget: Budget = Budget(),
-) -> ReasoningGraph:
-    return saturate_statements(scene.geometry, scene.initial_statements, rules, budget)
+def saturate(scene: Scene, rules: Sequence[Rule] = DEFAULT_RULES) -> ReasoningGraph:
+    return saturate_statements(scene.geometry, scene.initial_statements, rules)

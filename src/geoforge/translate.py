@@ -185,19 +185,21 @@ _EXEMPLARS: tuple[tuple[str, str], ...] = (
 )
 
 
+TIMEOUT_S = 30.0  # seconds each request may take
+RETRIES = 2  # further attempts after a failed request
+
+
 @dataclass
 class ExternalBackend(TemplateBackend):
     """JSON-over-HTTP chat-completion backend (temperature 0, few-shot) for
     step and bridge sentences; the closing and pivot are the template's.
 
     The exemplar prompts are written fresh for this engine and are not
-    canonical. Failures raise BackendUnavailableError after retries.
+    canonical. Failures raise BackendUnavailableError after ``RETRIES`` retries.
     """
 
     endpoint: str
     model: str
-    timeout: float = 30.0
-    retries: int = 2
     transport: Transport = field(default=_http_transport)
 
     def _chat(self, system: str, user: str) -> str:
@@ -210,9 +212,9 @@ class ExternalBackend(TemplateBackend):
             ],
         }
         last: Exception | None = None
-        for _ in range(self.retries + 1):
+        for _ in range(RETRIES + 1):
             try:
-                raw = self.transport(self.endpoint, payload, self.timeout)
+                raw = self.transport(self.endpoint, payload, TIMEOUT_S)
                 doc = json.loads(raw)
                 return doc["choices"][0]["message"]["content"].strip()
             except (urllib.error.URLError, OSError, KeyError, IndexError, ValueError) as exc:

@@ -101,6 +101,13 @@ class TestCli:
         assert code == 1
         assert "need 999" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("per_tier", ["0", "-1"])
+    def test_curate_per_tier_below_one(self, run_dir, per_tier, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["curate", "--in", str(run_dir), "--out", str(out), "--per-tier", per_tier]) == 1
+        assert capsys.readouterr().err == "error: per_tier must be >= 1\n"
+        assert not out.exists()
+
 
 class TestCliInputErrors:
     """Bad input files end in one ``error:`` line and exit 1, not a traceback."""
@@ -180,11 +187,13 @@ class TestCliInputErrors:
     @pytest.mark.parametrize(
         "key_line, reason",
         [
-            ('{"id": "x1", "exact": "abc", "approx": 5.0}', "Invalid literal for Fraction: 'abc'"),
-            ('{"id": "x1", "tier": 1}', "'approx'"),
-            ('{"id": "x1", "exact": "1/0"}', "Fraction(1, 0)"),
+            ('{"id": "x1", "exact": "abc", "approx": 5.0}', "no numeric answer: Invalid literal for Fraction: 'abc'"),
+            ('{"id": "x1", "tier": 1}', "no numeric answer: 'approx'"),
+            ('{"id": "x1", "exact": "1/0"}', "no numeric answer: Fraction(1, 0)"),
+            ('{"id": "x1", "exact": "5", "tier": [1]}', "tier is not an integer: [1]"),
+            ('{"id": "x1", "exact": "5", "tier": "x"}', "tier is not an integer: 'x'"),
         ],
-        ids=["exact_not_rational", "no_answer", "exact_zero_denominator"],
+        ids=["exact_not_rational", "no_answer", "exact_zero_denominator", "tier_list", "tier_string"],
     )
     def test_check_bad_key_line(self, key_line, reason, tmp_path, capsys):
         key = tmp_path / "key.jsonl"
@@ -193,7 +202,7 @@ class TestCliInputErrors:
         pred.write_text(json.dumps({"id": "x1", "prediction": "5"}) + "\n")
         assert main(["check", "--pred", str(pred), "--key", str(key)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: {key} line 2: no numeric answer: {reason}\n"
+        assert err == f"error: {key} line 2: {reason}\n"
 
     @pytest.mark.parametrize(
         "text, reason",
@@ -244,7 +253,7 @@ class TestCliInputErrors:
         out = tmp_path / "out"
         assert main(["bootstrap", "--in", str(tmp_path / "in"), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: at byte ") and "expected known point" in err
+        assert err.startswith(f"error: {scenes} line 1: at byte ") and "expected known point" in err
         assert err.count("\n") == 1 and not out.exists()
 
 
@@ -270,7 +279,6 @@ class TestCliConfig:
             ("generate", "--count", "3", "count", 3),
             ("generate", "--tau-l", "4", "tau_l", 4),
             ("generate", "--tau-r", "0.25", "tau_r", 0.25),
-            ("generate", "--translator", "external", "translator", "external"),
             ("generate", "--llm-endpoint", "http://localhost:1", "llm_endpoint", "http://localhost:1"),
             ("generate", "--llm-model", "m", "llm_model", "m"),
             ("generate", "--workers", "2", "workers", 2),
@@ -286,6 +294,12 @@ class TestCliConfig:
         assert main([command, *dirs, flag, value]) == 0
         [config] = configs
         assert config.to_doc() == {**PipelineConfig().to_doc(), field: expected}
+
+    def test_translator_flags(self, configs, tmp_path):
+        endpoint = ["--llm-endpoint", "http://localhost:1", "--llm-model", "m"]
+        assert main(["generate", "--out", str(tmp_path / "out"), "--translator", "external", *endpoint]) == 0
+        [config] = configs
+        assert (config.translator, config.llm_endpoint, config.llm_model) == ("external", "http://localhost:1", "m")
 
     def test_flag_overrides_config_file(self, configs, tmp_path):
         path = tmp_path / "config.json"

@@ -22,7 +22,7 @@ from geoforge.constructions import (
     scene_from_doc,
 )
 from geoforge.geometry import Coord, DegenerateMeasurementError, GeometryError, SceneGeometry
-from geoforge.pipeline import PipelineConfig, _build_scene
+from geoforge.pipeline import _build_scene
 from geoforge.statements import (
     Predicate,
     Seg,
@@ -313,10 +313,9 @@ class TestCandidateReference:
             return candidates
 
         monkeypatch.setattr(constructions, "applicable_constructions", compared)
-        config = PipelineConfig()
         for seed in range(300):
             try:
-                scene = _build_scene(config, seed)
+                scene = _build_scene(seed)
             except ConstructionError:
                 continue
             # three more steps, seeded as bootstrap's first generation seeds them

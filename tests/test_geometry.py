@@ -14,7 +14,7 @@ from geoforge.geometry import (
     SceneGeometry,
     UnknownScenePointError,
 )
-from geoforge.pipeline import PipelineConfig, _build_scene
+from geoforge.pipeline import _build_scene
 from geoforge.statements import (
     angle_measure,
     collinear,
@@ -127,7 +127,7 @@ class TestTriangleMemo:
     @pytest.mark.parametrize("seed", [0, 2, 5, 9, 14, 23])
     def test_memo_equals_direct_measures_in_every_order(self, seed):
         # the built scene's memo was filled while its points were being placed
-        built = _build_scene(PipelineConfig(), seed).geometry
+        built = _build_scene(seed).geometry
         for tri in combinations(sorted(built.points), 3):
             angle = _direct_min_angle(built, *tri)
             residual = built.statement_residual(collinear(*tri))

@@ -94,7 +94,7 @@ class TestGenerate:
             by_scene.setdefault(r.scene_id, []).append(r)
         for records in by_scene.values():
             deductive = [r for r in records if r.template == "deductive"]
-            assert len(deductive) <= SMALL.max_problems_per_scene
+            assert len(deductive) <= geoforge.pipeline.MAX_PROBLEMS_PER_SCENE
             assert sum(r.kind == "proof" for r in deductive) <= 1
             assert sum(r.template == "multi_solution" for r in records) <= 1
             assert sum(r.template == "traceback" for r in records) <= 1
@@ -160,7 +160,7 @@ class TestGenerate:
         cited = {r.seed for r in report.records}
         failed_ids = {f.split()[1].rstrip(":") for f in report.failures if f.startswith("scene ")}
         for seed in set(range(10)) - cited:
-            if scene_id_of(geoforge.pipeline._build_scene(config, seed)) in failed_ids:
+            if scene_id_of(geoforge.pipeline._build_scene(seed)) in failed_ids:
                 cited.add(seed)
         assert report.count and cited < set(range(10))
         assert hashed == Counter(cited)
@@ -254,9 +254,14 @@ class TestGenerate:
             PipelineConfig(translator="quantum")
         with pytest.raises(PipelineError):
             PipelineConfig(distractor_policy="some")
-        for max_paths in (0, -3):
-            with pytest.raises(PipelineError, match="max_paths must be >= 1"):
-                PipelineConfig(max_paths=max_paths)
+
+    @pytest.mark.parametrize("given", [{}, {"llm_endpoint": "https://llm.invalid"}, {"llm_model": "m"}])
+    def test_external_translator_needs_endpoint_and_model(self, given):
+        message = "external translator needs --llm-endpoint and --llm-model"
+        with pytest.raises(PipelineError, match=message):
+            PipelineConfig(translator="external", **given)
+        with pytest.raises(PipelineError, match=message):
+            PipelineConfig.from_doc({"translator": "external", **given})
 
     def test_workers_below_one_rejected(self):
         for workers in (0, -3):
@@ -1436,6 +1441,13 @@ class TestCurate:
         with pytest.raises(InsufficientRecordsError) as exc_info:
             curate_testset(data, 2, tmp_path / "split2")
         assert exc_info.value.tier == 4
+
+    @pytest.mark.parametrize("per_tier", [0, -1])
+    def test_per_tier_below_one_rejected(self, per_tier, tmp_path):
+        data = _synthetic_dataset(tmp_path)
+        with pytest.raises(PipelineError, match="per_tier must be >= 1"):
+            curate_testset(data, per_tier, tmp_path / "split")
+        assert not (tmp_path / "split").exists()
 
     def test_proof_records_never_selected(self, tmp_path):
         data = _synthetic_dataset(tmp_path)

@@ -4,11 +4,11 @@ from collections import Counter
 import pytest
 from helpers import HAND_GRAPHS, build_graph, dummy_statement, every_closure
 
+from geoforge import reasoner
 from geoforge.constructions import BASE_GENERATORS, extend_scene, generate_base_scene
 from geoforge.geometry import SceneGeometry
-from geoforge.pipeline import PipelineConfig, _build_scene
+from geoforge.pipeline import _build_scene
 from geoforge.reasoner import (
-    Budget,
     ReasonerError,
     ReasoningGraph,
     VerifierContradictionError,
@@ -124,18 +124,19 @@ class TestSaturate:
         assert exc_info.value.rule_id == "echo"
         assert exc_info.value.conclusion == false
 
-    def test_budget_truncation_flag(self):
-        scene = _scene(2)
-        graph = saturate(scene, budget=Budget(max_statements=6, max_transitions=3, max_rounds=2))
+    def test_budget_truncation_flag(self, monkeypatch):
+        monkeypatch.setattr(reasoner, "MAX_STATEMENTS", 6)
+        monkeypatch.setattr(reasoner, "MAX_TRANSITIONS", 3)
+        monkeypatch.setattr(reasoner, "MAX_ROUNDS", 2)
+        graph = saturate(_scene(2))
         assert graph.truncated
 
     def test_generate_graphs_match_pinned_digest(self):
         # most of these scenes write no record, so the records pins cannot
         # see a matcher that fires in another order or cites other premises
-        config = PipelineConfig()
         digest = hashlib.sha256()
         for seed in range(200):
-            graph = saturate(_build_scene(config, seed), budget=config.budget())
+            graph = saturate(_build_scene(seed))
             for stmt in graph.statements:
                 digest.update(f"{serialize_statement(stmt)}\n".encode())
             for t in graph.transitions:
@@ -247,11 +248,8 @@ class TestClosures:
         _assert_closures_brute_force(CLOSURE_GRAPHS[name]())
 
     def test_match_brute_force_on_pipeline_scenes(self):
-        config = PipelineConfig()
         for seed in range(40):
-            _assert_closures_brute_force(
-                saturate(_build_scene(config, seed), budget=config.budget())
-            )
+            _assert_closures_brute_force(saturate(_build_scene(seed)))
 
     def test_recomputed_after_each_addition(self):
         graph = build_graph(2, [([0], "a", 2), ([2], "b", 3)])

@@ -14,7 +14,7 @@ from geoforge.constructions import (
     generate_base_scene,
 )
 from geoforge.geometry import SceneGeometry
-from geoforge.pipeline import PipelineConfig, _build_scene
+from geoforge.pipeline import _build_scene
 from geoforge.reasoner import saturate, saturate_statements
 from geoforge.rules import DEFAULT_RULES, RULES_BY_ID, MatchContext
 from geoforge.statements import (
@@ -687,10 +687,9 @@ class TestFiresOnce:
 
         triangle_rules = {"sss_congruence", "sas_congruence", "asa_congruence", "aa_similarity"}
         traced = tuple(recording(r) if r.id in triangle_rules else r for r in DEFAULT_RULES)
-        config = PipelineConfig()
         for seed in range(40):
             try:
-                scene = _build_scene(config, seed)
+                scene = _build_scene(seed)
             except ConstructionError:
                 continue
             saturate(scene, rules=traced)
@@ -703,11 +702,10 @@ class TestReplay:
     """``Rule.recheck`` accepts exactly what the rule's matcher derives."""
 
     def test_saturated_transitions_replay(self):
-        config = PipelineConfig()
         replayed: set[str] = set()
         for seed in range(0, 300, 10):
             try:
-                scene = _build_scene(config, seed)
+                scene = _build_scene(seed)
             except ConstructionError:
                 continue
             graph = saturate(scene)

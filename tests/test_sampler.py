@@ -45,7 +45,7 @@ def test_generate_samples_match_pinned_digest():
     config = PipelineConfig()
     digest = hashlib.sha256()
     for seed in range(200):
-        graph = saturate(_build_scene(config, seed), budget=config.budget())
+        graph = saturate(_build_scene(seed))
         for sid in range(graph.n_initial, len(graph.statements)):
             first = geo_explore(graph, sid, config.tau_l, config.tau_r)
             text = _path_text(first) if isinstance(first, ReasoningPath) else repr(first)
@@ -142,7 +142,7 @@ class TestGeoExplore:
     def test_matches_first_derivation_walk_on_pipeline_scenes(self):
         config = PipelineConfig()
         for seed in range(200):
-            graph = saturate(_build_scene(config, seed), budget=config.budget())
+            graph = saturate(_build_scene(seed))
             for sid in range(graph.n_initial, len(graph.statements)):
                 for tau_l, tau_r in ((config.tau_l, config.tau_r), (0, 0.0)):
                     expected = _first_derivation_walk(graph, sid, tau_l, tau_r)
@@ -201,11 +201,10 @@ class TestGeoExploreM:
     def test_cone_bound_is_exact_on_pipeline_scenes(self):
         # filtering prunes nothing that enumeration would have kept, and
         # every target the cone rules out has no passing path
-        config = PipelineConfig()
         ruled_out = 0
         for seed in range(0, 300, 10):
             try:
-                scene = _build_scene(config, seed)
+                scene = _build_scene(seed)
             except ConstructionError:
                 continue
             graph = saturate(scene)

@@ -18,6 +18,7 @@ from geoforge.statements import (
     right_angle,
 )
 from geoforge.translate import (
+    RETRIES,
     _RULE_PHRASES,
     BackendUnavailableError,
     ExternalBackend,
@@ -315,16 +316,13 @@ class TestExternalBackend:
 
     def test_retry_then_success(self):
         transport = _FakeTransport(fail_times=1)
-        backend = ExternalBackend(
-            endpoint="https://llm.invalid", model="m", retries=2, transport=transport
-        )
+        backend = ExternalBackend(endpoint="https://llm.invalid", model="m", transport=transport)
         assert backend.step_sentence(_iso_step()) == "Translated sentence."
         assert len(transport.calls) == 2
 
     def test_exhausted_retries_surface(self):
         transport = _FakeTransport(fail_times=10)
-        backend = ExternalBackend(
-            endpoint="https://llm.invalid", model="m", retries=1, transport=transport
-        )
+        backend = ExternalBackend(endpoint="https://llm.invalid", model="m", transport=transport)
         with pytest.raises(BackendUnavailableError):
             backend.step_sentence(_iso_step())
+        assert len(transport.calls) == RETRIES + 1
