@@ -332,7 +332,7 @@ def load_scenes(in_dir: str | Path, parsed: dict | None = None) -> dict[str, Sce
         try:
             scenes[doc["scene_id"]] = scene_from_doc(doc["scene"], parse)
         except (AttributeError, KeyError, TypeError) as exc:
-            raise CorruptRecordError(f"scenes.jsonl line {n} is not a scene object: {exc}") from exc
+            raise CorruptRecordError(f"{path} line {n}: not a scene object: {exc}") from exc
         except StatementError as exc:
             # named where it stands, and still of its own type
             exc.args = (f"{path} line {n}: {exc}",)

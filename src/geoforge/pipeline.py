@@ -16,6 +16,8 @@ import math
 import random
 import re
 import shutil
+from bisect import bisect_right
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -122,6 +124,8 @@ class PipelineConfig:
     bootstrap_iterations: int = 1
 
     def __post_init__(self) -> None:
+        if self.count < 1:
+            raise PipelineError("count must be >= 1")
         if self.tau_l < 0:
             raise PipelineError("tau_l must be >= 0")
         if self.workers < 1:
@@ -136,6 +140,12 @@ class PipelineConfig:
             raise PipelineError("external translator needs --llm-endpoint and --llm-model")
         if self.distractor_policy not in ("all", "used"):
             raise PipelineError(f"unknown distractor policy {self.distractor_policy!r}")
+        if not 0.0 < self.bootstrap_quantile <= 1.0:
+            raise PipelineError("bootstrap_quantile must lie in (0, 1]")
+        if self.bootstrap_extra_steps < 1:
+            raise PipelineError("bootstrap_extra_steps must be >= 1")
+        if self.bootstrap_iterations < 1:
+            raise PipelineError("bootstrap_iterations must be >= 1")
 
     def to_doc(self) -> dict:
         return dataclasses.asdict(self)
@@ -510,7 +520,7 @@ def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -
             for r in current_records:
                 best[r.scene_id] = max(best.get(r.scene_id, 0), r.metadata.reasoning_length)
             ranked = sorted(best, key=lambda sid: (-best[sid], sid))
-            k = max(1, math.ceil(config.bootstrap_quantile * len(ranked)))
+            k = math.ceil(config.bootstrap_quantile * len(ranked))  # >= 1, as the quantile is > 0
 
             new = _Batch()
             selected = ranked[:k]
@@ -620,73 +630,58 @@ class StatsReport:
 
     def render_text(self) -> str:
         lines = [f"records: {self.total}", "", "reasoning length:"]
-        for label, n in self.length_histogram.items():
-            lines.append(f"  {label:>9}  {n:6d}  {'#' * min(n, 60)}")
-        lines.append("")
-        lines.append("premise ratio:")
-        for label, n in self.ratio_histogram.items():
-            lines.append(f"  {label:>9}  {n:6d}  {'#' * min(n, 60)}")
-        lines.append("")
+        lines += _bars(self.length_histogram, "  ")
+        lines += ["", "premise ratio:", *_bars(self.ratio_histogram, "  "), ""]
         lines.append("tiers:     " + "  ".join(f"{k}:{v}" for k, v in self.tier_counts.items()))
         lines.append("templates: " + "  ".join(f"{k}:{v}" for k, v in self.template_counts.items()))
         lines.append("kinds:     " + "  ".join(f"{k}:{v}" for k, v in self.kind_counts.items()))
         if len(self.generation_length_histograms) > 1:
-            lines.append("")
-            lines.append("reasoning length by bootstrap generation:")
+            lines += ["", "reasoning length by bootstrap generation:"]
             for gen, hist in self.generation_length_histograms.items():
-                lines.append(f"  generation {gen}:")
-                for label, n in hist.items():
-                    lines.append(f"    {label:>9}  {n:6d}  {'#' * min(n, 60)}")
+                lines += [f"  generation {gen}:", *_bars(hist, "    ")]
         return "\n".join(lines) + "\n"
 
 
+def _bars(hist: dict[str, int], indent: str) -> list[str]:
+    return [f"{indent}{label:>9}  {n:6d}  {'#' * min(n, 60)}" for label, n in hist.items()]
+
+
 def _length_hist(lengths: Sequence[int]) -> dict[str, int]:
-    hist: dict[str, int] = {}
-    if not lengths:
-        return hist
-    top = max(lengths)
-    for lo in range(0, top + 1, 5):
-        label = f"{lo}-{lo + 4}"
-        hist[label] = sum(1 for x in lengths if lo <= x < lo + 5)
-    return hist
+    """5-wide buckets from 0 up to the longest length."""
+    counts = Counter(x // 5 for x in lengths)
+    return {f"{5 * b}-{5 * b + 4}": counts[b] for b in range(max(lengths, default=-1) // 5 + 1)}
+
+
+# ratio r falls in bucket bisect_right(_RATIO_EDGES, r): bucket i holds
+# [i/10, (i+1)/10), and the last one, 0.9-1.0, holds 1.0 too
+_RATIO_EDGES = [i / 10 for i in range(1, 10)]
 
 
 def stats(records: Iterable[ProblemRecord]) -> StatsReport:
     records = list(records)
-    lengths = [r.metadata.reasoning_length for r in records]
-    ratio_hist: dict[str, int] = {}
-    for i in range(10):
-        lo = i / 10
-        hi = (i + 1) / 10
-        label = f"{lo:.1f}-{hi:.1f}"
-        if i < 9:
-            ratio_hist[label] = sum(
-                1 for r in records if lo <= r.metadata.premise_ratio < hi
-            )
-        else:
-            ratio_hist[label] = sum(1 for r in records if lo <= r.metadata.premise_ratio <= hi)
+    ratios = Counter(
+        bisect_right(_RATIO_EDGES, r.metadata.premise_ratio)
+        for r in records
+        if 0.0 <= r.metadata.premise_ratio <= 1.0
+    )
+    by_generation: dict[int, list[int]] = {}
+    for r in records:
+        meta = r.metadata
+        by_generation.setdefault(meta.bootstrap_generation, []).append(meta.reasoning_length)
 
     def count_by(fn) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for r in records:
-            key = str(fn(r))
-            out[key] = out.get(key, 0) + 1
-        return dict(sorted(out.items()))
-
-    generations: dict[str, dict[str, int]] = {}
-    for gen in sorted({r.metadata.bootstrap_generation for r in records}):
-        generations[str(gen)] = _length_hist(
-            [r.metadata.reasoning_length for r in records if r.metadata.bootstrap_generation == gen]
-        )
+        return dict(sorted(Counter(str(fn(r)) for r in records).items()))
 
     return StatsReport(
         total=len(records),
-        length_histogram=_length_hist(lengths),
-        ratio_histogram=ratio_hist,
+        length_histogram=_length_hist([r.metadata.reasoning_length for r in records]),
+        ratio_histogram={f"{i / 10:.1f}-{(i + 1) / 10:.1f}": ratios[i] for i in range(10)},
         tier_counts=count_by(lambda r: r.metadata.tier),
         template_counts=count_by(lambda r: r.template),
         kind_counts=count_by(lambda r: r.kind),
-        generation_length_histograms=generations,
+        generation_length_histograms={
+            str(gen): _length_hist(by_generation[gen]) for gen in sorted(by_generation)
+        },
     )
 
 

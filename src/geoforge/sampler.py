@@ -20,7 +20,7 @@ Difficulty tiering and the formal core of each problem also live here.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -132,39 +132,26 @@ def _derivations(
     fix the next statement: no two leaves share their transition set. A
     premise is below its conclusion, so it is never already resolved.
     """
-    unresolved = [target]  # ascending, so pop() takes the largest
-    chosen: dict[int, Transition] = {}
-    # each frame: (sid, its options left, the premises its choice added)
-    frames: list[tuple[int, Iterator[Transition], list[int]]] = []
+    # each frame: (the ids still unresolved, ascending; the options of the
+    # largest left to try; the transitions the frames below it took)
+    frames = [((target,), iter(options(target)), ())]
     choices = 0
-    while True:
-        if unresolved:
-            sid = unresolved.pop()
-            frames.append((sid, iter(options(sid)), []))
-        else:
-            yield list(chosen.values())
-        # advance the newest frame, backtracking through exhausted ones
-        while frames:
-            sid, opts, added = frames[-1]
-            for p in added:
-                unresolved.remove(p)
-            added.clear()
-            t = next(opts, None)
-            if t is not None:
-                break
-            chosen.pop(sid, None)  # absent when sid had no option
-            insort(unresolved, sid)
+    while frames:
+        unresolved, opts, chosen = frames[-1]
+        t = next(opts, None)
+        if t is None:  # exhausted, or a statement with no option: backtrack
             frames.pop()
-        else:
-            return
+            continue
         choices += 1
         if choices > max_choices:
             return
-        chosen[sid] = t
-        for p in t.premises:
-            if not graph.is_initial(p) and p not in unresolved:
-                insort(unresolved, p)
-                added.append(p)
+        # premises are sorted, so the derived ones are a tail
+        needed = {*unresolved[:-1], *t.premises[bisect_left(t.premises, graph.n_initial):]}
+        if needed:
+            unresolved = tuple(sorted(needed))
+            frames.append((unresolved, iter(options(unresolved[-1])), (*chosen, t)))
+        else:
+            yield [*chosen, t]
 
 
 def _every_derivation(graph: ReasoningGraph) -> _Options:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import itertools
 import json
 import shutil
+from bisect import insort
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 from geoforge.reasoner import ReasoningGraph, Transition
 from geoforge.statements import Statement, segment_length
@@ -144,6 +146,58 @@ def brute_force_paths(graph: ReasoningGraph, target: int) -> set[frozenset[Trans
         if complete and needed:
             results.add(frozenset(choice[s] for s in needed))
     return results
+
+
+def reference_derivations(
+    graph: ReasoningGraph,
+    target: int,
+    options: Callable[[int], Sequence[Transition]],
+    max_choices: float,
+) -> Iterator[list[Transition]]:
+    """Reference for ``sampler._derivations``, which must yield the same
+    leaves: a walk that backtracks by undoing its edits to one mutable state.
+
+    Walk ``target``'s derivations backward, depth first, and yield each
+    leaf: one transition per statement it needs, chosen among
+    ``options(sid)``. Stops before choice ``max_choices + 1``.
+
+    The largest unresolved id is resolved next, so the choices made so far
+    fix the next statement: no two leaves share their transition set. A
+    premise is below its conclusion, so it is never already resolved.
+    """
+    unresolved = [target]  # ascending, so pop() takes the largest
+    chosen: dict[int, Transition] = {}
+    # each frame: (sid, its options left, the premises its choice added)
+    frames: list[tuple[int, Iterator[Transition], list[int]]] = []
+    choices = 0
+    while True:
+        if unresolved:
+            sid = unresolved.pop()
+            frames.append((sid, iter(options(sid)), []))
+        else:
+            yield list(chosen.values())
+        # advance the newest frame, backtracking through exhausted ones
+        while frames:
+            sid, opts, added = frames[-1]
+            for p in added:
+                unresolved.remove(p)
+            added.clear()
+            t = next(opts, None)
+            if t is not None:
+                break
+            chosen.pop(sid, None)  # absent when sid had no option
+            insort(unresolved, sid)
+            frames.pop()
+        else:
+            return
+        choices += 1
+        if choices > max_choices:
+            return
+        chosen[sid] = t
+        for p in t.premises:
+            if not graph.is_initial(p) and p not in unresolved:
+                insort(unresolved, p)
+                added.append(p)
 
 
 def uncited_point(records, scenes) -> tuple[str, str]:

@@ -181,8 +181,15 @@ class TestCliInputErrors:
         out = tmp_path / "out"
         assert main(["bootstrap", "--in", str(tmp_path / "in"), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: scenes.jsonl line {n + 1} is not a scene object: ")
+        assert err.startswith(f"error: {scenes} line {n + 1}: not a scene object: ")
         assert err.count("\n") == 1 and not out.exists()
+
+    def test_bootstrap_extra_steps_below_one(self, run_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["bootstrap", "--in", str(run_dir), "--out", str(out), "--extra-steps", "-1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: bootstrap_extra_steps must be >= 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key_line, reason",

@@ -17,7 +17,10 @@ import pytest
 import geoforge.constructions
 import geoforge.dataset
 import geoforge.pipeline
+import geoforge.sampler
 from geoforge.dataset import (
+    ProblemRecord,
+    RecordMetadata,
     load_config,
     load_records,
     load_scenes,
@@ -39,6 +42,7 @@ from geoforge.pipeline import (
     verify,
 )
 from geoforge.rules import Rule
+from geoforge.sampler import tier_of
 from geoforge.statements import UnknownPointError, parse_statement
 from geoforge.translate import ExternalBackend
 from helpers import copy_with_edited_scene, move_point, uncited_point
@@ -48,6 +52,28 @@ SMALL = PipelineConfig(seed_start=0, count=40)
 REBUILT = "disagrees with the record rebuilt from its formal core"
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture
+def busiest_walk(monkeypatch) -> list[int]:
+    """Counts the option choices of every ``sampler._derivations`` walk the
+    test runs; holds the most that one walk made."""
+    walk, most = geoforge.sampler._derivations, [0]
+
+    def counted(graph, target, options, max_choices):
+        made = 0
+
+        def counting(sid):
+            nonlocal made
+            for t in options(sid):
+                made += 1
+                most[0] = max(most[0], made)
+                yield t
+
+        return walk(graph, target, counting, max_choices)
+
+    monkeypatch.setattr(geoforge.sampler, "_derivations", counted)
+    return most
 
 
 @pytest.fixture(scope="module")
@@ -99,21 +125,25 @@ class TestGenerate:
             assert sum(r.template == "multi_solution" for r in records) <= 1
             assert sum(r.template == "traceback" for r in records) <= 1
 
-    def test_matches_pinned_digests(self, tmp_path):
+    @pytest.mark.parametrize("start", [0, 5000], ids=["default", "held_out"])
+    def test_matches_pinned_digests(self, start, busiest_walk, tmp_path):
         # the benchmark's pinned digests of this run; byte drift shows here first
-        pinned = json.loads(PINNED_DIGESTS.read_text(encoding="utf-8"))["generate 0:200"]
+        pinned = json.loads(PINNED_DIGESTS.read_text(encoding="utf-8"))[f"generate {start}:200"]
         out = tmp_path / "pinned"
-        generate(PipelineConfig(seed_start=0, count=200), out)
+        generate(PipelineConfig(seed_start=start, count=200), out)
         for name, digest in pinned.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        # the bytes do not depend on WORK_CAP: no walk makes that many choices
+        assert 0 < busiest_walk[0] < geoforge.sampler.WORK_CAP
 
-    def test_bootstrap_matches_pinned_digests(self, tmp_path):
+    @pytest.mark.parametrize("start", [0, 5000], ids=["default", "held_out"])
+    def test_bootstrap_matches_pinned_digests(self, start, busiest_walk, tmp_path):
         # larger re-seeded scenes, where the triangle matchers do most work
-        pinned = json.loads(PINNED_DIGESTS.read_text(encoding="utf-8"))["bootstrap 0:300"]
+        pinned = json.loads(PINNED_DIGESTS.read_text(encoding="utf-8"))[f"bootstrap {start}:300"]
         prior, out = tmp_path / "prior", tmp_path / "boot"
-        generate(PipelineConfig(seed_start=0, count=300), prior)
+        generate(PipelineConfig(seed_start=start, count=300), prior)
         config = PipelineConfig(
-            seed_start=0,
+            seed_start=start,
             count=300,
             bootstrap_quantile=1.0,
             bootstrap_extra_steps=3,
@@ -122,6 +152,7 @@ class TestGenerate:
         bootstrap(config, prior, out)
         for name, digest in pinned.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        assert 0 < busiest_walk[0] < geoforge.sampler.WORK_CAP
 
     def test_determinism(self, dataset, tmp_path):
         out, _ = dataset
@@ -262,6 +293,23 @@ class TestGenerate:
             PipelineConfig(translator="external", **given)
         with pytest.raises(PipelineError, match=message):
             PipelineConfig.from_doc({"translator": "external", **given})
+
+    @pytest.mark.parametrize(
+        "field, edge, bad, message",
+        [
+            ("count", 1, (0, -1), "count must be >= 1"),
+            ("bootstrap_extra_steps", 1, (0, -1), "bootstrap_extra_steps must be >= 1"),
+            ("bootstrap_iterations", 1, (0, -2), "bootstrap_iterations must be >= 1"),
+            ("bootstrap_quantile", 1.0, (0.0, -0.5, 1.01), r"bootstrap_quantile must lie in \(0, 1\]"),
+        ],
+    )
+    def test_setting_that_crashes_or_does_nothing_rejected(self, field, edge, bad, message):
+        assert PipelineConfig.from_doc({field: edge}) == PipelineConfig(**{field: edge})
+        for value in bad:
+            with pytest.raises(PipelineError, match=message):
+                PipelineConfig(**{field: value})
+            with pytest.raises(PipelineError, match=message):
+                PipelineConfig.from_doc({field: value})
 
     def test_workers_below_one_rejected(self):
         for workers in (0, -3):
@@ -745,7 +793,8 @@ class TestVerifyTamperDetection:
                 load_scenes(target)
             (where, reason), = verify(target).failures
             assert where == "<dataset>"
-            assert reason.startswith(f"cannot load scenes: scenes.jsonl line {n + 1} is not a scene object: ")
+            scenes = target / "scenes.jsonl"
+            assert reason.startswith(f"cannot load scenes: {scenes} line {n + 1}: not a scene object: ")
 
     def test_missing_or_undecodable_records_file_fails(self, dataset, tmp_path):
         out, _ = dataset
@@ -1524,3 +1573,70 @@ class TestStats:
         assert set(combined.generation_length_histograms) == {"0", "1"}
         text = combined.render_text()
         assert "generation 0" in text and "generation 1" in text
+
+    def test_pinned_on_hand_built_records(self):
+        # ratios k/10 land in bucket k, and 0.9 and 1.0 share the closed last
+        # one; lengths 4, 5, 9 and 10 sit on bucket edges; two generations
+        blank = dict.fromkeys(f.name for f in dataclasses.fields(ProblemRecord))
+        records = []
+        for k in range(11):
+            length = (4, 5, 9, 10)[k % 4]
+            meta = RecordMetadata(length, k / 10, tier_of(length), 5, 0.5, 0.3, k % 2)
+            template = ("deductive", "multi_solution", "traceback")[k % 3]
+            kind = ("numeric", "proof")[k % 2]
+            records.append(ProblemRecord(**{**blank, "template": template, "kind": kind, "metadata": meta}))
+        ratio_labels = [f"0.{i}-{'1.0' if i == 9 else f'0.{i + 1}'}" for i in range(10)]
+        empty = stats([])
+        assert empty.to_doc() == {
+            "total": 0,
+            "length_histogram": {},
+            "ratio_histogram": dict.fromkeys(ratio_labels, 0),
+            "tier_counts": {},
+            "template_counts": {},
+            "kind_counts": {},
+            "generation_length_histograms": {},
+        }
+        assert empty.render_text().splitlines() == [
+            "records: 0", "", "reasoning length:", "", "premise ratio:",
+            *(f"    {label}       0  " for label in ratio_labels),
+            "", "tiers:     ", "templates: ", "kinds:     ",
+        ]
+        report = stats(records)
+        assert report.to_doc() == {
+            "total": 11,
+            "length_histogram": {"0-4": 3, "5-9": 6, "10-14": 2},
+            "ratio_histogram": {**dict.fromkeys(ratio_labels, 1), "0.9-1.0": 2},
+            "tier_counts": {"1": 8, "None": 3},
+            "template_counts": {"deductive": 4, "multi_solution": 4, "traceback": 3},
+            "kind_counts": {"numeric": 6, "proof": 5},
+            "generation_length_histograms": {
+                "0": {"0-4": 3, "5-9": 3},
+                "1": {"0-4": 0, "5-9": 3, "10-14": 2},
+            },
+        }
+        assert report.render_text().splitlines() == [
+            "records: 11",
+            "",
+            "reasoning length:",
+            "        0-4       3  ###",
+            "        5-9       6  ######",
+            "      10-14       2  ##",
+            "",
+            "premise ratio:",
+            *(f"    {label}       1  #" for label in ratio_labels[:-1]),
+            "    0.9-1.0       2  ##",
+            "",
+            "tiers:     1:8  None:3",
+            "templates: deductive:4  multi_solution:4  traceback:3",
+            "kinds:     numeric:6  proof:5",
+            "",
+            "reasoning length by bootstrap generation:",
+            "  generation 0:",
+            "          0-4       3  ###",
+            "          5-9       3  ###",
+            "  generation 1:",
+            "          0-4       0  ",
+            "          5-9       3  ###",
+            "        10-14       2  ##",
+        ]
+        assert report.render_text().endswith("##\n")

@@ -3,7 +3,14 @@ import hashlib
 import math
 
 import pytest
-from helpers import HAND_GRAPHS, brute_force_paths, build_graph, diamond_graph, every_closure
+from helpers import (
+    HAND_GRAPHS,
+    brute_force_paths,
+    build_graph,
+    diamond_graph,
+    every_closure,
+    reference_derivations,
+)
 
 from geoforge.constructions import ConstructionError, generate_base_scene
 from geoforge.geometry import SceneGeometry
@@ -17,6 +24,7 @@ from geoforge.sampler import (
     SamplerError,
     TargetIsInitialError,
     _derivations,
+    _every_derivation,
     _filter,
     _finish_path,
     formulate_problem,
@@ -153,6 +161,40 @@ class TestGeoExplore:
         path = geo_explore(graph, 8, tau_l=0, tau_r=0.0)
         conclusions = [t.conclusion for t in path.transitions]
         assert conclusions == sorted(conclusions)
+
+
+# choice caps at which the walk must stop exactly where the reference does
+WALK_CAPS = (0, 1, 2, 3, 5, 8, 13, 40, math.inf)
+
+
+def _leaves(walk, graph, target, cap):
+    options = _every_derivation(graph)
+    return [sorted(leaf, key=lambda t: t.conclusion) for leaf in walk(graph, target, options, cap)]
+
+
+class TestDerivations:
+    @pytest.mark.parametrize("name", sorted(HAND_GRAPHS) + ["dangling"])
+    def test_matches_reference_on_hand_graphs(self, name):
+        if name == "dangling":
+            # statement 3 has no option, so the walk backtracks past "b"
+            graph, target = build_graph(2, [([0], "a", 2), ([1, 3], "b", 4), ([2], "c", 4)]), 4
+        else:
+            make, target, _ = HAND_GRAPHS[name]
+            graph = make()
+        for cap in WALK_CAPS:
+            expected = _leaves(reference_derivations, graph, target, cap)
+            assert _leaves(_derivations, graph, target, cap) == expected, cap
+
+    def test_matches_reference_on_pipeline_scenes(self):
+        walks = 0
+        for seed in range(60):
+            graph = saturate(_build_scene(seed))
+            for sid in range(graph.n_initial, len(graph.statements)):
+                for cap in WALK_CAPS:
+                    expected = _leaves(reference_derivations, graph, sid, cap)
+                    assert _leaves(_derivations, graph, sid, cap) == expected, (seed, sid, cap)
+                    walks += 1
+        assert walks > 10000
 
 
 class TestGeoExploreM:
