@@ -155,6 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--quantile", type=float, dest="bootstrap_quantile")
     p.add_argument("--extra-steps", type=int, dest="bootstrap_extra_steps")
     p.add_argument("--iterations", type=int, dest="bootstrap_iterations")
+    p.add_argument("--workers", type=int)
     p.set_defaults(func=_cmd_bootstrap)
 
     p = sub.add_parser("curate", help="cut a tiered numeric-answer test split")

@@ -217,22 +217,21 @@ def scene_id_of(scene: Scene) -> str:
     return hashlib.sha256(scene.to_json().encode("utf-8")).hexdigest()[:16]
 
 
-def manifest_line(record: ProblemRecord) -> dict:
-    approx = None
-    if record.kind == "numeric" and record.answer_value is not None:
-        approx = float(record.answer_value)
+def manifest_line(doc: dict) -> dict:
+    """The manifest's summary of one ``record_to_doc`` document."""
+    meta = doc["metadata"]
     return {
-        "id": record.id,
-        "seed": record.seed,
-        "scene_id": record.scene_id,
-        "template": record.template,
-        "kind": record.kind,
-        "tier": record.metadata.tier,
-        "reasoning_length": record.metadata.reasoning_length,
-        "premise_ratio": record.metadata.premise_ratio,
-        "bootstrap_generation": record.metadata.bootstrap_generation,
-        "answer_approx": approx,
-        "diagram": record.diagram,
+        "id": doc["id"],
+        "seed": doc["seed"],
+        "scene_id": doc["scene_id"],
+        "template": doc["template"],
+        "kind": doc["kind"],
+        "tier": meta["tier"],
+        "reasoning_length": meta["reasoning_length"],
+        "premise_ratio": meta["premise_ratio"],
+        "bootstrap_generation": meta["bootstrap_generation"],
+        "answer_approx": doc["answer"]["approx"] if doc["kind"] == "numeric" else None,
+        "diagram": doc["diagram"],
     }
 
 
@@ -259,12 +258,13 @@ def write_jsonl(path: Path, docs: Iterable[dict]) -> None:
 
 def write_dataset(
     out_dir: str | Path,
-    records: Iterable[ProblemRecord],
+    docs: Iterable[dict],
     scenes: dict[str, Scene],
     diagrams: dict[str, str],
     config_doc: dict,
 ) -> None:
-    """Write a dataset directory, ``manifest.jsonl`` last.
+    """Write a dataset directory, ``manifest.jsonl`` last. ``docs`` are the
+    records' ``record_to_doc`` documents, id and diagram filled in.
 
     An old manifest is removed first and every file is renamed into place
     once complete, so a crash leaves no manifest or one that disagrees with
@@ -272,8 +272,8 @@ def write_dataset(
     out = Path(out_dir)
     (out / "svg").mkdir(parents=True, exist_ok=True)
     (out / "manifest.jsonl").unlink(missing_ok=True)
-    records = list(records)
-    write_jsonl(out / "records.jsonl", (record_to_doc(r) for r in records))
+    docs = list(docs)
+    write_jsonl(out / "records.jsonl", docs)
     write_jsonl(
         out / "scenes.jsonl",
         ({"scene_id": sid, "scene": scenes[sid].to_doc()} for sid in sorted(scenes)),
@@ -283,7 +283,7 @@ def write_dataset(
             f.write(svg)
     with _replacing(out / "config.json") as f:
         f.write(_dump(config_doc) + "\n")
-    write_jsonl(out / "manifest.jsonl", (manifest_line(r) for r in records))
+    write_jsonl(out / "manifest.jsonl", map(manifest_line, docs))
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:

@@ -21,7 +21,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -50,6 +50,9 @@ from .dataset import (
 )
 from .geometry import GeometryError
 from .reasoner import (
+    MAX_ROUNDS,
+    MAX_STATEMENTS,
+    MAX_TRANSITIONS,
     ReasoningGraph,
     SolutionStep,
     VerifierContradictionError,
@@ -69,7 +72,7 @@ from .sampler import (
     geo_explore_t,
     tier_of,
 )
-from .statements import VALUE_PREDICATES, ParseError, Predicate, Statement, Unit
+from .statements import VALUE_PREDICATES, ParseError, Predicate, Statement, Unit, clear_canonical_table
 from .translate import (
     BackendUnavailableError,
     ExternalBackend,
@@ -105,6 +108,18 @@ _PROOF_TARGETS = frozenset(
 MAX_PROBLEMS_PER_SCENE = 4  # deductive records per scene, at most one of them a proof
 MAX_PATHS = 8  # derivations per target that geo_explore_m keeps and geo_explore_t reads
 MIN_EXTENSION_STEPS, MAX_EXTENSION_STEPS = 2, 6  # constructions extending each base scene
+
+# config fields that became the constants above and reasoner's closure caps;
+# an older engine's config.json still names them
+_NOW_CONSTANT = {
+    "max_problems_per_scene": MAX_PROBLEMS_PER_SCENE,
+    "max_paths": MAX_PATHS,
+    "min_extension_steps": MIN_EXTENSION_STEPS,
+    "max_extension_steps": MAX_EXTENSION_STEPS,
+    "max_statements": MAX_STATEMENTS,
+    "max_transitions": MAX_TRANSITIONS,
+    "max_rounds": MAX_ROUNDS,
+}
 
 
 @dataclass(frozen=True)
@@ -155,9 +170,17 @@ class PipelineConfig:
         if not isinstance(doc, dict):
             raise PipelineError("config is not a JSON object")
         defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        unknown = set(doc) - set(defaults)
+        unknown = set(doc) - set(defaults) - set(_NOW_CONSTANT)
         if unknown:
             raise PipelineError(f"unknown config keys: {sorted(unknown)}")
+        # a dataset written by an older engine is read when it ran at today's value
+        for key in sorted(set(doc) & set(_NOW_CONSTANT)):
+            value, constant = doc[key], _NOW_CONSTANT[key]
+            if type(value) is not int or value != constant:
+                raise PipelineError(
+                    f"written by an older engine: {key} was {value!r}, is now the constant {constant}"
+                )
+        doc = {k: v for k, v in doc.items() if k not in _NOW_CONSTANT}
         for key, value in doc.items():
             default = defaults[key]
             # a field takes its default's type, a float field an int too, and
@@ -303,22 +326,24 @@ def build_record(
 
 @dataclass
 class _Batch:
-    """Records, the scenes and diagrams they cite, and failures, as
-    ``generate`` and ``bootstrap`` collect them scene by scene."""
+    """Records and their documents, the scenes and diagrams they cite, and
+    failures, as ``generate`` and ``bootstrap`` collect them scene by scene."""
 
     records: list[ProblemRecord] = field(default_factory=list)
+    docs: list[dict] = field(default_factory=list)
     scenes: dict[str, Scene] = field(default_factory=dict)
     diagrams: dict[str, str] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
 
     def extend(self, other: "_Batch") -> None:
         self.records.extend(other.records)
+        self.docs.extend(other.docs)
         self.scenes.update(other.scenes)
         self.diagrams.update(other.diagrams)
         self.failures.extend(other.failures)
 
     def write(self, out_dir: str | Path, config: PipelineConfig) -> GenerationReport:
-        write_dataset(out_dir, self.records, self.scenes, self.diagrams, config.to_doc())
+        write_dataset(out_dir, self.docs, self.scenes, self.diagrams, config.to_doc())
         return GenerationReport(str(out_dir), self.records, self.failures)
 
 
@@ -411,8 +436,9 @@ def _scene_records(
             out.failures.append(f"scene {scene_id()}: render failed: {exc}")
             return out
         for draft in drafts:
-            record, _ = build_record(draft, scene, scene_id(), config, generation, backend)
+            record, doc = build_record(draft, scene, scene_id(), config, generation, backend)
             out.records.append(record)
+            out.docs.append(doc)
             out.diagrams[record.id] = svg
         out.scenes[scene_id()] = scene
     return out
@@ -468,6 +494,22 @@ def _generate_one_seed(config: PipelineConfig, seed: int) -> _Batch:
     return _process_scene(scene, config, 0, backend)
 
 
+def _empties_canonical_table(fn: Callable) -> Callable:
+    """``fn``, which empties the table of canonical statements when it
+    returns or raises: equal statements are one object within a call, and
+    the table holds none of them past it."""
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            clear_canonical_table()
+
+    return call
+
+
+@_empties_canonical_table
 def generate(config: PipelineConfig, out_dir: str | Path) -> GenerationReport:
     """Run the full engine for every seed and emit a dataset directory."""
     seeds = range(config.seed_start, config.seed_start + config.count)
@@ -490,6 +532,7 @@ def _bootstrap_one_scene(
     return _process_scene(extended, config, generation, _make_backend(config))
 
 
+@_empties_canonical_table
 def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -> GenerationReport:
     """Re-seed the constructor with the deepest prior scenes and go again.
 
@@ -883,6 +926,7 @@ def _full_target(record: ProblemRecord) -> Statement:
     return Statement(record.target.predicate, record.target.groups, record.answer_value)
 
 
+@_empties_canonical_table
 def verify(in_dir: str | Path) -> VerifyReport:
     """Independently replay every record of a dataset, then rebuild it.
 

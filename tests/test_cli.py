@@ -42,6 +42,16 @@ class TestCli:
         assert main(["bootstrap", "--in", str(out), "--out", str(again), *args]) == 0
         assert "generation-2 records" in capsys.readouterr().out
 
+    def test_bootstrap_workers_flag(self, run_dir, tmp_path, capsys):
+        outs = {workers: tmp_path / f"w{workers}" for workers in ("1", "2")}
+        for workers, out in outs.items():
+            argv = ["bootstrap", "--in", str(run_dir), "--out", str(out), "--quantile", "1.0"]
+            assert main([*argv, "--workers", workers]) == 0
+        assert json.loads((outs["2"] / "config.json").read_text())["workers"] == 2
+        for name in ("records.jsonl", "scenes.jsonl"):
+            assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes(), name
+        assert (outs["1"] / "records.jsonl").stat().st_size > 0
+
     def test_bootstrap_with_no_records_fails(self, run_dir, tmp_path, capsys):
         # at the default 3 extra steps the second bootstrap of this run yields nothing
         first = tmp_path / "boot"
@@ -292,6 +302,7 @@ class TestCliConfig:
             ("bootstrap", "--quantile", "0.5", "bootstrap_quantile", 0.5),
             ("bootstrap", "--extra-steps", "2", "bootstrap_extra_steps", 2),
             ("bootstrap", "--iterations", "2", "bootstrap_iterations", 2),
+            ("bootstrap", "--workers", "2", "workers", 2),
         ],
     )
     def test_flag_sets_field(self, configs, command, flag, value, field, expected, tmp_path):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from geoforge.dataset import (
     load_records,
     load_scenes,
     record_content_hash,
+    record_to_doc,
     scene_id_of,
     write_dataset,
 )
@@ -43,11 +45,21 @@ from geoforge.pipeline import (
 )
 from geoforge.rules import Rule
 from geoforge.sampler import tier_of
-from geoforge.statements import UnknownPointError, parse_statement
+from geoforge.statements import UnknownPointError, _canonical, parse_statement
 from geoforge.translate import ExternalBackend
 from helpers import copy_with_edited_scene, move_point, uncited_point
 
 SMALL = PipelineConfig(seed_start=0, count=40)
+# the settings that became constants, at the defaults they had as fields
+OLD_DEFAULTS = {
+    "max_problems_per_scene": 4,
+    "max_paths": 8,
+    "min_extension_steps": 2,
+    "max_extension_steps": 6,
+    "max_statements": 5000,
+    "max_transitions": 20000,
+    "max_rounds": 50,
+}
 # the tail of every failure that names a field of the rebuilt record
 REBUILT = "disagrees with the record rebuilt from its formal core"
 PINNED_DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "pinned.json"
@@ -136,9 +148,15 @@ class TestGenerate:
         # the bytes do not depend on WORK_CAP: no walk makes that many choices
         assert 0 < busiest_walk[0] < geoforge.sampler.WORK_CAP
 
-    @pytest.mark.parametrize("start", [0, 5000], ids=["default", "held_out"])
-    def test_bootstrap_matches_pinned_digests(self, start, busiest_walk, tmp_path):
-        # larger re-seeded scenes, where the triangle matchers do most work
+    @pytest.mark.parametrize(
+        "start, workers",
+        [(0, 1), (5000, 1), (0, 2), (5000, 2)],
+        ids=["default", "held_out", "default-workers2", "held_out-workers2"],
+    )
+    def test_bootstrap_matches_pinned_digests(self, start, workers, busiest_walk, tmp_path):
+        # larger re-seeded scenes, where the triangle matchers do most work;
+        # at workers 2, as the benchmark runs it, each worker has its own
+        # table of canonical statements
         pinned = json.loads(PINNED_DIGESTS.read_text(encoding="utf-8"))[f"bootstrap {start}:300"]
         prior, out = tmp_path / "prior", tmp_path / "boot"
         generate(PipelineConfig(seed_start=start, count=300), prior)
@@ -148,10 +166,12 @@ class TestGenerate:
             bootstrap_quantile=1.0,
             bootstrap_extra_steps=3,
             bootstrap_iterations=3,
+            workers=workers,
         )
         bootstrap(config, prior, out)
         for name, digest in pinned.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        # the walks of a workers=2 bootstrap run in the pool, uncounted here
         assert 0 < busiest_walk[0] < geoforge.sampler.WORK_CAP
 
     def test_determinism(self, dataset, tmp_path):
@@ -248,7 +268,7 @@ class TestGenerate:
         files = ["records.jsonl", "scenes.jsonl", "config.json"]
         files += [r.diagram for r in report0.records]
         args = (
-            report0.records,
+            [record_to_doc(r) for r in report0.records],
             load_scenes(out),
             {r.id: (out / r.diagram).read_text(encoding="utf-8") for r in report0.records},
             load_config(out),
@@ -323,6 +343,36 @@ class TestGenerate:
         for key, value in (("count", 5.0), ("tau_p", "0.3"), ("workers", True), ("translator", None)):
             with pytest.raises(PipelineError, match=f"config key '{key}' must be "):
                 PipelineConfig.from_doc({key: value})
+
+    def test_config_from_doc_reads_settings_that_became_constants(self):
+        # an older engine's config.json names them; read at today's value
+        assert PipelineConfig.from_doc({**OLD_DEFAULTS, "tau_l": 4}) == PipelineConfig(tau_l=4)
+        for key in OLD_DEFAULTS:
+            assert PipelineConfig.from_doc({key: OLD_DEFAULTS[key]}) == PipelineConfig()
+
+    @pytest.mark.parametrize("key, value", [("max_paths", 9), ("max_rounds", 50.0), ("max_statements", None)])
+    def test_config_from_doc_refuses_an_old_setting_off_its_constant(self, key, value):
+        message = f"written by an older engine: {key} was {value!r}, is now the constant {OLD_DEFAULTS[key]}"
+        with pytest.raises(PipelineError, match=re.escape(message)):
+            PipelineConfig.from_doc({**OLD_DEFAULTS, key: value})
+
+    def test_config_from_doc_unknown_key_still_unknown(self):
+        # a key that never was a setting is refused as before, beside old ones
+        with pytest.raises(PipelineError, match=re.escape("unknown config keys: ['tau_q']")):
+            PipelineConfig.from_doc({**OLD_DEFAULTS, "tau_q": 1})
+
+    def test_verify_reads_a_dataset_with_the_old_settings(self, dataset, tmp_path):
+        out, report = dataset
+        old = tmp_path / "old"
+        shutil.copytree(out, old)
+        doc = {**load_config(out), **OLD_DEFAULTS}
+        (old / "config.json").write_text(json.dumps(doc, sort_keys=True) + "\n")
+        result = verify(old)
+        assert result.ok and result.total == report.count
+        (old / "config.json").write_text(json.dumps({**doc, "max_paths": 3}) + "\n")
+        assert verify(old).failures == [
+            ("<dataset>", "cannot load config: written by an older engine: max_paths was 3, is now the constant 8")
+        ]
 
 
 class TestVerifyTamperDetection:
@@ -1463,6 +1513,41 @@ def _synthetic_dataset(tmp_path, tiers=(1, 2, 3, 4), per_tier=3) -> Path:
         for doc in docs:
             f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
     return out
+
+
+class TestCanonicalTable:
+    """``generate``, ``bootstrap`` and ``verify`` fill the table of canonical
+    statements and leave it empty when they return, or raise."""
+
+    @pytest.fixture
+    def sizes_at_clear(self, monkeypatch) -> list[int]:
+        sizes = []
+        clear = geoforge.pipeline.clear_canonical_table
+
+        def spy():
+            sizes.append(_canonical.cache_info().currsize)
+            clear()
+
+        monkeypatch.setattr(geoforge.pipeline, "clear_canonical_table", spy)
+        return sizes
+
+    def test_empty_after_each_call(self, dataset, sizes_at_clear, tmp_path):
+        out, _ = dataset
+        generate(dataclasses.replace(SMALL, count=5), tmp_path / "gen")
+        assert _canonical.cache_info().currsize == 0
+        bootstrap(SMALL, out, tmp_path / "boot")
+        assert _canonical.cache_info().currsize == 0
+        assert verify(tmp_path / "boot").ok
+        assert _canonical.cache_info().currsize == 0
+        assert len(sizes_at_clear) == 3 and min(sizes_at_clear) > 0
+
+    def test_empty_after_bootstrap_yields_no_records(self, dataset, sizes_at_clear, tmp_path, monkeypatch):
+        out, _ = dataset
+        monkeypatch.setattr(geoforge.pipeline, "_grow_scene", lambda *args: None)
+        with pytest.raises(PipelineError, match="yielded no records"):
+            bootstrap(SMALL, out, tmp_path / "boot")
+        assert _canonical.cache_info().currsize == 0
+        assert len(sizes_at_clear) == 1 and sizes_at_clear[0] > 0  # loading the prior filled it
 
 
 class TestCurate:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoforge.statements import (
+    CANONICAL_TABLE_SIZE,
     MalformedStatementError,
     ParseError,
     Predicate,
@@ -16,8 +17,10 @@ from geoforge.statements import (
     _LABELS as LEGAL_LABELS,
     _POINT_RE,
     _canon_triangle_pair,
+    _canonical,
     angle_measure,
     canonicalize,
+    clear_canonical_table,
     collinear,
     congruent_triangles,
     equal_angles,
@@ -106,6 +109,85 @@ class TestCanonicalization:
         assert a == b
         assert a.text() == b.text()
         assert hash(a) == hash(b)
+
+
+def _table_size() -> int:
+    return _canonical.cache_info().currsize
+
+
+class TestCanonicalTable:
+    """Equal canonical statements are one shared object while the table
+    holds them; the table never changes what a statement is."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self):
+        clear_canonical_table()
+        yield
+        clear_canonical_table()
+
+    def test_equal_arguments_return_the_same_object(self):
+        a1, a2 = ("C", "B", "A"), ("F", "E", "D")
+        assert equal_angles(a1, a2) is equal_angles(a1, a2)
+        # every way in builds through the one table
+        s = equal_angles(a1, a2)
+        assert parse_statement("eq_angle(C,B,A;F,E,D)") is s
+        assert canonicalize(Statement(Predicate.EQUAL_ANGLES, (a1, a2))) is s
+        assert segment_ratio(("B", "A"), ("C", "D"), 2) is segment_ratio(("B", "A"), ("C", "D"), 2)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: collinear("A", "A", "B"), "collinear points must be distinct"),
+            (lambda: angle_measure(("A", "B", "C"), 180), r"angle value must lie in \(0, 180\)"),
+            (lambda: parse_statement("parallel(A,B;B,C)"), "parallel segments may not share a point"),
+            (lambda: canonicalize(Statement(Predicate.MIDPOINT, (("A",), ("A", "B")))), "midpoint coincides"),
+        ],
+        ids=["factory", "value", "parser", "canonicalize"],
+    )
+    def test_malformed_raises_every_call_and_is_not_stored(self, build, message):
+        collinear("A", "B", "C")
+        size = _table_size()
+        for _ in range(3):
+            with pytest.raises(MalformedStatementError, match=message):
+                build()
+        assert _table_size() == size == 1
+
+    def test_int_and_equal_fraction_values_are_not_merged(self):
+        groups = (("B", "A"),)
+        as_int = canonicalize(Statement(Predicate.SEGMENT_LENGTH, groups, 3))
+        as_fraction = canonicalize(Statement(Predicate.SEGMENT_LENGTH, groups, Fraction(3)))
+        assert type(as_int.value) is int and type(as_fraction.value) is Fraction
+        assert as_int == as_fraction and as_int is not as_fraction
+        assert _table_size() == 2
+        # the factories hand the table a Fraction whatever they are given
+        assert segment_length(("A", "B"), 3) is segment_length(("A", "B"), Fraction(3))
+
+    @pytest.mark.parametrize(
+        "predicate, groups, value, text",
+        [
+            (Predicate.EQUAL_SEGMENTS, [["C", "D"], ["B", "A"]], None, "eq_seg(A,B;C,D)"),
+            (Predicate.COLLINEAR, [["C", "A", "B"]], None, "collinear(A,B,C)"),
+            (Predicate.MIDPOINT, [["M"], ["B", "A"]], None, "midpoint(M;A,B)"),
+            (Predicate.CONGRUENT_TRIANGLES, [["E", "D", "F"], ["B", "A", "C"]], None, "congruent(A,B,C;D,E,F)"),
+            (Predicate.SEGMENT_RATIO, [["C", "D"], ["A", "B"]], Fraction(2), "seg_ratio(A,B;C,D;1/2)"),
+        ],
+        ids=["eq_seg", "collinear", "midpoint", "congruent", "seg_ratio"],
+    )
+    def test_list_groups_canonicalize_as_before(self, predicate, groups, value, text):
+        s = canonicalize(Statement(predicate, groups, value))
+        assert s.text() == text and s == parse_statement(text)
+        assert type(s.groups) is tuple and all(type(g) is tuple for g in s.groups)
+        assert _table_size() == 1  # the parse above; the lists never enter the table
+
+    def test_list_groups_malformed_raise_as_before(self):
+        with pytest.raises(MalformedStatementError, match="collinear points must be distinct"):
+            canonicalize(Statement(Predicate.COLLINEAR, [["A", "B", "A"]]))
+        with pytest.raises(MalformedStatementError, match=r"expects groups \(2, 2\), got \(2,\)"):
+            canonicalize(Statement(Predicate.PARALLEL, [["A", "B"]]))
+        assert _table_size() == 0
+
+    def test_bounded(self):
+        assert _canonical.cache_info().maxsize == CANONICAL_TABLE_SIZE
 
 
 class TestParsing:
