@@ -50,7 +50,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_bootstrap(args: argparse.Namespace) -> int:
     report = bootstrap(_load_config(args), args.in_dir, args.out)
     generations = sorted({r.metadata.bootstrap_generation for r in report.records})
-    label = ",".join(map(str, generations)) or "?"
+    label = ",".join(map(str, generations))
     print(f"wrote {report.count} generation-{label} records to {args.out}")
     for failure in report.failures:
         print(f"skipped: {failure}", file=sys.stderr)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .statements import Predicate, Statement
@@ -304,30 +303,3 @@ class SceneGeometry:
         failing = tuple(s for s in stmts if not self.check_statement(s).holds)
         degeneracies = tuple(self.degeneracies(stmts))
         return SceneVerdict(not failing and not degeneracies, failing, degeneracies)
-
-    # measurement oracle -------------------------------------------------
-
-    def numeric_answer(self, query: Statement) -> Fraction | float:
-        """Ground-truth value of a value-bearing statement from coordinates.
-
-        Returns an exact rational when the measurement is within ``EPS_REL``
-        of a rational with denominator <= 360, otherwise a float.
-        """
-        pred = query.predicate
-        if pred is Predicate.SEGMENT_LENGTH:
-            x = _norm(self._seg_vec(query.groups[0]))
-            if x == 0.0:
-                raise DegenerateMeasurementError("zero-length segment")
-        elif pred is Predicate.ANGLE_MEASURE:
-            x = self.angle_deg(*query.groups[0])
-        elif pred is Predicate.SEGMENT_RATIO:
-            l2 = _norm(self._seg_vec(query.groups[1]))
-            if l2 == 0.0:
-                raise DegenerateMeasurementError("zero-length segment")
-            x = _norm(self._seg_vec(query.groups[0])) / l2
-        else:
-            raise GeometryError(f"{pred.value} is not a measurable query")
-        snapped = Fraction(x).limit_denominator(360)
-        if abs(float(snapped) - x) <= EPS_REL * max(1.0, abs(x)):
-            return snapped
-        return x

