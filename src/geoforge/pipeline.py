@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import dataset
 from .constructions import (
     BASE_GENERATORS,
+    POINT_CAP,
     ConstructionError,
     Scene,
     extend_scene,
@@ -449,7 +450,10 @@ def _build_scene(seed: int) -> Scene:
 
 def _grow_scene(config: PipelineConfig, base: Scene, generation: int) -> Scene | None:
     """``base`` extended by ``bootstrap_extra_steps`` constructions, retried
-    until its premise set strictly grows; None after ten attempts."""
+    until its premise set strictly grows; None after ten attempts, or at once
+    for a base at ``POINT_CAP`` points, where no construction adds a statement."""
+    if len(base.geometry) >= POINT_CAP:
+        return None
     for attempt in range(10):
         candidate = extend_scene(
             base,
@@ -780,7 +784,7 @@ class _StepChecks:
     def __init__(self, step: SolutionStep, initial: set[Statement]):
         self.rule: Rule | None = RULES_BY_ID.get(step.rule)
         # sets, whose operations reuse the hashes they store; the lookup in
-        # _SceneChecks.step still hashes the whole step on every replay
+        # _SceneChecks.step reads the hash the step keeps
         premises = frozenset(step.premises)
         self.needed = premises - initial  # must be earlier conclusions
         self.given = premises - self.needed
@@ -940,9 +944,10 @@ def verify(in_dir: str | Path) -> VerifyReport:
     is parsed once and each stored step built once; per scene, the scene
     check, each distinct step's checks that no other step affects (rule
     known, conclusion new and holding, licence) and each numeric check run
+    once; one template backend words each distinct step and bridge sentence
     once. Per record, only whether each premise is established and which
-    initial statements a solution uses remain. The memos are keyed by
-    value and live for this call only.
+    initial statements a solution uses remain. The memos are keyed by value
+    and live for this call only.
 
     Each record that passes is then rebuilt by ``build_record`` from its
     formal core (kind, target, solutions, wrong branch and the initial

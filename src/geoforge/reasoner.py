@@ -56,6 +56,16 @@ class SolutionStep:
     rule: str
     conclusion: Statement
 
+    def __hash__(self) -> int:  # kept, but never pickled, as a statement's
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.premises, self.rule, self.conclusion)))
+            return self._hash
+
+    def __reduce__(self):
+        return SolutionStep, (self.premises, self.rule, self.conclusion)
+
 
 class ReasoningGraph:
     """G = (S, S0, R, transitions); statements are ids into ``statements``."""

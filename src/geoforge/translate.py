@@ -10,6 +10,7 @@ corrupting them.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import urllib.error
@@ -115,7 +116,14 @@ _RULE_PHRASES: dict[str, str] = {
 
 
 class TemplateBackend:
-    """Deterministic, offline, rule-keyed translation."""
+    """Deterministic, offline, rule-keyed translation.
+
+    Each instance words each distinct step and bridge sentence once, keyed
+    by value; ``ExternalBackend``'s ``__init__`` skips this memo."""
+
+    def __init__(self) -> None:
+        self.step_sentence = functools.cache(self.step_sentence)
+        self.bridge_sentence = functools.cache(self.bridge_sentence)
 
     def step_sentence(self, step: SolutionStep) -> str:
         if step.rule == "isosceles_base_angles":

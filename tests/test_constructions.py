@@ -218,6 +218,20 @@ class TestApplicability:
             for construction, _ in applicable_constructions(scene):
                 assert construction.new_point_count == 0
 
+    def test_zero_point_constructions_add_no_statement(self):
+        # so a scene at POINT_CAP, where only these apply, cannot grow its
+        # premise set, and bootstrap gives it up without trying
+        zero = [c for c in CONSTRUCTIONS if c.new_point_count == 0]
+        assert zero
+        for generator in sorted(BASE_GENERATORS):
+            base = generate_base_scene(generator, 1)
+            for scene in (base, extend_scene(base, 40, 3)):
+                tables = constructions._Tables(scene)
+                for construction in zero:
+                    for binding in construction.bindings(scene, tables):
+                        built = construction.build(scene, binding, (), random.Random(0))
+                        assert built is None or built[:2] == ((), [])
+
     def test_catalog_size(self):
         assert len(CONSTRUCTIONS) == 10
 

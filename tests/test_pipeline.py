@@ -19,6 +19,8 @@ import geoforge.constructions
 import geoforge.dataset
 import geoforge.pipeline
 import geoforge.sampler
+import geoforge.statements
+from geoforge.constructions import POINT_CAP, extend_scene, generate_base_scene
 from geoforge.dataset import (
     ProblemRecord,
     RecordMetadata,
@@ -46,7 +48,7 @@ from geoforge.pipeline import (
 from geoforge.rules import Rule
 from geoforge.sampler import tier_of
 from geoforge.statements import UnknownPointError, _canonical, parse_statement
-from geoforge.translate import ExternalBackend
+from geoforge.translate import ExternalBackend, TemplateBackend
 from helpers import copy_with_edited_scene, move_point, uncited_point
 
 SMALL = PipelineConfig(seed_start=0, count=40)
@@ -1376,6 +1378,42 @@ class TestVerifyWork:
         assert calls["parse"] == len(texts) < len(scene_texts) + len(texts)
         assert calls["recheck"] == len({*steps}) < len(steps)
 
+    def test_each_statement_serialized_and_sentence_worded_once_per_call(self, dataset, monkeypatch):
+        # statements keep their text and the backend its sentences: before,
+        # a verify of this dataset serialized 2 102 times for 165 distinct
+        # statements and worded 366 step sentences for 105 distinct steps
+        out, _ = dataset
+        records = load_records(out)
+        texts = set()
+        for line in (out / "records.jsonl").read_text().splitlines():
+            doc = json.loads(line)
+            texts.update(doc["premises"], [doc["target"]])
+            for sol in [*doc["formal_solutions"], doc["wrong_branch"] or []]:
+                for step in sol:
+                    texts.update(step["premises"], [step["conclusion"]])
+        worded = {step for r in records for step in (*r.solutions[0], *(r.wrong_branch or ()))}
+        serialized, sentences = [], []
+        serialize = geoforge.statements.serialize_statement
+        step_sentence = TemplateBackend.step_sentence
+
+        def counted_serialize(s):
+            serialized.append(s)
+            return serialize(s)
+
+        def counted_step_sentence(self, step):
+            sentences.append(step)
+            return step_sentence(self, step)
+
+        monkeypatch.setattr(geoforge.statements, "serialize_statement", counted_serialize)
+        monkeypatch.setattr(TemplateBackend, "step_sentence", counted_step_sentence)
+        assert verify(out).ok
+        assert len(serialized) == len(set(serialized)) == len(texts)
+        assert len(sentences) == len(set(sentences)) == len(worded)
+        # the memos live for one call: a second starts empty and redoes each
+        assert verify(out).ok
+        assert len(serialized) == 2 * len(texts)
+        assert len(sentences) == 2 * len(worded)
+
 
 class TestBootstrap:
     def test_generation_shift(self, dataset, tmp_path):
@@ -1477,6 +1515,16 @@ class TestBootstrap:
             bootstrap(dataclasses.replace(SMALL, bootstrap_quantile=1.0, workers=2), out, tmp_path / "boot")
         assert not (tmp_path / "boot" / "records.jsonl").exists()
         assert not multiprocessing.active_children()
+
+    def test_capped_base_does_not_grow(self, monkeypatch):
+        base = extend_scene(generate_base_scene("rectangle", 5), 40, 7)
+        assert len(base.geometry) == POINT_CAP
+
+        def extend(*args, **kwargs):
+            raise AssertionError("extend_scene called on a capped base")
+
+        monkeypatch.setattr(geoforge.pipeline, "extend_scene", extend)
+        assert geoforge.pipeline._grow_scene(SMALL, base, 1) is None
 
     def test_empty_prior_rejected(self, tmp_path):
         empty = tmp_path / "empty"

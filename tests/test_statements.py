@@ -1,11 +1,18 @@
+import dataclasses
+import os
+import pickle
 import string
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geoforge.reasoner import SolutionStep
 from geoforge.statements import (
     CANONICAL_TABLE_SIZE,
     MalformedStatementError,
@@ -188,6 +195,76 @@ class TestCanonicalTable:
 
     def test_bounded(self):
         assert _canonical.cache_info().maxsize == CANONICAL_TABLE_SIZE
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# unpickles (texts, rule, [statements..., step]) sent by the test, builds
+# the same objects locally and compares; prints the local first hash
+_UNPICKLE_AND_COMPARE = """
+import pickle, sys
+from geoforge.reasoner import SolutionStep
+from geoforge.statements import parse_statement
+
+texts, rule, unpickled = pickle.loads(sys.stdin.buffer.read())
+assert not any("_hash" in vars(u) or "_text" in vars(u) for u in unpickled)
+local = [parse_statement(t) for t in texts]
+local.append(SolutionStep(tuple(local[:-1]), rule, local[-1]))
+assert unpickled == local
+assert [hash(u) for u in unpickled] == [hash(x) for x in local]
+index = {x: i for i, x in enumerate(local)}
+assert [index[u] for u in unpickled] == list(range(len(local)))
+assert [u.text() for u in unpickled[:-1]] == texts
+print(hash(local[0]))
+"""
+
+
+class TestKeptHashAndText:
+    """A statement computes its hash and text once, and a step its hash;
+    each is what the fields give, and none is pickled."""
+
+    def test_hash_text_repr_and_replace_as_the_fields_give(self):
+        s = segment_length(("B", "A"), Fraction(7, 2))
+        assert hash(s) == hash((s.predicate, s.groups, s.value))
+        assert s.text() == str(s) == serialize_statement(s) == "seg_len(A,B;7/2)"
+        assert repr(s) == (
+            "Statement(predicate=<Predicate.SEGMENT_LENGTH: 'seg_len'>, "
+            "groups=(('A', 'B'),), value=Fraction(7, 2))"
+        )
+        query = dataclasses.replace(s, value=None)
+        assert query.text() == "seg_len(A,B)" and hash(query) == hash((query.predicate, query.groups, None))
+        assert query == s.without_value() and query != s
+        step = SolutionStep((s,), "rule", query)
+        assert hash(step) == hash(((s,), "rule", query))
+        assert dataclasses.replace(step, rule="other") != step
+
+    def test_pickle_carries_neither_and_another_hash_seed_recomputes(self):
+        statements = [
+            segment_length(("A", "B"), Fraction(7, 2)),
+            angle_measure(("C", "B", "A"), 90),
+            segment_ratio(("C", "D"), ("A", "B"), 2),
+            equal_angles(("A", "B", "C"), ("D", "E", "F")),
+            segment_length(("C", "D"), 3).without_value(),
+        ]
+        step = SolutionStep(tuple(statements[:-1]), "some_rule", statements[-1])
+        for obj in (*statements, step):
+            hash(obj)
+        texts = [s.text() for s in statements]
+        data = pickle.dumps((texts, step.rule, [*statements, step]))
+        assert b"_hash" not in data and b"_text" not in data
+        pythonpath = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+        child_hashes = set()
+        for hash_seed in ("1", "2"):
+            child = subprocess.run(
+                [sys.executable, "-c", _UNPICKLE_AND_COMPARE],
+                input=data,
+                env={**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+            )
+            assert child.returncode == 0, child.stderr.decode()
+            child_hashes.add(int(child.stdout))
+        # the hash moves with the seed, so a pickled one would be wrong
+        assert len(child_hashes) == 2
 
 
 class TestParsing:

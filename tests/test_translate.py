@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -326,3 +327,40 @@ class TestExternalBackend:
         with pytest.raises(BackendUnavailableError):
             backend.step_sentence(_iso_step())
         assert len(transport.calls) == RETRIES + 1
+
+
+class TestSentenceMemo:
+    def test_template_words_each_distinct_sentence_once_per_instance(self, monkeypatch):
+        worded = []
+        step_sentence = TemplateBackend.step_sentence
+
+        def counted(self, step):
+            worded.append(step)
+            return step_sentence(self, step)
+
+        monkeypatch.setattr(TemplateBackend, "step_sentence", counted)
+        step = _iso_step()
+        twin = dataclasses.replace(step)  # equal, but another object
+        backend = TemplateBackend()
+        sentences = translate_steps([step, twin, step], backend)
+        assert sentences == [step_sentence(backend, step)] * 3
+        assert worded == [step]
+        target = step.conclusion
+        assert backend.bridge_sentence(None, step, target) is backend.bridge_sentence(None, twin, target)
+        # the memo belongs to the instance
+        TemplateBackend().step_sentence(step)
+        assert worded == [step, step]
+
+    def test_external_requests_every_sentence(self):
+        # no memo: one request per sentence asked for, repeats included,
+        # and a step the wrong branch shares with the solution is asked twice
+        shared = _right_angle_step("D")
+        wrong, correct = [shared], [shared, _right_angle_step("F")]
+        transport = _FakeTransport()
+        backend = ExternalBackend(endpoint="https://llm.invalid", model="m", transport=transport)
+        _traceback_record(wrong, correct, backend)
+        assert len(transport.calls) == len(wrong) + 2 * len(correct)
+        for _ in range(2):
+            backend.step_sentence(shared)
+            backend.bridge_sentence(None, shared, shared.conclusion)
+        assert len(transport.calls) == len(wrong) + 2 * len(correct) + 4
