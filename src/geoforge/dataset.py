@@ -11,11 +11,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .constructions import Scene, scene_from_doc
 from .reasoner import SolutionStep
@@ -242,11 +243,15 @@ def _dump(doc: dict) -> str:
 @contextmanager
 def _replacing(path: Path) -> Iterator[TextIO]:
     """Write beside ``path``, then rename into place: ``path`` is either its
-    old self or complete, never half written."""
+    old self or complete, never half written, and no temp file is left."""
     tmp = path.with_name(f".{path.name}.tmp")
-    with tmp.open("w", encoding="utf-8") as f:
-        yield f
-    os.replace(tmp, path)
+    try:
+        with tmp.open("w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_jsonl(path: Path, docs: Iterable[dict]) -> None:
@@ -256,6 +261,46 @@ def write_jsonl(path: Path, docs: Iterable[dict]) -> None:
             f.write(_dump(doc) + "\n")
 
 
+@contextmanager
+def dataset_writer(out_dir: str | Path, config_doc: dict) -> Iterator[Callable[..., None]]:
+    """``add(docs, scenes, diagrams)`` per batch, ``docs`` being ``record_to_doc`` documents
+    with id and diagram filled in, writes their lines to ``records.jsonl``'s temp file at
+    once and keeps manifest lines, scenes and diagrams. The first record, or the end if
+    none comes, removes an old manifest; the end renames ``records.jsonl`` into place,
+    then writes the diagrams, ``scenes.jsonl``, ``config.json`` and, last,
+    ``manifest.jsonl``, so a crash leaves no manifest or one that disagrees with records."""
+    out = Path(out_dir)
+    manifest: list[dict] = []
+    all_scenes: dict[str, Scene] = {}
+    all_diagrams: dict[str, str] = {}
+    with ExitStack() as stack:
+        @cache  # opened at the first call
+        def records() -> TextIO:
+            (out / "svg").mkdir(parents=True, exist_ok=True)
+            (out / "manifest.jsonl").unlink(missing_ok=True)
+            return stack.enter_context(_replacing(out / "records.jsonl"))
+
+        def add(docs: Iterable[dict], scenes: dict[str, Scene], diagrams: dict[str, str]) -> None:
+            for doc in docs:
+                records().write(_dump(doc) + "\n")
+                manifest.append(manifest_line(doc))
+            all_scenes.update(scenes)
+            all_diagrams.update(diagrams)
+
+        yield add
+        records()  # with no record at all, records.jsonl is still written, empty
+    # written together: interleaved with the scenes' work, they made generate slower
+    for record_id, svg in sorted(all_diagrams.items()):
+        with _replacing(out / "svg" / f"{record_id}.svg") as g:
+            g.write(svg)
+    write_jsonl(
+        out / "scenes.jsonl",
+        ({"scene_id": sid, "scene": all_scenes[sid].to_doc()} for sid in sorted(all_scenes)),
+    )
+    write_jsonl(out / "config.json", [config_doc])  # one line, so one JSON document
+    write_jsonl(out / "manifest.jsonl", manifest)
+
+
 def write_dataset(
     out_dir: str | Path,
     docs: Iterable[dict],
@@ -263,27 +308,9 @@ def write_dataset(
     diagrams: dict[str, str],
     config_doc: dict,
 ) -> None:
-    """Write a dataset directory, ``manifest.jsonl`` last. ``docs`` are the
-    records' ``record_to_doc`` documents, id and diagram filled in.
-
-    An old manifest is removed first and every file is renamed into place
-    once complete, so a crash leaves no manifest or one that disagrees with
-    ``records.jsonl``, and ``verify`` fails either way."""
-    out = Path(out_dir)
-    (out / "svg").mkdir(parents=True, exist_ok=True)
-    (out / "manifest.jsonl").unlink(missing_ok=True)
-    docs = list(docs)
-    write_jsonl(out / "records.jsonl", docs)
-    write_jsonl(
-        out / "scenes.jsonl",
-        ({"scene_id": sid, "scene": scenes[sid].to_doc()} for sid in sorted(scenes)),
-    )
-    for record_id, svg in sorted(diagrams.items()):
-        with _replacing(out / "svg" / f"{record_id}.svg") as f:
-            f.write(svg)
-    with _replacing(out / "config.json") as f:
-        f.write(_dump(config_doc) + "\n")
-    write_jsonl(out / "manifest.jsonl", map(manifest_line, docs))
+    """A dataset directory of one batch, by ``dataset_writer``."""
+    with dataset_writer(out_dir, config_doc) as add:
+        add(docs, scenes, diagrams)
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:

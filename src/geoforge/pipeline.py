@@ -45,8 +45,8 @@ from .dataset import (
     read_jsonl,
     record_content_hash,
     record_to_doc,
+    dataset_writer,
     scene_id_of,
-    write_dataset,
     write_jsonl,
 )
 from .geometry import GeometryError
@@ -326,25 +326,12 @@ def build_record(
 
 @dataclass
 class _Batch:
-    """Records and their documents, the scenes and diagrams they cite, and
-    failures, as ``generate`` and ``bootstrap`` collect them scene by scene."""
+    """One scene's records, the scene and diagrams they cite, and failures."""
 
     records: list[ProblemRecord] = field(default_factory=list)
-    docs: list[dict] = field(default_factory=list)
     scenes: dict[str, Scene] = field(default_factory=dict)
     diagrams: dict[str, str] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
-
-    def extend(self, other: "_Batch") -> None:
-        self.records.extend(other.records)
-        self.docs.extend(other.docs)
-        self.scenes.update(other.scenes)
-        self.diagrams.update(other.diagrams)
-        self.failures.extend(other.failures)
-
-    def write(self, out_dir: str | Path, config: PipelineConfig) -> GenerationReport:
-        write_dataset(out_dir, self.docs, self.scenes, self.diagrams, config.to_doc())
-        return GenerationReport(str(out_dir), self.records, self.failures)
 
 
 def _process_scene(scene: Scene, config: PipelineConfig, generation: int, backend) -> _Batch:
@@ -432,9 +419,8 @@ def _scene_records(
             out.failures.append(f"scene {scene_id()}: render failed: {exc}")
             return out
         for draft in drafts:
-            record, doc = build_record(draft, scene, scene_id(), config, generation, backend)
+            record, _ = build_record(draft, scene, scene_id(), config, generation, backend)
             out.records.append(record)
-            out.docs.append(doc)
             out.diagrams[record.id] = svg
         out.scenes[scene_id()] = scene
     return out
@@ -510,13 +496,15 @@ def _empties_canonical_table(fn: Callable) -> Callable:
 
 @_empties_canonical_table
 def generate(config: PipelineConfig, out_dir: str | Path) -> GenerationReport:
-    """Run the full engine for every seed and emit a dataset directory."""
+    """Run the full engine for every seed, writing each seed's records as it finishes."""
     seeds = range(config.seed_start, config.seed_start + config.count)
-    out = _Batch()
-    with _scene_map(config.workers) as scene_map:
+    report = GenerationReport(str(out_dir))
+    with dataset_writer(out_dir, config.to_doc()) as add, _scene_map(config.workers) as scene_map:
         for batch in scene_map(_generate_one_seed, repeat(config), seeds):
-            out.extend(batch)
-    return out.write(out_dir, config)
+            add(map(record_to_doc, batch.records), batch.scenes, batch.diagrams)
+            report.records += batch.records
+            report.failures += batch.failures
+    return report
 
 
 def _bootstrap_one_scene(
@@ -541,44 +529,44 @@ def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -
     bootstrap generation number. A generation's scenes run in parallel on
     one ``workers`` pool that serves the whole call, while generations run
     one after another, since each ranks the records of the one before;
-    records and failures keep the ranked order whatever ``workers`` is.
-    Raises ``PipelineError``, and writes nothing, when no iteration yields
-    a record.
+    records and failures keep the ranked order whatever ``workers`` is,
+    and records are written as each scene finishes. Raises
+    ``PipelineError``, and writes nothing, when no iteration yields a record.
     """
     prior_records = load_records(in_dir)
-    prior_scenes = load_scenes(in_dir)
+    scenes = load_scenes(in_dir)
     if not prior_records:
         raise PipelineError("prior dataset has no records")
-
-    out = _Batch()
-    current_records = prior_records
-    current_scenes = prior_scenes
+    best = _best_lengths(prior_records)
     generation = max(r.metadata.bootstrap_generation for r in prior_records)
+    del prior_records  # freed before the pool forks
 
-    with _scene_map(config.workers) as scene_map:
+    report = GenerationReport(str(out_dir))
+    with dataset_writer(out_dir, config.to_doc()) as add, _scene_map(config.workers) as scene_map:
         for _ in range(config.bootstrap_iterations):
             generation += 1
-            best: dict[str, int] = {}
-            for r in current_records:
-                best[r.scene_id] = max(best.get(r.scene_id, 0), r.metadata.reasoning_length)
             ranked = sorted(best, key=lambda sid: (-best[sid], sid))
-            k = math.ceil(config.bootstrap_quantile * len(ranked))  # >= 1, as the quantile is > 0
-
-            new = _Batch()
-            selected = ranked[:k]
-            bases = [current_scenes.get(scene_id) for scene_id in selected]
+            selected = ranked[: math.ceil(config.bootstrap_quantile * len(ranked))]  # >= 1 as quantile > 0
+            bases = [scenes.get(scene_id) for scene_id in selected]
+            n = len(report.records)
             for batch in scene_map(
                 _bootstrap_one_scene, repeat(config), selected, bases, repeat(generation)
             ):
-                new.extend(batch)
-            out.extend(new)
-            current_records = new.records or current_records
-            current_scenes = {**current_scenes, **new.scenes}
+                add(map(record_to_doc, batch.records), batch.scenes, batch.diagrams)
+                report.records += batch.records
+                report.failures += batch.failures
+                scenes.update(batch.scenes)
+            best = _best_lengths(report.records[n:]) or best
+        if not report.records:
+            # an empty dataset would verify as "0 records, 0 failures"
+            raise PipelineError(f"bootstrap of {in_dir} yielded no records; nothing written")
+    return report
 
-    if not out.records:
-        # an empty dataset would verify as "0 records, 0 failures"
-        raise PipelineError(f"bootstrap of {in_dir} yielded no records; nothing written")
-    return out.write(out_dir, config)
+
+def _best_lengths(records: Iterable[ProblemRecord]) -> dict[str, int]:
+    """Each scene's longest ``reasoning_length`` among ``records``."""
+    lengths = sorted((r.metadata.reasoning_length, r.scene_id) for r in records)
+    return {scene_id: length for length, scene_id in lengths}  # the longest comes last
 
 
 def curate_testset(in_dir: str | Path, per_tier: int, out_dir: str | Path) -> list[ProblemRecord]:

@@ -13,8 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -169,6 +167,8 @@ Transport = Callable[[str, dict, float], str]
 
 
 def _http_transport(url: str, payload: dict, timeout: float) -> str:
+    import urllib.request  # the HTTP and TLS stack loads at the first request
+
     req = urllib.request.Request(
         url,
         data=json.dumps(payload).encode("utf-8"),
@@ -225,7 +225,7 @@ class ExternalBackend(TemplateBackend):
                 raw = self.transport(self.endpoint, payload, TIMEOUT_S)
                 doc = json.loads(raw)
                 return doc["choices"][0]["message"]["content"].strip()
-            except (urllib.error.URLError, OSError, KeyError, IndexError, ValueError) as exc:
+            except (OSError, KeyError, IndexError, ValueError) as exc:  # URLError is an OSError
                 last = exc
         raise BackendUnavailableError(str(last))
 

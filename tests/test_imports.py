@@ -1,7 +1,10 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "geoforge"
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "geoforge"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -26,3 +29,12 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree).items() if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_cli_import_leaves_the_http_stack_unloaded():
+    # only the external translator's first request needs it
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); import geoforge.cli; print(*sys.modules)"
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
+    assert "geoforge.cli" in loaded
+    assert not loaded & {"urllib.request", "http.client", "ssl"}

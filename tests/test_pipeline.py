@@ -300,6 +300,40 @@ class TestGenerate:
             assert (stale / name).read_bytes() == (out / name).read_bytes(), name
         assert verify(stale).ok
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_crash_mid_stream_writes_no_records(self, dataset, tmp_path, monkeypatch, workers):
+        out, report0 = dataset
+        process_scene = geoforge.pipeline._process_scene
+
+        def fail_late(scene, *args):
+            if scene.seed == 33:
+                raise RuntimeError("late scene failed")
+            return process_scene(scene, *args)
+
+        # the pool's workers are forked inside the call, so they see the patch
+        monkeypatch.setattr(geoforge.pipeline, "_process_scene", fail_late)
+        written = []  # ids of the record lines the writer wrote, in this process
+        manifest_line = geoforge.dataset.manifest_line
+
+        def counted(doc):
+            written.append(doc["id"])
+            return manifest_line(doc)
+
+        monkeypatch.setattr(geoforge.dataset, "manifest_line", counted)
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        shutil.copytree(out, stale)  # a complete dataset from an earlier run
+        for target in (fresh, stale):
+            written.clear()
+            with pytest.raises(RuntimeError, match="late scene failed"):
+                generate(dataclasses.replace(SMALL, workers=workers), target)
+            # the earlier scenes' records went to the temp file, which is gone
+            assert written == [r.id for r in report0.records if r.seed < 33] != []
+            assert not (target / ".records.jsonl.tmp").exists()
+            assert not (target / "manifest.jsonl").exists()
+        assert not (fresh / "records.jsonl").exists()
+        report = verify(stale)
+        assert [rid for rid, _ in report.failures] == ["<dataset>"]
+
     def test_invalid_config_rejected(self):
         with pytest.raises(PipelineError):
             PipelineConfig(tau_r=1.5)

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import re
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -19,12 +21,14 @@ from geoforge.statements import (
     right_angle,
 )
 from geoforge.translate import (
+    API_KEY_ENV,
     RETRIES,
     _RULE_PHRASES,
     BackendUnavailableError,
     ExternalBackend,
     TemplateBackend,
     TranslationError,
+    _http_transport,
     connect_thinking,
     statement_nl,
     translate_steps,
@@ -327,6 +331,49 @@ class TestExternalBackend:
         with pytest.raises(BackendUnavailableError):
             backend.step_sentence(_iso_step())
         assert len(transport.calls) == RETRIES + 1
+
+    def test_url_error_is_retried_then_surfaces(self):
+        calls = []
+
+        def unreachable(url, payload, timeout):
+            calls.append(url)
+            raise urllib.error.URLError("name does not resolve")
+
+        backend = ExternalBackend(endpoint="https://llm.invalid", model="m", transport=unreachable)
+        with pytest.raises(BackendUnavailableError, match="name does not resolve"):
+            backend.step_sentence(_iso_step())
+        assert len(calls) == RETRIES + 1
+
+
+class TestHttpTransport:
+    def test_request_and_reply(self, monkeypatch):
+        sent = []
+
+        class Reply:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self):
+                return "∠ABC = 90°".encode("utf-8")
+
+        def urlopen(request, timeout):
+            sent.append((request, timeout))
+            return Reply()
+
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        monkeypatch.setenv(API_KEY_ENV, "sk-test")
+        payload = {"model": "m-1", "temperature": 0, "messages": [{"role": "user", "content": "∠ABC"}]}
+        assert _http_transport("https://llm.invalid/v1/chat", payload, 7.5) == "∠ABC = 90°"
+        [(request, timeout)] = sent
+        assert request.full_url == "https://llm.invalid/v1/chat"
+        assert request.get_method() == "POST"
+        assert json.loads(request.data.decode("utf-8")) == payload
+        assert request.get_header("Content-type") == "application/json"
+        assert request.get_header("Authorization") == "Bearer sk-test"
+        assert timeout == 7.5
 
 
 class TestSentenceMemo:
