@@ -82,10 +82,9 @@ class Scene:
 
     @cached_property
     def midpoint_segments(self) -> frozenset[Seg]:
-        """Segments whose midpoint an initial statement already names."""
-        return frozenset(
-            s.groups[1] for s in self.initial_statements if s.predicate is Predicate.MIDPOINT
-        )
+        """Segments, in both orientations, whose midpoint an initial statement names."""
+        segs = [s.groups[1] for s in self.initial_statements if s.predicate is Predicate.MIDPOINT]
+        return frozenset(segs + [(b, a) for a, b in segs])
 
     def to_doc(self) -> dict:
         return {
@@ -487,18 +486,6 @@ def _mid(scene: Scene, a: str, b: str) -> Coord:
     return ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0)
 
 
-def _projection(scene: Scene, p: str, a: str, b: str) -> tuple[float, Coord]:
-    """The parameter t along ab of p's perpendicular foot, and the foot."""
-    pa, pb, pp = _pt(scene, a), _pt(scene, b), _pt(scene, p)
-    ux, uy = pb[0] - pa[0], pb[1] - pa[1]
-    t = ((pp[0] - pa[0]) * ux + (pp[1] - pa[1]) * uy) / (ux * ux + uy * uy)
-    return t, (pa[0] + t * ux, pa[1] + t * uy)
-
-
-def _has_midpoint_statement(scene: Scene, seg: Seg) -> bool:
-    return _canon_seg(*seg) in scene.midpoint_segments
-
-
 def _non_collinear(scene: Scene, a: str, b: str, c: str) -> bool:
     smallest = scene.geometry.min_angle_deg(a, b, c)
     return smallest is not None and smallest >= 12.0
@@ -520,12 +507,17 @@ class _Tables:
         """(p, a, b, smallest angle of pab) for each point p off each drawn
         segment ab, points outer; a triangle with a zero-length side is left out."""
         geometry = self.scene.geometry
-        return [
-            (p, a, b, smallest)
-            for p in geometry.points
-            for a, b in self.scene.drawn_segments
-            if p not in (a, b) and (smallest := geometry.min_angle_deg(p, a, b)) is not None
-        ]
+        memo = geometry._min_angles
+        rows = []
+        for p in geometry.points:
+            for a, b in self.scene.drawn_segments:
+                if p in (a, b):
+                    continue
+                key = frozenset((p, a, b))
+                smallest = memo[key] if key in memo else geometry.min_angle_deg(p, a, b)
+                if smallest is not None:
+                    rows.append((p, a, b, smallest))
+        return rows
 
     @cached_property
     def neighbours(self) -> dict[str, set[str]]:
@@ -538,11 +530,8 @@ class _Tables:
 
 
 def _midpoint_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
-    out = []
-    for seg in scene.drawn_segments:
-        if not _has_midpoint_statement(scene, seg):
-            out.append(seg)
-    return out
+    mids = scene.midpoint_segments
+    return [seg for seg in scene.drawn_segments if seg not in mids]
 
 
 def _midpoint_build(scene: Scene, binding, new, rng) -> Build:
@@ -551,14 +540,18 @@ def _midpoint_build(scene: Scene, binding, new, rng) -> Build:
 
 def _foot_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     out = []
+    points = scene.geometry.points
     dmin = scene.geometry.d_min()
     for apex, a, b, smallest in tables.angles:
         if smallest < 10.0:
             continue
-        t, foot = _projection(scene, apex, a, b)
+        # t along ab of the apex's perpendicular foot, as _foot_build places it
+        pa, pb, pp = points[a], points[b], points[apex]
+        ux, uy = pb[0] - pa[0], pb[1] - pa[1]
+        t = ((pp[0] - pa[0]) * ux + (pp[1] - pa[1]) * uy) / (ux * ux + uy * uy)
         if not (0.12 <= t <= 0.88):
             continue
-        if math.dist(foot, _pt(scene, apex)) < 4 * dmin:
+        if math.dist((pa[0] + t * ux, pa[1] + t * uy), pp) < 4 * dmin:
             continue
         out.append((apex, a, b))
     return out
@@ -566,8 +559,11 @@ def _foot_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
 
 def _foot_build(scene: Scene, binding, new, rng) -> Build:
     (apex, a, b), (f,) = binding, new
+    pa, pb, pp = _pt(scene, a), _pt(scene, b), _pt(scene, apex)
+    ux, uy = pb[0] - pa[0], pb[1] - pa[1]
+    t = ((pp[0] - pa[0]) * ux + (pp[1] - pa[1]) * uy) / (ux * ux + uy * uy)
     effects = [perpendicular((apex, f), (a, b)), collinear(a, f, b)]
-    return (_projection(scene, apex, a, b)[1],), effects, [(apex, f)]
+    return ((pa[0] + t * ux, pa[1] + t * uy),), effects, [(apex, f)]
 
 
 def _vertex_segment_pairs(scene: Scene) -> list[tuple[str, str, str]]:
@@ -681,7 +677,7 @@ def _median_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     return [
         (v, a, b)
         for v, a, b, smallest in tables.angles
-        if smallest >= 10.0 and not _has_midpoint_statement(scene, (a, b))
+        if smallest >= 10.0 and (a, b) not in scene.midpoint_segments
     ]
 
 
@@ -709,15 +705,14 @@ def _reflect_build(scene: Scene, binding, new, rng) -> Build:
 
 def _midsegment_bindings(scene: Scene, tables: _Tables) -> list[tuple[str, ...]]:
     drawn = tables.neighbours
+    mids = scene.midpoint_segments
     out = []
     for a, b, c in combinations(scene.geometry.points, 3):
         for apex, e1, e2 in ((a, b, c), (b, a, c), (c, a, b)):
             if e1 in drawn[apex] and e2 in drawn[apex]:
                 if not _non_collinear(scene, apex, e1, e2):
                     continue
-                if _has_midpoint_statement(scene, (apex, e1)) or _has_midpoint_statement(
-                    scene, (apex, e2)
-                ):
+                if (apex, e1) in mids or (apex, e2) in mids:
                     continue
                 out.append((apex, e1, e2))
     return out
@@ -837,8 +832,8 @@ def _apply(
         geometry = scene.geometry.extended(dict(zip(labels, coords)))
         statements = scene.initial_statements | dict.fromkeys(effects)
         # degeneracies first: it refuses coincident points, on which no angle
-        # of the new effects can be measured
-        if geometry.degeneracies(statements):
+        # of the new effects can be measured; the first problem is enough
+        if any(geometry.degeneracies(statements)):
             continue
         # the merge appended only the new effects, in order; the scene's own
         # statements hold already, on points that did not move
@@ -846,13 +841,14 @@ def _apply(
         if not all(geometry.check_statement(s).holds for s in added):
             continue
         drawn = (*scene.drawn_segments, *(_canon_seg(*seg) for seg in segments))
-        return replace(
-            scene,
+        return Scene(
+            generator=scene.generator,
+            seed=scene.seed,
             geometry=geometry,
-            constructions=scene.constructions
-            + (AppliedConstruction(construction.id, binding, labels),),
+            constructions=(*scene.constructions, AppliedConstruction(construction.id, binding, labels)),
             initial_statements=statements,
             drawn_segments=tuple(dict.fromkeys(drawn)),
+            exhausted=scene.exhausted,
         )
     return None
 

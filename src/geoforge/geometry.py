@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .statements import Predicate, Statement
 
@@ -63,14 +63,14 @@ def _cross(u: Coord, v: Coord) -> float:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _norm(u: Coord) -> float:
-    return math.hypot(u[0], u[1])
+def _acos_deg(cos: float) -> float:
+    return math.degrees(math.acos(max(-1.0, min(1.0, cos))))
 
 
 def _collinear_residual(pa: Coord, pb: Coord, pc: Coord) -> float:
     u = _sub(pb, pa)
     v = _sub(pc, pa)
-    denom = _norm(u) * _norm(v)
+    denom = math.hypot(*u) * math.hypot(*v)
     return math.inf if denom == 0.0 else abs(_cross(u, v)) / denom
 
 
@@ -128,17 +128,26 @@ class SceneGeometry:
         return D_MIN_FACTOR * max(self.bbox_diagonal(), 1e-6)
 
     def distance(self, a: str, b: str) -> float:
-        return _norm(_sub(self.point(a), self.point(b)))
+        points = self.points
+        try:
+            pa, pb = points[a], points[b]
+        except KeyError as exc:
+            raise UnknownScenePointError(exc.args[0]) from None
+        return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
 
     def angle_deg(self, a: str, v: str, c: str) -> float:
         """Measure of the angle at vertex ``v`` in degrees, in [0, 180]."""
-        u = _sub(self.point(a), self.point(v))
-        w = _sub(self.point(c), self.point(v))
-        nu, nw = _norm(u), _norm(w)
+        points = self.points
+        try:
+            pa, pv, pc = points[a], points[v], points[c]
+        except KeyError as exc:
+            raise UnknownScenePointError(exc.args[0]) from None
+        ux, uy = pa[0] - pv[0], pa[1] - pv[1]
+        wx, wy = pc[0] - pv[0], pc[1] - pv[1]
+        nu, nw = math.hypot(ux, uy), math.hypot(wx, wy)
         if nu == 0.0 or nw == 0.0:
             raise DegenerateMeasurementError(f"zero-length ray at {v}")
-        cos = max(-1.0, min(1.0, _dot(u, w) / (nu * nw)))
-        return math.degrees(math.acos(cos))
+        return _acos_deg((ux * wx + uy * wy) / (nu * nw))
 
     def min_angle_deg(self, a: str, b: str, c: str) -> float | None:
         """Smallest interior angle of triangle abc, or None when a side has
@@ -149,12 +158,26 @@ class SceneGeometry:
             return self._min_angles[key]
         except KeyError:
             pass
+        points = self.points
         try:
-            smallest: float | None = min(
-                self.angle_deg(b, a, c), self.angle_deg(a, b, c), self.angle_deg(a, c, b)
-            )
-        except DegenerateMeasurementError:
-            smallest = None
+            pb, pa, pc = points[b], points[a], points[c]  # as angle_deg(b, a, c) reads them
+        except KeyError as exc:
+            raise UnknownScenePointError(exc.args[0]) from None
+        abx, aby = pb[0] - pa[0], pb[1] - pa[1]
+        acx, acy = pc[0] - pa[0], pc[1] - pa[1]
+        bcx, bcy = pc[0] - pb[0], pc[1] - pb[1]
+        ab, ac, bc = math.hypot(abx, aby), math.hypot(acx, acy), math.hypot(bcx, bcy)
+        smallest: float | None = None
+        # the angles at a, b and c as angle_deg measures them, one after the
+        # other: a ray a - b is -(b - a), and negation is exact, as is hypot's sign
+        if ab != 0.0 and ac != 0.0:
+            at_a = _acos_deg((abx * acx + aby * acy) / (ab * ac))
+            if bc != 0.0:
+                smallest = min(
+                    at_a,
+                    _acos_deg(-(abx * bcx + aby * bcy) / (ab * bc)),
+                    _acos_deg((acx * bcx + acy * bcy) / (ac * bc)),
+                )
         self._min_angles[key] = smallest
         return smallest
 
@@ -182,14 +205,14 @@ class SceneGeometry:
 
     def _dir_residual(self, s1, s2, perpendicular: bool) -> float:
         u, v = self._seg_vec(s1), self._seg_vec(s2)
-        denom = _norm(u) * _norm(v)
+        denom = math.hypot(*u) * math.hypot(*v)
         if denom == 0.0:
             return math.inf
         num = abs(_dot(u, v)) if perpendicular else abs(_cross(u, v))
         return num / denom
 
     def _length_eq_residual(self, s1, s2) -> float:
-        l1, l2 = _norm(self._seg_vec(s1)), _norm(self._seg_vec(s2))
+        l1, l2 = math.hypot(*self._seg_vec(s1)), math.hypot(*self._seg_vec(s2))
         m = max(l1, l2)
         return math.inf if m == 0.0 else abs(l1 - l2) / m
 
@@ -212,7 +235,7 @@ class SceneGeometry:
         if pred is Predicate.SEGMENT_LENGTH:
             if s.value is None:
                 raise GeometryError("cannot check a query-form statement")
-            length = _norm(self._seg_vec(s.groups[0]))
+            length = math.hypot(*self._seg_vec(s.groups[0]))
             v = float(s.value)
             return abs(length - v) / max(length, v)
         if pred is Predicate.ANGLE_MEASURE:
@@ -226,11 +249,11 @@ class SceneGeometry:
             (m,), (a, b) = s.groups
             pa, pb, pm = self.point(a), self.point(b), self.point(m)
             mid = ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0)
-            ab = _norm(_sub(pb, pa))
-            return math.inf if ab == 0.0 else _norm(_sub(pm, mid)) / ab
+            ab = math.hypot(*_sub(pb, pa))
+            return math.inf if ab == 0.0 else math.hypot(*_sub(pm, mid)) / ab
         if pred is Predicate.ON_CIRCLE:
             (p,), (o,), radius = s.groups
-            r = _norm(self._seg_vec(radius))
+            r = math.hypot(*self._seg_vec(radius))
             if r == 0.0:
                 return math.inf
             return abs(self.distance(p, o) - r) / r
@@ -254,8 +277,8 @@ class SceneGeometry:
         if pred is Predicate.SEGMENT_RATIO:
             if s.value is None:
                 raise GeometryError("cannot check a query-form statement")
-            l1 = _norm(self._seg_vec(s.groups[0]))
-            l2 = _norm(self._seg_vec(s.groups[1]))
+            l1 = math.hypot(*self._seg_vec(s.groups[0]))
+            l2 = math.hypot(*self._seg_vec(s.groups[1]))
             if l2 == 0.0:
                 return math.inf
             v = float(s.value)
@@ -281,22 +304,22 @@ class SceneGeometry:
                 tris.update(tuple(sorted(g)) for g in s.groups)
         return tris
 
-    def degeneracies(self, statements: Iterable[Statement]) -> list[str]:
-        problems: list[str] = []
+    def degeneracies(self, statements: Iterable[Statement]) -> Iterator[str]:
+        """Each problem in turn: point pairs closer than ``d_min``, then the
+        triangles ``statements`` refer to; lazy, so a caller can stop at the
+        first."""
         labels = sorted(self.points)
         dmin = self.d_min()
         for i, a in enumerate(labels):
             for b in labels[i + 1 :]:
                 if self.distance(a, b) < dmin:
-                    problems.append(f"points {a},{b} closer than d_min")
-        for tri in sorted(self.referenced_triangles(statements)):
-            a, b, c = tri
+                    yield f"points {a},{b} closer than d_min"
+        for a, b, c in sorted(self.referenced_triangles(statements)):
             smallest = self.min_angle_deg(a, b, c)
             if smallest is None:
-                problems.append(f"triangle {a}{b}{c} has a zero-length side")
+                yield f"triangle {a}{b}{c} has a zero-length side"
             elif smallest < THETA_MIN_DEG:
-                problems.append(f"triangle {a}{b}{c} has an angle below theta_min")
-        return problems
+                yield f"triangle {a}{b}{c} has an angle below theta_min"
 
     def check_scene(self, statements: Iterable[Statement]) -> SceneVerdict:
         stmts = list(statements)

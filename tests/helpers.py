@@ -1,17 +1,26 @@
-"""Shared test utilities: hand-built graphs and independent path oracles."""
+"""Shared test utilities: hand-built graphs, independent path oracles and a
+reference numeric kernel."""
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import shutil
 from bisect import insort
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from geoforge.geometry import (
+    D_MIN_FACTOR,
+    THETA_MIN_DEG,
+    Coord,
+    DegenerateMeasurementError,
+    UnknownScenePointError,
+)
 from geoforge.reasoner import ReasoningGraph, Transition
-from geoforge.statements import Statement, segment_length
+from geoforge.statements import Predicate, Statement, segment_length
 
 _LABELS = [a + b for a in "ABCDEFGHIJKLM" for b in "ABCDEFGHIJKLM" if a != b]
 
@@ -237,3 +246,105 @@ def move_point(label: str):
         points[label] = [x + 0.5, y + 0.3]
 
     return edit
+
+
+# --- reference kernel -------------------------------------------------------
+# SceneGeometry's measures as they stood when each one fetched every
+# coordinate through ``point`` and built its vectors with these helpers, kept
+# verbatim: the engine's flat kernels must give the same floats, bit for bit.
+
+
+def _sub(a: Coord, b: Coord) -> Coord:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _dot(u: Coord, v: Coord) -> float:
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _norm(u: Coord) -> float:
+    return math.hypot(u[0], u[1])
+
+
+class ReferenceKernel:
+    """Distances, angles, smallest triangle angles and degeneracies of fixed
+    points, by the formulas of the reference kernel."""
+
+    def __init__(self, points: Mapping[str, Coord]):
+        self.points = dict(points)
+        self._min_angles: dict[frozenset[str], float | None] = {}
+
+    def point(self, label: str) -> Coord:
+        try:
+            return self.points[label]
+        except KeyError:
+            raise UnknownScenePointError(label) from None
+
+    def bbox(self) -> tuple[float, float, float, float]:
+        xs = [p[0] for p in self.points.values()]
+        ys = [p[1] for p in self.points.values()]
+        return (min(xs), min(ys), max(xs), max(ys))
+
+    def bbox_diagonal(self) -> float:
+        x0, y0, x1, y1 = self.bbox()
+        return math.hypot(x1 - x0, y1 - y0)
+
+    def d_min(self) -> float:
+        return D_MIN_FACTOR * max(self.bbox_diagonal(), 1e-6)
+
+    def distance(self, a: str, b: str) -> float:
+        return _norm(_sub(self.point(a), self.point(b)))
+
+    def angle_deg(self, a: str, v: str, c: str) -> float:
+        """Measure of the angle at vertex ``v`` in degrees, in [0, 180]."""
+        u = _sub(self.point(a), self.point(v))
+        w = _sub(self.point(c), self.point(v))
+        nu, nw = _norm(u), _norm(w)
+        if nu == 0.0 or nw == 0.0:
+            raise DegenerateMeasurementError(f"zero-length ray at {v}")
+        cos = max(-1.0, min(1.0, _dot(u, w) / (nu * nw)))
+        return math.degrees(math.acos(cos))
+
+    def min_angle_deg(self, a: str, b: str, c: str) -> float | None:
+        key = frozenset((a, b, c))
+        try:
+            return self._min_angles[key]
+        except KeyError:
+            pass
+        try:
+            smallest: float | None = min(
+                self.angle_deg(b, a, c), self.angle_deg(a, b, c), self.angle_deg(a, c, b)
+            )
+        except DegenerateMeasurementError:
+            smallest = None
+        self._min_angles[key] = smallest
+        return smallest
+
+    def referenced_triangles(self, statements: Iterable[Statement]) -> set[tuple[str, str, str]]:
+        tris: set[tuple[str, str, str]] = set()
+        for s in statements:
+            pred = s.predicate
+            if pred in (Predicate.ANGLE_MEASURE, Predicate.RIGHT_ANGLE):
+                tris.add(tuple(sorted(s.groups[0])))
+            elif pred in (
+                Predicate.EQUAL_ANGLES, Predicate.CONGRUENT_TRIANGLES, Predicate.SIMILAR_TRIANGLES
+            ):
+                tris.update(tuple(sorted(g)) for g in s.groups)
+        return tris
+
+    def degeneracies(self, statements: Iterable[Statement]) -> list[str]:
+        problems: list[str] = []
+        labels = sorted(self.points)
+        dmin = self.d_min()
+        for i, a in enumerate(labels):
+            for b in labels[i + 1 :]:
+                if self.distance(a, b) < dmin:
+                    problems.append(f"points {a},{b} closer than d_min")
+        for tri in sorted(self.referenced_triangles(statements)):
+            a, b, c = tri
+            smallest = self.min_angle_deg(a, b, c)
+            if smallest is None:
+                problems.append(f"triangle {a}{b}{c} has a zero-length side")
+            elif smallest < THETA_MIN_DEG:
+                problems.append(f"triangle {a}{b}{c} has an angle below theta_min")
+        return problems

@@ -6,6 +6,7 @@ from itertools import combinations
 from typing import Iterable
 
 import pytest
+from helpers import ReferenceKernel
 
 from geoforge import constructions
 from geoforge.constructions import (
@@ -21,11 +22,12 @@ from geoforge.constructions import (
     generate_base_scene,
     scene_from_doc,
 )
-from geoforge.geometry import Coord, DegenerateMeasurementError, GeometryError, SceneGeometry
+from geoforge.geometry import DegenerateMeasurementError, GeometryError, SceneGeometry
 from geoforge.pipeline import _build_scene
 from geoforge.statements import (
     Predicate,
     Seg,
+    angle_measure,
     equal_angles,
     equal_segments,
     midpoint,
@@ -191,6 +193,40 @@ class TestExtension:
             placed = _placed_at(construction_id, onto_a)
             assert _apply(scene, placed, binding, random.Random(0)) is None
 
+    def test_apply_stops_at_the_first_degeneracy(self, monkeypatch):
+        # D sits on A and the placed E on B, and angle BAC is about 4.3
+        # degrees: check_scene lists all three, _apply needs only the first
+        scene = Scene(
+            generator="scalene_triangle",
+            seed=0,
+            geometry=SceneGeometry(
+                {"A": (1.0, 1.0), "B": (9.0, 1.0), "C": (5.0, 1.3), "D": (1.0, 1.002)}
+            ),
+            constructions=(),
+            initial_statements=dict.fromkeys([angle_measure(("B", "A", "C"), 4)]),
+            drawn_segments=(("A", "B"), ("A", "C"), ("B", "C")),
+        )
+        near_b = (9.0, 1.003)
+        placed = scene.geometry.extended({"E": near_b})
+        problems = [
+            "points A,D closer than d_min",
+            "points B,E closer than d_min",
+            "triangle ABC has an angle below theta_min",
+        ]
+        assert list(placed.check_scene(scene.initial_statements).degeneracies) == problems
+
+        pulled = []
+        degeneracies = SceneGeometry.degeneracies
+
+        def recording(self, statements):
+            for problem in degeneracies(self, statements):
+                pulled.append(problem)
+                yield problem
+
+        monkeypatch.setattr(SceneGeometry, "degeneracies", recording)
+        assert _apply(scene, _placed_at("midpoint", near_b), ("A", "B"), random.Random(0)) is None
+        assert pulled == problems[:1]
+
     def test_negative_steps_rejected(self):
         scene = generate_base_scene("rectangle", 5)
         with pytest.raises(Exception):
@@ -312,8 +348,9 @@ class TestSerialization:
 class TestCandidateReference:
     """The candidate list, order included, against the binding loops as they
     stood before the bindings shared one angle table and one neighbour map
-    per call (kept verbatim below). ``extend_scene`` draws from this list by
-    index, so a different order is different output."""
+    per call (kept verbatim below), measuring with the reference kernel in
+    place of the engine's. ``extend_scene`` draws from this list by index,
+    so a different order is different output."""
 
     def test_matches_reference_on_every_listed_scene(self, monkeypatch):
         listed = constructions.applicable_constructions
@@ -350,15 +387,17 @@ class TestCandidateReference:
 
 def _reference_candidates(scene):
     n_points = len(scene.geometry)
+    geometry = ReferenceKernel(scene.geometry.points)
     return [
         (construction_id, binding)
         for construction_id, new_point_count, bindings in _REFERENCE_CATALOG
         if n_points + new_point_count <= POINT_CAP
-        for binding in bindings(scene)
+        for binding in bindings(scene, geometry)
     ]
 
 
 # --- reference: label and binding code before the per-call tables ----------
+# ``geometry`` is the scene's ReferenceKernel, which every measure reads.
 
 _LABEL_POOL = [chr(c) for c in range(ord("A"), ord("Z") + 1)] + [
     f"{chr(c)}{d}" for d in range(1, 10) for c in range(ord("A"), ord("Z") + 1)
@@ -375,20 +414,19 @@ def _next_labels(existing: Iterable[str], n: int) -> list[str]:
     return fresh[:n]
 
 
-def _pt(scene: Scene, label: str) -> Coord:
-    return scene.geometry.point(label)
-
-
 def _has_midpoint_statement(scene: Scene, seg: Seg) -> bool:
-    return _canon_seg(*seg) in scene.midpoint_segments
+    named = {s.groups[1] for s in scene.initial_statements if s.predicate is Predicate.MIDPOINT}
+    return _canon_seg(*seg) in named
 
 
-def _non_collinear(scene: Scene, a: str, b: str, c: str, margin_deg: float = 8.0) -> bool:
-    smallest = scene.geometry.min_angle_deg(a, b, c)
+def _non_collinear(
+    geometry: ReferenceKernel, a: str, b: str, c: str, margin_deg: float = 8.0
+) -> bool:
+    smallest = geometry.min_angle_deg(a, b, c)
     return smallest is not None and smallest >= margin_deg
 
 
-def _midpoint_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _midpoint_bindings(scene: Scene, geometry: ReferenceKernel) -> list[tuple[str, ...]]:
     out = []
     for seg in scene.drawn_segments:
         if not _has_midpoint_statement(scene, seg):
@@ -396,14 +434,14 @@ def _midpoint_bindings(scene: Scene) -> list[tuple[str, ...]]:
     return out
 
 
-def _foot_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _foot_bindings(scene: Scene, geometry: ReferenceKernel) -> list[tuple[str, ...]]:
     out = []
-    dmin = scene.geometry.d_min()
+    dmin = geometry.d_min()
     for apex in scene.geometry.points:
         for a, b in scene.drawn_segments:
-            if apex in (a, b) or not _non_collinear(scene, apex, a, b, 10.0):
+            if apex in (a, b) or not _non_collinear(geometry, apex, a, b, 10.0):
                 continue
-            pa, pb, pp = _pt(scene, a), _pt(scene, b), _pt(scene, apex)
+            pa, pb, pp = geometry.point(a), geometry.point(b), geometry.point(apex)
             ux, uy = pb[0] - pa[0], pb[1] - pa[1]
             denom = ux * ux + uy * uy
             t = ((pp[0] - pa[0]) * ux + (pp[1] - pa[1]) * uy) / denom
@@ -430,11 +468,11 @@ def _vertex_segment_pairs(scene: Scene) -> list[tuple[str, str, str]]:
     return out
 
 
-def _bisector_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _bisector_bindings(scene: Scene, geometry: ReferenceKernel) -> list[tuple[str, ...]]:
     out = []
     for v, x, y in _vertex_segment_pairs(scene):
         try:
-            theta = scene.geometry.angle_deg(x, v, y)
+            theta = geometry.angle_deg(x, v, y)
         except Exception:
             continue
         if 24.0 <= theta <= 150.0:
@@ -442,19 +480,19 @@ def _bisector_bindings(scene: Scene) -> list[tuple[str, ...]]:
     return out
 
 
-def _parallel_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _parallel_bindings(scene: Scene, geometry: ReferenceKernel) -> list[tuple[str, ...]]:
     out = []
     for p in scene.geometry.points:
         for a, b in scene.drawn_segments:
             if p in (a, b):
                 continue
-            if not _non_collinear(scene, p, a, b, 6.0):
+            if not _non_collinear(geometry, p, a, b, 6.0):
                 continue
             out.append((p, a, b))
     return out
 
 
-def _extension_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _extension_bindings(scene: Scene, geometry: ReferenceKernel) -> list[tuple[str, ...]]:
     out = []
     for a, b in scene.drawn_segments:
         out.append((a, b))  # extend beyond b
@@ -462,7 +500,7 @@ def _extension_bindings(scene: Scene) -> list[tuple[str, ...]]:
     return out
 
 
-def _connect_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _connect_bindings(scene: Scene, geometry: ReferenceKernel) -> list[tuple[str, ...]]:
     drawn = {frozenset(s) for s in scene.drawn_segments}
     labels = list(scene.geometry.points)
     return [
@@ -472,23 +510,23 @@ def _connect_bindings(scene: Scene) -> list[tuple[str, ...]]:
     ]
 
 
-def _circumcenter_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _circumcenter_bindings(scene: Scene, geometry: ReferenceKernel) -> list[tuple[str, ...]]:
     drawn = {frozenset(s) for s in scene.drawn_segments}
     out = []
     for a, b, c in combinations(list(scene.geometry.points), 3):
         sides = [frozenset((a, b)), frozenset((b, c)), frozenset((a, c))]
         if not all(s in drawn for s in sides):
             continue
-        if _non_collinear(scene, a, b, c, 12.0):
+        if _non_collinear(geometry, a, b, c, 12.0):
             out.append((a, b, c))
     return out
 
 
-def _median_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _median_bindings(scene: Scene, geometry: ReferenceKernel) -> list[tuple[str, ...]]:
     out = []
     for v in scene.geometry.points:
         for a, b in scene.drawn_segments:
-            if v in (a, b) or not _non_collinear(scene, v, a, b, 10.0):
+            if v in (a, b) or not _non_collinear(geometry, v, a, b, 10.0):
                 continue
             if _has_midpoint_statement(scene, (a, b)):
                 continue
@@ -496,7 +534,7 @@ def _median_bindings(scene: Scene) -> list[tuple[str, ...]]:
     return out
 
 
-def _reflect_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _reflect_bindings(scene: Scene, geometry: ReferenceKernel) -> list[tuple[str, ...]]:
     labels = list(scene.geometry.points)
     out = []
     for p in labels:
@@ -506,13 +544,13 @@ def _reflect_bindings(scene: Scene) -> list[tuple[str, ...]]:
     return out
 
 
-def _midsegment_bindings(scene: Scene) -> list[tuple[str, ...]]:
+def _midsegment_bindings(scene: Scene, geometry: ReferenceKernel) -> list[tuple[str, ...]]:
     drawn = {frozenset(s) for s in scene.drawn_segments}
     out = []
     for a, b, c in combinations(list(scene.geometry.points), 3):
         for apex, e1, e2 in ((a, b, c), (b, a, c), (c, a, b)):
             if frozenset((apex, e1)) in drawn and frozenset((apex, e2)) in drawn:
-                if not _non_collinear(scene, apex, e1, e2, 12.0):
+                if not _non_collinear(geometry, apex, e1, e2, 12.0):
                     continue
                 if _has_midpoint_statement(scene, (apex, e1)) or _has_midpoint_statement(
                     scene, (apex, e2)

@@ -4,10 +4,12 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from helpers import ReferenceKernel
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geoforge.geometry import (
+    THETA_MIN_DEG,
     DegenerateMeasurementError,
     GeometryError,
     SceneGeometry,
@@ -163,6 +165,86 @@ class TestTriangleMemo:
         g = SceneGeometry({"A": (0.0, 0.0), "B": (4.0, 0.0)})
         with pytest.raises(GeometryError):
             g.extended({"B": (5.0, 0.0)})
+
+
+def _outcome(measure, *args):
+    """What a measure gives: its value, or the kind of error it raised and,
+    for an unknown point, the label named."""
+    try:
+        return measure(*args)
+    except UnknownScenePointError as exc:
+        return ("unknown point", exc.label)
+    except DegenerateMeasurementError:
+        return "zero-length ray"
+    except ZeroDivisionError:
+        return "division by zero"
+
+
+def _assert_matches_reference(points, asked, statements):
+    engine, reference = SceneGeometry(points), ReferenceKernel(points)
+    a, b, c = asked
+    # plain ==: the flat kernels must give the very same floats
+    assert _outcome(engine.distance, a, b) == _outcome(reference.distance, a, b)
+    for order in permutations(asked):
+        assert _outcome(engine.angle_deg, *order) == _outcome(reference.angle_deg, *order)
+        # fresh geometries, so each order is computed, not remembered
+        assert _outcome(SceneGeometry(points).min_angle_deg, *order) == _outcome(
+            ReferenceKernel(points).min_angle_deg, *order
+        )
+    expected = _outcome(reference.degeneracies, statements)
+    assert _outcome(lambda s: list(engine.degeneracies(s)), statements) == expected
+    if isinstance(expected, list):
+        assert any(SceneGeometry(points).degeneracies(statements)) == bool(expected)
+
+
+# F is never placed; a coarse grid makes coincident points and collinear
+# triples common
+_ASKED = st.sampled_from("ABCDEF")
+_COORD = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0))
+_POINTS = st.dictionaries(st.sampled_from("ABCDE"), st.tuples(_COORD, _COORD), min_size=1, max_size=5)
+_TRIPLE = st.tuples(_ASKED, _ASKED, _ASKED)
+_STATEMENTS = st.lists(_TRIPLE.filter(lambda t: len(set(t)) == 3).map(right_angle), max_size=4)
+
+
+def _polar(r: float, deg: float) -> tuple[float, float]:
+    return (r * math.cos(math.radians(deg)), r * math.sin(math.radians(deg)))
+
+
+@st.composite
+def _thin_triangles(draw):
+    """Triangle ABC, whose angle at A is within a degree of THETA_MIN_DEG,
+    and up to two more points."""
+    ab, ac = draw(st.floats(0.5, 10.0)), draw(st.floats(0.5, 10.0))
+    cx, cy = _polar(ac, draw(st.floats(THETA_MIN_DEG - 1.0, THETA_MIN_DEG + 1.0)))
+    x, y = draw(_COORD), draw(_COORD)
+    points = {"A": (x, y), "B": (x + ab, y), "C": (x + cx, y + cy)}
+    extra = draw(st.dictionaries(st.sampled_from("DE"), st.tuples(_COORD, _COORD), max_size=2))
+    return {**points, **extra}
+
+
+class TestFlatKernels:
+    """``distance``, ``angle_deg``, ``min_angle_deg`` and ``degeneracies``
+    against the reference kernel's formulas, kept verbatim in helpers.py."""
+
+    @given(_POINTS, _TRIPLE, _STATEMENTS)
+    @example({"A": (0.0, 0.0), "B": (0.0, 0.0), "C": (1.0, 0.0)}, ("A", "B", "C"), [])
+    # rays whose norm product underflows: division by zero before a zero side
+    @example({"A": (0.0, 0.0), "B": (0.0, 2.2250738585072014e-308)}, ("A", "A", "B"), [])
+    @example({"A": (0.0, 0.0), "B": (1.0, 1.0), "C": (3.0, 3.0)}, ("B", "A", "C"), [])
+    @example({"A": (0.0, 0.0), "B": (1.0, 0.0)}, ("C", "F", "A"), [right_angle(("A", "B", "F"))])
+    @settings(max_examples=300, deadline=None)
+    def test_any_points(self, points, asked, statements):
+        _assert_matches_reference(points, asked, statements)
+
+    @given(_thin_triangles(), _TRIPLE, _STATEMENTS)
+    @example(
+        {"A": (0.0, 0.0), "B": (4.0, 0.0), "C": _polar(3.0, THETA_MIN_DEG)},
+        ("A", "B", "C"),
+        [right_angle(("B", "A", "C"))],
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_triangles_near_theta_min(self, points, asked, statements):
+        _assert_matches_reference(points, asked, statements)
 
 
 _DIMENSIONLESS = [

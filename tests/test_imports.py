@@ -38,3 +38,36 @@ def test_cli_import_leaves_the_http_stack_unloaded():
     loaded = set(run.stdout.split())
     assert "geoforge.cli" in loaded
     assert not loaded & {"urllib.request", "http.client", "ssl"}
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names each top-level statement refers to, outside its own definition."""
+    used: set[str] = set()
+    for top in tree.body:
+        names: set[str] = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        names.discard(getattr(top, "name", None))
+        used |= names
+    return used
+
+
+def test_every_private_helper_is_used():
+    # likewise for a module-level helper whose last caller went away
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    used = set().union(*map(_referenced, trees.values()))
+    unused = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+    assert not unused, f"private helpers nothing in the package refers to: {unused}"
