@@ -56,6 +56,10 @@ class PlacementFailureError(ConstructionError):
     """Raised when a base generator cannot produce a valid scene."""
 
 
+class CorruptRecordError(ValueError):
+    """A stored record or scene whose fields are not of the shape written."""
+
+
 @dataclass(frozen=True)
 class AppliedConstruction:
     construction: str
@@ -108,7 +112,11 @@ def scene_from_doc(doc: dict, parse=None) -> Scene:
     """``parse(text, known_points)`` reads each initial statement;
     ``parse_statement`` when not given."""
     parse = parse or parse_statement
-    points = {label: (float(x), float(y)) for label, (x, y) in doc["points"].items()}
+    # SceneGeometry makes the numbers floats and refuses a non-finite one
+    points = {
+        label: _pair(xy, (int, float), f"point {label}", "numbers")
+        for label, xy in doc["points"].items()
+    }
     known = frozenset(points)
     return Scene(
         generator=doc["generator"],
@@ -119,9 +127,18 @@ def scene_from_doc(doc: dict, parse=None) -> Scene:
             for c in doc["constructions"]
         ),
         initial_statements=dict.fromkeys(parse(t, known) for t in doc["initial_statements"]),
-        drawn_segments=tuple((a, b) for a, b in doc["drawn_segments"]),
+        drawn_segments=tuple(
+            _pair(seg, (str,), "drawn segment", "labels") for seg in doc["drawn_segments"]
+        ),
         exhausted=doc.get("exhausted", False),
     )
+
+
+def _pair(value, types: tuple[type, ...], field: str, what: str) -> tuple:
+    """``value``, a JSON array of two items of ``types`` (a bool is no number), as a tuple."""
+    if type(value) is list and len(value) == 2 and type(value[0]) in types and type(value[1]) in types:
+        return tuple(value)
+    raise CorruptRecordError(f"{field} is not two {what}: {value!r}")
 
 
 def _canon_seg(a: str, b: str) -> Seg:

@@ -18,15 +18,12 @@ from functools import cache
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .constructions import Scene, scene_from_doc
+from .constructions import CorruptRecordError, Scene, scene_from_doc
+from .geometry import GeometryError
 from .reasoner import SolutionStep
 from .statements import Statement, StatementError, Unit, parse_statement
 
 SCHEMA_VERSION = 1
-
-
-class CorruptRecordError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -106,13 +103,13 @@ def _steps_from_doc(doc, parse, memo: dict) -> tuple[SolutionStep, ...]:
         raise CorruptRecordError(f"bad solution step: {exc}") from exc
 
 
-def _number(doc: dict, key: str, optional: bool = False) -> int | float | None:
-    """``doc[key]``, which must be a JSON number (a bool is not one), or null
-    when ``optional``."""
+def _number(doc: dict, key: str, optional: bool = False, integer: bool = False) -> int | float | None:
+    """``doc[key]``, which must be a JSON number (a bool is not one), an
+    integer when ``integer``, or null when ``optional``."""
     value = doc[key]
-    if type(value) in (int, float) or (optional and value is None):
+    if type(value) is int or (type(value) is float and not integer) or (optional and value is None):
         return value
-    raise CorruptRecordError(f"{key} is not a number: {value!r}")
+    raise CorruptRecordError(f"{key} is not {'an integer' if integer else 'a number'}: {value!r}")
 
 
 def _answer_doc(record: ProblemRecord) -> dict | None:
@@ -180,17 +177,19 @@ def record_from_doc(doc: dict, parsed: dict | None = None) -> ProblemRecord:
         return stmt
 
     try:
-        kind, scene_id = doc["kind"], doc["scene_id"]
+        kind = doc["kind"]
         if kind not in ("numeric", "proof"):
             raise CorruptRecordError(f"kind {kind!r} is neither numeric nor proof")
-        if not isinstance(scene_id, str):
-            raise CorruptRecordError(f"scene_id {scene_id!r} is not a string")
+        # sorted, counted and joined onto paths, so each must be a string
+        for key in ("id", "scene_id", "template", "diagram"):
+            if not isinstance(doc[key], str):
+                raise CorruptRecordError(f"{key} {doc[key]!r} is not a string")
         value = Fraction(doc["answer"]["exact"]) if kind == "numeric" else None
         meta = doc["metadata"]
         return ProblemRecord(
             id=doc["id"],
             seed=doc["seed"],
-            scene_id=scene_id,
+            scene_id=doc["scene_id"],
             template=doc["template"],
             kind=kind,
             question=doc["question"],
@@ -207,7 +206,10 @@ def record_from_doc(doc: dict, parsed: dict | None = None) -> ProblemRecord:
             untranslated=doc["untranslated"],
             diagram=doc["diagram"],
             metadata=RecordMetadata(
-                **{f.name: _number(meta, f.name, f.name == "tier") for f in fields(RecordMetadata)}
+                **{
+                    f.name: _number(meta, f.name, f.name == "tier", integer=f.type != "float")
+                    for f in fields(RecordMetadata)
+                }
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -301,30 +303,22 @@ def dataset_writer(out_dir: str | Path, config_doc: dict) -> Iterator[Callable[.
     write_jsonl(out / "manifest.jsonl", manifest)
 
 
-def write_dataset(
-    out_dir: str | Path,
-    docs: Iterable[dict],
-    scenes: dict[str, Scene],
-    diagrams: dict[str, str],
-    config_doc: dict,
-) -> None:
-    """A dataset directory of one batch, by ``dataset_writer``."""
-    with dataset_writer(out_dir, config_doc) as add:
-        add(docs, scenes, diagrams)
-
-
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """``(line number, decoded value)`` for each non-blank line of ``path``.
     A line that is not UTF-8 JSON raises ``CorruptRecordError`` naming the
-    file and line."""
-    for n, line in enumerate(Path(path).read_bytes().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            doc = json.loads(line)
-        except ValueError as exc:
-            raise CorruptRecordError(f"{path} line {n}: not JSON: {exc}") from exc
-        yield n, doc
+    file and line. The file is streamed: a binary line ends at ``\\n``, and
+    ``bytes.splitlines`` splits it at ``\\r`` as well, so lines and numbers
+    are those of splitting the whole file, which is not held at once."""
+    with open(path, "rb") as f:
+        lines = (line for chunk in f for line in chunk.splitlines())
+        for n, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                doc = json.loads(line)
+            except ValueError as exc:
+                raise CorruptRecordError(f"{path} line {n}: not JSON: {exc}") from exc
+            yield n, doc
 
 
 def load_records(in_dir: str | Path) -> list[ProblemRecord]:
@@ -358,7 +352,9 @@ def load_scenes(in_dir: str | Path, parsed: dict | None = None) -> dict[str, Sce
     for n, doc in read_jsonl(path):
         try:
             scenes[doc["scene_id"]] = scene_from_doc(doc["scene"], parse)
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (  # a field of the wrong type or shape, or a coordinate no float holds
+            AttributeError, KeyError, TypeError, OverflowError, CorruptRecordError, GeometryError
+        ) as exc:
             raise CorruptRecordError(f"{path} line {n}: not a scene object: {exc}") from exc
         except StatementError as exc:
             # named where it stands, and still of its own type

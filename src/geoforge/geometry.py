@@ -136,7 +136,9 @@ class SceneGeometry:
         return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
 
     def angle_deg(self, a: str, v: str, c: str) -> float:
-        """Measure of the angle at vertex ``v`` in degrees, in [0, 180]."""
+        """Measure of the angle at vertex ``v`` in degrees, in [0, 180].
+        ``DegenerateMeasurementError`` when a ray has zero length, or its
+        length times the other's underflows to zero."""
         points = self.points
         try:
             pa, pv, pc = points[a], points[v], points[c]
@@ -147,12 +149,16 @@ class SceneGeometry:
         nu, nw = math.hypot(ux, uy), math.hypot(wx, wy)
         if nu == 0.0 or nw == 0.0:
             raise DegenerateMeasurementError(f"zero-length ray at {v}")
-        return _acos_deg((ux * wx + uy * wy) / (nu * nw))
+        try:
+            return _acos_deg((ux * wx + uy * wy) / (nu * nw))
+        except ZeroDivisionError:  # two short rays whose norms' product underflows
+            raise DegenerateMeasurementError(f"ray norms underflow at {v}") from None
 
     def min_angle_deg(self, a: str, b: str, c: str) -> float | None:
         """Smallest interior angle of triangle abc, or None when a side has
         zero length. Every argument order gives the same value: the angle at
-        a vertex does not depend on the order of its two rays."""
+        a vertex does not depend on the order of its two rays. Two side
+        lengths whose product underflows raise ``DegenerateMeasurementError``."""
         key = frozenset((a, b, c))
         try:
             return self._min_angles[key]
@@ -171,13 +177,16 @@ class SceneGeometry:
         # the angles at a, b and c as angle_deg measures them, one after the
         # other: a ray a - b is -(b - a), and negation is exact, as is hypot's sign
         if ab != 0.0 and ac != 0.0:
-            at_a = _acos_deg((abx * acx + aby * acy) / (ab * ac))
-            if bc != 0.0:
-                smallest = min(
-                    at_a,
-                    _acos_deg(-(abx * bcx + aby * bcy) / (ab * bc)),
-                    _acos_deg((acx * bcx + acy * bcy) / (ac * bc)),
-                )
+            try:
+                at_a = _acos_deg((abx * acx + aby * acy) / (ab * ac))
+                if bc != 0.0:
+                    smallest = min(
+                        at_a,
+                        _acos_deg(-(abx * bcx + aby * bcy) / (ab * bc)),
+                        _acos_deg((acx * bcx + acy * bcy) / (ac * bc)),
+                    )
+            except ZeroDivisionError:  # as in angle_deg
+                raise DegenerateMeasurementError(f"sides of {a}{b}{c} underflow") from None
         self._min_angles[key] = smallest
         return smallest
 

@@ -948,9 +948,11 @@ def verify(in_dir: str | Path) -> VerifyReport:
     The record ids, in order, must match manifest.jsonl, so a truncated
     records.jsonl fails as a ``<dataset>`` failure, as does a missing or
     non-UTF-8 one. Schema and field-type problems surface as corrupt-record
-    failures, not crashes. records.jsonl is read by its own loop, not by
-    ``dataset.read_jsonl``, because a bad line is reported as a failure of
-    that line and the loop goes on to the next.
+    failures, not crashes. records.jsonl is streamed line by line through
+    its own loop, not ``dataset.read_jsonl``, because a bad line is reported
+    as a failure of that line and the loop goes on to the next; a read error
+    or a byte that is not UTF-8, anywhere in the file, still fails the whole
+    dataset with no record counted, as if it had been read at once.
     """
     failures: list[tuple[str, str]] = []
     parsed: dict = {}  # statement and step memo for both files
@@ -966,14 +968,17 @@ def verify(in_dir: str | Path) -> VerifyReport:
         diagrams = {f"svg/{p.name}" for p in (Path(in_dir) / "svg").iterdir()}
     except OSError:
         diagrams = set()
-    try:
-        lines = (Path(in_dir) / "records.jsonl").read_text(encoding="utf-8").splitlines()
-    except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
-        return VerifyReport(0, [("<dataset>", f"cannot read records: {exc}")])
     backend = TemplateBackend() if config.translator == "template" else None
     checks: dict[str, _SceneChecks] = {}
     ids: list[str | None] = []
-    for line_no, line in enumerate(lines, 1):
+    lines = enumerate(_text_lines(Path(in_dir) / "records.jsonl"), 1)
+    while True:
+        try:
+            line_no, line = next(lines)
+        except StopIteration:
+            break
+        except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
+            return VerifyReport(0, [("<dataset>", f"cannot read records: {exc}")])
         if not line.strip():
             continue
         ids.append(None)
@@ -996,6 +1001,21 @@ def verify(in_dir: str | Path) -> VerifyReport:
     if problem:
         failures.append(("<dataset>", problem))
     return VerifyReport(len(ids), failures)
+
+
+def _text_lines(path: Path) -> Iterator[str]:
+    """The lines ``str.splitlines`` gives of ``path``'s UTF-8 text, streamed.
+    Each binary chunk ends at a ``\\n``, which no other character's UTF-8
+    bytes hold, so decoding and splitting the chunks one by one decodes and
+    splits the text as a whole."""
+    with open(path, "rb") as f:
+        for chunk in f:
+            try:
+                text = chunk.decode("utf-8")
+            except UnicodeDecodeError:
+                path.read_text(encoding="utf-8")  # raises again, naming the byte's offset in the file
+                raise
+            yield from text.splitlines()
 
 
 def _manifest_mismatch(path: Path, ids: list[str | None]) -> str | None:

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
 
 from .geometry import SceneGeometry
 from .statements import (

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
-from typing import Callable, Iterator, Sequence
 
 from .reasoner import ReasoningGraph, SolutionStep, Transition
 from .statements import VALUE_PREDICATES, Statement

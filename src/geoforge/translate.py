@@ -13,8 +13,8 @@ from __future__ import annotations
 import functools
 import json
 import os
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 from .reasoner import SolutionStep
 from .statements import Predicate, Statement

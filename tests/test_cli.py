@@ -158,16 +158,22 @@ class TestCliInputErrors:
         assert not paths["out"].exists()
 
     @pytest.mark.parametrize("command", ["stats", "curate", "bootstrap"])
-    @pytest.mark.parametrize("bad", ["not_json", "not_utf8", "kind_unknown"])
+    @pytest.mark.parametrize("bad", ["not_json", "not_utf8", "kind_unknown", "id_number", "length_float"])
     def test_bad_records_line(self, run_dir, command, bad, tmp_path, capsys):
         first = (run_dir / "records.jsonl").read_bytes().splitlines()[0]
         doc = json.loads(first)
-        doc["kind"] = "x"
         line, reason = {
             "not_json": (b"not json", "not JSON: "),
             "not_utf8": (b'{"id": "\xff"}', "not JSON: 'utf-8' codec can't decode"),
-            "kind_unknown": (json.dumps(doc).encode(), "kind 'x' is neither numeric nor proof"),
+            "kind_unknown": ({**doc, "kind": "x"}, "kind 'x' is neither numeric nor proof"),
+            "id_number": ({**doc, "id": 5}, "id 5 is not a string"),
+            "length_float": (
+                {**doc, "metadata": {**doc["metadata"], "reasoning_length": 7.5}},
+                "reasoning_length is not an integer: 7.5",
+            ),
         }[bad]
+        if isinstance(line, dict):
+            line = json.dumps(line).encode()
         records = tmp_path / "in" / "records.jsonl"
         records.parent.mkdir()
         records.write_bytes(first + b"\n" + line + b"\n")
@@ -193,6 +199,29 @@ class TestCliInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {scenes} line {n + 1}: not a scene object: ")
         assert err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda scene: scene["points"].update(A=[1.0]), "point A is not two numbers: [1.0]"),
+            (lambda scene: scene["points"].update(A=[True, 0.0]), "point A is not two numbers: [True, 0.0]"),
+            (lambda scene: scene["points"].update(A=[float("nan"), 0.0]), "non-finite coordinate for A"),
+            (lambda scene: scene["points"].update(A=[10**400, 0.0]), "int too large to convert to float"),
+            (lambda scene: scene["drawn_segments"].append(["A"]), "drawn segment is not two labels: ['A']"),
+        ],
+        ids=["point_one_coordinate", "point_bool", "point_nan", "point_huge_int", "segment_one_label"],
+    )
+    def test_bootstrap_bad_scene_shape(self, run_dir, tmp_path, capsys, edit, reason):
+        shutil.copytree(run_dir, tmp_path / "in")
+        scenes = tmp_path / "in" / "scenes.jsonl"
+        lines = scenes.read_text().splitlines()
+        doc = json.loads(lines[0])
+        edit(doc["scene"])
+        scenes.write_text("\n".join([json.dumps(doc), *lines[1:]]) + "\n")
+        out = tmp_path / "out"
+        assert main(["bootstrap", "--in", str(tmp_path / "in"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {scenes} line 1: not a scene object: {reason}\n"
+        assert not out.exists()
 
     def test_bootstrap_extra_steps_below_one(self, run_dir, tmp_path, capsys):
         out = tmp_path / "out"

@@ -145,6 +145,15 @@ class TestTriangleMemo:
             assert g.min_angle_deg(*order) is None
         assert g.collinear_residual("C", "B", "A") == math.inf
 
+    def test_ray_norms_underflow(self):
+        # both rays are nonzero, but the product of their lengths is 0
+        g = SceneGeometry({"A": (0.0, 0.0), "B": (0.0, 1e-200), "C": (1e-200, 0.0)})
+        with pytest.raises(DegenerateMeasurementError, match="underflow"):
+            g.angle_deg("B", "A", "C")
+        for order in permutations("ABC"):
+            with pytest.raises(DegenerateMeasurementError, match="underflow"):
+                SceneGeometry(g.points).min_angle_deg(*order)
+
     def test_extended_children_keep_their_own_measures(self):
         parent = SceneGeometry({"A": (0.0, 0.0), "B": (4.0, 0.0), "C": (0.0, 3.0)})
         base_angle = parent.min_angle_deg("A", "B", "C")
@@ -174,10 +183,10 @@ def _outcome(measure, *args):
         return measure(*args)
     except UnknownScenePointError as exc:
         return ("unknown point", exc.label)
-    except DegenerateMeasurementError:
-        return "zero-length ray"
-    except ZeroDivisionError:
-        return "division by zero"
+    except DegenerateMeasurementError as exc:
+        return "norm product underflow" if "underflow" in str(exc) else "zero-length ray"
+    except ZeroDivisionError:  # the reference divides by zero only when that product underflows
+        return "norm product underflow"
 
 
 def _assert_matches_reference(points, asked, statements):
@@ -228,8 +237,9 @@ class TestFlatKernels:
 
     @given(_POINTS, _TRIPLE, _STATEMENTS)
     @example({"A": (0.0, 0.0), "B": (0.0, 0.0), "C": (1.0, 0.0)}, ("A", "B", "C"), [])
-    # rays whose norm product underflows: division by zero before a zero side
+    # rays whose norm product underflows, met before a zero side and with none
     @example({"A": (0.0, 0.0), "B": (0.0, 2.2250738585072014e-308)}, ("A", "A", "B"), [])
+    @example({"A": (0.0, 0.0), "B": (0.0, 1e-200), "C": (1e-200, 0.0)}, ("A", "B", "C"), [])
     @example({"A": (0.0, 0.0), "B": (1.0, 1.0), "C": (3.0, 3.0)}, ("B", "A", "C"), [])
     @example({"A": (0.0, 0.0), "B": (1.0, 0.0)}, ("C", "F", "A"), [right_angle(("A", "B", "F"))])
     @settings(max_examples=300, deadline=None)

@@ -71,3 +71,71 @@ def test_every_private_helper_is_used():
         and node.name not in used
     ]
     assert not unused, f"private helpers nothing in the package refers to: {unused}"
+
+
+def _annotations(tree: ast.Module) -> set[int]:
+    """The ids of every node inside an annotation, which is never evaluated
+    under ``from __future__ import annotations``."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+        elif isinstance(node, ast.arg) and node.annotation:
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            roots.append(node.returns)
+    return {id(n) for root in roots for n in ast.walk(root)}
+
+
+def test_no_value_subscripts_a_typing_name():
+    # typing caches each subscription, and with it the classes it names, for
+    # good: a re-imported engine could then never be freed
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        from_typing = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "typing"
+            for alias in node.names
+        }
+        exempt = _annotations(tree)
+        found += [
+            f"{path.name}:{node.lineno} {node.value.id}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in from_typing
+            and id(node) not in exempt
+        ]
+    assert not found, f"typing names subscripted outside annotations: {found}"
+
+
+def test_a_reimported_engine_is_freed():
+    # the way perfbench's import_engine re-imports it, three times over
+    modules = [path.stem for path in MODULES]
+    code = f"""
+import gc, importlib, sys, weakref
+sys.path.insert(0, {str(SRC)!r})
+
+def import_engine():
+    for name in [n for n in sys.modules if n == "geoforge" or n.startswith("geoforge.")]:
+        del sys.modules[name]
+    importlib.invalidate_caches()
+    importlib.import_module("geoforge")
+    return {{n: importlib.import_module("geoforge." + n) for n in {modules!r}}}
+
+first = import_engine()
+refs = {{
+    name: weakref.ref(getattr(first[module], name))
+    for module, name in [("statements", "Statement"), ("rules", "MatchContext"),
+                         ("reasoner", "Transition"), ("pipeline", "PipelineConfig")]
+}}
+del first
+import_engine()
+import_engine()
+gc.collect()
+print(*sorted(name for name, ref in refs.items() if ref() is not None))
+"""
+    run = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert run.stdout.split() == [], f"the first copy's classes are still alive: {run.stdout}"

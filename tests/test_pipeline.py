@@ -14,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import geoforge.constructions
 import geoforge.dataset
@@ -22,15 +24,17 @@ import geoforge.sampler
 import geoforge.statements
 from geoforge.constructions import POINT_CAP, extend_scene, generate_base_scene
 from geoforge.dataset import (
+    CorruptRecordError,
     ProblemRecord,
     RecordMetadata,
+    dataset_writer,
     load_config,
     load_records,
     load_scenes,
+    read_jsonl,
     record_content_hash,
     record_to_doc,
     scene_id_of,
-    write_dataset,
 )
 from geoforge.geometry import GeometryError, SceneGeometry
 from geoforge.pipeline import (
@@ -45,6 +49,7 @@ from geoforge.pipeline import (
     stats,
     verify,
 )
+from geoforge.pipeline import _text_lines
 from geoforge.rules import Rule
 from geoforge.sampler import tier_of
 from geoforge.statements import UnknownPointError, _canonical, parse_statement
@@ -52,6 +57,8 @@ from geoforge.translate import ExternalBackend, TemplateBackend
 from helpers import copy_with_edited_scene, move_point, uncited_point
 
 SMALL = PipelineConfig(seed_start=0, count=40)
+# every break str.splitlines knows, and "" for a line run on into the next
+_BREAKS = ["\n", "\r", "\r\n", "\n\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", ""]
 # the settings that became constants, at the defaults they had as fields
 OLD_DEFAULTS = {
     "max_problems_per_scene": 4,
@@ -269,12 +276,14 @@ class TestGenerate:
         out, report0 = dataset
         files = ["records.jsonl", "scenes.jsonl", "config.json"]
         files += [r.diagram for r in report0.records]
-        args = (
-            [record_to_doc(r) for r in report0.records],
-            load_scenes(out),
-            {r.id: (out / r.diagram).read_text(encoding="utf-8") for r in report0.records},
-            load_config(out),
-        )
+        docs = [record_to_doc(r) for r in report0.records]
+        scenes = load_scenes(out)
+        diagrams = {r.id: (out / r.diagram).read_text(encoding="utf-8") for r in report0.records}
+
+        def write(target):
+            with dataset_writer(target, load_config(out)) as add:
+                add(docs, scenes, diagrams)
+
         real_replace = os.replace
 
         def replace(src, dst):
@@ -287,7 +296,7 @@ class TestGenerate:
         monkeypatch.setattr(os, "replace", replace)
         for target in (fresh, stale):
             with pytest.raises(OSError, match="crash"):
-                write_dataset(target, *args)
+                write(target)
             # everything else is complete and in place; the manifest is not
             for name in files:
                 assert (target / name).read_bytes() == (out / name).read_bytes(), name
@@ -295,7 +304,7 @@ class TestGenerate:
             report = verify(target)
             assert [rid for rid, _ in report.failures] == ["<dataset>"]
         monkeypatch.undo()
-        write_dataset(stale, *args)
+        write(stale)
         for name in [*files, "manifest.jsonl"]:
             assert (stale / name).read_bytes() == (out / name).read_bytes(), name
         assert verify(stale).ok
@@ -851,6 +860,20 @@ class TestVerifyTamperDetection:
         assert [rid for rid, _ in failures] == [r.id for r in report0.records if r.scene_id == scene_id]
         assert {reason for _, reason in failures} == {"scene is degenerate: points A,Z9 closer than d_min"}
 
+    def test_scene_too_small_to_measure_fails_every_record_of_its_scene(self, dataset, tmp_path):
+        # every ray's length times another's underflows to 0
+        out, report0 = dataset
+        scene_id = report0.records[0].scene_id
+
+        def shrink(points):
+            for label, (x, y) in points.items():
+                points[label] = [x * 1e-200, y * 1e-200]
+
+        copy_with_edited_scene(out, tmp_path / "tiny", scene_id, shrink)
+        failures = verify(tmp_path / "tiny").failures
+        assert [rid for rid, _ in failures] == [r.id for r in report0.records if r.scene_id == scene_id]
+        assert all(reason.startswith("verification error: ray norms underflow at ") for _, reason in failures)
+
     def test_scene_naming_a_point_it_lacks_fails(self, dataset, tmp_path):
         # its texts were parsed once already, for a scene that has the point
         out, _ = dataset
@@ -892,6 +915,43 @@ class TestVerifyTamperDetection:
         (target / "records.jsonl").write_bytes(b'{"id": "\xff"}\n')  # not UTF-8
         (where, reason), = verify(target).failures
         assert (where, reason.split(":")[0]) == ("<dataset>", "cannot read records")
+
+    def test_undecodable_last_line_fails_the_whole_dataset(self, dataset, tmp_path):
+        # streamed, the records before the byte are read and checked first
+        out, _ = dataset
+        target = tmp_path / "records"
+        shutil.copytree(out, target)
+        path = target / "records.jsonl"
+        data = path.read_bytes()
+        path.write_bytes(data[:-10] + b"\xff" + data[-10:])
+        with pytest.raises(UnicodeDecodeError) as whole:
+            path.read_text(encoding="utf-8")
+        report = verify(target)
+        assert (report.total, report.failures) == (0, [("<dataset>", f"cannot read records: {whole.value}")])
+
+    @given(
+        st.sampled_from(_BREAKS),
+        st.lists(st.tuples(st.sampled_from(["", "{}", "[1, 2]", '"a"', " 7"]), st.sampled_from(_BREAKS))),
+    )
+    @example("\r\n", [("{}", "\n")])
+    @example("\r", [("", "\r"), ("{}", "\x85")])
+    @settings(max_examples=150, deadline=None)
+    def test_streamed_lines_are_the_whole_files(self, tmp_path_factory, first_break, lines):
+        # a first line of 8191 bytes puts its break at the end of the first 8 KiB
+        # read, where a \r\n is split in two
+        path = tmp_path_factory.getbasetemp() / "lines.jsonl"
+        text = json.dumps("x" * 8189) + first_break + "".join(line + brk for line, brk in lines)
+        path.write_text(text, encoding="utf-8", newline="")
+        assert list(_text_lines(path)) == text.splitlines()
+        data = text.encode()
+        numbered = [(n, line) for n, line in enumerate(data.splitlines(), 1) if line.strip()]
+        try:
+            expected = [(n, json.loads(line)) for n, line in numbered]
+        except ValueError:
+            with pytest.raises(CorruptRecordError):
+                list(read_jsonl(path))
+        else:
+            assert list(read_jsonl(path)) == expected
 
     @pytest.mark.parametrize(
         "field, value",
