@@ -2,8 +2,9 @@
 
 A dataset directory holds records.jsonl (full records), scenes.jsonl (the
 scenes they reference), manifest.jsonl (one summary line per record), an
-svg/ directory with one diagram per record, and config.json. Record ids are
-content hashes, so identical runs produce identical files.
+svg/ directory with one diagram name per record (the records of one scene
+share one file), and config.json. Record ids are content hashes, so
+identical runs produce identical files.
 """
 
 from __future__ import annotations
@@ -243,17 +244,36 @@ def _dump(doc: dict) -> str:
 
 
 @contextmanager
-def _replacing(path: Path) -> Iterator[TextIO]:
-    """Write beside ``path``, then rename into place: ``path`` is either its
-    old self or complete, never half written, and no temp file is left."""
+def _renaming(path: Path) -> Iterator[Path]:
+    """A temp name beside ``path`` for the block to create, renamed onto
+    ``path`` when the block ends: ``path`` is either its old self or
+    complete, never half written, and no temp file is left. A killed run's
+    temp name is unlinked first, since it may be a hard link to a live file."""
     tmp = path.with_name(f".{path.name}.tmp")
+    tmp.unlink(missing_ok=True)
     try:
-        with tmp.open("w", encoding="utf-8") as f:
-            yield f
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """A text file written beside ``path`` and renamed into place, as ``_renaming``."""
+    with _renaming(path) as tmp, tmp.open("w", encoding="utf-8") as f:
+        yield f
+
+
+def _linked(source: Path, tmp: Path) -> bool:
+    """Whether ``tmp`` is now a second name of ``source``'s file; False, with
+    nothing made, where the filesystem has no hard links."""
+    try:
+        os.link(source, tmp)
+    except OSError:
+        return False
+    return True
 
 
 def write_jsonl(path: Path, docs: Iterable[dict]) -> None:
@@ -270,7 +290,9 @@ def dataset_writer(out_dir: str | Path, config_doc: dict) -> Iterator[Callable[.
     once and keeps manifest lines, scenes and diagrams. The first record, or the end if
     none comes, removes an old manifest; the end renames ``records.jsonl`` into place,
     then writes the diagrams, ``scenes.jsonl``, ``config.json`` and, last,
-    ``manifest.jsonl``, so a crash leaves no manifest or one that disagrees with records."""
+    ``manifest.jsonl``, so a crash leaves no manifest or one that disagrees with records.
+    Records with equal diagrams get one file under several names (a copy where the
+    filesystem has no hard links), each name renamed into place like a written file."""
     out = Path(out_dir)
     manifest: list[dict] = []
     all_scenes: dict[str, Scene] = {}
@@ -291,10 +313,16 @@ def dataset_writer(out_dir: str | Path, config_doc: dict) -> Iterator[Callable[.
 
         yield add
         records()  # with no record at all, records.jsonl is still written, empty
-    # written together: interleaved with the scenes' work, they made generate slower
+    # written together: interleaved with the scenes' work, they made generate slower.
+    # Each distinct text is written once, under its first name, and hard-linked to the
+    # rest (a scene's records share its diagram): a new inode costs far more than a name
+    written: dict[str, Path] = {}
     for record_id, svg in sorted(all_diagrams.items()):
-        with _replacing(out / "svg" / f"{record_id}.svg") as g:
-            g.write(svg)
+        path = out / "svg" / f"{record_id}.svg"
+        source = written.setdefault(svg, path)
+        with _renaming(path) as tmp:
+            if source is path or not _linked(source, tmp):
+                tmp.write_text(svg, encoding="utf-8")
     write_jsonl(
         out / "scenes.jsonl",
         ({"scene_id": sid, "scene": all_scenes[sid].to_doc()} for sid in sorted(all_scenes)),

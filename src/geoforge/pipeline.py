@@ -571,7 +571,9 @@ def _best_lengths(records: Iterable[ProblemRecord]) -> dict[str, int]:
 
 def curate_testset(in_dir: str | Path, per_tier: int, out_dir: str | Path) -> list[ProblemRecord]:
     """Numeric-answer records only, ``per_tier`` from each tier by id order;
-    solution fields are stripped and the answers go to a hidden key file."""
+    solution fields are stripped and the answers go to a hidden key file.
+    Each chosen record's diagram is copied, never linked, so editing the test
+    set leaves the dataset alone; a missing one fails before anything is written."""
     if per_tier < 1:
         raise PipelineError("per_tier must be >= 1")
     records = load_records(in_dir)
@@ -582,6 +584,9 @@ def curate_testset(in_dir: str | Path, per_tier: int, out_dir: str | Path) -> li
         if len(pool) < per_tier:
             raise InsufficientRecordsError(tier, len(pool), per_tier)
         chosen.extend(pool[:per_tier])
+    for r in chosen:
+        if not (Path(in_dir) / r.diagram).is_file():
+            raise PipelineError(f"record {r.id}: diagram {r.diagram} is missing")
 
     out = Path(out_dir)
     (out / "svg").mkdir(parents=True, exist_ok=True)
@@ -606,8 +611,7 @@ def curate_testset(in_dir: str | Path, per_tier: int, out_dir: str | Path) -> li
     )
     for r in chosen:
         src = Path(in_dir) / r.diagram
-        if src.exists():
-            shutil.copy(src, out / "svg" / src.name)
+        shutil.copy(src, out / "svg" / src.name)
     return chosen
 
 

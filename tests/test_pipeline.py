@@ -309,6 +309,86 @@ class TestGenerate:
             assert (stale / name).read_bytes() == (out / name).read_bytes(), name
         assert verify(stale).ok
 
+    def test_crash_linking_a_diagram_fails_verify(self, dataset, tmp_path, monkeypatch):
+        out, report0 = dataset
+        _, victim = _written_and_linked(report0.records)
+        docs = [record_to_doc(r) for r in report0.records]
+        scenes = load_scenes(out)
+        # equal texts, distinct objects, as a reload gives them
+        diagrams = {r.id: (out / r.diagram).read_text(encoding="utf-8") for r in report0.records}
+
+        def write(target):
+            with dataset_writer(target, load_config(out)) as add:
+                add(docs, scenes, diagrams)
+
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).name == f"{victim}.svg":
+                raise OSError("crash")
+            real_replace(src, dst)
+
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        shutil.copytree(out, stale)  # a complete dataset from an earlier run
+        monkeypatch.setattr(os, "replace", replace)
+        for target in (fresh, stale):
+            with pytest.raises(OSError, match="crash"):
+                write(target)
+            assert not [p.name for p in (target / "svg").iterdir() if p.name.endswith(".tmp")]
+            assert not (target / "manifest.jsonl").exists()
+            report = verify(target)
+            assert [rid for rid, _ in report.failures] == ["<dataset>"]
+        monkeypatch.undo()
+        for target in (fresh, stale):
+            write(target)
+            assert _tree(target) == _tree(out)
+            assert verify(target).ok
+
+    def test_stale_temp_names_do_not_stop_a_run(self, dataset, tmp_path):
+        out, report0 = dataset
+        target = tmp_path / "run"
+        (target / "svg").mkdir(parents=True)
+        # a killed run's temp names: two hard links to a file outside the dataset, on a
+        # written and a linked name, and a half-written file; writing any of them in
+        # place would change the file it names
+        outside = tmp_path / "outside.svg"
+        outside.write_text("not a diagram", encoding="utf-8")
+        written, linked = _written_and_linked(report0.records)
+        for rid in (written, linked):
+            os.link(outside, target / "svg" / f".{rid}.svg.tmp")
+        last = max(r.id for r in report0.records)
+        (target / "svg" / f".{last}.svg.tmp").write_text("half", encoding="utf-8")
+        report = generate(SMALL, target)
+        assert [r.id for r in report.records] == [r.id for r in report0.records]
+        assert _tree(target) == _tree(out)
+        assert outside.read_text(encoding="utf-8") == "not a diagram"
+
+    def test_without_hard_links_each_diagram_is_a_file(self, dataset, tmp_path, monkeypatch):
+        out, _ = dataset
+
+        def no_link(src, dst, **kwargs):
+            raise OSError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "link", no_link)
+        generate(SMALL, tmp_path / "run")
+        assert _tree(tmp_path / "run") == _tree(out)
+        svg = list((tmp_path / "run" / "svg").iterdir())
+        assert len({p.stat().st_ino for p in svg}) == len(svg)
+        assert verify(tmp_path / "run").ok
+
+    def test_records_of_a_scene_share_one_diagram_file(self, dataset):
+        out, report = dataset
+        names = sorted(p.name for p in (out / "svg").iterdir())
+        assert names == sorted(f"{r.id}.svg" for r in report.records)
+        inode_of = {r.id: (out / r.diagram).stat().st_ino for r in report.records}
+        text_of = {r.id: (out / r.diagram).read_bytes() for r in report.records}
+        # one inode per distinct diagram: as many (text, inode) pairs as texts and as inodes
+        files = {(text_of[rid], inode_of[rid]) for rid in inode_of}
+        assert len(files) == len(set(text_of.values())) == len(set(inode_of.values())) < len(report.records)
+        for scene_id in {r.scene_id for r in report.records}:
+            assert len({inode_of[r.id] for r in report.records if r.scene_id == scene_id}) == 1
+        assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_crash_mid_stream_writes_no_records(self, dataset, tmp_path, monkeypatch, workers):
         out, report0 = dataset
@@ -1629,6 +1709,20 @@ class TestBootstrap:
             bootstrap(SMALL, empty, tmp_path / "b")
 
 
+def _written_and_linked(records) -> tuple[str, str]:
+    """The ids of the two first records, in id order, of a scene with more
+    than one: the writer writes the first's diagram and links the second's."""
+    by_scene: dict[str, list[str]] = {}
+    for r in records:
+        by_scene.setdefault(r.scene_id, []).append(r.id)
+    return next(tuple(sorted(ids)[:2]) for ids in by_scene.values() if len(ids) > 1)
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """Every file under ``root``, temp files included, by its path below ``root``."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def _write_lines(path: Path, docs) -> None:
     path.write_text("".join(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n" for d in docs))
 
@@ -1650,6 +1744,7 @@ def _synthetic_dataset(tmp_path, tiers=(1, 2, 3, 4), per_tier=3) -> Path:
             doc["seed"] = 10_000 + tier * 100 + i
             doc["id"] = record_content_hash(doc)
             doc["diagram"] = f"svg/{doc['id']}.svg"
+            shutil.copyfile(out / template["diagram"], out / doc["diagram"])
             docs.append(doc)
     with (out / "records.jsonl").open("w") as f:
         for doc in docs:
@@ -1729,6 +1824,28 @@ class TestCurate:
         data = _synthetic_dataset(tmp_path)
         chosen = curate_testset(data, 2, tmp_path / "split3")
         assert all(r.kind == "numeric" for r in chosen)
+
+    def test_diagrams_are_copies(self, tmp_path):
+        data = _synthetic_dataset(tmp_path)
+        # one file under every name, as the writer stores equal diagrams
+        names = sorted((data / "svg").glob("*.svg"))
+        for path in names[1:]:
+            path.unlink()
+            os.link(names[0], path)
+        chosen = curate_testset(data, 1, tmp_path / "split")
+        for r in chosen:
+            copy, src = tmp_path / "split" / r.diagram, data / r.diagram
+            assert src.stat().st_nlink == len(names)
+            assert copy.read_bytes() == src.read_bytes()
+            assert copy.stat().st_nlink == 1
+
+    def test_missing_diagram_fails_before_writing(self, tmp_path):
+        data = _synthetic_dataset(tmp_path)
+        victim = curate_testset(data, 1, tmp_path / "first")[-1]
+        (data / victim.diagram).unlink()
+        with pytest.raises(PipelineError, match=f"record {victim.id}: diagram {victim.diagram} is missing"):
+            curate_testset(data, 1, tmp_path / "split")
+        assert not (tmp_path / "split").exists()
 
 
 class TestCheckAnswer:
