@@ -9,7 +9,6 @@ eventually abandoned. The whole process is a pure function of the seeds.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, replace
@@ -103,9 +102,6 @@ class Scene:
             "drawn_segments": [list(seg) for seg in self.drawn_segments],
             "exhausted": self.exhausted,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), separators=(",", ":"))
 
 
 def scene_from_doc(doc: dict, parse=None) -> Scene:

@@ -156,9 +156,12 @@ def record_to_doc(record: ProblemRecord) -> dict:
     }
 
 
+DERIVED_FIELDS = ("id", "diagram")  # the record fields that follow from all the others
+
+
 def record_content_hash(doc: dict) -> str:
-    """Deterministic id from everything except the id and diagram filename."""
-    body = {k: v for k, v in doc.items() if k not in ("id", "diagram")}
+    """Deterministic id from everything except the ``DERIVED_FIELDS``."""
+    body = {k: v for k, v in doc.items() if k not in DERIVED_FIELDS}
     payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -218,7 +221,8 @@ def record_from_doc(doc: dict, parsed: dict | None = None) -> ProblemRecord:
 
 
 def scene_id_of(scene: Scene) -> str:
-    return hashlib.sha256(scene.to_json().encode("utf-8")).hexdigest()[:16]
+    text = json.dumps(scene.to_doc(), separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def manifest_line(doc: dict) -> dict:
@@ -286,17 +290,18 @@ def write_jsonl(path: Path, docs: Iterable[dict]) -> None:
 @contextmanager
 def dataset_writer(out_dir: str | Path, config_doc: dict) -> Iterator[Callable[..., None]]:
     """``add(docs, scenes, diagrams)`` per batch, ``docs`` being ``record_to_doc`` documents
-    with id and diagram filled in, writes their lines to ``records.jsonl``'s temp file at
-    once and keeps manifest lines, scenes and diagrams. The first record, or the end if
-    none comes, removes an old manifest; the end renames ``records.jsonl`` into place,
-    then writes the diagrams, ``scenes.jsonl``, ``config.json`` and, last,
+    with id and diagram filled in and ``diagrams`` their SVG texts by record id, writes
+    their lines to ``records.jsonl``'s temp file at once and keeps manifest lines, scenes
+    and diagrams. The first record, or the end if none comes, removes an old manifest;
+    the end renames ``records.jsonl`` into place, then writes each diagram at its
+    record's ``diagram`` path, ``scenes.jsonl``, ``config.json`` and, last,
     ``manifest.jsonl``, so a crash leaves no manifest or one that disagrees with records.
     Records with equal diagrams get one file under several names (a copy where the
     filesystem has no hard links), each name renamed into place like a written file."""
     out = Path(out_dir)
     manifest: list[dict] = []
     all_scenes: dict[str, Scene] = {}
-    all_diagrams: dict[str, str] = {}
+    all_diagrams: dict[str, str] = {}  # by diagram path
     with ExitStack() as stack:
         @cache  # opened at the first call
         def records() -> TextIO:
@@ -307,9 +312,10 @@ def dataset_writer(out_dir: str | Path, config_doc: dict) -> Iterator[Callable[.
         def add(docs: Iterable[dict], scenes: dict[str, Scene], diagrams: dict[str, str]) -> None:
             for doc in docs:
                 records().write(_dump(doc) + "\n")
-                manifest.append(manifest_line(doc))
+                line = manifest_line(doc)
+                manifest.append(line)
+                all_diagrams[line["diagram"]] = diagrams[line["id"]]
             all_scenes.update(scenes)
-            all_diagrams.update(diagrams)
 
         yield add
         records()  # with no record at all, records.jsonl is still written, empty
@@ -317,8 +323,8 @@ def dataset_writer(out_dir: str | Path, config_doc: dict) -> Iterator[Callable[.
     # Each distinct text is written once, under its first name, and hard-linked to the
     # rest (a scene's records share its diagram): a new inode costs far more than a name
     written: dict[str, Path] = {}
-    for record_id, svg in sorted(all_diagrams.items()):
-        path = out / "svg" / f"{record_id}.svg"
+    for name, svg in sorted(all_diagrams.items()):
+        path = out / name
         source = written.setdefault(svg, path)
         with _renaming(path) as tmp:
             if source is path or not _linked(source, tmp):
@@ -331,22 +337,33 @@ def dataset_writer(out_dir: str | Path, config_doc: dict) -> Iterator[Callable[.
     write_jsonl(out / "manifest.jsonl", manifest)
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
-    """``(line number, decoded value)`` for each non-blank line of ``path``.
-    A line that is not UTF-8 JSON raises ``CorruptRecordError`` naming the
-    file and line. The file is streamed: a binary line ends at ``\\n``, and
-    ``bytes.splitlines`` splits it at ``\\r`` as well, so lines and numbers
-    are those of splitting the whole file, which is not held at once."""
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(line number, text)`` for each non-blank line of ``path``: the line
+    rule of every reader. Lines and numbers are those of ``bytes.splitlines``
+    of the whole file, which is streamed, not held at once: a binary line
+    ends at ``\\n``, and splitting it splits it at ``\\r`` as well. A line
+    is blank when ``bytes.strip`` empties it. A line that is not UTF-8, and
+    so not JSON text, raises ``CorruptRecordError`` naming the file and line."""
     with open(path, "rb") as f:
         lines = (line for chunk in f for line in chunk.splitlines())
         for n, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
-                doc = json.loads(line)
-            except ValueError as exc:
+                yield n, line.decode("utf-8")
+            except UnicodeDecodeError as exc:
                 raise CorruptRecordError(f"{path} line {n}: not JSON: {exc}") from exc
-            yield n, doc
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """``(line number, decoded value)`` for each ``read_lines`` line of
+    ``path``. A line that is not JSON raises ``CorruptRecordError`` naming
+    the file and line."""
+    for n, line in read_lines(path):
+        try:
+            yield n, json.loads(line)
+        except ValueError as exc:
+            raise CorruptRecordError(f"{path} line {n}: not JSON: {exc}") from exc
 
 
 def load_records(in_dir: str | Path) -> list[ProblemRecord]:

@@ -36,6 +36,7 @@ from .constructions import (
     generate_base_scene,
 )
 from .dataset import (
+    DERIVED_FIELDS,
     CorruptRecordError,
     ProblemRecord,
     RecordMetadata,
@@ -43,6 +44,7 @@ from .dataset import (
     load_records,
     load_scenes,
     read_jsonl,
+    read_lines,
     record_content_hash,
     record_to_doc,
     dataset_writer,
@@ -326,9 +328,10 @@ def build_record(
 
 @dataclass
 class _Batch:
-    """One scene's records, the scene and diagrams they cite, and failures."""
+    """One scene's records and their docs, the scene and diagrams they cite, and failures."""
 
     records: list[ProblemRecord] = field(default_factory=list)
+    docs: list[dict] = field(default_factory=list)
     scenes: dict[str, Scene] = field(default_factory=dict)
     diagrams: dict[str, str] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
@@ -419,8 +422,9 @@ def _scene_records(
             out.failures.append(f"scene {scene_id()}: render failed: {exc}")
             return out
         for draft in drafts:
-            record, _ = build_record(draft, scene, scene_id(), config, generation, backend)
+            record, doc = build_record(draft, scene, scene_id(), config, generation, backend)
             out.records.append(record)
+            out.docs.append(doc)
             out.diagrams[record.id] = svg
         out.scenes[scene_id()] = scene
     return out
@@ -501,7 +505,7 @@ def generate(config: PipelineConfig, out_dir: str | Path) -> GenerationReport:
     report = GenerationReport(str(out_dir))
     with dataset_writer(out_dir, config.to_doc()) as add, _scene_map(config.workers) as scene_map:
         for batch in scene_map(_generate_one_seed, repeat(config), seeds):
-            add(map(record_to_doc, batch.records), batch.scenes, batch.diagrams)
+            add(batch.docs, batch.scenes, batch.diagrams)
             report.records += batch.records
             report.failures += batch.failures
     return report
@@ -552,7 +556,7 @@ def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -
             for batch in scene_map(
                 _bootstrap_one_scene, repeat(config), selected, bases, repeat(generation)
             ):
-                add(map(record_to_doc, batch.records), batch.scenes, batch.diagrams)
+                add(batch.docs, batch.scenes, batch.diagrams)
                 report.records += batch.records
                 report.failures += batch.failures
                 scenes.update(batch.scenes)
@@ -826,15 +830,13 @@ def _replay_steps(
     return None, frozenset(used)
 
 
-# derived from every other field, so named only when nothing else differs
-_DERIVED = ("id", "diagram")
 _ABSENT = object()
 
 
 def _first_difference(rebuilt: dict, stored: dict) -> str:
-    """The first field, in ``record_to_doc`` order, where two documents
-    differ; ``rebuilt`` and ``stored`` must differ somewhere."""
-    order = [*(k for k in rebuilt if k not in _DERIVED), *_DERIVED]
+    """The first field, in ``record_to_doc`` order but ``DERIVED_FIELDS`` last, where
+    two documents differ; ``rebuilt`` and ``stored`` must differ somewhere."""
+    order = [*(k for k in rebuilt if k not in DERIVED_FIELDS), *DERIVED_FIELDS]
     order += [k for k in stored if k not in rebuilt]
     return next(k for k in order if rebuilt.get(k, _ABSENT) != stored.get(k, _ABSENT))
 
@@ -951,12 +953,12 @@ def verify(in_dir: str | Path) -> VerifyReport:
 
     The record ids, in order, must match manifest.jsonl, so a truncated
     records.jsonl fails as a ``<dataset>`` failure, as does a missing or
-    non-UTF-8 one. Schema and field-type problems surface as corrupt-record
-    failures, not crashes. records.jsonl is streamed line by line through
-    its own loop, not ``dataset.read_jsonl``, because a bad line is reported
-    as a failure of that line and the loop goes on to the next; a read error
-    or a byte that is not UTF-8, anywhere in the file, still fails the whole
-    dataset with no record counted, as if it had been read at once.
+    non-UTF-8 one. Schema and field-type problems, and a line that is not
+    JSON, surface as corrupt-record failures of that line, not crashes.
+    records.jsonl is streamed by ``dataset.read_lines``, the line rule of
+    every reader; a read error or a byte that is not UTF-8, anywhere in the
+    file, still fails the whole dataset with no record counted, as if it had
+    been read at once.
     """
     failures: list[tuple[str, str]] = []
     parsed: dict = {}  # statement and step memo for both files
@@ -975,51 +977,30 @@ def verify(in_dir: str | Path) -> VerifyReport:
     backend = TemplateBackend() if config.translator == "template" else None
     checks: dict[str, _SceneChecks] = {}
     ids: list[str | None] = []
-    lines = enumerate(_text_lines(Path(in_dir) / "records.jsonl"), 1)
-    while True:
-        try:
-            line_no, line = next(lines)
-        except StopIteration:
-            break
-        except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
-            return VerifyReport(0, [("<dataset>", f"cannot read records: {exc}")])
-        if not line.strip():
-            continue
-        ids.append(None)
-        try:
-            doc = json.loads(line)
-            if isinstance(doc, dict):
-                ids[-1] = doc.get("id")
-            # looked up at call time, as load_records does, so a patched parser applies
-            record = dataset.record_from_doc(doc, parsed)
-        except (CorruptRecordError, ParseError, json.JSONDecodeError) as exc:
-            failures.append((f"line {line_no}", f"corrupt record: {exc}"))
-            continue
-        try:
-            problem = _verify_record(record, doc, scenes, diagrams, checks, config, backend)
-        except (GeometryError, ParseError) as exc:
-            problem = f"verification error: {exc}"
-        if problem:
-            failures.append((record.id, problem))
+    try:
+        for line_no, line in read_lines(Path(in_dir) / "records.jsonl"):
+            ids.append(None)
+            try:
+                doc = json.loads(line)
+                if isinstance(doc, dict):
+                    ids[-1] = doc.get("id")
+                # looked up at call time, as load_records does, so a patched parser applies
+                record = dataset.record_from_doc(doc, parsed)
+            except (CorruptRecordError, ParseError, json.JSONDecodeError) as exc:
+                failures.append((f"line {line_no}", f"corrupt record: {exc}"))
+                continue
+            try:
+                problem = _verify_record(record, doc, scenes, diagrams, checks, config, backend)
+            except (GeometryError, ParseError) as exc:
+                problem = f"verification error: {exc}"
+            if problem:
+                failures.append((record.id, problem))
+    except (OSError, CorruptRecordError) as exc:  # missing, unreadable or not UTF-8
+        return VerifyReport(0, [("<dataset>", f"cannot read records: {exc}")])
     problem = _manifest_mismatch(Path(in_dir) / "manifest.jsonl", ids)
     if problem:
         failures.append(("<dataset>", problem))
     return VerifyReport(len(ids), failures)
-
-
-def _text_lines(path: Path) -> Iterator[str]:
-    """The lines ``str.splitlines`` gives of ``path``'s UTF-8 text, streamed.
-    Each binary chunk ends at a ``\\n``, which no other character's UTF-8
-    bytes hold, so decoding and splitting the chunks one by one decodes and
-    splits the text as a whole."""
-    with open(path, "rb") as f:
-        for chunk in f:
-            try:
-                text = chunk.decode("utf-8")
-            except UnicodeDecodeError:
-                path.read_text(encoding="utf-8")  # raises again, naming the byte's offset in the file
-                raise
-            yield from text.splitlines()
 
 
 def _manifest_mismatch(path: Path, ids: list[str | None]) -> str | None:

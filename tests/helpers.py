@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from geoforge.dataset import record_content_hash
 from geoforge.geometry import (
     D_MIN_FACTOR,
     THETA_MIN_DEG,
@@ -19,6 +20,7 @@ from geoforge.geometry import (
     DegenerateMeasurementError,
     UnknownScenePointError,
 )
+from geoforge.pipeline import PipelineConfig, generate
 from geoforge.reasoner import ReasoningGraph, Transition
 from geoforge.statements import Predicate, Statement, segment_length
 
@@ -246,6 +248,32 @@ def move_point(label: str):
         points[label] = [x + 0.5, y + 0.3]
 
     return edit
+
+
+def synthetic_dataset(tmp_path: Path, tiers=(1, 2, 3, 4), per_tier=3) -> Path:
+    """Dataset with hand-set tiers for exercising curation: ``per_tier``
+    copies of one numeric record of ``generate`` 0-11 per tier, each with
+    a copy of that record's diagram."""
+    out = tmp_path / "synth"
+    generate(PipelineConfig(seed_start=0, count=12), out)
+    lines = (out / "records.jsonl").read_text().splitlines()
+    template = next(doc for doc in map(json.loads, lines) if doc["kind"] == "numeric")
+    lengths = {1: 7, 2: 15, 3: 30, 4: 80}
+    docs = []
+    for tier in tiers:
+        for i in range(per_tier):
+            doc = json.loads(json.dumps(template))
+            doc["metadata"]["tier"] = tier
+            doc["metadata"]["reasoning_length"] = lengths[tier]
+            doc["seed"] = 10_000 + tier * 100 + i
+            doc["id"] = record_content_hash(doc)
+            doc["diagram"] = f"svg/{doc['id']}.svg"
+            shutil.copyfile(out / template["diagram"], out / doc["diagram"])
+            docs.append(doc)
+    (out / "records.jsonl").write_text(
+        "".join(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n" for doc in docs)
+    )
+    return out
 
 
 # --- reference kernel -------------------------------------------------------

@@ -65,7 +65,7 @@ class TestBaseGenerators:
     def test_determinism(self):
         a = generate_base_scene("trapezoid", 3)
         b = generate_base_scene("trapezoid", 3)
-        assert a.to_json() == b.to_json()
+        assert a.to_doc() == b.to_doc()
 
     def test_unknown_generator(self):
         with pytest.raises(UnknownGeneratorError):
@@ -96,13 +96,13 @@ class TestBaseGenerators:
 class TestExtension:
     def test_zero_steps_identity(self):
         scene = generate_base_scene("square", 1)
-        assert extend_scene(scene, 0, 99).to_json() == scene.to_json()
+        assert extend_scene(scene, 0, 99).to_doc() == scene.to_doc()
 
     def test_monotone_growth_and_determinism(self):
         scene = generate_base_scene("isosceles_triangle", 11)
         ext1 = extend_scene(scene, 3, 42)
         ext2 = extend_scene(scene, 3, 42)
-        assert ext1.to_json() == ext2.to_json()
+        assert ext1.to_doc() == ext2.to_doc()
         for s in scene.initial_statements:
             assert s in ext1.initial_statements
         assert len(ext1.constructions) >= 1
@@ -334,8 +334,8 @@ class TestBuild:
 class TestSerialization:
     def test_round_trip(self):
         scene = extend_scene(generate_base_scene("circle_diameter_point", 9), 3, 10)
-        clone = scene_from_doc(json.loads(scene.to_json()))
-        assert clone.to_json() == scene.to_json()
+        clone = scene_from_doc(json.loads(json.dumps(scene.to_doc())))
+        assert clone.to_doc() == scene.to_doc()
         assert clone.geometry.points == scene.geometry.points
         assert list(clone.initial_statements) == list(scene.initial_statements)
 

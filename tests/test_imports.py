@@ -73,6 +73,19 @@ def test_every_private_helper_is_used():
     assert not unused, f"private helpers nothing in the package refers to: {unused}"
 
 
+def test_only_the_dataset_module_splits_lines():
+    # one line rule for every input file: a second reader that splits its own
+    # way numbers, or skips, other lines than the first
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "dataset.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "splitlines"
+    ]
+    assert not found, f"lines split outside dataset.read_lines: {found}"
+
+
 def _annotations(tree: ast.Module) -> set[int]:
     """The ids of every node inside an annotation, which is never evaluated
     under ``from __future__ import annotations``."""

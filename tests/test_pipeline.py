@@ -32,6 +32,7 @@ from geoforge.dataset import (
     load_records,
     load_scenes,
     read_jsonl,
+    read_lines,
     record_content_hash,
     record_to_doc,
     scene_id_of,
@@ -49,15 +50,15 @@ from geoforge.pipeline import (
     stats,
     verify,
 )
-from geoforge.pipeline import _text_lines
 from geoforge.rules import Rule
 from geoforge.sampler import tier_of
 from geoforge.statements import UnknownPointError, _canonical, parse_statement
 from geoforge.translate import ExternalBackend, TemplateBackend
-from helpers import copy_with_edited_scene, move_point, uncited_point
+from helpers import copy_with_edited_scene, move_point, synthetic_dataset, uncited_point
 
 SMALL = PipelineConfig(seed_start=0, count=40)
-# every break str.splitlines knows, and "" for a line run on into the next
+# every break str.splitlines knows, of which bytes.splitlines knows the first
+# four, and "" for a line run on into the next
 _BREAKS = ["\n", "\r", "\r\n", "\n\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", ""]
 # the settings that became constants, at the defaults they had as fields
 OLD_DEFAULTS = {
@@ -1004,27 +1005,46 @@ class TestVerifyTamperDetection:
         path = target / "records.jsonl"
         data = path.read_bytes()
         path.write_bytes(data[:-10] + b"\xff" + data[-10:])
-        with pytest.raises(UnicodeDecodeError) as whole:
-            path.read_text(encoding="utf-8")
+        with pytest.raises(CorruptRecordError) as whole:
+            list(read_jsonl(path))
+        assert str(whole.value).startswith(f"{path} line {len(data.splitlines())}: not JSON: ")
         report = verify(target)
         assert (report.total, report.failures) == (0, [("<dataset>", f"cannot read records: {whole.value}")])
 
+    @pytest.mark.parametrize("blank", ["\xa0", "\u2028"])
+    def test_a_line_blank_only_to_str_is_a_corrupt_record(self, dataset, tmp_path, blank):
+        # str.strip empties a no-break space, and str.splitlines breaks at U+2028;
+        # bytes.strip and bytes.splitlines do neither, so each is a line that is not JSON
+        out, _ = dataset
+        target = tmp_path / "records"
+        shutil.copytree(out, target)
+        path = target / "records.jsonl"
+        first, rest = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(first + b"\n" + blank.encode() + b"\n" + rest)
+        with pytest.raises(CorruptRecordError, match=f"^{re.escape(str(path))} line 2: not JSON: "):
+            list(read_jsonl(path))
+        corrupt = [where for where, reason in verify(target).failures if reason.startswith("corrupt record: ")]
+        assert corrupt == ["line 2"]
+
     @given(
         st.sampled_from(_BREAKS),
-        st.lists(st.tuples(st.sampled_from(["", "{}", "[1, 2]", '"a"', " 7"]), st.sampled_from(_BREAKS))),
+        st.lists(st.tuples(st.sampled_from(["", "{}", "[1, 2]", '"a"', " 7", "\xa0"]), st.sampled_from(_BREAKS))),
     )
     @example("\r\n", [("{}", "\n")])
     @example("\r", [("", "\r"), ("{}", "\x85")])
     @settings(max_examples=150, deadline=None)
-    def test_streamed_lines_are_the_whole_files(self, tmp_path_factory, first_break, lines):
+    def test_streamed_lines_are_the_whole_files(self, dataset, tmp_path_factory, first_break, lines):
         # a first line of 8191 bytes puts its break at the end of the first 8 KiB
         # read, where a \r\n is split in two
-        path = tmp_path_factory.getbasetemp() / "lines.jsonl"
+        target = tmp_path_factory.getbasetemp() / "lines"
+        if not target.exists():
+            shutil.copytree(dataset[0], target)
+        path = target / "records.jsonl"
         text = json.dumps("x" * 8189) + first_break + "".join(line + brk for line, brk in lines)
         path.write_text(text, encoding="utf-8", newline="")
-        assert list(_text_lines(path)) == text.splitlines()
         data = text.encode()
-        numbered = [(n, line) for n, line in enumerate(data.splitlines(), 1) if line.strip()]
+        numbered = [(n, line.decode()) for n, line in enumerate(data.splitlines(), 1) if line.strip()]
+        assert list(read_lines(path)) == numbered
         try:
             expected = [(n, json.loads(line)) for n, line in numbered]
         except ValueError:
@@ -1032,6 +1052,9 @@ class TestVerifyTamperDetection:
                 list(read_jsonl(path))
         else:
             assert list(read_jsonl(path)) == expected
+        # no line is a record, so each is a corrupt record of verify's, at the same number
+        corrupt = [where for where, reason in verify(target).failures if reason.startswith("corrupt record: ")]
+        assert corrupt == [f"line {n}" for n, _ in numbered]
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1727,31 +1750,6 @@ def _write_lines(path: Path, docs) -> None:
     path.write_text("".join(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n" for d in docs))
 
 
-def _synthetic_dataset(tmp_path, tiers=(1, 2, 3, 4), per_tier=3) -> Path:
-    """Dataset with hand-set tiers for exercising curation."""
-    out = tmp_path / "synth"
-    report = generate(dataclasses.replace(SMALL, count=12), out)
-    docs = []
-    lines = (out / "records.jsonl").read_text().splitlines()
-    base_docs = [json.loads(line) for line in lines if json.loads(line)["kind"] == "numeric"]
-    template = base_docs[0]
-    lengths = {1: 7, 2: 15, 3: 30, 4: 80}
-    for tier in tiers:
-        for i in range(per_tier):
-            doc = json.loads(json.dumps(template))
-            doc["metadata"]["tier"] = tier
-            doc["metadata"]["reasoning_length"] = lengths[tier]
-            doc["seed"] = 10_000 + tier * 100 + i
-            doc["id"] = record_content_hash(doc)
-            doc["diagram"] = f"svg/{doc['id']}.svg"
-            shutil.copyfile(out / template["diagram"], out / doc["diagram"])
-            docs.append(doc)
-    with (out / "records.jsonl").open("w") as f:
-        for doc in docs:
-            f.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    return out
-
-
 class TestCanonicalTable:
     """``generate``, ``bootstrap`` and ``verify`` fill the table of canonical
     statements and leave it empty when they return, or raise."""
@@ -1789,7 +1787,7 @@ class TestCanonicalTable:
 
 class TestCurate:
     def test_eight_records_for_quota_two(self, tmp_path):
-        data = _synthetic_dataset(tmp_path)
+        data = synthetic_dataset(tmp_path)
         chosen = curate_testset(data, 2, tmp_path / "test_split")
         assert len(chosen) == 8
         per_tier = {}
@@ -1798,7 +1796,7 @@ class TestCurate:
         assert per_tier == {1: 2, 2: 2, 3: 2, 4: 2}
 
     def test_key_and_test_files(self, tmp_path):
-        data = _synthetic_dataset(tmp_path)
+        data = synthetic_dataset(tmp_path)
         split = tmp_path / "split"
         curate_testset(data, 1, split)
         test_docs = [json.loads(line) for line in (split / "test.jsonl").read_text().splitlines()]
@@ -1808,25 +1806,25 @@ class TestCurate:
             assert set(doc) == {"id", "question", "diagram", "tier"}
 
     def test_insufficient_records(self, tmp_path):
-        data = _synthetic_dataset(tmp_path, tiers=(1, 2, 3))
+        data = synthetic_dataset(tmp_path, tiers=(1, 2, 3))
         with pytest.raises(InsufficientRecordsError) as exc_info:
             curate_testset(data, 2, tmp_path / "split2")
         assert exc_info.value.tier == 4
 
     @pytest.mark.parametrize("per_tier", [0, -1])
     def test_per_tier_below_one_rejected(self, per_tier, tmp_path):
-        data = _synthetic_dataset(tmp_path)
+        data = synthetic_dataset(tmp_path)
         with pytest.raises(PipelineError, match="per_tier must be >= 1"):
             curate_testset(data, per_tier, tmp_path / "split")
         assert not (tmp_path / "split").exists()
 
     def test_proof_records_never_selected(self, tmp_path):
-        data = _synthetic_dataset(tmp_path)
+        data = synthetic_dataset(tmp_path)
         chosen = curate_testset(data, 2, tmp_path / "split3")
         assert all(r.kind == "numeric" for r in chosen)
 
     def test_diagrams_are_copies(self, tmp_path):
-        data = _synthetic_dataset(tmp_path)
+        data = synthetic_dataset(tmp_path)
         # one file under every name, as the writer stores equal diagrams
         names = sorted((data / "svg").glob("*.svg"))
         for path in names[1:]:
@@ -1840,7 +1838,7 @@ class TestCurate:
             assert copy.stat().st_nlink == 1
 
     def test_missing_diagram_fails_before_writing(self, tmp_path):
-        data = _synthetic_dataset(tmp_path)
+        data = synthetic_dataset(tmp_path)
         victim = curate_testset(data, 1, tmp_path / "first")[-1]
         (data / victim.diagram).unlink()
         with pytest.raises(PipelineError, match=f"record {victim.id}: diagram {victim.diagram} is missing"):

@@ -15,6 +15,7 @@ import pytest
 
 from geoforge.cli import main
 from geoforge.pipeline import PipelineConfig, generate
+from helpers import synthetic_dataset
 
 FILES = ("records.jsonl", "scenes.jsonl", "config.json", "manifest.jsonl")
 EDITS = 200
@@ -109,6 +110,12 @@ def original(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def tiered(tmp_path_factory):
+    # curate needs a numeric record in every tier, which no engine dataset this small holds
+    return synthetic_dataset(tmp_path_factory.mktemp("edits"), per_tier=1)
+
+
 def _run(argv: list[str]) -> int | str:
     """``main``'s exit code, or the exception it ended in."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -118,15 +125,16 @@ def _run(argv: list[str]) -> int | str:
             return f"{type(exc).__name__}: {exc}"
 
 
-def test_random_edits_give_reports_and_exit_codes(original, tmp_path):
-    work, out = tmp_path / "work", tmp_path / "out"
+def test_random_edits_give_reports_and_exit_codes(original, tiered, tmp_path):
+    work, tiers, out = tmp_path / "work", tmp_path / "tiers", tmp_path / "out"
     shutil.copytree(original, work)
-    pristine = {name: (work / name).read_bytes() for name in FILES}
+    shutil.copytree(tiered, tiers)
+    pristine = {(d, name): (d / name).read_bytes() for d in (work, tiers) for name in FILES}
     # each command with the files it reads; an edit of another leaves its run as it was
     commands = [
         (["verify", "--in", str(work)], set(FILES)),
         (["stats", "--in", str(work)], {"records.jsonl"}),
-        (["curate", "--in", str(work), "--out", str(out / "test"), "--per-tier", "1"], {"records.jsonl"}),
+        (["curate", "--in", str(tiers), "--out", str(out / "test"), "--per-tier", "1"], {"records.jsonl"}),
         (["bootstrap", "--in", str(work), "--out", str(out / "grown")], {"records.jsonl", "scenes.jsonl"}),
     ]
     rng = random.Random(20250)
@@ -134,7 +142,9 @@ def test_random_edits_give_reports_and_exit_codes(original, tmp_path):
     problems = []
     for n in range(EDITS):
         name = rng.choice(FILES)
-        (work / name).write_bytes(_edited(rng, name, pristine[name]))
+        edit = rng.getrandbits(64)  # one edit's choices, made on either dataset's file
+        for d in (work, tiers):
+            (d / name).write_bytes(_edited(random.Random(edit), name, pristine[d, name]))
         for argv, reads in commands:
             if name in reads:
                 code = _run(argv)
@@ -142,7 +152,10 @@ def test_random_edits_give_reports_and_exit_codes(original, tmp_path):
                 if code not in (0, 1):
                     problems.append((n, name, argv[0], code))
         shutil.rmtree(out, ignore_errors=True)
-        (work / name).write_bytes(pristine[name])
+        for d in (work, tiers):
+            (d / name).write_bytes(pristine[d, name])
     assert not problems, problems
     # the edits reached the checks: verify, which every one runs, failed most of them
     assert codes["verify", 1] > EDITS * 3 // 4, codes
+    # and curate's selection and writing, which only a run that exits 0 reaches
+    assert codes["curate", 0] > 0, codes
