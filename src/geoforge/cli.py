@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
-from .dataset import CorruptRecordError, load_records, read_jsonl
+from .dataset import CorruptRecordError, decode_json, load_records, read_jsonl
 from .pipeline import (
     PipelineConfig,
     PipelineError,
@@ -29,9 +29,9 @@ def _load_config(args: argparse.Namespace) -> PipelineConfig:
     doc = {}
     if args.config:
         try:
-            doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise PipelineError(f"{args.config}: not JSON: {exc}") from exc
+            doc = decode_json(Path(args.config).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise PipelineError(f"{args.config}: {exc}") from exc
         if not isinstance(doc, dict):
             raise PipelineError(f"{args.config}: not a JSON object")
     names = {f.name for f in dataclasses.fields(PipelineConfig)}

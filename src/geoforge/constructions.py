@@ -104,10 +104,7 @@ class Scene:
         }
 
 
-def scene_from_doc(doc: dict, parse=None) -> Scene:
-    """``parse(text, known_points)`` reads each initial statement;
-    ``parse_statement`` when not given."""
-    parse = parse or parse_statement
+def scene_from_doc(doc: dict) -> Scene:
     # SceneGeometry makes the numbers floats and refuses a non-finite one
     points = {
         label: _pair(xy, (int, float), f"point {label}", "numbers")
@@ -122,7 +119,7 @@ def scene_from_doc(doc: dict, parse=None) -> Scene:
             AppliedConstruction(c["id"], tuple(c["binding"]), tuple(c["new_points"]))
             for c in doc["constructions"]
         ),
-        initial_statements=dict.fromkeys(parse(t, known) for t in doc["initial_statements"]),
+        initial_statements=dict.fromkeys(parse_statement(t, known) for t in doc["initial_statements"]),
         drawn_segments=tuple(
             _pair(seg, (str,), "drawn segment", "labels") for seg in doc["drawn_segments"]
         ),

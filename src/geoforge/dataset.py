@@ -22,7 +22,9 @@ from typing import Callable, Iterable, Iterator, TextIO
 from .constructions import CorruptRecordError, Scene, scene_from_doc
 from .geometry import GeometryError
 from .reasoner import SolutionStep
-from .statements import Statement, StatementError, Unit, parse_statement
+from .statements import (
+    CANONICAL_TABLE_SIZE, Statement, StatementError, Unit, clear_canonical_table, parse_statement
+)
 
 SCHEMA_VERSION = 1
 
@@ -75,31 +77,35 @@ def _steps_doc(steps: Iterable[SolutionStep]) -> list[dict]:
     ]
 
 
-def _step_from_doc(entry, parse, memo: dict) -> SolutionStep:
+# stored step (premise texts, rule, conclusion text) -> its step, up to the
+# statements' bound: the records of one scene cite most of their steps often
+_steps: dict[tuple, SolutionStep] = {}
+
+
+def clear_tables() -> None:
+    """Empty every call-scoped table: canonical statements, parsed texts and
+    stored steps, which ``generate``, ``bootstrap`` and ``verify`` keep for one call."""
+    clear_canonical_table()
+    _steps.clear()
+
+
+def _step_from_doc(entry) -> SolutionStep:
     rule = entry["rule"]
     if not isinstance(rule, str):
         raise TypeError(f"rule {rule!r} is not a string")
-    premises, conclusion = entry.get("premises"), entry.get("conclusion")
-    # only a well-typed step is looked up, so any other fails below as before
-    key = None
-    if type(premises) is list and type(conclusion) is str and all(type(t) is str for t in premises):
-        key = (tuple(premises), rule, conclusion)
-        step = memo.get(key)
-        if step is not None:
-            return step
-    step = SolutionStep(
-        premises=tuple(parse(t) for t in entry["premises"]),
-        rule=rule,
-        conclusion=parse(entry["conclusion"]),
-    )
-    if key is not None:
-        memo[key] = step
+    # a missing conclusion raises below, after the premises have been parsed
+    key = (tuple(entry["premises"]), rule, entry.get("conclusion"))
+    step = _steps.get(key)
+    if step is None:
+        step = SolutionStep(tuple(map(parse_statement, key[0])), rule, parse_statement(entry["conclusion"]))
+        if len(_steps) < CANONICAL_TABLE_SIZE:
+            _steps[key] = step
     return step
 
 
-def _steps_from_doc(doc, parse, memo: dict) -> tuple[SolutionStep, ...]:
+def _steps_from_doc(doc) -> tuple[SolutionStep, ...]:
     try:
-        return tuple(_step_from_doc(entry, parse, memo) for entry in doc)
+        return tuple(map(_step_from_doc, doc))
     except (KeyError, TypeError) as exc:
         raise CorruptRecordError(f"bad solution step: {exc}") from exc
 
@@ -166,20 +172,7 @@ def record_content_hash(doc: dict) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def record_from_doc(doc: dict, parsed: dict | None = None) -> ProblemRecord:
-    """``parsed`` memoises statement text -> ``Statement`` and stored step
-    (premise texts, rule, conclusion text) -> ``SolutionStep``; records of
-    one scene share most of their statements and steps, so pass one dict
-    per file."""
-    if parsed is None:
-        parsed = {}
-
-    def parse(text: str) -> Statement:
-        stmt = parsed.get(text)
-        if stmt is None:
-            stmt = parsed[text] = parse_statement(text)
-        return stmt
-
+def record_from_doc(doc: dict) -> ProblemRecord:
     try:
         kind = doc["kind"]
         if kind not in ("numeric", "proof"):
@@ -197,13 +190,11 @@ def record_from_doc(doc: dict, parsed: dict | None = None) -> ProblemRecord:
             template=doc["template"],
             kind=kind,
             question=doc["question"],
-            premises=tuple(parse(t) for t in doc["premises"]),
-            target=parse(doc["target"]),
+            premises=tuple(map(parse_statement, doc["premises"])),
+            target=parse_statement(doc["target"]),
             answer_value=value,
-            solutions=tuple(_steps_from_doc(sol, parse, parsed) for sol in doc["formal_solutions"]),
-            wrong_branch=(
-                _steps_from_doc(doc["wrong_branch"], parse, parsed) if doc["wrong_branch"] else None
-            ),
+            solutions=tuple(map(_steps_from_doc, doc["formal_solutions"])),
+            wrong_branch=_steps_from_doc(doc["wrong_branch"]) if doc["wrong_branch"] else None,
             overlap=_number(doc, "overlap", optional=True),
             nl_solution=doc["nl_solution"],
             connection_thinking=doc["connection_thinking"],
@@ -355,48 +346,43 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
                 raise CorruptRecordError(f"{path} line {n}: not JSON: {exc}") from exc
 
 
+def decode_json(text: str) -> object:
+    """The value JSON ``text`` holds. Text that is not JSON, or nests deeper
+    than the decoder can follow, raises ``CorruptRecordError("not JSON: ...")``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise CorruptRecordError(f"not JSON: {exc}") from exc
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
     """``(line number, decoded value)`` for each ``read_lines`` line of
     ``path``. A line that is not JSON raises ``CorruptRecordError`` naming
     the file and line."""
     for n, line in read_lines(path):
         try:
-            yield n, json.loads(line)
-        except ValueError as exc:
-            raise CorruptRecordError(f"{path} line {n}: not JSON: {exc}") from exc
+            yield n, decode_json(line)
+        except CorruptRecordError as exc:
+            raise CorruptRecordError(f"{path} line {n}: {exc}") from exc
 
 
 def load_records(in_dir: str | Path) -> list[ProblemRecord]:
     path = Path(in_dir) / "records.jsonl"
     records = []
-    parsed: dict[str, Statement] = {}
     for n, doc in read_jsonl(path):
         try:
-            records.append(record_from_doc(doc, parsed))
+            records.append(record_from_doc(doc))
         except CorruptRecordError as exc:
             raise CorruptRecordError(f"{path} line {n}: {exc}") from exc
     return records
 
 
-def load_scenes(in_dir: str | Path, parsed: dict | None = None) -> dict[str, Scene]:
-    """``parsed`` is a statement memo as for ``record_from_doc``; ``verify``
-    passes it on to the records, so a text both files hold is parsed once."""
+def load_scenes(in_dir: str | Path) -> dict[str, Scene]:
     path = Path(in_dir) / "scenes.jsonl"
-    if parsed is None:
-        parsed = {}
-
-    def parse(text: str, known: frozenset[str]) -> Statement:
-        # a remembered statement must name only this scene's points; any
-        # other text is parsed, and raises as it would without the memo
-        stmt = parsed.get(text) if isinstance(text, str) else None
-        if stmt is None or not known.issuperset(label for group in stmt.groups for label in group):
-            stmt = parsed[text] = parse_statement(text, known)
-        return stmt
-
     scenes: dict[str, Scene] = {}
     for n, doc in read_jsonl(path):
         try:
-            scenes[doc["scene_id"]] = scene_from_doc(doc["scene"], parse)
+            scenes[doc["scene_id"]] = scene_from_doc(doc["scene"])
         except (  # a field of the wrong type or shape, or a coordinate no float holds
             AttributeError, KeyError, TypeError, OverflowError, CorruptRecordError, GeometryError
         ) as exc:
@@ -409,4 +395,4 @@ def load_scenes(in_dir: str | Path, parsed: dict | None = None) -> dict[str, Sce
 
 
 def load_config(in_dir: str | Path) -> dict:
-    return json.loads((Path(in_dir) / "config.json").read_text(encoding="utf-8"))
+    return decode_json((Path(in_dir) / "config.json").read_text(encoding="utf-8"))

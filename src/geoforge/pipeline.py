@@ -11,7 +11,6 @@ ids. Per-scene failures are logged and skipped, never fatal.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import random
 import re
@@ -21,7 +20,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, wraps
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -40,6 +39,8 @@ from .dataset import (
     CorruptRecordError,
     ProblemRecord,
     RecordMetadata,
+    clear_tables,
+    decode_json,
     load_config,
     load_records,
     load_scenes,
@@ -74,7 +75,7 @@ from .sampler import (
     geo_explore_t,
     tier_of,
 )
-from .statements import VALUE_PREDICATES, ParseError, Predicate, Statement, Unit, clear_canonical_table
+from .statements import VALUE_PREDICATES, ParseError, Predicate, Statement, Unit
 from .translate import (
     BackendUnavailableError,
     ExternalBackend,
@@ -483,22 +484,16 @@ def _generate_one_seed(config: PipelineConfig, seed: int) -> _Batch:
     return _process_scene(scene, config, 0, backend)
 
 
-def _empties_canonical_table(fn: Callable) -> Callable:
-    """``fn``, which empties the table of canonical statements when it
-    returns or raises: equal statements are one object within a call, and
-    the table holds none of them past it."""
-
-    @wraps(fn)
-    def call(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            clear_canonical_table()
-
-    return call
+@contextmanager
+def _call_scope() -> Iterator[None]:
+    """As a decorator: ``dataset.clear_tables()`` when the call returns or raises."""
+    try:
+        yield
+    finally:
+        clear_tables()
 
 
-@_empties_canonical_table
+@_call_scope()
 def generate(config: PipelineConfig, out_dir: str | Path) -> GenerationReport:
     """Run the full engine for every seed, writing each seed's records as it finishes."""
     seeds = range(config.seed_start, config.seed_start + config.count)
@@ -523,7 +518,7 @@ def _bootstrap_one_scene(
     return _process_scene(extended, config, generation, _make_backend(config))
 
 
-@_empties_canonical_table
+@_call_scope()
 def bootstrap(config: PipelineConfig, in_dir: str | Path, out_dir: str | Path) -> GenerationReport:
     """Re-seed the constructor with the deepest prior scenes and go again.
 
@@ -919,7 +914,7 @@ def _full_target(record: ProblemRecord) -> Statement:
     return Statement(record.target.predicate, record.target.groups, record.answer_value)
 
 
-@_empties_canonical_table
+@_call_scope()
 def verify(in_dir: str | Path) -> VerifyReport:
     """Independently replay every record of a dataset, then rebuild it.
 
@@ -935,13 +930,14 @@ def verify(in_dir: str | Path) -> VerifyReport:
 
     These checks are pure, so each distinct piece of work runs once per
     call however many records share it: each statement text of both files
-    is parsed once and each stored step built once; per scene, the scene
-    check, each distinct step's checks that no other step affects (rule
-    known, conclusion new and holding, licence) and each numeric check run
-    once; one template backend words each distinct step and bridge sentence
-    once. Per record, only whether each premise is established and which
-    initial statements a solution uses remain. The memos are keyed by value
-    and live for this call only.
+    is parsed once and each stored step built once, in the tables that
+    ``clear_tables`` empties when the call ends; per scene, the scene check,
+    each distinct step's checks that no other step affects (rule known,
+    conclusion new and holding, licence) and each numeric check run once;
+    one template backend words each distinct step and bridge sentence once.
+    Per record, only whether each premise is established and which initial
+    statements a solution uses remain. Every memo and table is keyed by
+    value and lives for this call only.
 
     Each record that passes is then rebuilt by ``build_record`` from its
     formal core (kind, target, solutions, wrong branch and the initial
@@ -961,9 +957,8 @@ def verify(in_dir: str | Path) -> VerifyReport:
     been read at once.
     """
     failures: list[tuple[str, str]] = []
-    parsed: dict = {}  # statement and step memo for both files
     try:
-        scenes = load_scenes(in_dir, parsed)
+        scenes = load_scenes(in_dir)
     except (OSError, KeyError, ValueError) as exc:
         return VerifyReport(0, [("<dataset>", f"cannot load scenes: {exc}")])
     try:
@@ -981,12 +976,12 @@ def verify(in_dir: str | Path) -> VerifyReport:
         for line_no, line in read_lines(Path(in_dir) / "records.jsonl"):
             ids.append(None)
             try:
-                doc = json.loads(line)
+                doc = decode_json(line)
                 if isinstance(doc, dict):
                     ids[-1] = doc.get("id")
                 # looked up at call time, as load_records does, so a patched parser applies
-                record = dataset.record_from_doc(doc, parsed)
-            except (CorruptRecordError, ParseError, json.JSONDecodeError) as exc:
+                record = dataset.record_from_doc(doc)
+            except CorruptRecordError as exc:
                 failures.append((f"line {line_no}", f"corrupt record: {exc}"))
                 continue
             try:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable
 
 
@@ -192,9 +193,9 @@ def _check_value(pred: Predicate, value: Fraction | None) -> Fraction | None:
     return value
 
 
-# Bound of the table of canonical statements: above the most distinct
-# statements a 1000-seed ``generate`` builds (about 7 800). ``generate``,
-# ``bootstrap`` and ``verify`` empty it when they return.
+# Bound of each call-scoped table (canonical statements, parsed texts, stored
+# steps): above the most distinct statements a 1000-seed ``generate`` builds
+# (about 7 800). ``generate``, ``bootstrap`` and ``verify`` empty them on return.
 CANONICAL_TABLE_SIZE = 16384
 
 
@@ -274,8 +275,9 @@ def _canonical(
 
 
 def clear_canonical_table() -> None:
-    """Empty the table of canonical statements that ``_canonical`` keeps."""
+    """Empty the tables of canonical statements and of parsed texts."""
     _canonical.cache_clear()
+    _parsed.clear()
 
 
 def canonicalize(s: Statement) -> Statement:
@@ -300,12 +302,29 @@ def serialize_statement(s: Statement) -> str:
     return f"{s.predicate.value}({body})"
 
 
+# text -> its statement, up to the bound, emptied with the canonical statements
+_parsed: dict[str, Statement] = {}
+
+
 def parse_statement(text: str, known_points: Iterable[str] | None = None) -> Statement:
     """Parse grammar text into a canonical Statement.
 
     ``known_points``, when given, restricts point tokens to that set
-    (used when interpreting statements against a concrete scene).
+    (used when interpreting statements against a concrete scene). A text
+    is parsed once; one that failed, or names a point outside
+    ``known_points``, is parsed again, so it raises as it always has.
     """
+    stmt = _parsed.get(text) if isinstance(text, str) else None
+    if stmt is not None and (known_points is None or frozenset(known_points).issuperset(chain(*stmt.groups))):
+        return stmt
+    stmt = _parse(text, known_points)
+    if len(_parsed) < CANONICAL_TABLE_SIZE:
+        _parsed[text] = stmt
+    return stmt
+
+
+def _parse(text: str, known_points: Iterable[str] | None) -> Statement:
+    """``parse_statement`` without the table."""
     known = None if known_points is None else frozenset(known_points)
     pos = 0
 

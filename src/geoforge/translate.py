@@ -16,6 +16,7 @@ import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
+from .dataset import decode_json
 from .reasoner import SolutionStep
 from .statements import Predicate, Statement
 
@@ -223,9 +224,10 @@ class ExternalBackend(TemplateBackend):
         for _ in range(RETRIES + 1):
             try:
                 raw = self.transport(self.endpoint, payload, TIMEOUT_S)
-                doc = json.loads(raw)
+                doc = decode_json(raw)
                 return doc["choices"][0]["message"]["content"].strip()
-            except (OSError, KeyError, IndexError, ValueError) as exc:  # URLError is an OSError
+            # URLError is an OSError; a response not JSON, or not of this shape, fails too
+            except (OSError, KeyError, IndexError, ValueError, TypeError, AttributeError) as exc:
                 last = exc
         raise BackendUnavailableError(str(last))
 

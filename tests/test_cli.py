@@ -302,6 +302,46 @@ class TestCliInputErrors:
         assert err.startswith(f"error: {scenes} line 1: at byte ") and "expected known point" in err
         assert err.count("\n") == 1 and not out.exists()
 
+    @pytest.mark.parametrize(
+        "edited, argv",
+        [
+            ("records.jsonl", ["verify", "--in", "{in}"]),
+            ("scenes.jsonl", ["verify", "--in", "{in}"]),
+            ("manifest.jsonl", ["verify", "--in", "{in}"]),
+            ("config.json", ["verify", "--in", "{in}"]),
+            ("records.jsonl", ["stats", "--in", "{in}"]),
+            ("records.jsonl", ["curate", "--in", "{in}", "--out", "{out}", "--per-tier", "1"]),
+            ("records.jsonl", ["bootstrap", "--in", "{in}", "--out", "{out}"]),
+            ("scenes.jsonl", ["bootstrap", "--in", "{in}", "--out", "{out}"]),
+            ("cfg.json", ["generate", "--config", "{in}/cfg.json", "--out", "{out}"]),
+            ("pred.jsonl", ["check", "--pred", "{in}/pred.jsonl", "--key", "{in}/key.jsonl"]),
+            ("key.jsonl", ["check", "--pred", "{in}/pred.jsonl", "--key", "{in}/key.jsonl"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_input_nested_past_the_recursion_limit(self, run_dir, edited, argv, tmp_path, capsys):
+        # the decoder gives up on it with a RecursionError, which is a line that is not JSON
+        nested = "[" * 200_000 + "]" * 200_000 + "\n"
+        data = tmp_path / "in"
+        shutil.copytree(run_dir, data)
+        (data / "key.jsonl").write_text(json.dumps({"id": "x1", "exact": "5", "tier": 1}) + "\n")
+        (data / "pred.jsonl").write_text(json.dumps({"id": "x1", "prediction": "5"}) + "\n")
+        path = data / edited
+        if path.suffix == ".jsonl":
+            with path.open("a") as f:
+                f.write(nested)
+        else:  # one JSON document, so an added line would only be extra data
+            path.write_text(nested)
+        out = tmp_path / "out"
+        assert main([a.format(**{"in": data, "out": out}) for a in argv]) == 1
+        printed = capsys.readouterr()
+        if argv[0] == "verify":
+            assert printed.err == "" and "not JSON: " in printed.out
+            assert printed.out.splitlines()[-1].startswith("verified ")
+        else:
+            assert printed.err.startswith("error: ") and "not JSON: " in printed.err
+            assert printed.err.count("\n") == 1 and not out.exists()
+
 
 class TestCliConfig:
     """Each flag whose dest is a ``PipelineConfig`` field sets that field."""

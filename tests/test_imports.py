@@ -86,6 +86,21 @@ def test_only_the_dataset_module_splits_lines():
     assert not found, f"lines split outside dataset.read_lines: {found}"
 
 
+def test_only_the_dataset_module_decodes_json():
+    # one decoder for stored text: a second one that catches other errors
+    # lets a hostile line (one nested past the recursion limit, say) end a
+    # command in a traceback
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "dataset.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads", "JSONDecoder"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "json")
+    ]
+    assert not found, f"JSON decoded outside dataset.decode_json: {found}"
+
+
 def _annotations(tree: ast.Module) -> set[int]:
     """The ids of every node inside an annotation, which is never evaluated
     under ``from __future__ import annotations``."""

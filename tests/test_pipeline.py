@@ -27,6 +27,7 @@ from geoforge.dataset import (
     CorruptRecordError,
     ProblemRecord,
     RecordMetadata,
+    clear_tables,
     dataset_writer,
     load_config,
     load_records,
@@ -1508,7 +1509,11 @@ class TestVerifyWork:
         scenes = load_scenes(out)
         initial = sum(len(scenes[sid].initial_statements) for sid in {r.scene_id for r in records})
         concluded = {(sid, s.conclusion) for sid, s in steps}
-        texts = set()
+        texts = {
+            text
+            for line in (out / "scenes.jsonl").read_text().splitlines()
+            for text in json.loads(line)["scene"]["initial_statements"]
+        }
         for doc in docs:
             texts.update(doc["premises"])
             texts.add(doc["target"])
@@ -1530,9 +1535,9 @@ class TestVerifyWork:
         monkeypatch.setattr(
             SceneGeometry, "check_statement", counted("check", SceneGeometry.check_statement)
         )
-        monkeypatch.setattr(
-            geoforge.dataset, "parse_statement", counted("parse", geoforge.dataset.parse_statement)
-        )
+        # the parser's body, behind its table of parsed texts
+        monkeypatch.setattr(geoforge.statements, "_parse", counted("parse", geoforge.statements._parse))
+        clear_tables()  # loading the records and scenes above filled them
         assert verify(out).ok
         assert calls["recheck"] == len(replays) < len(steps)
         assert calls["check"] == initial + len(concluded)
@@ -1568,9 +1573,9 @@ class TestVerifyWork:
 
             return wrapper
 
-        for module in (geoforge.dataset, geoforge.constructions):
-            monkeypatch.setattr(module, "parse_statement", counted("parse", module.parse_statement))
+        monkeypatch.setattr(geoforge.statements, "_parse", counted("parse", geoforge.statements._parse))
         monkeypatch.setattr(Rule, "recheck", counted("recheck", Rule.recheck))
+        clear_tables()  # loading the records above filled them
         assert verify(out).ok
         assert calls["parse"] == len(texts) < len(scene_texts) + len(texts)
         assert calls["recheck"] == len({*steps}) < len(steps)
@@ -1750,39 +1755,47 @@ def _write_lines(path: Path, docs) -> None:
     path.write_text("".join(json.dumps(d, sort_keys=True, separators=(",", ":")) + "\n" for d in docs))
 
 
+def _table_sizes() -> tuple[int, int, int]:
+    """Entries of the call-scoped tables: canonical statements, parsed texts, stored steps."""
+    return _canonical.cache_info().currsize, len(geoforge.statements._parsed), len(geoforge.dataset._steps)
+
+
 class TestCanonicalTable:
-    """``generate``, ``bootstrap`` and ``verify`` fill the table of canonical
-    statements and leave it empty when they return, or raise."""
+    """``generate``, ``bootstrap`` and ``verify`` fill the call-scoped tables
+    (canonical statements, parsed texts and stored steps) and leave each
+    empty when they return, or raise."""
 
     @pytest.fixture
-    def sizes_at_clear(self, monkeypatch) -> list[int]:
+    def sizes_at_clear(self, monkeypatch) -> list[tuple[int, int, int]]:
         sizes = []
-        clear = geoforge.pipeline.clear_canonical_table
+        clear = geoforge.pipeline.clear_tables
 
         def spy():
-            sizes.append(_canonical.cache_info().currsize)
+            sizes.append(_table_sizes())
             clear()
 
-        monkeypatch.setattr(geoforge.pipeline, "clear_canonical_table", spy)
+        monkeypatch.setattr(geoforge.pipeline, "clear_tables", spy)
         return sizes
 
     def test_empty_after_each_call(self, dataset, sizes_at_clear, tmp_path):
         out, _ = dataset
         generate(dataclasses.replace(SMALL, count=5), tmp_path / "gen")
-        assert _canonical.cache_info().currsize == 0
+        assert _table_sizes() == (0, 0, 0)
         bootstrap(SMALL, out, tmp_path / "boot")
-        assert _canonical.cache_info().currsize == 0
+        assert _table_sizes() == (0, 0, 0)
         assert verify(tmp_path / "boot").ok
-        assert _canonical.cache_info().currsize == 0
-        assert len(sizes_at_clear) == 3 and min(sizes_at_clear) > 0
+        assert _table_sizes() == (0, 0, 0)
+        generated, booted, verified = sizes_at_clear
+        # generate builds statements but reads none; the other two read both files
+        assert generated[0] > 0 and min(booted) > 0 and min(verified) > 0
 
     def test_empty_after_bootstrap_yields_no_records(self, dataset, sizes_at_clear, tmp_path, monkeypatch):
         out, _ = dataset
         monkeypatch.setattr(geoforge.pipeline, "_grow_scene", lambda *args: None)
         with pytest.raises(PipelineError, match="yielded no records"):
             bootstrap(SMALL, out, tmp_path / "boot")
-        assert _canonical.cache_info().currsize == 0
-        assert len(sizes_at_clear) == 1 and sizes_at_clear[0] > 0  # loading the prior filled it
+        assert _table_sizes() == (0, 0, 0)
+        assert len(sizes_at_clear) == 1 and min(sizes_at_clear[0]) > 0  # loading the prior filled each
 
 
 class TestCurate:

@@ -344,6 +344,24 @@ class TestExternalBackend:
             backend.step_sentence(_iso_step())
         assert len(calls) == RETRIES + 1
 
+    @pytest.mark.parametrize(
+        "response",
+        ["[" * 200_000 + "]" * 200_000, "[1]", json.dumps({"choices": [{"message": {"content": 5}}]})],
+        ids=["nested_past_the_recursion_limit", "not_an_object", "content_not_text"],
+    )
+    def test_bad_response_is_retried_then_surfaces(self, response):
+        # a failed request like any other: the record stays untranslated
+        calls = []
+
+        def transport(url, payload, timeout):
+            calls.append(url)
+            return response
+
+        backend = ExternalBackend(endpoint="https://llm.invalid", model="m", transport=transport)
+        with pytest.raises(BackendUnavailableError):
+            backend.step_sentence(_iso_step())
+        assert len(calls) == RETRIES + 1
+
 
 class TestHttpTransport:
     def test_request_and_reply(self, monkeypatch):
