@@ -6,7 +6,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterator
 
@@ -21,7 +20,7 @@ from .pipeline import (
     stats,
     verify,
 )
-from .statements import StatementError
+from .statements import StatementError, parse_rational
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -97,8 +96,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     keys: dict[str, tuple[float, int | None]] = {}
     for n, doc in _jsonl_objects(args.key, "id"):
         try:
-            value = float(Fraction(doc["exact"]) if doc.get("exact") else doc["approx"])
-        except (KeyError, TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+            value = float(parse_rational(doc["exact"]) if doc.get("exact") else doc["approx"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PipelineError(f"{args.key} line {n}: no numeric answer: {exc}") from exc
         tier = doc.get("tier")
         if tier is not None and type(tier) is not int:

@@ -111,9 +111,12 @@ def scene_from_doc(doc: dict) -> Scene:
         for label, xy in doc["points"].items()
     }
     known = frozenset(points)
+    seed = doc["seed"]
+    if type(seed) is not int:  # bootstrap grows from it, so a bool or a float is no seed
+        raise CorruptRecordError(f"seed is not an integer: {seed!r}")
     return Scene(
         generator=doc["generator"],
-        seed=doc["seed"],
+        seed=seed,
         geometry=SceneGeometry(points),
         constructions=tuple(
             AppliedConstruction(c["id"], tuple(c["binding"]), tuple(c["new_points"]))

@@ -23,7 +23,8 @@ from .constructions import CorruptRecordError, Scene, scene_from_doc
 from .geometry import GeometryError
 from .reasoner import SolutionStep
 from .statements import (
-    CANONICAL_TABLE_SIZE, Statement, StatementError, Unit, clear_canonical_table, parse_statement
+    CANONICAL_TABLE_SIZE, Statement, StatementError, Unit, check_value, clear_canonical_table,
+    parse_rational, parse_statement,
 )
 
 SCHEMA_VERSION = 1
@@ -181,7 +182,10 @@ def record_from_doc(doc: dict) -> ProblemRecord:
         for key in ("id", "scene_id", "template", "diagram"):
             if not isinstance(doc[key], str):
                 raise CorruptRecordError(f"{key} {doc[key]!r} is not a string")
-        value = Fraction(doc["answer"]["exact"]) if kind == "numeric" else None
+        target = parse_statement(doc["target"])
+        value = None
+        if kind == "numeric":  # an answer obeys the rule of its target's value
+            value = check_value(target.predicate, parse_rational(doc["answer"]["exact"]))
         meta = doc["metadata"]
         return ProblemRecord(
             id=doc["id"],
@@ -191,7 +195,7 @@ def record_from_doc(doc: dict) -> ProblemRecord:
             kind=kind,
             question=doc["question"],
             premises=tuple(map(parse_statement, doc["premises"])),
-            target=parse_statement(doc["target"]),
+            target=target,
             answer_value=value,
             solutions=tuple(map(_steps_from_doc, doc["formal_solutions"])),
             wrong_branch=_steps_from_doc(doc["wrong_branch"]) if doc["wrong_branch"] else None,

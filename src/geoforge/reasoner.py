@@ -9,7 +9,7 @@ construction (premise index < conclusion index for every transition).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .constructions import Scene
@@ -67,18 +67,21 @@ class SolutionStep:
         return SolutionStep, (self.premises, self.rule, self.conclusion)
 
 
-class ReasoningGraph:
-    """G = (S, S0, R, transitions); statements are ids into ``statements``."""
+@dataclass(eq=False, repr=False)
+class ReasoningGraph(MatchContext):
+    """G = (S, S0, R, transitions); statements are ids into ``statements``.
+    It is the match context its saturation runs over, built from a geometry
+    alone: every statement enters through ``add_initial`` or
+    ``add_statement``, which ``note`` it."""
 
-    def __init__(self):
-        self.statements: list[Statement] = []
-        self.index: dict[Statement, int] = {}
-        self.n_initial = 0
-        self.transitions: list[Transition] = []
-        self.incoming: dict[int, list[int]] = {}
-        self.truncated = False
-        self._transition_keys: set[tuple[tuple[int, ...], str, int]] = set()
-        self._closures: tuple[list[int], list[int], int] | None = None
+    statements: list[Statement] = field(default_factory=list, init=False)
+    index: dict[Statement, int] = field(default_factory=dict, init=False)
+    n_initial: int = field(default=0, init=False)
+    transitions: list[Transition] = field(default_factory=list, init=False)
+    incoming: dict[int, list[int]] = field(default_factory=dict, init=False)
+    truncated: bool = field(default=False, init=False)
+    _transition_keys: set[tuple[tuple[int, ...], str, int]] = field(default_factory=set, init=False)
+    _closures: tuple[list[int], list[int], int] | None = field(default=None, init=False)
 
     # construction ------------------------------------------------------
 
@@ -97,6 +100,7 @@ class ReasoningGraph:
         sid = len(self.statements)
         self.statements.append(stmt)
         self.index[stmt] = sid
+        self.note(sid)
         self._closures = None
         return sid
 
@@ -123,9 +127,6 @@ class ReasoningGraph:
 
     def initial_ids(self) -> range:
         return range(self.n_initial)
-
-    def stmt(self, sid: int) -> Statement:
-        return self.statements[sid]
 
     def incoming_transitions(self, sid: int) -> list[Transition]:
         return [self.transitions[t] for t in self.incoming.get(sid, [])]
@@ -165,7 +166,8 @@ def saturate_statements(
     """Smallest closure of the initial statements under the rule library,
     bounded by the ``MAX_*`` caps (the flag ``truncated`` is set when one
     bites).
-    Each new statement runs, in catalog order, only the rules it triggers.
+    Each new statement runs, in catalog order, only the rules it triggers,
+    over the graph itself: no second object shares its lists.
 
     Every conclusion must hold numerically, or the scene is aborted with
     ``VerifierContradictionError``. Coordinates do not change during
@@ -177,14 +179,11 @@ def saturate_statements(
     for rule in rules:
         for pred in rule.triggers:
             triggered.setdefault(pred, []).append(rule)
-    graph = ReasoningGraph()
-    ctx = MatchContext(geometry, graph.statements, graph.index)
+    graph = ReasoningGraph(geometry)
     for stmt in initial:
         graph.add_initial(stmt)
     batch = list(graph.initial_ids())
     unchecked_initial = set(batch)
-    for sid in batch:
-        ctx.note(sid)
 
     rounds = 0
     while batch:
@@ -195,7 +194,7 @@ def saturate_statements(
         next_batch: list[int] = []
         for sid in batch:
             for rule in triggered.get(graph.statements[sid].predicate, ()):
-                for premises, conclusion in rule.match(ctx, sid):
+                for premises, conclusion in rule.match(graph, sid):
                     premises = tuple(sorted(premises))
                     if max(premises) != sid:
                         raise ReasonerError(
@@ -207,7 +206,7 @@ def saturate_statements(
                         if not verdict.holds:
                             raise VerifierContradictionError(rule.id, conclusion, verdict.residual)
                         unchecked_initial.discard(existing)
-                    if existing is not None and max(premises) >= existing:
+                    if existing is not None and sid >= existing:
                         continue  # a premise itself, or would break insertion-order soundness
                     if len(graph.transitions) >= MAX_TRANSITIONS or (
                         existing is None and len(graph.statements) >= MAX_STATEMENTS
@@ -216,7 +215,6 @@ def saturate_statements(
                         continue
                     if existing is None:
                         existing = graph.add_statement(conclusion)
-                        ctx.note(existing)
                         next_batch.append(existing)
                     graph.add_transition(premises, rule.id, existing)
         batch = next_batch

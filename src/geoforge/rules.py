@@ -56,12 +56,12 @@ from .statements import (
 Match = tuple[tuple[int, ...], Statement]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class MatchContext:
     """What a matcher reads: statements by id (ids are insertion order), the
     id of a statement, and the ids of each predicate in insertion order.
 
-    Saturation shares the graph's statement list and index and ``note``s each
+    Saturation runs over the reasoning graph, a subclass that ``note``s each
     id it adds; ``of`` builds a standalone context over a statement list.
     ``note`` also keeps the join indexes: the first equal-segments id of each
     segment pair, and the equal-angles ids, ascending, by triangle-pair key

@@ -179,17 +179,28 @@ def _canon_triangle_pair(
     return min(tuple(zip(*sorted(zip(t1, t2)))), tuple(zip(*sorted(zip(t2, t1)))))
 
 
-def _check_value(pred: Predicate, value: Fraction | None) -> Fraction | None:
+def check_value(pred: Predicate, value: Fraction | None) -> Fraction | None:
+    """``value`` if a statement of ``pred`` may carry it: none without a
+    value slot; else none (the query form) or a positive value, below 180
+    for an angle, whose float is neither 0 nor infinite, so the numeric
+    kernel never divides by it or overflows on it."""
     if pred not in VALUE_PREDICATES:
         if value is not None:
             raise MalformedStatementError(f"{pred.value} takes no value")
         return None
     if value is None:
         return None  # query form
-    if value.numerator <= 0:  # a Fraction's denominator is positive
+    num, den = value.numerator, value.denominator
+    if num <= 0:  # a Fraction's denominator is positive
         raise MalformedStatementError(f"{pred.value} value must be positive, got {value}")
-    if pred is Predicate.ANGLE_MEASURE and value.numerator >= 180 * value.denominator:
+    if pred is Predicate.ANGLE_MEASURE and num >= 180 * den:
         raise MalformedStatementError(f"angle value must lie in (0, 180), got {value}")
+    try:  # the value's float, rounded as float(value) rounds it; too large raises
+        in_range = num / den > 0.0
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise MalformedStatementError(f"{pred.value} value has no nonzero finite float")
     return value
 
 
@@ -216,7 +227,7 @@ def _canonical(
         for label in group:
             if label not in _LABELS:
                 raise MalformedStatementError(f"bad point label {label!r}")
-    value = _check_value(pred, value)
+    value = check_value(pred, value)
 
     if pred is Predicate.COLLINEAR:
         pts = groups[0]
@@ -266,7 +277,7 @@ def _canonical(
         if s1 > s2:
             s1, s2 = s2, s1
             if value is not None:
-                value = 1 / value
+                value = check_value(pred, 1 / value)
         canon = (s1, s2)
     else:  # pragma: no cover - exhaustive over Predicate
         raise AssertionError(pred)
@@ -364,17 +375,34 @@ def _parse(text: str, known_points: Iterable[str] | None) -> Statement:
 
     value: Fraction | None = None
     if unit is not None and text.startswith(";", pos):
-        pos += 1
-        vm = _RATIONAL_RE.match(text, pos)
-        if not vm:
-            raise ParseError(text, pos, ("rational",))
-        value = Fraction(vm.group(0))
-        pos = vm.end()
+        value, pos = _rational(text, pos + 1)
 
     expect(")")
     if pos != len(text):
         raise ParseError(text, pos, ("end of input",))
     return _canonical(pred, tuple(groups), value)
+
+
+def _rational(text: str, pos: int) -> tuple[Fraction, int]:
+    """The grammar's ``rational`` at ``pos`` of ``text``, and the offset
+    after it. A zero denominator, or more digits than ``int`` reads, is no
+    rational: each raises ``ParseError`` at ``pos``."""
+    vm = _RATIONAL_RE.match(text, pos) if isinstance(text, str) else None
+    if vm:
+        try:
+            return Fraction(vm.group(0)), vm.end()
+        except (ZeroDivisionError, ValueError):
+            pass
+    raise ParseError(text, pos, ("rational",))
+
+
+def parse_rational(text: str) -> Fraction:
+    """``text``, a stored value, as the grammar's ``rational`` and nothing
+    more; the one reader of every value stored outside a statement."""
+    value, pos = _rational(text, 0)
+    if pos != len(text):
+        raise ParseError(text, pos, ("end of input",))
+    return value
 
 
 Seg = tuple[str, str]

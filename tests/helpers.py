@@ -18,6 +18,7 @@ from geoforge.geometry import (
     THETA_MIN_DEG,
     Coord,
     DegenerateMeasurementError,
+    SceneGeometry,
     UnknownScenePointError,
 )
 from geoforge.pipeline import PipelineConfig, generate
@@ -36,7 +37,7 @@ def dummy_statement(i: int) -> Statement:
 def build_graph(n_initial: int, edges: list[tuple[list[int], str, int]]) -> ReasoningGraph:
     """Graph over dummy statements 0..max referenced; edges are
     (premise ids, rule, conclusion id)."""
-    graph = ReasoningGraph()
+    graph = ReasoningGraph(SceneGeometry({}))
     top = max([n_initial - 1] + [e[2] for e in edges])
     for i in range(n_initial):
         graph.add_initial(dummy_statement(i))

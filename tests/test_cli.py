@@ -19,6 +19,45 @@ def run_dir(tmp_path_factory):
     return out
 
 
+_TEN_400 = str(10**400)
+# case: (file, path to the value edited in its first numeric record or its
+# first scene, the new value, what the command reports)
+_HOSTILE_NUMBERS = {
+    "premise_zero_denominator": (
+        "records.jsonl", ("premises", 0), "angle_val(B,A,D;1/0)", "at byte 16: expected rational"
+    ),
+    "exact_zero_denominator": ("records.jsonl", ("answer", "exact"), "1/0", "at byte 0: expected rational"),
+    "exact_decimal": ("records.jsonl", ("answer", "exact"), "1.5", "at byte 1: expected end of input"),
+    "exact_exponent": ("records.jsonl", ("answer", "exact"), "1e3", "at byte 1: expected end of input"),
+    "exact_space": ("records.jsonl", ("answer", "exact"), " 7", "at byte 0: expected rational"),
+    "exact_number": ("records.jsonl", ("answer", "exact"), 7, "at byte 0: expected rational (input: 7)"),
+    "step_value_overflow": (
+        "records.jsonl", ("formal_solutions", 0, 0, "conclusion"), f"seg_len(C,D;{_TEN_400})",
+        "seg_len value has no nonzero finite float",
+    ),
+    "scene_zero_over_zero": (
+        "scenes.jsonl", ("scene", "initial_statements", 0), "seg_len(A,B;0/0)", "at byte 12: expected rational"
+    ),
+    "scene_5000_digits": (
+        "scenes.jsonl", ("scene", "initial_statements", 0), f"seg_len(A,B;{'7' * 5000})",
+        "at byte 12: expected rational",
+    ),
+    "scene_value_overflow": (
+        "scenes.jsonl", ("scene", "initial_statements", 0), f"seg_len(A,B;{_TEN_400})",
+        "seg_len value has no nonzero finite float",
+    ),
+    "scene_value_underflow": (
+        "scenes.jsonl", ("scene", "initial_statements", 0), f"seg_len(A,B;1/{_TEN_400})",
+        "seg_len value has no nonzero finite float",
+    ),
+    "seed_string": ("scenes.jsonl", ("scene", "seed"), "x", "seed is not an integer: 'x'"),
+    "seed_list": ("scenes.jsonl", ("scene", "seed"), [], "seed is not an integer: []"),
+    "seed_float": ("scenes.jsonl", ("scene", "seed"), 1.5, "seed is not an integer: 1.5"),
+    "seed_bool": ("scenes.jsonl", ("scene", "seed"), True, "seed is not an integer: True"),
+}
+_READERS = {"records.jsonl": ["verify", "stats", "curate", "bootstrap"], "scenes.jsonl": ["verify", "bootstrap"]}
+
+
 class TestCli:
     def test_generate_and_verify(self, run_dir, capsys):
         assert main(["verify", "--in", str(run_dir)]) == 0
@@ -208,8 +247,15 @@ class TestCliInputErrors:
             (lambda scene: scene["points"].update(A=[float("nan"), 0.0]), "non-finite coordinate for A"),
             (lambda scene: scene["points"].update(A=[10**400, 0.0]), "int too large to convert to float"),
             (lambda scene: scene["drawn_segments"].append(["A"]), "drawn segment is not two labels: ['A']"),
+            (lambda scene: scene.update(seed="x"), "seed is not an integer: 'x'"),
+            (lambda scene: scene.update(seed=[]), "seed is not an integer: []"),
+            (lambda scene: scene.update(seed=1.5), "seed is not an integer: 1.5"),
+            (lambda scene: scene.update(seed=True), "seed is not an integer: True"),
         ],
-        ids=["point_one_coordinate", "point_bool", "point_nan", "point_huge_int", "segment_one_label"],
+        ids=[
+            "point_one_coordinate", "point_bool", "point_nan", "point_huge_int", "segment_one_label",
+            "seed_string", "seed_list", "seed_float", "seed_bool",
+        ],
     )
     def test_bootstrap_bad_scene_shape(self, run_dir, tmp_path, capsys, edit, reason):
         shutil.copytree(run_dir, tmp_path / "in")
@@ -233,9 +279,12 @@ class TestCliInputErrors:
     @pytest.mark.parametrize(
         "key_line, reason",
         [
-            ('{"id": "x1", "exact": "abc", "approx": 5.0}', "no numeric answer: Invalid literal for Fraction: 'abc'"),
+            (
+                '{"id": "x1", "exact": "abc", "approx": 5.0}',
+                "no numeric answer: at byte 0: expected rational (input: 'abc')",
+            ),
             ('{"id": "x1", "tier": 1}', "no numeric answer: 'approx'"),
-            ('{"id": "x1", "exact": "1/0"}', "no numeric answer: Fraction(1, 0)"),
+            ('{"id": "x1", "exact": "1/0"}', "no numeric answer: at byte 0: expected rational (input: '1/0')"),
             ('{"id": "x1", "exact": "5", "tier": [1]}', "tier is not an integer: [1]"),
             ('{"id": "x1", "exact": "5", "tier": "x"}', "tier is not an integer: 'x'"),
         ],
@@ -340,6 +389,47 @@ class TestCliInputErrors:
             assert printed.out.splitlines()[-1].startswith("verified ")
         else:
             assert printed.err.startswith("error: ") and "not JSON: " in printed.err
+            assert printed.err.count("\n") == 1 and not out.exists()
+
+    @pytest.mark.parametrize(
+        "case, command",
+        [
+            (case, command)
+            for case, (edited, *_) in _HOSTILE_NUMBERS.items()
+            for command in _READERS[edited]
+            if not (case.startswith("seed_") and command == "bootstrap")  # test_bootstrap_bad_scene_shape
+        ],
+    )
+    def test_hostile_number(self, run_dir, case, command, tmp_path, capsys):
+        # a value that is no rational or that no float holds, or a seed that
+        # is no integer: a failure or one error line, never a traceback
+        edited, (*head, last), value, reason = _HOSTILE_NUMBERS[case]
+        data = tmp_path / "in"
+        shutil.copytree(run_dir, data)
+        path = data / edited
+        lines = path.read_text().splitlines()
+        docs = [json.loads(line) for line in lines]
+        n = next(i for i, doc in enumerate(docs) if edited == "scenes.jsonl" or doc["kind"] == "numeric")
+        parent = docs[n]
+        for key in head:
+            parent = parent[key]
+        parent[last] = value
+        lines[n] = json.dumps(docs[n])
+        path.write_text("".join(line + "\n" for line in lines))
+        out = tmp_path / "out"
+        argv = {
+            "verify": ["verify", "--in", str(data)],
+            "stats": ["stats", "--in", str(data)],
+            "curate": ["curate", "--in", str(data), "--out", str(out), "--per-tier", "1"],
+            "bootstrap": ["bootstrap", "--in", str(data), "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        printed = capsys.readouterr()
+        if command == "verify":
+            assert printed.err == ""
+            assert any(line.startswith("FAIL ") and reason in line for line in printed.out.splitlines())
+        else:
+            assert printed.err.startswith(f"error: {path} line {n + 1}: ") and reason in printed.err
             assert printed.err.count("\n") == 1 and not out.exists()
 
 

@@ -27,6 +27,11 @@ HOSTILE = [
 ]
 # magnitudes whose products underflow or overflow
 EXTREME = [5e-324, 1e-200, 1e-160, 1e200, 1e300]
+# numbers no statement value or exact answer holds: a zero denominator, more
+# digits than int() reads, and values no float holds
+NUMBERS = [b"1/0", b"0/0", b"7" * 5000, str(10**400).encode(), f"1/{10**400}".encode()]
+# a value inside a statement text, or an exact answer
+NUMBER_SLOT = re.compile(rb'(?<=;)[0-9]+(?:/[0-9]+)?(?=\))|(?<="exact":")[^"]*')
 INSERTS = [b"\xff", b"\xe2\x80", b"\r", b"\n", b"\x00", b"{", "\x85".encode(), " ".encode()]
 
 
@@ -77,11 +82,17 @@ def _edit_points(rng: random.Random, text: str) -> str:
 def _edited(rng: random.Random, name: str, data: bytes) -> bytes:
     """``data``, the bytes of dataset file ``name``, under one random edit."""
     lines = data.split(b"\n")[:-1]
-    kind = rng.choice(["value", "value", "points", "points", "bytes", "lines"])
-    if kind == "points" and name == "scenes.jsonl":
+    kind = rng.choice(["value", "value", "points", "points", "number", "bytes", "lines"])
+    slots = []
+    if kind == "number":
+        slots = [(i, m.span()) for i, line in enumerate(lines) for m in NUMBER_SLOT.finditer(line)]
+    if slots:
+        i, (start, end) = rng.choice(slots)
+        lines[i] = lines[i][:start] + rng.choice(NUMBERS) + lines[i][end:]
+    elif kind == "points" and name == "scenes.jsonl":
         i = rng.randrange(len(lines))
         lines[i] = _edit_points(rng, lines[i].decode()).encode()
-    elif kind in ("value", "points"):
+    elif kind in ("value", "points", "number"):
         i = rng.randrange(len(lines))
         lines[i] = _edit_value(rng, lines[i].decode()).encode()
     elif kind == "bytes":

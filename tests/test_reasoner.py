@@ -124,6 +124,20 @@ class TestSaturate:
         assert exc_info.value.rule_id == "echo"
         assert exc_info.value.conclusion == false
 
+    def test_rule_firing_on_a_stale_premise_combination_raises(self):
+        # every premise combination fires once, when its newest premise is
+        # processed; a rule that cites only earlier ids breaks that
+        g = SceneGeometry({"A": (0.0, 0.0), "B": (3.0, 0.0), "C": (0.0, 4.0)})
+        ab, ac = segment_length(("A", "B"), 3), segment_length(("A", "C"), 4)
+
+        def stale(ctx, sid):
+            if ctx.stmt(sid) == ac:
+                yield (0,), segment_length(("B", "C"), 5)
+
+        rule = Rule("stale", stale, frozenset({Predicate.SEGMENT_LENGTH}))
+        with pytest.raises(ReasonerError, match="rule stale fired on a stale premise combination"):
+            saturate_statements(g, [ab, ac], rules=(rule,))
+
     def test_budget_truncation_flag(self, monkeypatch):
         monkeypatch.setattr(reasoner, "MAX_STATEMENTS", 6)
         monkeypatch.setattr(reasoner, "MAX_TRANSITIONS", 3)
@@ -155,7 +169,7 @@ class TestSaturate:
 class TestReasoningGraph:
     def make_diamond(self):
         """a,b initial; c derived two ways; d from c."""
-        graph = ReasoningGraph()
+        graph = ReasoningGraph(SceneGeometry({}))
         a = graph.add_initial(segment_length(("A", "B"), 1))
         b = graph.add_initial(segment_length(("C", "D"), 2))
         c = graph.add_statement(segment_length(("E", "F"), 3))
@@ -170,7 +184,7 @@ class TestReasoningGraph:
         assert every_closure(graph, a) == {a}
 
     def test_upstream_linear_chain(self):
-        graph = ReasoningGraph()
+        graph = ReasoningGraph(SceneGeometry({}))
         a = graph.add_initial(segment_length(("A", "B"), 1))
         b = graph.add_statement(segment_length(("C", "D"), 2))
         c = graph.add_statement(segment_length(("E", "F"), 3))

@@ -475,6 +475,13 @@ class TestAlgebraicRules:
         )
 
 
+    def test_substituted_length_no_float_holds_is_dropped(self):
+        geometry = {"B": (0.0, 0.0), "D": (2.0, 0.0), "C": (6.0, 0.0)}
+        for size in (10**200, Fraction(1, 10**200)):  # BD = 10^400, or 1/10^400
+            ratio = segment_ratio(("B", "D"), ("B", "C"), size)
+            assert matched(geometry, [ratio, segment_length(("B", "C"), size)], "ratio_length_substitution") == []
+
+
 def matched(points, statements, rule_id):
     """What the rule's matcher yields when the last statement is the newest."""
     ctx = MatchContext.of(SceneGeometry(points), statements)

@@ -35,6 +35,7 @@ from geoforge.statements import (
     midpoint,
     on_circle,
     parallel,
+    parse_rational,
     parse_statement,
     perpendicular,
     right_angle,
@@ -296,6 +297,44 @@ class TestParsing:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_statement("collinear(A,B,C)x")
+
+    @pytest.mark.parametrize(
+        "text", ["seg_len(A,B;1/0)", "seg_len(A,B;0/0)", f"seg_len(A,B;{'7' * 5000})"],
+        ids=["zero_denominator", "zero_over_zero", "5000_digits"],
+    )
+    def test_value_that_is_no_rational_is_a_parse_error_at_its_offset(self, text):
+        with pytest.raises(ParseError, match="expected rational") as exc_info:
+            parse_statement(text)
+        assert exc_info.value.offset == 12
+
+    @pytest.mark.parametrize(
+        "text, offset, expected",
+        [("7/2", None, None), ("1/0", 0, "rational"), ("1.5", 1, "end of input"), (" 7", 0, "rational"),
+         ("7 ", 1, "end of input"), ("", 0, "rational"), (7, 0, "rational")],
+    )
+    def test_parse_rational_reads_the_grammar_and_nothing_more(self, text, offset, expected):
+        if offset is None:
+            assert parse_rational(text) == Fraction(7, 2)
+            return
+        with pytest.raises(ParseError) as exc_info:
+            parse_rational(text)
+        assert (exc_info.value.offset, exc_info.value.expected) == (offset, (expected,))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: segment_length(("A", "B"), 10**400),
+            lambda: segment_length(("A", "B"), Fraction(1, 10**400)),
+            lambda: segment_ratio(("A", "B"), ("C", "D"), Fraction(1, 10**400)),
+            # a float holds 1/10^320, but not the 10^320 the orientation flip makes of it
+            lambda: segment_ratio(("C", "D"), ("A", "B"), Fraction(1, 10**320)),
+            lambda: parse_statement(f"angle_val(A,B,C;1/{10**400})"),
+        ],
+        ids=["length_overflow", "length_underflow", "ratio_underflow", "flipped_ratio_overflow", "parsed_angle"],
+    )
+    def test_value_no_float_holds_is_malformed(self, build):
+        with pytest.raises(MalformedStatementError, match="value has no nonzero finite float"):
+            build()
 
     def test_query_form(self):
         q = parse_statement("seg_len(A,B)")
